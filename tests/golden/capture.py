@@ -1,0 +1,80 @@
+"""Write the golden reports that tests/test_golden.py replays.
+
+    PYTHONPATH=src python3 tests/golden/capture.py
+
+Each case is one call of ``treeshift.cli.main``: a spec under
+``specs/`` (optionally with command-line overrides) or a catalog demo.
+``reports/<case>.json`` stores the argv (spec paths relative to this
+directory), the exit code and the JSON report minus its
+``wall_clock_s`` fields.  The reports pin the behaviour of the code
+they were captured from; recapture only when a change of a report is
+intended, and say which keys changed and why.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+DEMOS = ("bergman-dual", "brownian-shift", "dirichlet", "glowny",
+         "mewa-distinction", "nbnkcsub", "nbnkcsub-2", "nbnkcsub-3",
+         "nbnkcsub-4", "przadj", "sl-chm", "treiso", "two-plus-three")
+
+# case name -> argv; "specs/..." entries are resolved against HERE
+CASES: dict[str, list[str]] = {
+    **{name: ["--spec", f"specs/{name}.json"] for name in (
+        "binary-8", "quasi-brownian-20", "star-50", "comb-2-14",
+        "comb-3-12", "glowny", "dirichlet", "bergman-dual", "treiso",
+        "explicit-random", "path-constant", "zero-weight", "split-given",
+        "command-errors")},
+    "glowny-overrides": ["--spec", "specs/glowny.json", "--depth", "12",
+                         "--nmax", "8", "--tol", "1e-10"],
+    "comb-3-depth-override": ["--spec", "specs/comb-3-12.json", "--depth",
+                              "9"],
+    **{f"demo-{name}": ["--demo", name] for name in DEMOS},
+}
+
+
+def strip_timing(value):
+    if isinstance(value, dict):
+        return {k: strip_timing(v) for k, v in value.items()
+                if k != "wall_clock_s"}
+    if isinstance(value, list):
+        return [strip_timing(v) for v in value]
+    return value
+
+
+def run_case(argv: list[str]) -> tuple[int, dict]:
+    """Exit code and timing-free report of one CLI call."""
+    from treeshift.cli import main
+
+    resolved = [str(HERE / a) if a.startswith("specs/") else a for a in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(resolved + ["--quiet", "--out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+    if "input" in report:
+        report["input"]["path"] = argv[argv.index("--spec") + 1]
+    return code, strip_timing(report)
+
+
+def main() -> int:
+    (HERE / "reports").mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, report = run_case(argv)
+        doc = {"argv": argv, "exit_code": code, "report": report}
+        (HERE / "reports" / f"{name}.json").write_text(
+            json.dumps(doc, indent=1, sort_keys=True) + "\n",
+            encoding="utf-8")
+        print(f"{name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
