@@ -9,12 +9,14 @@ exposes the same checks plus a catalog of worked demos.
 """
 from .errors import (ClassificationError, ComparisonError,
                      ConfigurationError, DomainError,
-                     NotLeftInvertibleError, RangeError, SpecParseError,
-                     StructureError, TreeShiftError)
-from .trees import (DirectedTree, TreeSpec, TreeStructureReport,
-                    StructureVerdict, Vertex, branching_degree,
-                    classify_tree, comb_tree_spec, generation,
-                    hub_comb_tree_spec, materialize,
+                     NotLeftInvertibleError, RangeError,
+                     ResourceLimitError, SpecParseError, StructureError,
+                     TreeShiftError)
+from .trees import (MAX_VERTICES, DirectedTree, TreeSpec,
+                    TreeStructureReport, StructureVerdict, Vertex,
+                    branching_degree, classify_tree, comb_pattern_valency,
+                    comb_tree_spec, generation, hub_comb_tree_spec,
+                    materialize, spec_vertex_count,
                     two_plus_three_tree_spec)
 from .shifts import (DEFAULT_TOL, AdjacencyClassification, PropertyVerdict,
                      ShiftInvariants, WeightSpec, WeightedShift,
@@ -22,7 +24,8 @@ from .shifts import (DEFAULT_TOL, AdjacencyClassification, PropertyVerdict,
                      are_unitarily_equivalent_multiset, build_shift,
                      cauchy_dual, classify_adjacency, is_two_isometry,
                      operator_norm, satisfies_kernel_condition,
-                     shift_invariants, two_isometry_weight, vertex_norm)
+                     shift_invariants, sibling_constancy_by_generation,
+                     two_isometry_weight, vertex_norm)
 from .moments import (DiscreteMeasure, MomentSequence, MomentVerdict,
                       ReciprocalLinearResult, SubnormalityReport,
                       backward_extension, closed_form_table1,
@@ -41,16 +44,18 @@ __all__ = [
     # errors
     "TreeShiftError", "StructureError", "RangeError", "DomainError",
     "ConfigurationError", "ClassificationError", "NotLeftInvertibleError",
-    "ComparisonError", "SpecParseError",
+    "ComparisonError", "SpecParseError", "ResourceLimitError",
     # trees
     "Vertex", "DirectedTree", "TreeSpec", "materialize", "generation",
     "branching_degree", "classify_tree", "StructureVerdict",
     "TreeStructureReport", "comb_tree_spec", "hub_comb_tree_spec",
-    "two_plus_three_tree_spec",
+    "two_plus_three_tree_spec", "comb_pattern_valency", "MAX_VERTICES",
+    "spec_vertex_count",
     # shifts
     "DEFAULT_TOL", "two_isometry_weight", "WeightedShift", "WeightSpec",
     "build_shift", "vertex_norm", "operator_norm", "PropertyVerdict",
-    "is_two_isometry", "satisfies_kernel_condition", "cauchy_dual",
+    "is_two_isometry", "satisfies_kernel_condition",
+    "sibling_constancy_by_generation", "cauchy_dual",
     "AdjacencyClassification", "classify_adjacency", "ShiftInvariants",
     "shift_invariants", "are_unitarily_equivalent",
     "are_unitarily_equivalent_multiset",

@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -39,9 +40,9 @@ from .shifts import (DEFAULT_TOL, WeightedShift, WeightSpec, build_shift,
                      shift_invariants, two_isometry_weight, vertex_norm,
                      are_unitarily_equivalent,
                      are_unitarily_equivalent_multiset)
-from .trees import (DirectedTree, TreeSpec, branching_degree, classify_tree,
-                    comb_tree_spec, generation, hub_comb_tree_spec,
-                    materialize, two_plus_three_tree_spec)
+from .trees import (MAX_VERTICES, TreeSpec, classify_tree, comb_tree_spec,
+                    generation, hub_comb_tree_spec, materialize,
+                    spec_vertex_count, two_plus_three_tree_spec)
 
 __all__ = ["RunSpec", "CommandRecord", "parse_spec", "run_suite", "run_demo",
            "main", "DEMO_NAMES"]
@@ -116,6 +117,43 @@ def _as_number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _as_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise SpecParseError(f"expected true or false, got {value!r}",
+                             json_path=path)
+    return value
+
+
+def _as_vertex(value: Any, path: str) -> Any:
+    """A vertex id string, a list of child indices, or null (the root)."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        for i, index in enumerate(value):
+            _as_int(index, f"{path}[{i}]")
+        return value
+    raise SpecParseError(
+        f"expected a vertex id string or a list of child indices, got "
+        f"{value!r}", json_path=path)
+
+
+# command parameters checked by type at parse time
+_PARAM_TYPES: dict[str, Callable[[Any, str], Any]] = {
+    "nmax": _as_int, "k": _as_int, "depth": _as_int, "dual": _as_bool,
+    "vertex": _as_vertex,
+}
+
+
+def _check_size(tree: TreeSpec, depth: Optional[int], what: str) -> None:
+    """Refuse, before materializing, a tree above MAX_VERTICES."""
+    count = spec_vertex_count(tree, depth)
+    if count > MAX_VERTICES:
+        field = "edges" if tree.kind == "explicit" else "depth"
+        raise SpecParseError(
+            f"{what} would have {count} vertices; the limit is "
+            f"{MAX_VERTICES}", json_path=f"$.tree.{field}")
+
+
 _TREE_KEYS: dict[str, set[str]] = {
     "path": {"kind", "depth"},
     "t_eta_kappa": {"kind", "eta", "kappa", "depth"},
@@ -170,9 +208,9 @@ def _parse_tree(obj: Any, path: str) -> TreeSpec:
             return TreeSpec("explicit", edges=edges, depth=depth)
         rule_raw = _require(obj, "rule", path)
         if (not isinstance(rule_raw, list)
-                or not all(isinstance(r, list)
-                           and all(isinstance(d, int) for d in r)
-                           for r in rule_raw)):
+                or not all(isinstance(r, list) for r in rule_raw)
+                or not set(map(type, chain.from_iterable(rule_raw)))
+                <= {int}):
             raise SpecParseError(
                 "rule must be a list of per-generation child-count lists",
                 json_path=f"{path}.rule")
@@ -246,7 +284,8 @@ def _parse_command(obj: Any, path: str) -> CommandRecord:
             f"unknown command {name!r} (expected one of "
             f"{sorted(_COMMAND_PARAMS)})", json_path=f"{path}.name")
     _reject_unknown(obj, _COMMAND_PARAMS[name] | {"name"}, path)
-    params = {k: v for k, v in obj.items() if k != "name"}
+    params = {k: _PARAM_TYPES[k](v, f"{path}.{k}") if k in _PARAM_TYPES
+              else v for k, v in obj.items() if k != "name"}
     if name == "verify-table1":
         _require(obj, "row", path)
     if name == "demo":
@@ -296,6 +335,7 @@ def parse_spec(text: str) -> RunSpec:
             raise SpecParseError(
                 f"missing required field 'tree' (no default tree for "
                 f"weight kind {weights.kind!r})", json_path="$.tree")
+    _check_size(tree, None, "the tree")
     commands: list[CommandRecord] = []
     raw_commands = doc.get("commands", [])
     if not isinstance(raw_commands, list):
@@ -407,7 +447,7 @@ class _Suite:
         t = self.tree
         return ({"vertex_count": t.vertex_count,
                  "materialized_depth": t.materialized_depth,
-                 "generation_sizes": [len(g) for g in t.generations()],
+                 "generation_sizes": list(t.generation_sizes),
                  "root": t.root}, "passed")
 
     def _cmd_classify_tree(self, params) -> tuple[dict, str]:
@@ -535,6 +575,8 @@ def run_suite(spec: RunSpec, tol: Optional[float] = None,
     Returns (report, exit_code).  Command-level errors are recorded in
     the report and yield exit code 1; they never abort the suite."""
     effective_tol = spec.tolerance if tol is None else tol
+    if depth is not None and spec.tree is not None:
+        _check_size(spec.tree, depth, f"the tree at --depth {depth}")
     suite = _Suite(spec, effective_tol, nmax, depth)
     results = []
     worst = 0

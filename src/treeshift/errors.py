@@ -21,6 +21,10 @@ class ConfigurationError(TreeShiftError):
     """Incompatible combination of tree, weights, or run parameters."""
 
 
+class ResourceLimitError(ConfigurationError):
+    """The requested object would exceed a fixed size limit."""
+
+
 class ClassificationError(TreeShiftError):
     """The operator is not in the class an operation requires."""
 

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (ClassificationError, DomainError,
                      NotLeftInvertibleError, RangeError)
-from .moments import _comb_pattern_valency, _table1_value, _TABLE1_ROWS
+from .moments import TABLE1_ROWS, table1_value
 from .shifts import (DEFAULT_TOL, WeightedShift, classify_adjacency,
                      is_two_isometry, satisfies_kernel_condition,
                      two_isometry_weight)
-from .trees import generation
+from .trees import comb_pattern_valency
 
 __all__ = [
     "TruncatedOperator",
@@ -90,19 +90,13 @@ def truncate(shift: WeightedShift,
         raise RangeError(
             f"cut depth must be in [1, {tree.materialized_depth}], "
             f"got {cut}")
-    basis: list[str] = []
-    depths: list[int] = []
-    for g in range(cut + 1):
-        for u in generation(tree, g):
-            basis.append(u)
-            depths.append(g)
-    pos = {u: i for i, u in enumerate(basis)}
-    m = np.zeros((len(basis), len(basis)))
-    for u in basis:
-        if depths[pos[u]] == cut:
-            continue
-        for v in tree.children_of(u):
-            m[pos[v], pos[u]] = shift.weight(v)
+    size = int(tree.gen_offsets[cut + 1])  # vertices of depth <= cut
+    basis = tree.labels[:size]
+    depths = np.repeat(np.arange(cut + 1),
+                       np.diff(tree.gen_offsets[:cut + 2])).tolist()
+    m = np.zeros((size, size))
+    kids = np.arange(1, size)  # their parents lie above the cut
+    m[kids, tree.parents[kids]] = shift.weight_array[kids]
     return TruncatedOperator(m, tuple(basis), tuple(depths), cut - 1,
                              name=f"truncate({shift.name or 'shift'}, "
                                   f"{cut})")
@@ -132,31 +126,62 @@ def defect(op: Union[WeightedShift, TruncatedOperator],
     return out
 
 
+def _diagonal_gram(a: np.ndarray) -> Optional[np.ndarray]:
+    """Diagonal of T*T when the columns of T have disjoint supports
+    (every row has at most one nonzero entry, as for any shift on a
+    tree), so that T*T is exactly diagonal; otherwise None."""
+    if a.size and np.count_nonzero(a, axis=1).max() > 1:
+        return None
+    return np.einsum("ij,ij->j", a, a)
+
+
+def _inverse_gram_diagonal(gram: np.ndarray,
+                           trunc: TruncatedOperator) -> np.ndarray:
+    """Reciprocals of the Gram diagonal, with the eigh path's cutoff;
+    a vanishing entry is tolerated only beyond the interior depth."""
+    cutoff = max(float(gram.max(initial=0.0)), 0.0) * 1e-12 + 1e-300
+    small = gram <= cutoff
+    for j in np.flatnonzero(small):
+        if trunc.depths[j] <= trunc.interior_depth:
+            raise NotLeftInvertibleError(
+                f"Gram matrix is singular on the interior (basis "
+                f"vector {trunc.basis[j]!r})")
+    inv = np.zeros_like(gram)
+    np.divide(1.0, gram, out=inv, where=~small)
+    return inv
+
+
 def dual_matrix(trunc: TruncatedOperator) -> TruncatedOperator:
     """Matrix of the Cauchy dual T (T*T)^(-1) of a truncation.
 
-    The Gram matrix T*T is inverted on its positive eigenspace; null
-    eigenvectors are tolerated only when supported strictly beyond the
-    interior depth (truncation artifacts), otherwise the operator is
-    not left invertible.
+    When T*T is diagonal (disjoint column supports) the dual is T with
+    each column divided by its squared norm.  Otherwise T*T is inverted
+    on its positive eigenspace by a dense eigendecomposition.  Either
+    way, null directions are tolerated only when supported strictly
+    beyond the interior depth (truncation artifacts), otherwise the
+    operator is not left invertible.
     """
     a = trunc.matrix
-    gram = a.T @ a
-    eigval, eigvec = np.linalg.eigh(gram)
-    cutoff = max(float(eigval[-1]), 0.0) * 1e-12 + 1e-300
-    inv = np.zeros_like(eigval)
-    for i, lam in enumerate(eigval):
-        if lam > cutoff:
-            inv[i] = 1.0 / lam
-        else:
-            support = np.abs(eigvec[:, i]) > 1e-8
-            for j in np.nonzero(support)[0]:
-                if trunc.depths[j] <= trunc.interior_depth:
-                    raise NotLeftInvertibleError(
-                        f"Gram matrix is singular on the interior (basis "
-                        f"vector {trunc.basis[j]!r})")
-    gram_inv = eigvec @ np.diag(inv) @ eigvec.T
-    return TruncatedOperator(a @ gram_inv, trunc.basis, trunc.depths,
+    gram_d = _diagonal_gram(a)
+    if gram_d is not None:
+        dual = a * _inverse_gram_diagonal(gram_d, trunc)
+    else:
+        gram = a.T @ a
+        eigval, eigvec = np.linalg.eigh(gram)
+        cutoff = max(float(eigval[-1]), 0.0) * 1e-12 + 1e-300
+        inv = np.zeros_like(eigval)
+        for i, lam in enumerate(eigval):
+            if lam > cutoff:
+                inv[i] = 1.0 / lam
+            else:
+                support = np.abs(eigvec[:, i]) > 1e-8
+                for j in np.nonzero(support)[0]:
+                    if trunc.depths[j] <= trunc.interior_depth:
+                        raise NotLeftInvertibleError(
+                            f"Gram matrix is singular on the interior "
+                            f"(basis vector {trunc.basis[j]!r})")
+        dual = a @ (eigvec @ np.diag(inv) @ eigvec.T)
+    return TruncatedOperator(dual, trunc.basis, trunc.depths,
                              trunc.interior_depth,
                              name=f"dual({trunc.name or 'truncation'})")
 
@@ -212,11 +237,66 @@ def _require_row_membership(shift: WeightedShift, row: str,
                 "row 'quasi_brownian' needs a quasi-Brownian adjacency "
                 f"shift; witness {cls.quasi_brownian_isometry.witness}")
         return "quasi-Brownian adjacency shift"
-    valency = _comb_pattern_valency(shift.tree)
+    valency = comb_pattern_valency(shift.tree)
     if valency is None:
         raise ClassificationError(
             "row 'adjacency_pattern' needs a comb-pattern tree")
     return f"comb-pattern adjacency shift of valency {valency}"
+
+
+def _table1_of_gram(row: str, gram: np.ndarray, n: int) -> np.ndarray:
+    """The row's r_n at each Gram eigenvalue; values <= 0.5 are
+    truncation artifacts and map to r_n(0) = [n == 0]."""
+    values, where = np.unique(gram, return_inverse=True)
+    table = np.array([table1_value(row, float(lam), n) if lam > 0.5
+                      else (1.0 if n == 0 else 0.0) for lam in values])
+    return table[where.reshape(-1)]
+
+
+# Both per-order generators yield (max |lhs - rhs| on the interior
+# block, max |rhs| on it, block size) for n = 0..nmax.
+
+def _table1_orders_dense(trunc: TruncatedOperator, row: str, nmax: int
+                         ) -> Iterator[tuple[float, float, int]]:
+    dual = dual_matrix(trunc)
+    eigval, eigvec = np.linalg.eigh(trunc.matrix.T @ trunc.matrix)
+    power = np.eye(trunc.dim)
+    for n in range(nmax + 1):
+        if n > 0:
+            power = dual.matrix @ power
+        rhs = eigvec @ np.diag(_table1_of_gram(row, eigval, n)) @ eigvec.T
+        idx = trunc.interior_indices(n)
+        if not idx:
+            yield 0.0, 0.0, 0
+            continue
+        block = np.ix_(idx, idx)
+        yield (float(np.max(np.abs((power.T @ power)[block] - rhs[block]))),
+               float(np.max(np.abs(rhs[block]))), len(idx))
+
+
+def _table1_orders_diagonal(trunc: TruncatedOperator, row: str, nmax: int,
+                            gram: np.ndarray
+                            ) -> Iterator[tuple[float, float, int]]:
+    from scipy import sparse  # slow import, needed only here
+
+    dual = (sparse.csr_matrix(trunc.matrix)
+            @ sparse.diags(_inverse_gram_diagonal(gram, trunc))).tocsr()
+    depths = np.asarray(trunc.depths)
+    power = sparse.identity(trunc.dim, format="csr")
+    for n in range(nmax + 1):
+        if n > 0:
+            power = dual @ power
+        inside = depths <= trunc.interior_depth - n
+        if not inside.any():
+            yield 0.0, 0.0, 0
+            continue
+        lhs = (power.T @ power).tocoo()
+        rhs = _table1_of_gram(row, gram, n)[inside]
+        off_diagonal = ((lhs.row != lhs.col) & inside[lhs.row]
+                        & inside[lhs.col])
+        err = max(np.abs(lhs.diagonal()[inside] - rhs).max(),
+                  np.abs(lhs.data[off_diagonal]).max(initial=0.0))
+        yield float(err), float(np.abs(rhs).max()), int(inside.sum())
 
 
 def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
@@ -225,16 +305,19 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     """Check the closed-form identity (T')* ^n (T')^n = r_n(T*T) on the
     interior blocks of a truncation, order by order.
 
-    The left side is computed by repeated multiplication of the dual
-    matrix, the right side by spectral decomposition of the symmetric
-    Gram matrix T*T, applying r_n to eigenvalues above 0.5 (truncation
-    artifacts contribute spurious zero eigenvalues; genuine Gram
-    eigenvalues of the covered classes are >= 1).  For weighted shifts
-    the class membership matching the row is verified first.
+    When T*T is diagonal (every shift on a tree) the dual is a column
+    scaling of T, its powers are sparse products, and r_n(T*T) is r_n of
+    the diagonal.  Otherwise the left side comes from repeated dense
+    multiplication of the dual matrix and the right side from the
+    spectral decomposition of T*T.  Either way r_n is applied to Gram
+    eigenvalues above 0.5 (truncation artifacts contribute spurious zero
+    eigenvalues; genuine Gram eigenvalues of the covered classes are
+    >= 1).  For weighted shifts the class membership matching the row is
+    verified first.
     """
-    if row not in _TABLE1_ROWS:
+    if row not in TABLE1_ROWS:
         raise DomainError(
-            f"unknown row {row!r}; expected one of {list(_TABLE1_ROWS)}")
+            f"unknown row {row!r}; expected one of {list(TABLE1_ROWS)}")
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax}")
     note = ""
@@ -246,32 +329,18 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     if nmax > trunc.interior_depth:
         raise RangeError(
             f"nmax {nmax} exceeds interior depth {trunc.interior_depth}")
-    dual = dual_matrix(trunc)
-    gram = trunc.matrix.T @ trunc.matrix
-    eigval, eigvec = np.linalg.eigh(gram)
+    gram = _diagonal_gram(trunc.matrix)
+    orders = (_table1_orders_dense(trunc, row, nmax) if gram is None
+              else _table1_orders_diagonal(trunc, row, nmax, gram))
     max_err = 0.0
     scale = 1.0
-    holds = True
     checked = 0
     per_order: list[tuple[int, float, int]] = []
-    power = np.eye(trunc.dim)
-    for n in range(nmax + 1):
-        if n > 0:
-            power = dual.matrix @ power
-        lhs = power.T @ power
-        fvals = np.array([
-            _table1_value(row, float(lam), n) if lam > 0.5
-            else (1.0 if n == 0 else 0.0)
-            for lam in eigval])
-        rhs = eigvec @ np.diag(fvals) @ eigvec.T
-        idx = trunc.interior_indices(n)
-        block = np.ix_(idx, idx)
-        err = float(np.max(np.abs(lhs[block] - rhs[block]))) if idx else 0.0
-        if idx:
-            scale = max(scale, float(np.max(np.abs(rhs[block]))))
+    for n, (err, rhs_max, size) in enumerate(orders):
         max_err = max(max_err, err)
-        checked += len(idx)
-        per_order.append((n, err, len(idx)))
+        scale = max(scale, rhs_max)
+        checked += size
+        per_order.append((n, err, size))
     holds = max_err <= tol * (1.0 + scale)
     return Table1Report(row, holds, max_err, nmax, tol, checked,
                         trunc.interior_depth, tuple(per_order), note)

@@ -16,23 +16,25 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (ClassificationError, DomainError,
                      NotLeftInvertibleError, RangeError)
 from .shifts import (DEFAULT_TOL, PropertyVerdict, WeightedShift,
                      cauchy_dual, classify_adjacency, is_two_isometry,
-                     satisfies_kernel_condition, vertex_norm)
-from .trees import DirectedTree, generation
+                     satisfies_kernel_condition,
+                     sibling_constancy_by_generation, vertex_norm)
+from .trees import DirectedTree, comb_pattern_valency
 
 __all__ = [
     "MomentSequence",
     "DiscreteMeasure",
     "MomentVerdict",
     "ReciprocalLinearResult",
+    "TABLE1_ROWS",
     "SubnormalityReport",
     "moment_sequence",
     "closed_form_table1",
+    "table1_value",
     "perturbed_kernel_dual_moment",
     "stieltjes_test",
     "hausdorff_test",
@@ -171,6 +173,26 @@ class MomentVerdict:
         return bool(flags) and all(flags)
 
 
+def _power_norms(shift: WeightedShift, top: int, kmax: int) -> np.ndarray:
+    """Squared norms of S^k e_v for k = 0..kmax at every vertex v of
+    depth <= top, by the children-sum recurrence
+    d(v, k+1) = sum over children c of weight(c)^2 d(c, k).
+
+    Row k, column v; an entry is exact when depth(v) + k <= top.  The
+    sums run over children in order, as a left-to-right loop would.
+    """
+    tree = shift.tree
+    end = int(tree.gen_offsets[top + 1])
+    parents = tree.parents[1:end]
+    w2 = shift.squared_weights()[1:end]
+    out = np.empty((kmax + 1, end))
+    out[0] = 1.0
+    for k in range(kmax):
+        out[k + 1] = np.bincount(parents, weights=w2 * out[k, 1:],
+                                 minlength=end)
+    return out
+
+
 def moment_sequence(shift: WeightedShift, u: Optional[str] = None,
                     nmax: int = 12, dual: bool = False) -> MomentSequence:
     """Squared norms of the n-th powers at vertex u, n = 0..nmax.
@@ -182,7 +204,8 @@ def moment_sequence(shift: WeightedShift, u: Optional[str] = None,
     tree = shift.tree
     if u is None:
         u = tree.root
-    d0 = tree.depth_of(u)
+    i = tree.index(u)
+    d0 = tree.depth_at(i)
     if nmax < 0:
         raise DomainError(f"nmax must be >= 0, got {nmax}")
     limit = tree.materialized_depth - (1 if dual else 0)
@@ -192,31 +215,20 @@ def moment_sequence(shift: WeightedShift, u: Optional[str] = None,
             f"materialized depth >= {d0 + nmax + (1 if dual else 0)}, "
             f"have {tree.materialized_depth}")
     s = cauchy_dual(shift) if dual else shift
-    cone: list[list[str]] = [[u]]
-    for _ in range(nmax):
-        cone.append([w for v in cone[-1] for w in tree.children_of(v)])
-    cur: dict[str, float] = {v: 1.0 for lvl in cone for v in lvl}
-    out = [1.0]
-    for k in range(nmax):
-        nxt: dict[str, float] = {}
-        for lvl in cone[:nmax - k]:
-            for v in lvl:
-                nxt[v] = sum(s.weight(w) ** 2 * cur[w]
-                             for w in tree.children_of(v))
-        out.append(nxt[u])
-        cur = nxt
+    table = _power_norms(s, d0 + nmax, nmax)
     label = "dual " if dual else ""
     return MomentSequence(
-        tuple(out),
+        tuple(table[:, i].tolist()),
         source=f"{label}power norm sequence at {u} "
                f"(shift {s.name or 'unnamed'}, nmax={nmax})")
 
 
-_TABLE1_ROWS = ("kernel", "quasi_brownian", "adjacency_pattern")
+TABLE1_ROWS = ("kernel", "quasi_brownian", "adjacency_pattern")
 
 
-def _table1_value(row: str, t: float, n: int) -> float:
-    """Row formulas without the public domain guards (t >= 1 assumed)."""
+def table1_value(row: str, t: float, n: int) -> float:
+    """Row formulas of ``closed_form_table1`` without its domain guards
+    (t >= 1 assumed)."""
     if n == 0:
         return 1.0
     if row == "kernel":
@@ -234,9 +246,9 @@ def closed_form_table1(row: str, t: float, n: int) -> float:
     adjacency_pattern (integer t >= 2): (t+2+2(t-1)2^(2(1-n)))/(3t^2)
     for n >= 1.  Every row returns 1 at n = 0.
     """
-    if row not in _TABLE1_ROWS:
+    if row not in TABLE1_ROWS:
         raise DomainError(
-            f"unknown row {row!r}; expected one of {list(_TABLE1_ROWS)}")
+            f"unknown row {row!r}; expected one of {list(TABLE1_ROWS)}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if t < 1.0:
@@ -246,7 +258,7 @@ def closed_form_table1(row: str, t: float, n: int) -> float:
             raise DomainError(
                 f"adjacency_pattern requires integer t >= 2, got {t}")
         t = float(round(t))
-    return _table1_value(row, t, n)
+    return table1_value(row, t, n)
 
 
 def perturbed_kernel_dual_moment(shift: WeightedShift, u: Optional[str] = None,
@@ -390,6 +402,8 @@ class ReciprocalLinearResult:
         if self.b == 0.0:
             assert self.atom_measure is not None
             return self.atom_measure
+        from scipy.special import roots_jacobi  # slow import, rarely used
+
         beta = self.a / self.b - 1.0
         x, w = roots_jacobi(nodes, 0.0, beta)
         locs = (1.0 + x) / 2.0
@@ -487,59 +501,33 @@ def _moment_verdict_dict(v: MomentVerdict) -> dict:
     }
 
 
-def _comb_pattern_valency(tree: DirectedTree) -> Optional[int]:
-    """Valency l if the tree is the comb pattern to depth N-2: root of
-    degree l with one degree-1 and l-1 degree-2 children, every later
-    degree-2 vertex with one degree-1 and one degree-2 child, rays
-    staying rays."""
-    n = tree.materialized_depth
-    if n < 3:
-        return None
-    l = tree.degree(tree.root)
-    if l < 2:
-        return None
-    root_child_degs = sorted(tree.degree(v)
-                             for v in tree.children_of(tree.root))
-    if root_child_degs != [1] + [2] * (l - 1):
-        return None
-    for g in range(1, n - 1):
-        for u in generation(tree, g):
-            du = tree.degree(u)
-            child_degs = sorted(tree.degree(v) for v in tree.children_of(u))
-            if du == 1 and child_degs != [1]:
-                return None
-            if du == 2 and child_degs != [1, 2]:
-                return None
-            if du not in (1, 2):
-                return None
-    return l
-
-
 def _extension_integral(shift: WeightedShift) -> Optional[float]:
     """Integral of 1/t for the backward extension of the root dual tail:
     sum over root children of weight^2/(2 - norm^2), divided by the
     fourth power of the root norm.  None when a child norm reaches
     sqrt(2)."""
     tree = shift.tree
-    nr = vertex_norm(shift, tree.root)
+    norms = shift.vertex_norms().tolist()
+    w = shift.weight_array.tolist()
+    nr = norms[0]
     if nr == 0.0:
         return None
     total = 0.0
-    for v in tree.children_of(tree.root):
-        den = 2.0 - vertex_norm(shift, v) ** 2
+    for c in range(int(tree.child_starts[0]),
+                   int(tree.child_starts[0] + tree.degrees[0])):
+        den = 2.0 - norms[c] ** 2
         if abs(den) < 1e-12:
             return None
-        total += shift.weight(v) ** 2 / den
+        total += w[c] ** 2 / den
     return total / nr ** 4
 
 
-def _default_witnesses(tree: DirectedTree, nmax: int) -> list[str]:
-    out = [tree.root]
-    for g in range(1, tree.materialized_depth):
-        gen = generation(tree, g)
-        if gen:
-            out.append(gen[0])
-    return out
+def _default_witnesses(tree: DirectedTree) -> list[str]:
+    """The root and the first vertex of every later non-empty generation
+    above the last."""
+    off = tree.gen_offsets.tolist()
+    return [tree.label(off[g]) for g in range(tree.materialized_depth)
+            if off[g] < off[g + 1]]
 
 
 def dual_subnormality(shift: WeightedShift, nmax: int = 12,
@@ -554,7 +542,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     constancy holds only from some generation k >= 1 on (main2, a
     negative).  Otherwise the generic moment test runs the Stieltjes
     check on dual sequences over a witness set; a failure is conclusive,
-    a pass is only "consistent to order nmax".
+    a pass is only "consistent to order nmax".  The dual sequences of
+    all witnesses come from one pass of the recurrence over the tree.
 
     Requires left invertibility.  Shifts that fail the expansion
     identity skip the fast paths and go straight to the generic test.
@@ -563,11 +552,11 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     n = tree.materialized_depth
     if n < 2:
         raise RangeError("need materialized depth >= 2")
-    for g in range(n):
-        for u in generation(tree, g):
-            if vertex_norm(shift, u) == 0.0:
-                raise NotLeftInvertibleError(
-                    f"vertex norm is 0 at {u!r}; dual undefined")
+    norms = shift.vertex_norms()[:int(tree.gen_offsets[n])]
+    if not norms.all():
+        u = tree.label(int(np.argmin(norms != 0.0)))
+        raise NotLeftInvertibleError(
+            f"vertex norm is 0 at {u!r}; dual undefined")
     notes: list[str] = []
     two = is_two_isometry(shift, tol)
     if two.holds:
@@ -595,13 +584,13 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                     n - 2, nmax,
                     {"quasi_brownian": _verdict_dict(
                         cls.quasi_brownian_isometry)})
-            l = _comb_pattern_valency(tree)
+            l = comb_pattern_valency(tree)
             if l is not None:
                 root_seq = moment_sequence(shift, tree.root,
                                            min(nmax, n - 1), dual=True)
                 dev = max(
-                    abs(root_seq[k] - _table1_value("adjacency_pattern",
-                                                    float(l), k))
+                    abs(root_seq[k] - table1_value("adjacency_pattern",
+                                                   float(l), k))
                     for k in range(len(root_seq)))
                 return SubnormalityReport(
                     "subnormal", True, "constant-t",
@@ -611,17 +600,13 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                     {"valency": l,
                      "root_sequence": list(root_seq.values),
                      "closed_form_max_deviation": dev})
-        k_found: Optional[int] = None
-        for k in range(1, n - 1):
-            if satisfies_kernel_condition(shift, k, tol).holds:
-                k_found = k
-                break
+        # smallest k >= 1 with constancy in every generation k..N-2
+        constant = sibling_constancy_by_generation(shift, tol)
+        holds_from = np.logical_and.accumulate(constant[::-1])[::-1]
+        k_found = next((k for k in range(1, n - 1) if holds_from[k]), None)
         if k_found is not None:
-            positive = all(
-                shift.weight(u) > 0.0
-                for g in range(1, k_found + 1)
-                for u in generation(tree, g))
-            if positive:
+            first_gens = slice(1, int(tree.gen_offsets[k_found + 1]))
+            if np.all(shift.weight_array[first_gens] > 0.0):
                 cap = min(nmax, n - 1)
                 root_seq = moment_sequence(shift, tree.root, cap, dual=True)
                 st = stieltjes_test(root_seq, tol)
@@ -652,14 +637,21 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
 
     # generic moment test
     if witnesses is None:
-        witnesses = _default_witnesses(tree, nmax)
+        witnesses = _default_witnesses(tree)
+    plan = []
+    for u in witnesses:
+        i = tree.index(u)
+        cap = min(nmax, n - 1 - tree.depth_at(i))
+        if cap >= 2:
+            plan.append((u, i, cap))
+    if plan:
+        top = max(tree.depth_at(i) + cap for _, i, cap in plan)
+        table = _power_norms(cauchy_dual(shift), top,
+                             max(cap for _, _, cap in plan))
     tested = []
     failure = None
-    for u in witnesses:
-        cap = min(nmax, n - 1 - tree.depth_of(u))
-        if cap < 2:
-            continue
-        seq = moment_sequence(shift, u, cap, dual=True)
+    for u, i, cap in plan:
+        seq = MomentSequence(tuple(table[:cap + 1, i].tolist()))
         v = stieltjes_test(seq, tol)
         tested.append({"vertex": u, "nmax": cap,
                        "stieltjes": _moment_verdict_dict(v)})

@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import (ClassificationError, ComparisonError, ConfigurationError,
                      DomainError, NotLeftInvertibleError, RangeError)
-from .trees import DirectedTree, classify_tree, generation, branching_degree
+from .trees import DirectedTree, branching_degree, classify_tree
 
 __all__ = [
     "WeightedShift",
@@ -32,6 +34,7 @@ __all__ = [
     "operator_norm",
     "is_two_isometry",
     "satisfies_kernel_condition",
+    "sibling_constancy_by_generation",
     "cauchy_dual",
     "classify_adjacency",
     "shift_invariants",
@@ -43,6 +46,15 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _squared(a: np.ndarray) -> np.ndarray:
+    """Elementwise a ** 2 through libm pow, as Python's ``x ** 2`` does.
+
+    ``a * a`` is correctly rounded and pow is not always, so the two
+    differ in the last bit for about one value in a thousand; this keeps
+    the array code bit-identical to the scalar formulas."""
+    return np.float_power(a, 2.0)
 
 
 def two_isometry_weight(n: int, x: float) -> float:
@@ -60,52 +72,111 @@ def two_isometry_weight(n: int, x: float) -> float:
     return math.sqrt((1.0 + (n + 1) * a) / (1.0 + n * a))
 
 
+def _two_isometry_weights(n: np.ndarray, x: float) -> np.ndarray:
+    """two_isometry_weight over an array of n, bit for bit."""
+    a = x * x - 1.0
+    return np.sqrt((1.0 + (n + 1) * a) / (1.0 + n * a))
+
+
 class WeightedShift:
-    """A tree plus a nonnegative weight per non-root vertex."""
+    """A tree plus a nonnegative weight per non-root vertex.
+
+    The weights are one float array in the tree's canonical vertex
+    order (``weight_array``; its root entry is 0 and carries no
+    meaning).  Squared weights and vertex norms are computed once, on
+    first use.
+    """
 
     def __init__(self, tree: DirectedTree, weights: Mapping[str, float],
                  name: Optional[str] = None):
-        self._tree = tree
-        w: dict[str, float] = {}
-        for vid in tree.ids():
-            if vid == tree.root:
-                if vid in weights:
-                    raise ConfigurationError("root must not carry a weight")
-                continue
+        labels = tree.labels
+        if labels[0] in weights:
+            raise ConfigurationError("root must not carry a weight")
+        w = np.zeros(len(labels))
+        for i in range(1, len(labels)):
+            vid = labels[i]
             if vid not in weights:
                 raise ConfigurationError(f"missing weight for vertex {vid!r}")
             val = float(weights[vid])
             if not math.isfinite(val) or val < 0.0:
                 raise ConfigurationError(
                     f"weight at {vid!r} must be finite and >= 0, got {val}")
-            w[vid] = val
-        extra = set(weights) - set(w)
-        if extra:
+            w[i] = val
+        if len(weights) != len(labels) - 1:
+            extra = set(weights) - set(labels)
             raise ConfigurationError(
                 f"weights given for unknown vertices: {sorted(extra)[:3]}")
-        self._weights = w
+        self._init(tree, w, name)
+
+    @classmethod
+    def from_array(cls, tree: DirectedTree, weights: np.ndarray,
+                   name: Optional[str] = None) -> "WeightedShift":
+        """Shift from weights in canonical order (entry 0 is ignored)."""
+        w = np.array(weights, dtype=float)
+        w[0] = 0.0
+        bad = ~(np.isfinite(w) & (w >= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigurationError(
+                f"weight at {tree.label(i)!r} must be finite and >= 0, "
+                f"got {float(w[i])}")
+        shift = cls.__new__(cls)
+        shift._init(tree, w, name)
+        return shift
+
+    def _init(self, tree: DirectedTree, w: np.ndarray,
+              name: Optional[str]) -> None:
+        w.flags.writeable = False
+        self._tree = tree
+        self._w = w
+        self._w2: Optional[np.ndarray] = None
+        self._norms: Optional[np.ndarray] = None
         self.name = name
 
     @property
     def tree(self) -> DirectedTree:
         return self._tree
 
+    @property
+    def weight_array(self) -> np.ndarray:
+        return self._w
+
+    def squared_weights(self) -> np.ndarray:
+        if self._w2 is None:
+            self._w2 = _squared(self._w)
+            self._w2.flags.writeable = False
+        return self._w2
+
+    def vertex_norms(self) -> np.ndarray:
+        """sqrt of the children's squared-weight sum, per vertex, summed
+        left to right in child order; 0 on the last materialized level."""
+        if self._norms is None:
+            tree = self._tree
+            self._norms = np.sqrt(np.bincount(
+                tree.parents[1:], weights=self.squared_weights()[1:],
+                minlength=tree.vertex_count))
+            self._norms.flags.writeable = False
+        return self._norms
+
     def weight(self, vid: str) -> float:
         try:
-            return self._weights[vid]
-        except KeyError:
-            raise RangeError(f"no weight for vertex {vid!r}") from None
+            i = self._tree.index(vid)
+        except RangeError:
+            i = 0
+        if i == 0:
+            raise RangeError(f"no weight for vertex {vid!r}")
+        return float(self._w[i])
 
     def weights(self) -> dict[str, float]:
-        return dict(self._weights)
+        return dict(zip(self._tree.labels[1:], self._w[1:].tolist()))
 
     @property
     def has_zero_weights(self) -> bool:
-        return any(v == 0.0 for v in self._weights.values())
+        return bool(np.any(self._w[1:] == 0.0))
 
     @property
     def is_adjacency(self) -> bool:
-        return all(v == 1.0 for v in self._weights.values())
+        return bool(np.all(self._w[1:] == 1.0))
 
 
 @dataclass(frozen=True)
@@ -166,108 +237,126 @@ class WeightSpec:
                         f"(1, sqrt(2)), got {y}")
 
 
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True entry, or None."""
+    i = int(np.argmax(mask)) if len(mask) else 0
+    return i if len(mask) and mask[i] else None
+
+
 def _require_path(tree: DirectedTree, kind: str) -> None:
-    for g in range(tree.materialized_depth):
-        for u in generation(tree, g):
-            if tree.degree(u) != 1:
-                raise ConfigurationError(
-                    f"weight kind {kind!r} requires a path; vertex {u!r} "
-                    f"has degree {tree.degree(u)}")
+    deg = tree.degrees[:int(tree.gen_offsets[tree.materialized_depth])]
+    bad = _first(deg != 1)
+    if bad is not None:
+        raise ConfigurationError(
+            f"weight kind {kind!r} requires a path; vertex "
+            f"{tree.label(bad)!r} has degree {int(deg[bad])}")
 
 
 def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
     """Assign weights per the spec; the tree must be compatible."""
     n = tree.materialized_depth
+    count = tree.vertex_count
     if spec.kind == "explicit":
         assert spec.values is not None
         return WeightedShift(tree, spec.values, name="explicit")
     if spec.kind == "adjacency":
-        w = {v: 1.0 for v in tree.ids() if v != tree.root}
-        return WeightedShift(tree, w, name="adjacency")
+        return WeightedShift.from_array(tree, np.ones(count),
+                                        name="adjacency")
     if spec.kind in ("dirichlet", "bergman_dual", "treiso"):
         _require_path(tree, spec.kind)
-        w = {}
-        for d in range(1, n + 1):
-            (vid,) = generation(tree, d)
-            if spec.kind == "dirichlet":
-                w[vid] = two_isometry_weight(d - 1, _SQRT2)
-            elif spec.kind == "bergman_dual":
-                w[vid] = math.sqrt(d / (d + 1.0))
-            else:  # treiso
-                phi = lambda k: k * k + 1.0
-                w[vid] = math.sqrt(phi(d) / phi(d - 1))
-        return WeightedShift(tree, w, name=spec.kind)
+        d = np.arange(1, count)  # on a path the index is the depth
+        if spec.kind == "dirichlet":
+            w = _two_isometry_weights(d - 1, _SQRT2)
+        elif spec.kind == "bergman_dual":
+            w = np.sqrt(d / (d + 1.0))
+        else:  # treiso: sqrt(phi(d) / phi(d - 1)), phi(k) = k^2 + 1
+            w = np.sqrt((d * d + 1.0) / ((d - 1) * (d - 1) + 1.0))
+        return WeightedShift.from_array(tree, np.concatenate([[0.0], w]),
+                                        name=spec.kind)
+    parents = tree.parents[1:]
     if spec.kind == "kernel_condition":
         assert spec.x is not None
-        w = {}
-        for g in range(n):
-            target = two_isometry_weight(g, spec.x) ** 2
-            for u in generation(tree, g):
-                ch = tree.children_of(u)
-                if not ch:
-                    raise ConfigurationError(
-                        f"kernel_condition weights need a leafless tree; "
-                        f"vertex {u!r} at depth {g} has no children")
-                if spec.split == "equal":
-                    lam = math.sqrt(target / len(ch))
-                    for v in ch:
-                        w[v] = lam
-                else:
-                    assert spec.proportions is not None
-                    props = [float(spec.proportions.get(v, 1.0)) for v in ch]
-                    if min(props) <= 0:
-                        raise ConfigurationError(
-                            f"proportions must be > 0 (children of {u!r})")
-                    s = sum(p * p for p in props)
-                    scale = math.sqrt(target / s)
-                    for v, p in zip(ch, props):
-                        w[v] = scale * p
-        return WeightedShift(tree, w, name=f"kernel_condition(x={spec.x})")
+        inner = int(tree.gen_offsets[n])  # vertices of depth <= N-1
+        deg = tree.degrees[:inner]
+        leaf = _first(deg == 0)
+        targets = _squared(_two_isometry_weights(np.arange(n), spec.x))
+        # squared norm target of every parent, by depth
+        target = np.repeat(targets, np.diff(tree.gen_offsets[:n + 1]))[parents]
+        if spec.split == "equal":
+            if leaf is not None:
+                _leaf_error(tree, leaf)
+            w = np.sqrt(target / deg[parents])
+        else:
+            assert spec.proportions is not None
+            props = np.ones(count - 1)
+            for vid, p in spec.proportions.items():
+                if vid in tree and tree.index(vid) > 0:
+                    props[tree.index(vid) - 1] = float(p)
+            nonpositive = np.bincount(parents, weights=props <= 0,
+                                      minlength=inner)
+            bad = _first(nonpositive > 0)
+            if leaf is not None and (bad is None or leaf < bad):
+                _leaf_error(tree, leaf)
+            if bad is not None:
+                raise ConfigurationError(
+                    f"proportions must be > 0 (children of "
+                    f"{tree.label(bad)!r})")
+            s = np.bincount(parents, weights=props * props, minlength=inner)
+            w = np.sqrt(target / s[parents]) * props
+        return WeightedShift.from_array(tree, np.concatenate([[0.0], w]),
+                                        name=f"kernel_condition(x={spec.x})")
     # glowny
     assert spec.y1 is not None and spec.y2 is not None
-    root_children = tree.children_of(tree.root)
-    if len(root_children) != 2:
+    root_degree = int(tree.degrees[0])
+    if root_degree != 2:
         raise ConfigurationError(
             f"glowny weights require a degree-2 root, got degree "
-            f"{len(root_children)}")
-    for g in range(1, n):
-        for u in generation(tree, g):
-            if tree.degree(u) != 1:
-                raise ConfigurationError(
-                    f"glowny weights require two infinite rays; vertex "
-                    f"{u!r} has degree {tree.degree(u)}")
-    w = {}
-    for i, (first, y) in enumerate(zip(root_children, (spec.y1, spec.y2))):
-        w[first] = 1.0 / math.sqrt(2.0 * (2.0 - y * y))
-        u, j = first, 2
-        while tree.children_of(u):
-            (v,) = tree.children_of(u)
-            w[v] = two_isometry_weight(j - 2, y)
-            u, j = v, j + 1
-    return WeightedShift(tree, w,
-                         name=f"glowny(y1={spec.y1}, y2={spec.y2})")
+            f"{root_degree}")
+    deg = tree.degrees[1:int(tree.gen_offsets[n])]
+    bad = _first(deg != 1)
+    if bad is not None:
+        raise ConfigurationError(
+            f"glowny weights require two infinite rays; vertex "
+            f"{tree.label(bad + 1)!r} has degree {int(deg[bad])}")
+    # two rays: generation g holds vertices 2g - 1 (first ray), 2g
+    w = np.zeros(count)
+    steps = np.arange(n - 1)
+    for i, y in enumerate((spec.y1, spec.y2)):
+        w[1 + i] = 1.0 / math.sqrt(2.0 * (2.0 - y * y))
+        w[3 + i::2] = _two_isometry_weights(steps, y)
+    return WeightedShift.from_array(tree, w,
+                                    name=f"glowny(y1={spec.y1}, y2={spec.y2})")
+
+
+def _leaf_error(tree: DirectedTree, i: int) -> None:
+    raise ConfigurationError(
+        f"kernel_condition weights need a leafless tree; vertex "
+        f"{tree.label(i)!r} at depth {tree.depth_at(i)} has no children")
+
+
+def _checked_index(shift: WeightedShift, u: str) -> int:
+    """Index of u, which must have materialized children."""
+    tree = shift.tree
+    i = tree.index(u)
+    depth = tree.depth_at(i)
+    if depth > tree.materialized_depth - 1:
+        raise RangeError(
+            f"children of {u!r} at depth {depth} are not materialized")
+    return i
 
 
 def vertex_norm(shift: WeightedShift, u: str) -> float:
     """Norm of the image of the basis vector at u: sqrt(sum of squared
     child weights).  Requires depth(u) <= N-1."""
-    tree = shift.tree
-    v = tree.vertex(u)
-    if v.depth > tree.materialized_depth - 1:
-        raise RangeError(
-            f"children of {u!r} at depth {v.depth} are not materialized")
-    return math.sqrt(sum(shift.weight(c) ** 2 for c in v.children))
+    return float(shift.vertex_norms()[_checked_index(shift, u)])
 
 
 def operator_norm(shift: WeightedShift) -> float:
     """Largest vertex norm over the materialized range (the operator norm
     for shifts whose vertex norms are monotone along rays)."""
     tree = shift.tree
-    return max(
-        (vertex_norm(shift, u)
-         for g in range(tree.materialized_depth)
-         for u in generation(tree, g)),
-        default=0.0)
+    inner = int(tree.gen_offsets[tree.materialized_depth])
+    return float(shift.vertex_norms()[:inner].max()) if inner else 0.0
 
 
 @dataclass(frozen=True)
@@ -294,25 +383,53 @@ def is_two_isometry(shift: WeightedShift,
     n = tree.materialized_depth
     if n < 2:
         raise RangeError("need materialized depth >= 2")
-    norms = {}
-    min_norm = math.inf
-    for g in range(n):
-        for u in generation(tree, g):
-            norms[u] = vertex_norm(shift, u)
-            min_norm = min(min_norm, norms[u])
+    off = tree.gen_offsets
+    norms = shift.vertex_norms()
+    min_norm = float(norms[:off[n]].min())
     note = f"min vertex norm = {min_norm:.12g}"
     if shift.has_zero_weights:
         note += "; zero weights present"
-    for g in range(n - 1):
-        for u in generation(tree, g):
-            lhs = sum(shift.weight(v) ** 2 * (2.0 - norms[v] ** 2)
-                      for v in tree.children_of(u))
-            res = _scaled(abs(lhs - 1.0), lhs)
-            if res > tol:
-                return PropertyVerdict(False, n - 2, (u, res), tol, note,
-                                       {"min_vertex_norm": min_norm})
+    kids = slice(1, int(off[n]))
+    terms = shift.squared_weights()[kids] * (2.0 - _squared(norms[kids]))
+    lhs = np.bincount(tree.parents[kids], weights=terms,
+                      minlength=int(off[n - 1]))[:off[n - 1]]
+    res = np.abs(lhs - 1.0) / (1.0 + np.abs(lhs))
+    bad = _first(res > tol)
+    if bad is not None:
+        return PropertyVerdict(False, n - 2,
+                               (tree.label(bad), float(res[bad])), tol, note,
+                               {"min_vertex_norm": min_norm})
     return PropertyVerdict(True, n - 2, None, tol, note,
                            {"min_vertex_norm": min_norm})
+
+
+def _sibling_spread(shift: WeightedShift, tol: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """For every vertex of depth <= N-2: the spread (max - min) of the
+    norms of its nonzero-weight children, and whether that spread breaks
+    sibling constancy (two or more such children and spread above
+    tol * (1 + max))."""
+    tree = shift.tree
+    n = tree.materialized_depth
+    off = tree.gen_offsets
+    parents_end = int(off[n - 1])
+    kids = slice(1, int(off[n]))
+    norms = shift.vertex_norms()[kids]
+    nonzero = shift.weight_array[kids] != 0.0
+    deg = tree.degrees[:parents_end]
+    # children of consecutive parents are consecutive: one segment each
+    starts = (tree.child_starts[:parents_end] - 1)[deg > 0]
+    spread = np.zeros(parents_end)
+    bad = np.zeros(parents_end, dtype=bool)
+    if len(starts):
+        high = np.maximum.reduceat(np.where(nonzero, norms, -np.inf), starts)
+        low = np.minimum.reduceat(np.where(nonzero, norms, np.inf), starts)
+        counted = np.add.reduceat(nonzero.astype(np.int64), starts) >= 2
+        with np.errstate(invalid="ignore"):
+            gap = np.where(counted, high - low, 0.0)
+        spread[deg > 0] = gap
+        bad[deg > 0] = counted & (gap > tol * (1.0 + high))
+    return spread, bad
 
 
 def satisfies_kernel_condition(shift: WeightedShift, k: int = 0,
@@ -334,16 +451,29 @@ def satisfies_kernel_condition(shift: WeightedShift, k: int = 0,
     note = ""
     if shift.has_zero_weights:
         note = "zero-weight children excluded from constancy groups"
-    for g in range(k, n - 1):
-        for u in generation(tree, g):
-            ns = [vertex_norm(shift, v) for v in tree.children_of(u)
-                  if shift.weight(v) != 0.0]
-            if len(ns) < 2:
-                continue
-            spread = max(ns) - min(ns)
-            if spread > tol * (1.0 + max(ns)):
-                return PropertyVerdict(False, n - 2, (u, spread), tol, note)
+    spread, bad = _sibling_spread(shift, tol)
+    start = int(tree.gen_offsets[k])
+    first = _first(bad[start:])
+    if first is not None:
+        u = start + first
+        return PropertyVerdict(False, n - 2,
+                               (tree.label(u), float(spread[u])), tol, note)
     return PropertyVerdict(True, n - 2, None, tol, note)
+
+
+def sibling_constancy_by_generation(shift: WeightedShift,
+                                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Entry g is True when every vertex of depth g (g <= N-2) passes the
+    sibling constancy check of ``satisfies_kernel_condition``; the
+    condition from generation k on is ``all(result[k:])``."""
+    tree = shift.tree
+    n = tree.materialized_depth
+    if n < 2:
+        raise RangeError("need materialized depth >= 2")
+    _, bad = _sibling_spread(shift, tol)
+    generation_of = np.repeat(np.arange(n - 1),
+                              np.diff(tree.gen_offsets[:n]))
+    return np.bincount(generation_of, weights=bad, minlength=n - 1) == 0
 
 
 def cauchy_dual(shift: WeightedShift) -> WeightedShift:
@@ -354,21 +484,17 @@ def cauchy_dual(shift: WeightedShift) -> WeightedShift:
     deepest level as one step less reliable than the original's.
     """
     tree = shift.tree
-    norms = {}
-    for g in range(tree.materialized_depth):
-        for u in generation(tree, g):
-            nu = vertex_norm(shift, u)
-            if nu == 0.0:
-                raise NotLeftInvertibleError(
-                    f"vertex norm is 0 at {u!r}; the shift is not left "
-                    f"invertible")
-            norms[u] = nu
-    w = {}
-    for vid, lam in shift.weights().items():
-        p = tree.parent_of(vid)
-        w[vid] = lam / norms[p] ** 2
-    return WeightedShift(tree, w,
-                         name=f"dual({shift.name})" if shift.name else None)
+    norms = shift.vertex_norms()
+    zero = _first(norms[:int(tree.gen_offsets[tree.materialized_depth])]
+                  == 0.0)
+    if zero is not None:
+        raise NotLeftInvertibleError(
+            f"vertex norm is 0 at {tree.label(zero)!r}; the shift is not "
+            f"left invertible")
+    w = np.zeros(tree.vertex_count)
+    w[1:] = shift.weight_array[1:] / _squared(norms[tree.parents[1:]])
+    return WeightedShift.from_array(
+        tree, w, name=f"dual({shift.name})" if shift.name else None)
 
 
 @dataclass(frozen=True)
@@ -400,30 +526,27 @@ def classify_adjacency(tree: DirectedTree,
         return PropertyVerdict(holds, vd,
                                None if holds else (witness, res), tol, note)
 
+    off = tree.gen_offsets
+    parents_end = int(off[n - 1])
+    deg = tree.degrees
+
     # expansion identity: child degrees sum to 2*deg - 1
+    kids = slice(1, int(off[n]))
+    child_sum = np.bincount(tree.parents[kids], weights=deg[kids],
+                            minlength=parents_end)[:parents_end]
+    bad = _first(child_sum != 2 * deg[:parents_end] - 1)
     two_iso = verdict(True)
-    for g in range(n - 1):
-        for u in generation(tree, g):
-            lhs = sum(tree.degree(v) for v in tree.children_of(u))
-            rhs = 2 * tree.degree(u) - 1
-            if lhs != rhs:
-                two_iso = verdict(False, u, _scaled(abs(lhs - rhs), lhs),
-                                  note=f"degree sum {lhs} != {rhs}")
-                break
-        if not two_iso.holds:
-            break
+    if bad is not None:
+        lhs, rhs = int(child_sum[bad]), 2 * int(deg[bad]) - 1
+        two_iso = verdict(False, tree.label(bad),
+                          _scaled(abs(lhs - rhs), lhs),
+                          note=f"degree sum {lhs} != {rhs}")
 
     # all degrees one (isometry; on rooted leafless trees: a path)
-    path_witness = None
-    for g in range(n - 1):
-        for u in generation(tree, g):
-            if tree.degree(u) != 1:
-                path_witness = u
-                break
-        if path_witness:
-            break
+    branch = _first(deg[:parents_end] != 1)
+    path_witness = None if branch is None else tree.label(branch)
     iso = verdict(path_witness is None, path_witness,
-                  float(tree.degree(path_witness) - 1) if path_witness else 0.0)
+                  0.0 if branch is None else float(deg[branch] - 1))
 
     kernel = verdict(
         iso.holds and two_iso.holds,
@@ -487,7 +610,7 @@ def shift_invariants(shift: WeightedShift,
     tree = shift.tree
     n = tree.materialized_depth
     return ShiftInvariants(
-        vertex_norm(shift, tree.root),
+        float(shift.vertex_norms()[0]),
         tuple(branching_degree(tree, k) for k in range(1, n + 1)),
         verified_depth=n)
 

@@ -6,10 +6,14 @@ materialized part only and carry the depth to which they were verified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import ConfigurationError, RangeError, StructureError
+import numpy as np
+
+from .errors import (ConfigurationError, RangeError, ResourceLimitError,
+                     StructureError)
 
 __all__ = [
     "Vertex",
@@ -17,14 +21,23 @@ __all__ = [
     "TreeSpec",
     "TreeStructureReport",
     "StructureVerdict",
+    "MAX_VERTICES",
+    "spec_vertex_count",
     "materialize",
     "generation",
     "branching_degree",
     "classify_tree",
+    "comb_pattern_valency",
     "comb_tree_spec",
     "hub_comb_tree_spec",
     "two_plus_three_tree_spec",
 ]
+
+#: Largest tree ``materialize`` builds.  Checked from the spec alone,
+#: before anything is allocated.
+MAX_VERTICES = 2_000_000
+
+_GEN_LABEL = re.compile(r"g(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -37,76 +50,166 @@ class Vertex:
     children: tuple[str, ...]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class DirectedTree:
     """Immutable rooted directed tree truncated at ``materialized_depth``.
 
     Every non-root vertex has exactly one parent; depth(child) equals
     depth(parent) + 1; the depth-n slice equals the n-th generation of
     descendants of the root.
+
+    Vertices are numbered 0..V-1 in canonical order: generation by
+    generation, and within a generation by parent order, then by child
+    index.  The children of vertex i are therefore the contiguous range
+    ``child_starts[i] : child_starts[i] + degrees[i]``, and the arrays
+    ``degrees``, ``parents`` and ``gen_offsets`` describe the whole tree.
+    String ids (``labels``) are kept for the public API only.
     """
 
     def __init__(self, vertices: Mapping[str, Vertex], root: str,
                  materialized_depth: int):
-        self._vertices = dict(vertices)
-        self._root = root
-        self._depth = materialized_depth
-        self._validate()
-        gens: list[list[str]] = [[] for _ in range(materialized_depth + 1)]
-        for v in self._vertices.values():
-            gens[v.depth].append(v.id)
-        # canonical order: parent order first, then child index within parent
-        order: dict[str, int] = {root: 0}
-        for n in range(materialized_depth):
-            nxt: list[str] = []
-            for u in sorted(gens[n], key=order.__getitem__):
-                nxt.extend(self._vertices[u].children)
-            for i, w in enumerate(nxt):
-                order[w] = i
-            gens[n + 1] = nxt
-        self._generations: tuple[tuple[str, ...], ...] = tuple(
-            tuple(g) for g in gens)
+        vertices = dict(vertices)
+        _validate(vertices, root, materialized_depth)
+        labels = [root]
+        degrees = []
+        sizes = [0] * (materialized_depth + 1)
+        for vid in labels:  # breadth first; the list grows as it is read
+            v = vertices[vid]
+            sizes[v.depth] += 1
+            degrees.append(len(v.children))
+            labels.extend(v.children)
+        self._setup(np.array(degrees, dtype=np.int64),
+                    np.array(sizes, dtype=np.int64), labels)
 
-    def _validate(self) -> None:
-        roots = [v for v in self._vertices.values() if v.parent is None]
-        if len(roots) != 1 or roots[0].id != self._root:
-            extra = [v.id for v in roots if v.id != self._root]
+    @classmethod
+    def from_degrees(cls, degrees: Sequence[int],
+                     generation_sizes: Sequence[int],
+                     labels: Optional[Sequence[str]] = None
+                     ) -> "DirectedTree":
+        """Tree from child counts in canonical order (0 on the last
+        generation) and the generation sizes.  Without ``labels`` the
+        vertex ids are ``g<depth>:<index in generation>``."""
+        degrees = np.asarray(degrees, dtype=np.int64)
+        sizes = np.asarray(generation_sizes, dtype=np.int64)
+        ends = np.cumsum(sizes)
+        summed = np.concatenate([[0], np.cumsum(degrees)])
+        if (len(sizes) == 0 or sizes[0] != 1 or degrees.min(initial=0) < 0
+                or len(degrees) != ends[-1]
+                # the children of generation g make up generation g + 1
+                or not np.array_equal(summed[ends] - summed[ends - sizes],
+                                      np.append(sizes[1:], 0))):
             raise StructureError(
-                f"tree must have exactly one parentless vertex (the root); "
-                f"offenders: {extra or [self._root]}")
-        if roots[0].depth != 0:
-            raise StructureError(f"root {self._root!r} must have depth 0")
-        for v in self._vertices.values():
-            if v.depth > self._depth:
-                raise StructureError(
-                    f"vertex {v.id!r} at depth {v.depth} exceeds "
-                    f"materialized depth {self._depth}")
-            if v.parent is not None:
-                p = self._vertices.get(v.parent)
-                if p is None:
-                    raise StructureError(
-                        f"vertex {v.id!r} names missing parent {v.parent!r}")
-                if v.depth != p.depth + 1:
-                    raise StructureError(
-                        f"vertex {v.id!r}: depth {v.depth} is not parent "
-                        f"depth {p.depth} + 1")
-                if v.id not in p.children:
-                    raise StructureError(
-                        f"vertex {v.id!r} missing from children of "
-                        f"{v.parent!r}")
-            for c in v.children:
-                cv = self._vertices.get(c)
-                if cv is None:
-                    raise StructureError(
-                        f"vertex {v.id!r} lists missing child {c!r}")
-                if cv.parent != v.id:
-                    raise StructureError(
-                        f"vertex {c!r} has two parents "
-                        f"({cv.parent!r} and {v.id!r})")
+                "child counts do not match the generation sizes")
+        tree = cls.__new__(cls)
+        tree._setup(degrees, sizes,
+                    None if labels is None else list(labels))
+        return tree
+
+    def _setup(self, degrees: np.ndarray, sizes: np.ndarray,
+               labels: Optional[list[str]]) -> None:
+        self._depth = len(sizes) - 1
+        count = len(degrees)
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        child_starts = np.ones(count + 1, dtype=np.int64)
+        np.cumsum(degrees, out=child_starts[1:])
+        child_starts[1:] += 1
+        parents = np.empty(count, dtype=np.int64)
+        parents[0] = -1
+        parents[1:] = np.repeat(np.arange(count, dtype=np.int64), degrees)
+        self._degrees = _frozen(degrees)
+        self._offsets = _frozen(offsets)
+        self._child_starts = _frozen(child_starts)
+        self._parents = _frozen(parents)
+        self._labels = labels
+        self._generated = labels is None
+        self._index_map: Optional[dict[str, int]] = None
+        self._generations: Optional[tuple[tuple[str, ...], ...]] = None
+
+    # -- array view -------------------------------------------------------
+    @property
+    def degrees(self) -> np.ndarray:
+        """Child count per vertex (0 for the last materialized level)."""
+        return self._degrees
+
+    @property
+    def parents(self) -> np.ndarray:
+        """Parent index per vertex; -1 for the root."""
+        return self._parents
+
+    @property
+    def child_starts(self) -> np.ndarray:
+        """Index of the first child per vertex; length V + 1."""
+        return self._child_starts
+
+    @property
+    def gen_offsets(self) -> np.ndarray:
+        """Generation g is the index range gen_offsets[g]:gen_offsets[g+1]."""
+        return self._offsets
+
+    @property
+    def generation_sizes(self) -> tuple[int, ...]:
+        return tuple(np.diff(self._offsets).tolist())
+
+    @property
+    def labels(self) -> list[str]:
+        """Vertex ids in canonical order (built on first use)."""
+        if self._labels is None:
+            self._labels = [f"g{d}:{i}"
+                            for d, size in enumerate(self.generation_sizes)
+                            for i in range(size)]
+        return self._labels
+
+    def label(self, index: int) -> str:
+        return self.label_range(index, index + 1)[0]
+
+    def label_range(self, start: int, stop: int) -> list[str]:
+        """Ids of the vertices start..stop-1, which lie in one generation
+        unless the labels are already built."""
+        if self._labels is not None:
+            return self._labels[start:stop]
+        if start >= stop:
+            return []
+        d = self.depth_at(start)
+        first = start - int(self._offsets[d])
+        return [f"g{d}:{i}" for i in range(first, first + stop - start)]
+
+    def depth_at(self, index: int) -> int:
+        return int(np.searchsorted(self._offsets, index, side="right")) - 1
+
+    def index(self, vid: str) -> int:
+        """Canonical index of a vertex id."""
+        if self._generated:
+            m = _GEN_LABEL.fullmatch(vid) if isinstance(vid, str) else None
+            if m is not None:
+                d, i = int(m[1]), int(m[2])
+                if d <= self._depth and i < int(self._offsets[d + 1]
+                                                 - self._offsets[d]):
+                    return int(self._offsets[d]) + i
+        else:
+            if self._index_map is None:
+                self._index_map = {v: i for i, v in enumerate(self._labels)}
+            i = self._index_map.get(vid)
+            if i is not None:
+                return i
+        raise RangeError(f"unknown vertex {vid!r}")
+
+    def _children(self, i: int) -> range:
+        start = int(self._child_starts[i])
+        return range(start, start + int(self._degrees[i]))
+
+    def _child_labels(self, i: int) -> tuple[str, ...]:
+        kids = self._children(i)
+        return tuple(self.label_range(kids.start, kids.stop))
 
     # -- read API ---------------------------------------------------------
     @property
     def root(self) -> str:
-        return self._root
+        return self.label(0)
 
     @property
     def materialized_depth(self) -> int:
@@ -114,53 +217,104 @@ class DirectedTree:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self._degrees)
 
     def ids(self) -> Iterable[str]:
-        for g in self._generations:
-            yield from g
+        return iter(self.labels)
 
     def __contains__(self, vid: str) -> bool:
-        return vid in self._vertices
+        try:
+            self.index(vid)
+        except RangeError:
+            return False
+        return True
 
     def vertex(self, vid: str) -> Vertex:
-        try:
-            return self._vertices[vid]
-        except KeyError:
-            raise RangeError(f"unknown vertex {vid!r}") from None
+        i = self.index(vid)
+        parent = None if i == 0 else self.label(int(self._parents[i]))
+        return Vertex(vid, self.depth_at(i), parent, self._child_labels(i))
 
     def depth_of(self, vid: str) -> int:
-        return self.vertex(vid).depth
+        return self.depth_at(self.index(vid))
 
     def parent_of(self, vid: str) -> Optional[str]:
-        return self.vertex(vid).parent
+        i = self.index(vid)
+        return None if i == 0 else self.label(int(self._parents[i]))
 
     def children_of(self, vid: str) -> tuple[str, ...]:
-        return self.vertex(vid).children
+        return self._child_labels(self.index(vid))
 
     def degree(self, vid: str) -> int:
         """Number of children.  Meaningful for depth <= N-1 only."""
-        v = self.vertex(vid)
-        if v.depth > self._depth - 1:
+        i = self.index(vid)
+        depth = self.depth_at(i)
+        if depth > self._depth - 1:
             raise RangeError(
-                f"degree of {vid!r} at depth {v.depth} is unknown: children "
+                f"degree of {vid!r} at depth {depth} is unknown: children "
                 f"beyond depth {self._depth} are not materialized")
-        return len(v.children)
+        return int(self._degrees[i])
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
+        if self._generations is None:
+            labels, off = self.labels, self._offsets.tolist()
+            self._generations = tuple(tuple(labels[a:b])
+                                      for a, b in zip(off, off[1:]))
         return self._generations
 
     def resolve_path(self, indices: Sequence[int]) -> str:
         """Vertex reached from the root by successive child indices."""
-        vid = self._root
-        for i in indices:
-            ch = self.children_of(vid)
-            if not 0 <= i < len(ch):
+        i = 0
+        for k in indices:
+            ch = self._children(i)
+            if not 0 <= k < len(ch):
                 raise RangeError(
-                    f"child index {i} out of range at vertex {vid!r} "
-                    f"(degree {len(ch)})")
-            vid = ch[i]
-        return vid
+                    f"child index {k} out of range at vertex "
+                    f"{self.label(i)!r} (degree {len(ch)})")
+            i = ch[k]
+        return self.label(i)
+
+
+def _validate(vertices: Mapping[str, Vertex], root: str,
+              depth: int) -> None:
+    roots = [v for v in vertices.values() if v.parent is None]
+    if len(roots) != 1 or roots[0].id != root:
+        extra = [v.id for v in roots if v.id != root]
+        raise StructureError(
+            f"tree must have exactly one parentless vertex (the root); "
+            f"offenders: {extra or [root]}")
+    if roots[0].depth != 0:
+        raise StructureError(f"root {root!r} must have depth 0")
+    listed_by: dict[str, set[str]] = {}
+    for v in vertices.values():
+        for c in v.children:
+            listed_by.setdefault(c, set()).add(v.id)
+    for v in vertices.values():
+        if v.depth > depth:
+            raise StructureError(
+                f"vertex {v.id!r} at depth {v.depth} exceeds "
+                f"materialized depth {depth}")
+        if v.parent is not None:
+            p = vertices.get(v.parent)
+            if p is None:
+                raise StructureError(
+                    f"vertex {v.id!r} names missing parent {v.parent!r}")
+            if v.depth != p.depth + 1:
+                raise StructureError(
+                    f"vertex {v.id!r}: depth {v.depth} is not parent "
+                    f"depth {p.depth} + 1")
+            if p.id not in listed_by.get(v.id, ()):
+                raise StructureError(
+                    f"vertex {v.id!r} missing from children of "
+                    f"{v.parent!r}")
+        for c in v.children:
+            cv = vertices.get(c)
+            if cv is None:
+                raise StructureError(
+                    f"vertex {v.id!r} lists missing child {c!r}")
+            if cv.parent != v.id:
+                raise StructureError(
+                    f"vertex {c!r} has two parents "
+                    f"({cv.parent!r} and {v.id!r})")
 
 
 @dataclass(frozen=True)
@@ -212,59 +366,26 @@ class TreeSpec:
             raise ConfigurationError("generation_rule requires a rule table")
 
 
-def _gen_ids(depth: int, count: int) -> list[str]:
-    return [f"g{depth}:{i}" for i in range(count)]
-
-
-def _build_from_degree_table(degrees: list[list[int]],
-                             depth: int) -> DirectedTree:
-    """Build a tree from per-generation child counts (generation order)."""
-    vertices: dict[str, Vertex] = {}
-    prev = _gen_ids(0, 1)
-    rows: list[list[str]] = [prev]
-    parents: dict[str, Optional[str]] = {prev[0]: None}
-    child_lists: dict[str, list[str]] = {prev[0]: []}
-    for g in range(depth):
-        degs = degrees[g]
-        if len(degs) != len(prev):
-            raise StructureError(
-                f"generation {g} rule lists {len(degs)} degrees for "
-                f"{len(prev)} vertices")
-        nxt = _gen_ids(g + 1, sum(degs))
-        k = 0
-        for u, d in zip(prev, degs):
-            if d < 0:
-                raise StructureError(
-                    f"negative child count at generation {g}")
-            for _ in range(d):
-                w = nxt[k]
-                parents[w] = u
-                child_lists[u].append(w)
-                child_lists[w] = []
-                k += 1
-        rows.append(nxt)
-        prev = nxt
+def _tree_from_rule(rows: Sequence[Sequence[int]],
+                    depth: int) -> DirectedTree:
+    """Tree whose generation g < len(rows) has child counts rows[g];
+    later generations continue with one child each."""
+    sizes = [1]
     for g, row in enumerate(rows):
-        for vid in row:
-            vertices[vid] = Vertex(vid, g, parents[vid],
-                                   tuple(child_lists[vid]))
-    return DirectedTree(vertices, rows[0][0], depth)
-
-
-def _quasi_brownian_degrees(valency: int, depth: int) -> list[list[int]]:
-    degs: list[list[int]] = []
-    kinds = ["V"]  # V = degree-valency vertex, R = ray vertex
-    for _ in range(depth):
-        degs.append([valency if k == "V" else 1 for k in kinds])
-        nxt: list[str] = []
-        for k in kinds:
-            if k == "V":
-                nxt.append("V")
-                nxt.extend(["R"] * (valency - 1))
-            else:
-                nxt.append("R")
-        kinds = nxt
-    return degs
+        if len(row) != sizes[-1]:
+            raise StructureError(
+                f"generation rule row of length {len(row)} does not match "
+                f"generation size {sizes[-1]}")
+        sizes.append(sum(row))
+    for g, row in enumerate(rows):
+        if min(row, default=0) < 0:
+            raise StructureError(f"negative child count at generation {g}")
+    sizes += [sizes[-1]] * (depth - len(rows))
+    degrees = np.ones(sum(sizes), dtype=np.int64)
+    ruled = sum(sizes[:len(rows)])
+    degrees[:ruled] = [d for row in rows for d in row]
+    degrees[len(degrees) - sizes[-1]:] = 0
+    return DirectedTree.from_degrees(degrees, sizes)
 
 
 def _comb_degrees(valency: int, depth: int) -> list[list[int]]:
@@ -379,8 +500,9 @@ def _build_explicit(edges: Sequence[tuple[str, str]],
     return DirectedTree(vertices, root, depth)
 
 
-def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
-    """Materialize a tree spec to the given depth (default: spec.depth)."""
+def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
+    """Exact vertex count of ``materialize(spec, depth)``, computed from
+    the spec alone (explicit trees: the number of distinct ids)."""
     if depth is None:
         depth = spec.depth
     if depth is None:
@@ -388,31 +510,60 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     if depth < 0:
         raise RangeError(f"depth must be >= 0, got {depth}")
     if spec.kind == "path":
-        return _build_from_degree_table([[1]] * depth if depth else [], depth)
+        return depth + 1
     if spec.kind == "t_eta_kappa":
         assert spec.eta is not None
-        degs = [[spec.eta]] + [[1] * spec.eta for _ in range(depth - 1)]
-        return _build_from_degree_table(degs[:depth], depth)
+        return 1 + spec.eta * depth
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
-        return _build_from_degree_table(
-            _quasi_brownian_degrees(spec.valency, depth), depth)
+        # generation n has 1 + n(valency - 1) vertices
+        return depth + 1 + (spec.valency - 1) * depth * (depth + 1) // 2
+    if spec.kind == "explicit":
+        assert spec.edges is not None
+        return len({v for edge in spec.edges for v in edge})
+    assert spec.rule is not None
+    total = width = 1
+    rows = spec.rule[:depth]
+    for row in rows:
+        width = sum(row)
+        total += width
+    return total + (depth - len(rows)) * width
+
+
+def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
+    """Materialize a tree spec to the given depth (default: spec.depth).
+
+    Raises ResourceLimitError, before allocating anything, when the tree
+    would have more than MAX_VERTICES vertices."""
+    if depth is None:
+        depth = spec.depth
+    count = spec_vertex_count(spec, depth)
+    assert depth is not None
+    if count > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"tree of kind {spec.kind!r} at depth {depth} would have "
+            f"{count} vertices; the limit is {MAX_VERTICES}")
+    if spec.kind == "quasi_brownian":
+        assert spec.valency is not None
+        # the first vertex of each generation has degree valency, the
+        # others are rays
+        sizes = [1 + n * (spec.valency - 1) for n in range(depth + 1)]
+        degrees = np.ones(count, dtype=np.int64)
+        degrees[np.cumsum([0] + sizes[:-1])] = spec.valency
+        degrees[count - sizes[-1]:] = 0
+        return DirectedTree.from_degrees(degrees, sizes)
     if spec.kind == "explicit":
         assert spec.edges is not None
         return _build_explicit(spec.edges, depth)
-    # generation_rule
-    assert spec.rule is not None
-    degs2: list[list[int]] = [list(r) for r in spec.rule[:depth]]
-    width = 1
-    for row in degs2:
-        if len(row) != width:
-            raise StructureError(
-                f"generation rule row of length {len(row)} does not match "
-                f"generation size {width}")
-        width = sum(row)
-    while len(degs2) < depth:
-        degs2.append([1] * width)
-    return _build_from_degree_table(degs2, depth)
+    if spec.kind == "path":
+        rule: Sequence[Sequence[int]] = ()
+    elif spec.kind == "t_eta_kappa":
+        assert spec.eta is not None
+        rule = ((spec.eta,),)
+    else:
+        assert spec.rule is not None
+        rule = spec.rule
+    return _tree_from_rule(rule[:depth], depth)
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
@@ -420,7 +571,8 @@ def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
     if not 0 <= n <= tree.materialized_depth:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")
-    return tree.generations()[n]
+    off = tree.gen_offsets
+    return tuple(tree.label_range(int(off[n]), int(off[n + 1])))
 
 
 def branching_degree(tree: DirectedTree, k: int) -> int:
@@ -429,7 +581,8 @@ def branching_degree(tree: DirectedTree, k: int) -> int:
         raise RangeError(
             f"branching degree index {k} out of range "
             f"[1, {tree.materialized_depth}]")
-    return sum(tree.degree(u) - 1 for u in generation(tree, k - 1))
+    sizes = tree.generation_sizes
+    return sizes[k] - sizes[k - 1]
 
 
 @dataclass(frozen=True)
@@ -455,6 +608,27 @@ class TreeStructureReport:
     valency: Optional[int] = None
 
 
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True entry, or None."""
+    i = int(np.argmax(mask)) if len(mask) else 0
+    return i if len(mask) and mask[i] else None
+
+
+def _child_degree_checks(tree: DirectedTree, allowed: Sequence[int]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """For every vertex of depth <= N-2: whether the child degrees sum
+    to 2*degree - 1, and whether every child degree is in ``allowed``."""
+    n = tree.materialized_depth
+    parents_end = int(tree.gen_offsets[n - 1])
+    kids = slice(1, int(tree.gen_offsets[n]))
+    deg, par = tree.degrees, tree.parents[kids]
+    child_sum = np.bincount(par, weights=deg[kids], minlength=parents_end)
+    stray = np.bincount(par, weights=~np.isin(deg[kids], allowed),
+                        minlength=parents_end)
+    return (child_sum[:parents_end] == 2 * deg[:parents_end] - 1,
+            stray[:parents_end] == 0)
+
+
 def classify_tree(tree: DirectedTree) -> TreeStructureReport:
     """Structural classification of the materialized tree.
 
@@ -463,12 +637,12 @@ def classify_tree(tree: DirectedTree) -> TreeStructureReport:
     degree), and the child degrees sum to 2*deg(u) - 1.
     """
     n = tree.materialized_depth
-    known = [u for g in range(n) for u in generation(tree, g)]
-    leafless = all(tree.degree(u) >= 1 for u in known)
-    max_deg = max((tree.degree(u) for u in known), default=0)
-    multisets = tuple(
-        tuple(sorted(tree.degree(u) for u in generation(tree, g)))
-        for g in range(n))
+    off = tree.gen_offsets.tolist()
+    known = tree.degrees[:off[n]]
+    leafless = bool(np.all(known >= 1))
+    max_deg = int(known.max()) if len(known) else 0
+    multisets = tuple(tuple(np.sort(tree.degrees[off[g]:off[g + 1]]).tolist())
+                      for g in range(n))
     if n < 2:
         verdict = StructureVerdict(
             False, max(n - 2, 0),
@@ -482,24 +656,37 @@ def classify_tree(tree: DirectedTree) -> TreeStructureReport:
         return TreeStructureReport(leafless, True, max_deg, multisets,
                                    verdict, None)
     valency = max_deg
-    witness = None
-    for g in range(n - 1):
-        for u in generation(tree, g):
-            du = tree.degree(u)
-            child_degs = [tree.degree(v) for v in tree.children_of(u)]
-            ok = (du in (1, valency)
-                  and all(d in (1, valency) for d in child_degs)
-                  and sum(child_degs) == 2 * du - 1)
-            if not ok:
-                witness = u
-                break
-        if witness:
-            break
-    if witness is not None:
-        verdict = StructureVerdict(False, n - 2, witness=witness,
+    sums_ok, kids_ok = _child_degree_checks(tree, (1, valency))
+    own_ok = np.isin(tree.degrees[:len(sums_ok)], (1, valency))
+    bad = _first(~(own_ok & kids_ok & sums_ok))
+    if bad is not None:
+        verdict = StructureVerdict(False, n - 2, witness=tree.label(bad),
                                    note="verified to depth N-2")
         return TreeStructureReport(leafless, True, max_deg, multisets,
                                    verdict, None)
     verdict = StructureVerdict(True, n - 2, note="verified to depth N-2")
     return TreeStructureReport(leafless, True, max_deg, multisets, verdict,
                                valency)
+
+
+def comb_pattern_valency(tree: DirectedTree) -> Optional[int]:
+    """Valency l if the tree is the comb pattern to depth N-2: root of
+    degree l with one degree-1 and l-1 degree-2 children, every later
+    degree-2 vertex with one degree-1 and one degree-2 child, rays
+    staying rays.
+
+    Equivalently: every vertex of depth <= N-2 has child degrees in
+    {1, 2} summing to 2*degree - 1, and every such non-root vertex has
+    degree 1 or 2.
+    """
+    n = tree.materialized_depth
+    if n < 3:
+        return None
+    l = int(tree.degrees[0])
+    if l < 2:
+        return None
+    sums_ok, kids_ok = _child_degree_checks(tree, (1, 2))
+    own_ok = np.isin(tree.degrees[1:len(sums_ok)], (1, 2))
+    if not (sums_ok.all() and kids_ok.all() and own_ok.all()):
+        return None
+    return l

@@ -1,6 +1,10 @@
 """Command line: spec parsing, suite execution, demos, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -305,3 +309,64 @@ def test_main_tol_and_nmax_flags(tmp_path, capsys):
                   "--out", str(tmp_path / "r2.json")])
     assert code2 == 0
     assert json.loads((tmp_path / "r2.json").read_text())["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize("command,path", [
+    ('{"name":"moments","nmax":"5"}', "$.commands[0].nmax"),
+    ('{"name":"moments","nmax":true}', "$.commands[0].nmax"),
+    ('{"name":"check-kernel","k":1.5}', "$.commands[0].k"),
+    ('{"name":"check-kernel","k":false}', "$.commands[0].k"),
+    ('{"name":"verify-table1","row":"kernel","depth":"8"}',
+     "$.commands[0].depth"),
+    ('{"name":"moments","dual":1}', "$.commands[0].dual"),
+    ('{"name":"moments","vertex":3}', "$.commands[0].vertex"),
+    ('{"name":"moments","vertex":[0,true]}', "$.commands[0].vertex[1]"),
+    ('{"name":"dual-subnormality","nmax":12.0}', "$.commands[0].nmax"),
+])
+def test_command_parameter_types_checked_at_parse_time(tmp_path, capsys,
+                                                       command, path):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text('{"weights":{"kind":"dirichlet"},"commands":['
+                         + command + ']}')
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert f"error: {path}:" in capsys.readouterr().err
+
+
+def test_size_budget_fails_fast(tmp_path, capsys):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text('{"tree":{"kind":"path","depth":100000000},'
+                         '"weights":{"kind":"adjacency"}}')
+    start = time.perf_counter()
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "$.tree.depth" in err and "100000001 vertices" in err
+
+
+def test_size_budget_applies_to_depth_override(tmp_path, capsys):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text('{"tree":{"kind":"quasi_brownian","valency":3,'
+                         '"depth":4},"weights":{"kind":"adjacency"}}')
+    assert main(["--spec", str(spec_file), "--depth", "5000",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "$.tree.depth" in err and "25010001 vertices" in err
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, treeshift.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join(
+                                 p for p in sys.path if p)))
+    assert out.stdout.strip() == "[]"
+
+
+def test_generation_rule_entries_must_be_integers():
+    for row in ("[2, true]", "[2, 1.0]", "[\"2\"]"):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec('{"weights":{"kind":"adjacency"},"tree":{"kind":'
+                       '"generation_rule","depth":3,"rule":[[2],' + row
+                       + ']}}')
+        assert err.value.json_path == "$.tree.rule"
