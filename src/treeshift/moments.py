@@ -184,7 +184,7 @@ def _power_norms(shift: WeightedShift, top: int, kmax: int) -> np.ndarray:
     tree = shift.tree
     end = int(tree.gen_offsets[top + 1])
     parents = tree.parents[1:end]
-    w2 = shift.squared_weights()[1:end]
+    w2 = shift.squared_weights[1:end]
     out = np.empty((kmax + 1, end))
     out[0] = 1.0
     for k in range(kmax):
@@ -507,7 +507,7 @@ def _extension_integral(shift: WeightedShift) -> Optional[float]:
     fourth power of the root norm.  None when a child norm reaches
     sqrt(2)."""
     tree = shift.tree
-    norms = shift.vertex_norms().tolist()
+    norms = shift.vertex_norms.tolist()
     w = shift.weight_array.tolist()
     nr = norms[0]
     if nr == 0.0:
@@ -552,7 +552,7 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     n = tree.materialized_depth
     if n < 2:
         raise RangeError("need materialized depth >= 2")
-    norms = shift.vertex_norms()[:int(tree.gen_offsets[n])]
+    norms = shift.vertex_norms[:int(tree.gen_offsets[n])]
     if not norms.all():
         u = tree.label(int(np.argmin(norms != 0.0)))
         raise NotLeftInvertibleError(

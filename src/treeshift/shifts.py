@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,8 +84,8 @@ class WeightedShift:
 
     The weights are one float array in the tree's canonical vertex
     order (``weight_array``; its root entry is 0 and carries no
-    meaning).  Squared weights and vertex norms are computed once, on
-    first use.
+    meaning).  ``squared_weights`` and ``vertex_norms`` are computed on
+    first use and kept.
     """
 
     def __init__(self, tree: DirectedTree, weights: Mapping[str, float],
@@ -128,35 +129,29 @@ class WeightedShift:
               name: Optional[str]) -> None:
         w.flags.writeable = False
         self._tree = tree
-        self._w = w
-        self._w2: Optional[np.ndarray] = None
-        self._norms: Optional[np.ndarray] = None
+        #: weights in canonical vertex order; entry 0 (the root) is 0
+        self.weight_array = w
         self.name = name
 
     @property
     def tree(self) -> DirectedTree:
         return self._tree
 
-    @property
-    def weight_array(self) -> np.ndarray:
-        return self._w
-
+    @cached_property
     def squared_weights(self) -> np.ndarray:
-        if self._w2 is None:
-            self._w2 = _squared(self._w)
-            self._w2.flags.writeable = False
-        return self._w2
+        squares = _squared(self.weight_array)
+        squares.flags.writeable = False
+        return squares
 
+    @cached_property
     def vertex_norms(self) -> np.ndarray:
         """sqrt of the children's squared-weight sum, per vertex, summed
         left to right in child order; 0 on the last materialized level."""
-        if self._norms is None:
-            tree = self._tree
-            self._norms = np.sqrt(np.bincount(
-                tree.parents[1:], weights=self.squared_weights()[1:],
-                minlength=tree.vertex_count))
-            self._norms.flags.writeable = False
-        return self._norms
+        norms = np.sqrt(np.bincount(self._tree.parents[1:],
+                                    weights=self.squared_weights[1:],
+                                    minlength=self._tree.vertex_count))
+        norms.flags.writeable = False
+        return norms
 
     def weight(self, vid: str) -> float:
         try:
@@ -165,18 +160,19 @@ class WeightedShift:
             i = 0
         if i == 0:
             raise RangeError(f"no weight for vertex {vid!r}")
-        return float(self._w[i])
+        return float(self.weight_array[i])
 
     def weights(self) -> dict[str, float]:
-        return dict(zip(self._tree.labels[1:], self._w[1:].tolist()))
+        return dict(zip(self._tree.labels[1:],
+                        self.weight_array[1:].tolist()))
 
     @property
     def has_zero_weights(self) -> bool:
-        return bool(np.any(self._w[1:] == 0.0))
+        return bool(np.any(self.weight_array[1:] == 0.0))
 
     @property
     def is_adjacency(self) -> bool:
-        return bool(np.all(self._w[1:] == 1.0))
+        return bool(np.all(self.weight_array[1:] == 1.0))
 
 
 @dataclass(frozen=True)
@@ -348,7 +344,7 @@ def _checked_index(shift: WeightedShift, u: str) -> int:
 def vertex_norm(shift: WeightedShift, u: str) -> float:
     """Norm of the image of the basis vector at u: sqrt(sum of squared
     child weights).  Requires depth(u) <= N-1."""
-    return float(shift.vertex_norms()[_checked_index(shift, u)])
+    return float(shift.vertex_norms[_checked_index(shift, u)])
 
 
 def operator_norm(shift: WeightedShift) -> float:
@@ -356,7 +352,7 @@ def operator_norm(shift: WeightedShift) -> float:
     for shifts whose vertex norms are monotone along rays)."""
     tree = shift.tree
     inner = int(tree.gen_offsets[tree.materialized_depth])
-    return float(shift.vertex_norms()[:inner].max()) if inner else 0.0
+    return float(shift.vertex_norms[:inner].max()) if inner else 0.0
 
 
 @dataclass(frozen=True)
@@ -384,13 +380,13 @@ def is_two_isometry(shift: WeightedShift,
     if n < 2:
         raise RangeError("need materialized depth >= 2")
     off = tree.gen_offsets
-    norms = shift.vertex_norms()
+    norms = shift.vertex_norms
     min_norm = float(norms[:off[n]].min())
     note = f"min vertex norm = {min_norm:.12g}"
     if shift.has_zero_weights:
         note += "; zero weights present"
     kids = slice(1, int(off[n]))
-    terms = shift.squared_weights()[kids] * (2.0 - _squared(norms[kids]))
+    terms = shift.squared_weights[kids] * (2.0 - _squared(norms[kids]))
     lhs = np.bincount(tree.parents[kids], weights=terms,
                       minlength=int(off[n - 1]))[:off[n - 1]]
     res = np.abs(lhs - 1.0) / (1.0 + np.abs(lhs))
@@ -414,7 +410,7 @@ def _sibling_spread(shift: WeightedShift, tol: float
     off = tree.gen_offsets
     parents_end = int(off[n - 1])
     kids = slice(1, int(off[n]))
-    norms = shift.vertex_norms()[kids]
+    norms = shift.vertex_norms[kids]
     nonzero = shift.weight_array[kids] != 0.0
     deg = tree.degrees[:parents_end]
     # children of consecutive parents are consecutive: one segment each
@@ -484,7 +480,7 @@ def cauchy_dual(shift: WeightedShift) -> WeightedShift:
     deepest level as one step less reliable than the original's.
     """
     tree = shift.tree
-    norms = shift.vertex_norms()
+    norms = shift.vertex_norms
     zero = _first(norms[:int(tree.gen_offsets[tree.materialized_depth])]
                   == 0.0)
     if zero is not None:
@@ -610,7 +606,7 @@ def shift_invariants(shift: WeightedShift,
     tree = shift.tree
     n = tree.materialized_depth
     return ShiftInvariants(
-        float(shift.vertex_norms()[0]),
+        float(shift.vertex_norms[0]),
         tuple(branching_degree(tree, k) for k in range(1, n + 1)),
         verified_depth=n)
 

@@ -87,12 +87,10 @@ class DirectedTree:
 
     @classmethod
     def from_degrees(cls, degrees: Sequence[int],
-                     generation_sizes: Sequence[int],
-                     labels: Optional[Sequence[str]] = None
-                     ) -> "DirectedTree":
+                     generation_sizes: Sequence[int]) -> "DirectedTree":
         """Tree from child counts in canonical order (0 on the last
-        generation) and the generation sizes.  Without ``labels`` the
-        vertex ids are ``g<depth>:<index in generation>``."""
+        generation) and the generation sizes.  Vertex ids are
+        ``g<depth>:<index in generation>``."""
         degrees = np.asarray(degrees, dtype=np.int64)
         sizes = np.asarray(generation_sizes, dtype=np.int64)
         ends = np.cumsum(sizes)
@@ -105,8 +103,7 @@ class DirectedTree:
             raise StructureError(
                 "child counts do not match the generation sizes")
         tree = cls.__new__(cls)
-        tree._setup(degrees, sizes,
-                    None if labels is None else list(labels))
+        tree._setup(degrees, sizes, None)
         return tree
 
     def _setup(self, degrees: np.ndarray, sizes: np.ndarray,
@@ -121,39 +118,22 @@ class DirectedTree:
         parents = np.empty(count, dtype=np.int64)
         parents[0] = -1
         parents[1:] = np.repeat(np.arange(count, dtype=np.int64), degrees)
-        self._degrees = _frozen(degrees)
-        self._offsets = _frozen(offsets)
-        self._child_starts = _frozen(child_starts)
-        self._parents = _frozen(parents)
+        #: child count per vertex (0 on the last materialized level)
+        self.degrees = _frozen(degrees)
+        #: generation g is the index range gen_offsets[g]:gen_offsets[g+1]
+        self.gen_offsets = _frozen(offsets)
+        #: index of the first child per vertex; length V + 1
+        self.child_starts = _frozen(child_starts)
+        #: parent index per vertex; -1 for the root
+        self.parents = _frozen(parents)
         self._labels = labels
         self._generated = labels is None
         self._index_map: Optional[dict[str, int]] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
 
-    # -- array view -------------------------------------------------------
-    @property
-    def degrees(self) -> np.ndarray:
-        """Child count per vertex (0 for the last materialized level)."""
-        return self._degrees
-
-    @property
-    def parents(self) -> np.ndarray:
-        """Parent index per vertex; -1 for the root."""
-        return self._parents
-
-    @property
-    def child_starts(self) -> np.ndarray:
-        """Index of the first child per vertex; length V + 1."""
-        return self._child_starts
-
-    @property
-    def gen_offsets(self) -> np.ndarray:
-        """Generation g is the index range gen_offsets[g]:gen_offsets[g+1]."""
-        return self._offsets
-
     @property
     def generation_sizes(self) -> tuple[int, ...]:
-        return tuple(np.diff(self._offsets).tolist())
+        return tuple(np.diff(self.gen_offsets).tolist())
 
     @property
     def labels(self) -> list[str]:
@@ -165,9 +145,9 @@ class DirectedTree:
         return self._labels
 
     def label(self, index: int) -> str:
-        return self.label_range(index, index + 1)[0]
+        return self._label_range(index, index + 1)[0]
 
-    def label_range(self, start: int, stop: int) -> list[str]:
+    def _label_range(self, start: int, stop: int) -> list[str]:
         """Ids of the vertices start..stop-1, which lie in one generation
         unless the labels are already built."""
         if self._labels is not None:
@@ -175,11 +155,11 @@ class DirectedTree:
         if start >= stop:
             return []
         d = self.depth_at(start)
-        first = start - int(self._offsets[d])
+        first = start - int(self.gen_offsets[d])
         return [f"g{d}:{i}" for i in range(first, first + stop - start)]
 
     def depth_at(self, index: int) -> int:
-        return int(np.searchsorted(self._offsets, index, side="right")) - 1
+        return int(np.searchsorted(self.gen_offsets, index, side="right")) - 1
 
     def index(self, vid: str) -> int:
         """Canonical index of a vertex id."""
@@ -187,9 +167,9 @@ class DirectedTree:
             m = _GEN_LABEL.fullmatch(vid) if isinstance(vid, str) else None
             if m is not None:
                 d, i = int(m[1]), int(m[2])
-                if d <= self._depth and i < int(self._offsets[d + 1]
-                                                 - self._offsets[d]):
-                    return int(self._offsets[d]) + i
+                if d <= self._depth and i < int(self.gen_offsets[d + 1]
+                                                 - self.gen_offsets[d]):
+                    return int(self.gen_offsets[d]) + i
         else:
             if self._index_map is None:
                 self._index_map = {v: i for i, v in enumerate(self._labels)}
@@ -199,12 +179,12 @@ class DirectedTree:
         raise RangeError(f"unknown vertex {vid!r}")
 
     def _children(self, i: int) -> range:
-        start = int(self._child_starts[i])
-        return range(start, start + int(self._degrees[i]))
+        start = int(self.child_starts[i])
+        return range(start, start + int(self.degrees[i]))
 
     def _child_labels(self, i: int) -> tuple[str, ...]:
         kids = self._children(i)
-        return tuple(self.label_range(kids.start, kids.stop))
+        return tuple(self._label_range(kids.start, kids.stop))
 
     # -- read API ---------------------------------------------------------
     @property
@@ -217,7 +197,7 @@ class DirectedTree:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._degrees)
+        return len(self.degrees)
 
     def ids(self) -> Iterable[str]:
         return iter(self.labels)
@@ -231,7 +211,7 @@ class DirectedTree:
 
     def vertex(self, vid: str) -> Vertex:
         i = self.index(vid)
-        parent = None if i == 0 else self.label(int(self._parents[i]))
+        parent = None if i == 0 else self.label(int(self.parents[i]))
         return Vertex(vid, self.depth_at(i), parent, self._child_labels(i))
 
     def depth_of(self, vid: str) -> int:
@@ -239,7 +219,7 @@ class DirectedTree:
 
     def parent_of(self, vid: str) -> Optional[str]:
         i = self.index(vid)
-        return None if i == 0 else self.label(int(self._parents[i]))
+        return None if i == 0 else self.label(int(self.parents[i]))
 
     def children_of(self, vid: str) -> tuple[str, ...]:
         return self._child_labels(self.index(vid))
@@ -252,11 +232,11 @@ class DirectedTree:
             raise RangeError(
                 f"degree of {vid!r} at depth {depth} is unknown: children "
                 f"beyond depth {self._depth} are not materialized")
-        return int(self._degrees[i])
+        return int(self.degrees[i])
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
-            labels, off = self.labels, self._offsets.tolist()
+            labels, off = self.labels, self.gen_offsets.tolist()
             self._generations = tuple(tuple(labels[a:b])
                                       for a, b in zip(off, off[1:]))
         return self._generations
@@ -572,7 +552,7 @@ def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")
     off = tree.gen_offsets
-    return tuple(tree.label_range(int(off[n]), int(off[n + 1])))
+    return tuple(tree._label_range(int(off[n]), int(off[n + 1])))
 
 
 def branching_degree(tree: DirectedTree, k: int) -> int:

@@ -43,9 +43,17 @@ def random_shifts(draw):
     return WeightedShift(tree, weights)
 
 
+def _sum(values):
+    """Left-to-right float sum (``sum`` compensates on Python >= 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _scalar_norm(shift, u):
-    return math.sqrt(sum(shift.weight(c) ** 2
-                         for c in shift.tree.children_of(u)))
+    return math.sqrt(_sum(shift.weight(c) ** 2
+                          for c in shift.tree.children_of(u)))
 
 
 def _scalar_moments(shift, u, nmax):
@@ -60,9 +68,9 @@ def _scalar_moments(shift, u, nmax):
         nxt = {}
         for lvl in cone[:nmax - k]:
             for v in lvl:
-                nxt[v] = sum(shift.weight(w) ** 2 * cur[w]
-                             for w in tree.children_of(v))
-        out.append(float(nxt[u]))
+                nxt[v] = _sum(shift.weight(w) ** 2 * cur[w]
+                              for w in tree.children_of(v))
+        out.append(nxt[u])
         cur = nxt
     return out
 
@@ -90,7 +98,7 @@ def test_norms_and_moments_are_bit_identical_to_scalar_formulas(shift):
     n = tree.materialized_depth
     for g in range(n):
         for u in tree.generations()[g]:
-            assert shift.vertex_norms()[tree.index(u)] == \
+            assert shift.vertex_norms[tree.index(u)] == \
                 _scalar_norm(shift, u)
             nmax = n - g
             assert list(moment_sequence(shift, u, nmax).values) == \
@@ -105,9 +113,9 @@ def test_expansion_witness_matches_scalar_scan(shift):
     expected = None
     for g in range(n - 1):
         for u in tree.generations()[g]:
-            lhs = sum(shift.weight(v) ** 2 * (2.0 - _scalar_norm(shift, v)
-                                              ** 2)
-                      for v in tree.children_of(u))
+            lhs = _sum(shift.weight(v) ** 2
+                       * (2.0 - _scalar_norm(shift, v) ** 2)
+                       for v in tree.children_of(u))
             res = abs(lhs - 1.0) / (1.0 + abs(lhs))
             if res > 1e-9 and expected is None:
                 expected = (u, res)
@@ -128,7 +136,7 @@ def test_constancy_profile_agrees_with_every_k(shift):
 @given(random_shifts())
 def test_generic_witnesses_match_their_own_moment_sequences(shift):
     tree = shift.tree
-    if not shift.vertex_norms()[
+    if not shift.vertex_norms[
             :tree.gen_offsets[tree.materialized_depth]].all():
         return
     report = dual_subnormality(shift, nmax=6)
