@@ -126,13 +126,18 @@ def defect(op: Union[WeightedShift, TruncatedOperator],
     return out
 
 
-def _diagonal_gram(a: np.ndarray) -> Optional[np.ndarray]:
-    """Diagonal of T*T when the columns of T have disjoint supports
-    (every row has at most one nonzero entry, as for any shift on a
-    tree), so that T*T is exactly diagonal; otherwise None."""
-    if a.size and np.count_nonzero(a, axis=1).max() > 1:
+def _diagonal_gram(a: np.ndarray
+                   ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """When no row of T has two nonzero entries (the columns have
+    disjoint supports, as for any shift on a tree), T*T is exactly
+    diagonal: return the column and value of each row's entry (value 0
+    for an empty row) and the Gram diagonal.  Otherwise None."""
+    nonzero = a != 0
+    if a.size and nonzero.sum(axis=1).max() > 1:
         return None
-    return np.einsum("ij,ij->j", a, a)
+    col = nonzero.argmax(axis=1)
+    val = a[np.arange(len(a)), col]
+    return col, val, np.bincount(col, weights=val * val, minlength=len(a))
 
 
 def _inverse_gram_diagonal(gram: np.ndarray,
@@ -162,9 +167,9 @@ def dual_matrix(trunc: TruncatedOperator) -> TruncatedOperator:
     operator is not left invertible.
     """
     a = trunc.matrix
-    gram_d = _diagonal_gram(a)
-    if gram_d is not None:
-        dual = a * _inverse_gram_diagonal(gram_d, trunc)
+    diagonal = _diagonal_gram(a)
+    if diagonal is not None:
+        dual = a * _inverse_gram_diagonal(diagonal[2], trunc)
     else:
         gram = a.T @ a
         eigval, eigvec = np.linalg.eigh(gram)
@@ -275,28 +280,26 @@ def _table1_orders_dense(trunc: TruncatedOperator, row: str, nmax: int
 
 
 def _table1_orders_diagonal(trunc: TruncatedOperator, row: str, nmax: int,
+                            col: np.ndarray, val: np.ndarray,
                             gram: np.ndarray
                             ) -> Iterator[tuple[float, float, int]]:
-    from scipy import sparse  # slow import, needed only here
-
-    dual = (sparse.csr_matrix(trunc.matrix)
-            @ sparse.diags(_inverse_gram_diagonal(gram, trunc))).tocsr()
+    dual_val = val * _inverse_gram_diagonal(gram, trunc)[col]
     depths = np.asarray(trunc.depths)
-    power = sparse.identity(trunc.dim, format="csr")
+    # Row i of the n-th dual power holds its one entry, power_val[i], in
+    # column power_col[i]; (T')^n* (T')^n is then exactly diagonal.
+    power_col, power_val = np.arange(trunc.dim), np.ones(trunc.dim)
     for n in range(nmax + 1):
         if n > 0:
-            power = dual @ power
+            power_col, power_val = power_col[col], dual_val * power_val[col]
         inside = depths <= trunc.interior_depth - n
         if not inside.any():
             yield 0.0, 0.0, 0
             continue
-        lhs = (power.T @ power).tocoo()
+        lhs = np.bincount(power_col, weights=power_val * power_val,
+                          minlength=trunc.dim)
         rhs = _table1_of_gram(row, gram, n)[inside]
-        off_diagonal = ((lhs.row != lhs.col) & inside[lhs.row]
-                        & inside[lhs.col])
-        err = max(np.abs(lhs.diagonal()[inside] - rhs).max(),
-                  np.abs(lhs.data[off_diagonal]).max(initial=0.0))
-        yield float(err), float(np.abs(rhs).max()), int(inside.sum())
+        yield (float(np.abs(lhs[inside] - rhs).max()),
+               float(np.abs(rhs).max()), int(inside.sum()))
 
 
 def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
@@ -305,9 +308,11 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     """Check the closed-form identity (T')* ^n (T')^n = r_n(T*T) on the
     interior blocks of a truncation, order by order.
 
-    When T*T is diagonal (every shift on a tree) the dual is a column
-    scaling of T, its powers are sparse products, and r_n(T*T) is r_n of
-    the diagonal.  Otherwise the left side comes from repeated dense
+    When no row of T has two nonzero entries (every shift on a tree),
+    T*T is diagonal, the dual is a column scaling of T, each dual power
+    keeps one entry per row and is composed index by index in O(dim),
+    and r_n(T*T) is r_n of the diagonal.  Otherwise the left side comes
+    from repeated dense
     multiplication of the dual matrix and the right side from the
     spectral decomposition of T*T.  Either way r_n is applied to Gram
     eigenvalues above 0.5 (truncation artifacts contribute spurious zero
@@ -329,9 +334,9 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     if nmax > trunc.interior_depth:
         raise RangeError(
             f"nmax {nmax} exceeds interior depth {trunc.interior_depth}")
-    gram = _diagonal_gram(trunc.matrix)
-    orders = (_table1_orders_dense(trunc, row, nmax) if gram is None
-              else _table1_orders_diagonal(trunc, row, nmax, gram))
+    diagonal = _diagonal_gram(trunc.matrix)
+    orders = (_table1_orders_dense(trunc, row, nmax) if diagonal is None
+              else _table1_orders_diagonal(trunc, row, nmax, *diagonal))
     max_err = 0.0
     scale = 1.0
     checked = 0
