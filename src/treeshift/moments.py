@@ -522,11 +522,11 @@ def _extension_integral(shift: WeightedShift) -> Optional[float]:
     return total / nr ** 4
 
 
-def _default_witnesses(tree: DirectedTree) -> list[str]:
-    """The root and the first vertex of every later non-empty generation
-    above the last."""
+def _default_witnesses(tree: DirectedTree) -> list[int]:
+    """Indices of the root and of the first vertex of every later
+    non-empty generation above the last."""
     off = tree.gen_offsets.tolist()
-    return [tree.label(off[g]) for g in range(tree.materialized_depth)
+    return [off[g] for g in range(tree.materialized_depth)
             if off[g] < off[g + 1]]
 
 
@@ -636,14 +636,13 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
             f"not a 2-isometry (witness {w}); fast paths unavailable")
 
     # generic moment test
-    if witnesses is None:
-        witnesses = _default_witnesses(tree)
+    picks = (_default_witnesses(tree) if witnesses is None
+             else [tree.index(u) for u in witnesses])
     plan = []
-    for u in witnesses:
-        i = tree.index(u)
+    for i in picks:
         cap = min(nmax, n - 1 - tree.depth_at(i))
         if cap >= 2:
-            plan.append((u, i, cap))
+            plan.append((tree.label(i), i, cap))
     if plan:
         top = max(tree.depth_at(i) + cap for _, i, cap in plan)
         table = _power_norms(cauchy_dual(shift), top,

@@ -160,7 +160,7 @@ class WeightedShift:
             i = 0
         if i == 0:
             raise RangeError(f"no weight for vertex {vid!r}")
-        return float(self.weight_array[i])
+        return self.weight_array.item(i)
 
     def weights(self) -> dict[str, float]:
         return dict(zip(self._tree.labels[1:],
@@ -344,7 +344,7 @@ def _checked_index(shift: WeightedShift, u: str) -> int:
 def vertex_norm(shift: WeightedShift, u: str) -> float:
     """Norm of the image of the basis vector at u: sqrt(sum of squared
     child weights).  Requires depth(u) <= N-1."""
-    return float(shift.vertex_norms[_checked_index(shift, u)])
+    return shift.vertex_norms.item(_checked_index(shift, u))
 
 
 def operator_norm(shift: WeightedShift) -> float:

@@ -6,7 +6,6 @@ materialized part only and carry the depth to which they were verified.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,8 +35,6 @@ __all__ = [
 #: Largest tree ``materialize`` builds.  Checked from the spec alone,
 #: before anything is allocated.
 MAX_VERTICES = 2_000_000
-
-_GEN_LABEL = re.compile(r"g(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,8 @@ class DirectedTree:
         #: parent index per vertex; -1 for the root
         self.parents = _frozen(parents)
         self._labels = labels
-        self._generated = labels is None
         self._index_map: Optional[dict[str, int]] = None
+        self._depths: Optional[np.ndarray] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
 
     @property
@@ -155,32 +152,30 @@ class DirectedTree:
         if start >= stop:
             return []
         d = self.depth_at(start)
-        first = start - int(self.gen_offsets[d])
+        first = start - self.gen_offsets.item(d)
         return [f"g{d}:{i}" for i in range(first, first + stop - start)]
 
     def depth_at(self, index: int) -> int:
-        return int(np.searchsorted(self.gen_offsets, index, side="right")) - 1
+        if self._depths is None:
+            self._depths = np.repeat(np.arange(self._depth + 1),
+                                     np.diff(self.gen_offsets))
+        return self._depths.item(index)
 
     def index(self, vid: str) -> int:
-        """Canonical index of a vertex id."""
-        if self._generated:
-            m = _GEN_LABEL.fullmatch(vid) if isinstance(vid, str) else None
-            if m is not None:
-                d, i = int(m[1]), int(m[2])
-                if d <= self._depth and i < int(self.gen_offsets[d + 1]
-                                                 - self.gen_offsets[d]):
-                    return int(self.gen_offsets[d]) + i
-        else:
-            if self._index_map is None:
-                self._index_map = {v: i for i, v in enumerate(self._labels)}
-            i = self._index_map.get(vid)
-            if i is not None:
-                return i
-        raise RangeError(f"unknown vertex {vid!r}")
+        """Canonical index of a vertex id.  The root needs no lookup
+        table; any other id builds one on first use."""
+        if self._labels is None and vid == "g0:0":
+            return 0
+        if self._index_map is None:
+            self._index_map = {v: i for i, v in enumerate(self.labels)}
+        try:
+            return self._index_map[vid]
+        except KeyError:
+            raise RangeError(f"unknown vertex {vid!r}") from None
 
     def _children(self, i: int) -> range:
-        start = int(self.child_starts[i])
-        return range(start, start + int(self.degrees[i]))
+        start = self.child_starts.item(i)
+        return range(start, start + self.degrees.item(i))
 
     def _child_labels(self, i: int) -> tuple[str, ...]:
         kids = self._children(i)
@@ -211,7 +206,7 @@ class DirectedTree:
 
     def vertex(self, vid: str) -> Vertex:
         i = self.index(vid)
-        parent = None if i == 0 else self.label(int(self.parents[i]))
+        parent = None if i == 0 else self.label(self.parents.item(i))
         return Vertex(vid, self.depth_at(i), parent, self._child_labels(i))
 
     def depth_of(self, vid: str) -> int:
@@ -219,7 +214,7 @@ class DirectedTree:
 
     def parent_of(self, vid: str) -> Optional[str]:
         i = self.index(vid)
-        return None if i == 0 else self.label(int(self.parents[i]))
+        return None if i == 0 else self.label(self.parents.item(i))
 
     def children_of(self, vid: str) -> tuple[str, ...]:
         return self._child_labels(self.index(vid))
@@ -232,7 +227,7 @@ class DirectedTree:
             raise RangeError(
                 f"degree of {vid!r} at depth {depth} is unknown: children "
                 f"beyond depth {self._depth} are not materialized")
-        return int(self.degrees[i])
+        return self.degrees.item(i)
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
@@ -552,7 +547,7 @@ def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")
     off = tree.gen_offsets
-    return tuple(tree._label_range(int(off[n]), int(off[n + 1])))
+    return tuple(tree._label_range(off.item(n), off.item(n + 1)))
 
 
 def branching_degree(tree: DirectedTree, k: int) -> int:
