@@ -1,10 +1,10 @@
 """Command-line front end: JSON run specs, check suites, demo catalog.
 
 A run spec is a JSON document with top-level keys "tree", "weights",
-"commands", "tolerances", "output".  Commands run in order; dependent
-commands are skipped when a prerequisite check failed earlier in the
-suite.  The demo catalog builds each named model, checks its published
-conclusion, and reports the numeric evidence.
+"commands" and "tolerances".  Commands run in order; dependent commands
+are skipped when a prerequisite check failed earlier in the suite.  The
+demo catalog builds each named model, checks its published conclusion,
+and reports the numeric evidence.
 
 Exit codes: 0 = all commands/demos completed with their expected
 verdicts; 1 = a verdict contradicted an expectation or a published demo
@@ -77,7 +77,6 @@ class RunSpec:
     weights: WeightSpec
     commands: tuple[CommandRecord, ...]
     tolerance: float = DEFAULT_TOL
-    output: Mapping[str, Any] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +323,7 @@ def parse_spec(text: str) -> RunSpec:
         raise SpecParseError(f"invalid JSON: {exc}", json_path="$") from exc
     if not isinstance(doc, dict):
         raise SpecParseError("top level must be an object", json_path="$")
-    _reject_unknown(doc, {"tree", "weights", "commands", "tolerances",
-                          "output"}, "$")
+    _reject_unknown(doc, {"tree", "weights", "commands", "tolerances"}, "$")
     weights = _parse_weights(_require(doc, "weights", "$"), "$.weights")
     if "tree" in doc:
         tree = _parse_tree(doc["tree"], "$.tree")
@@ -355,32 +353,12 @@ def parse_spec(text: str) -> RunSpec:
             if tolerance <= 0:
                 raise SpecParseError("tol must be > 0",
                                      json_path="$.tolerances.tol")
-    output: dict[str, Any] = {}
-    if "output" in doc:
-        out = doc["output"]
-        if not isinstance(out, dict):
-            raise SpecParseError("output must be an object",
-                                 json_path="$.output")
-        _reject_unknown(out, {"json", "csv", "quiet"}, "$.output")
-        output = dict(out)
-    return RunSpec(tree, weights, tuple(commands), tolerance, output)
+    return RunSpec(tree, weights, tuple(commands), tolerance)
 
 
 # ---------------------------------------------------------------------------
 # verdict serialization helpers
 # ---------------------------------------------------------------------------
-
-def _pv_dict(v) -> dict:
-    return {"holds": v.holds, "verified_depth": v.verified_depth,
-            "witness": list(v.witness) if v.witness else None,
-            "tolerance": v.tolerance, "note": v.note}
-
-
-def _mv_dict(v) -> dict:
-    return {"is_stieltjes": v.is_stieltjes, "is_hausdorff": v.is_hausdorff,
-            "failing_order": v.failing_order,
-            "extremal_value": v.extremal_value, "detail": v.detail}
-
 
 def _table1_dict(rep) -> dict:
     return {"row": rep.row, "holds": rep.holds,
@@ -466,14 +444,14 @@ class _Suite:
     def _cmd_check_2iso(self, params) -> tuple[dict, str]:
         v = is_two_isometry(self.shift, self.tol)
         self.check_state["check-2iso"] = v.holds
-        return (_pv_dict(v), self._status(v.holds, params.get("expect")))
+        return (v.to_dict(), self._status(v.holds, params.get("expect")))
 
     def _cmd_check_kernel(self, params) -> tuple[dict, str]:
         k = params.get("k", 0)
         v = satisfies_kernel_condition(self.shift, k, self.tol)
         if k == 0:
             self.check_state["check-kernel"] = v.holds
-        payload = _pv_dict(v)
+        payload = v.to_dict()
         payload["k"] = k
         return (payload, self._status(v.holds, params.get("expect")))
 
@@ -494,12 +472,12 @@ class _Suite:
 
     def _cmd_classify_adjacency(self, params) -> tuple[dict, str]:
         cls = classify_adjacency(self.tree, self.tol)
-        return ({"two_isometry": _pv_dict(cls.two_isometry),
-                 "kernel_condition": _pv_dict(cls.kernel_condition),
+        return ({"two_isometry": cls.two_isometry.to_dict(),
+                 "kernel_condition": cls.kernel_condition.to_dict(),
                  "quasi_brownian_isometry":
-                     _pv_dict(cls.quasi_brownian_isometry),
-                 "brownian_isometry": _pv_dict(cls.brownian_isometry),
-                 "isometry": _pv_dict(cls.isometry)}, "passed")
+                     cls.quasi_brownian_isometry.to_dict(),
+                 "brownian_isometry": cls.brownian_isometry.to_dict(),
+                 "isometry": cls.isometry.to_dict()}, "passed")
 
     def _cmd_invariants(self, params) -> tuple[dict, str]:
         if self.check_state.get("check-2iso") is False \
@@ -633,7 +611,7 @@ def _demo_dirichlet(tol: float, nmax: int) -> _DemoOutcome:
                  f"'kernel' row verified to n=10, max deviation "
                  f"{vt.max_abs_error:.3e}")
     return _DemoOutcome(statement, ok, {
-        "two_isometry": _pv_dict(two), "kernel_condition": _pv_dict(kc0),
+        "two_isometry": two.to_dict(), "kernel_condition": kc0.to_dict(),
         "subnormality": _sub_dict(rep),
         "dual_moments": list(seq.values),
         "dual_moment_max_deviation_from_1_over_n_plus_1": dev,
@@ -666,10 +644,10 @@ def _demo_bergman_dual(tol: float, nmax: int) -> _DemoOutcome:
     return _DemoOutcome(statement, ok, {
         "moments": list(seq.values),
         "moment_max_deviation_from_1_over_n_plus_1": dev,
-        "hausdorff": _mv_dict(haus),
+        "hausdorff": haus.to_dict(),
         "measure": mu.description,
-        "dual_two_isometry": _pv_dict(two_d),
-        "dual_kernel_condition": _pv_dict(kc_d),
+        "dual_two_isometry": two_d.to_dict(),
+        "dual_kernel_condition": kc_d.to_dict(),
         "dual_weight_max_deviation": dev_w}, seq)
 
 
@@ -702,7 +680,7 @@ def _demo_treiso(tol: float, nmax: int) -> _DemoOutcome:
                  f"NOT subnormal (decision path generic-moment-test)")
     return _DemoOutcome(statement, ok, {
         "b3_interior_max": b3_norm,
-        "two_isometry": _pv_dict(two),
+        "two_isometry": two.to_dict(),
         "dual_b4_root_entry": root_entry,
         "dual_b4_expected": target,
         "subnormality": _sub_dict(rep)})
@@ -738,9 +716,9 @@ def _demo_glowny(tol: float, nmax: int) -> _DemoOutcome:
                  f"{integral:.6f} > 1; the root dual sequence fails the "
                  f"Stieltjes test at order {order}")
     return _DemoOutcome(statement, ok, {
-        "two_isometry": _pv_dict(two),
-        "kernel_condition_k0": _pv_dict(kc0),
-        "kernel_condition_k1": _pv_dict(kc1),
+        "two_isometry": two.to_dict(),
+        "kernel_condition_k0": kc0.to_dict(),
+        "kernel_condition_k1": kc1.to_dict(),
         "cauchy_schwarz_sum": cs, "root_norm_fourth_power": n4,
         "closed_form_max_deviation": dev_pk,
         "subnormality": _sub_dict(rep)})
@@ -787,7 +765,7 @@ def _demo_przadj(tol: float, nmax: int) -> _DemoOutcome:
         "rho_mass_at_zero": rho_zero,
         "root_sequence": list(root_seq.values),
         "root_max_deviation_from_shifted_rho_moments": dev_root,
-        "root_stieltjes": _mv_dict(st),
+        "root_stieltjes": st.to_dict(),
         "subnormality": _sub_dict(rep)}, root_seq)
 
 
@@ -805,7 +783,7 @@ def _demo_nbnkcsub(valency: int, tol: float, nmax: int) -> _DemoOutcome:
         "valency": valency,
         "root_sequence": list(root_seq.values),
         "closed_form_max_deviation": dev,
-        "stieltjes": _mv_dict(st),
+        "stieltjes": st.to_dict(),
         "subnormality": _sub_dict(rep)}
     ok = (dev < 1e-10 and st.is_stieltjes
           and rep.verdict == "subnormal"
@@ -922,11 +900,11 @@ def _demo_mewa_distinction(tol: float, nmax: int) -> _DemoOutcome:
                  "isometry and does not satisfy sibling constancy; its "
                  "dual is subnormal (decision path BrownianG)")
     return _DemoOutcome(statement, ok, {
-        "two_isometry": _pv_dict(cls.two_isometry),
-        "kernel_condition": _pv_dict(cls.kernel_condition),
-        "quasi_brownian_isometry": _pv_dict(cls.quasi_brownian_isometry),
-        "brownian_isometry": _pv_dict(cls.brownian_isometry),
-        "isometry": _pv_dict(cls.isometry),
+        "two_isometry": cls.two_isometry.to_dict(),
+        "kernel_condition": cls.kernel_condition.to_dict(),
+        "quasi_brownian_isometry": cls.quasi_brownian_isometry.to_dict(),
+        "brownian_isometry": cls.brownian_isometry.to_dict(),
+        "isometry": cls.isometry.to_dict(),
         "subnormality": _sub_dict(rep)})
 
 

@@ -11,6 +11,7 @@ drives the full decision procedure with its fast analytic paths.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import (ClassificationError, DomainError,
                      NotLeftInvertibleError, RangeError)
-from .shifts import (DEFAULT_TOL, PropertyVerdict, WeightedShift,
-                     cauchy_dual, classify_adjacency, is_two_isometry,
+from .shifts import (DEFAULT_TOL, WeightedShift, cauchy_dual,
+                     classify_adjacency, is_two_isometry,
                      satisfies_kernel_condition,
                      sibling_constancy_by_generation, vertex_norm)
 from .trees import DirectedTree, comb_pattern_valency
@@ -163,7 +164,6 @@ class MomentVerdict:
     is_hausdorff: Optional[bool] = None
     failing_order: Optional[int] = None
     extremal_value: float = 0.0
-    certificate: Optional[DiscreteMeasure] = None
     detail: str = ""
 
     @property
@@ -171,6 +171,14 @@ class MomentVerdict:
         flags = [f for f in (self.is_stieltjes, self.is_hausdorff)
                  if f is not None]
         return bool(flags) and all(flags)
+
+    def to_dict(self) -> dict:
+        """Report form of the verdict."""
+        return {"is_stieltjes": self.is_stieltjes,
+                "is_hausdorff": self.is_hausdorff,
+                "failing_order": self.failing_order,
+                "extremal_value": self.extremal_value,
+                "detail": self.detail}
 
 
 def _power_norms(shift: WeightedShift, top: int, kmax: int) -> np.ndarray:
@@ -309,6 +317,56 @@ def perturbed_kernel_dual_moment(shift: WeightedShift, u: Optional[str] = None,
     return (1.0 / nu2) / ((n - 1) * alpha2 - (n - 2))
 
 
+@functools.lru_cache(maxsize=64)
+def _hankel_index(size: int) -> np.ndarray:
+    """Read-only (size, size) array of i + j: the offsets a Hankel block
+    of that size reads from its first moment."""
+    r = np.arange(size)
+    index = r[:, None] + r
+    index.flags.writeable = False
+    return index
+
+
+def _stieltjes_batch(seqs: Sequence[tuple[float, ...]],
+                     tol: float) -> list[MomentVerdict]:
+    """``stieltjes_test`` of several sequences (each of length >= 3).
+
+    Order p runs one stacked ``eigvalsh`` over the Hankel and shifted
+    blocks of size p+1 of every sequence still alive whose length
+    admits them; a sequence drops out after its first failing order.
+    The blocks examined, and hence each verdict, are those of a
+    sequence-by-sequence loop; LAPACK solves each stacked matrix on its
+    own, so the eigenvalues are bit-identical too.
+    """
+    caps = [len(s) - 1 for s in seqs]
+    width = max(caps) + 1
+    flat = np.zeros(len(seqs) * width)
+    for r, s in enumerate(seqs):
+        flat[r * width:r * width + len(s)] = s
+    thresholds = [-tol * (1.0 + max(map(abs, s))) for s in seqs]
+    worst = [math.inf] * len(seqs)
+    failing: list[Optional[int]] = [None] * len(seqs)
+    live = range(len(seqs))
+    p = 0
+    while live:
+        # block (r, s) reads flat[r * width + s + i + j]
+        starts = [r * width + s for r in live for s in (0, 1)
+                  if 2 * p + s <= caps[r]]
+        stack = flat.take(np.add.outer(starts, _hankel_index(p + 1)))
+        lows = np.linalg.eigvalsh(stack)[:, 0].tolist()
+        for start, low in zip(starts, lows):
+            r = start // width
+            worst[r] = min(worst[r], low)
+            if low < thresholds[r]:
+                failing[r] = p
+        p += 1
+        live = [r for r in live if failing[r] is None and 2 * p <= caps[r]]
+    return [MomentVerdict(
+                is_stieltjes=f is None, failing_order=f, extremal_value=w,
+                detail=f"Hankel orders 0..{c // 2}, threshold {t:.3e}")
+            for f, w, c, t in zip(failing, worst, caps, thresholds)]
+
+
 def stieltjes_test(seq: _SequenceLike,
                    tol: float = DEFAULT_TOL) -> MomentVerdict:
     """Hankel positivity test for moments of a measure on [0, infinity).
@@ -316,34 +374,13 @@ def stieltjes_test(seq: _SequenceLike,
     At order p the matrices [gamma_(i+j)] and [gamma_(i+j+1)] for
     i, j = 0..p must both be positive semidefinite.  PSD means the least
     eigenvalue is >= -tol * (1 + max |gamma|).  failing_order is the
-    smallest violating p.
+    smallest violating p; the test stops there, and extremal_value is
+    the least eigenvalue over the blocks examined up to that order.
     """
     gamma = _values(seq)
-    nn = len(gamma) - 1
     if len(gamma) < 3:
         raise RangeError("stieltjes test needs at least 3 moments")
-    threshold = -tol * (1.0 + max(abs(g) for g in gamma))
-    worst = math.inf
-    failing: Optional[int] = None
-    p_top = nn // 2
-    for p in range(p_top + 1):
-        for shiftby in (0, 1):
-            top = 2 * p + shiftby
-            if top > nn:
-                continue
-            h = np.array([[gamma[i + j + shiftby] for j in range(p + 1)]
-                          for i in range(p + 1)])
-            low = float(np.linalg.eigvalsh(h)[0])
-            worst = min(worst, low)
-            if low < threshold and failing is None:
-                failing = p
-        if failing is not None:
-            break
-    return MomentVerdict(
-        is_stieltjes=failing is None,
-        failing_order=failing,
-        extremal_value=worst,
-        detail=f"Hankel orders 0..{p_top}, threshold {threshold:.3e}")
+    return _stieltjes_batch([gamma], tol)[0]
 
 
 def hausdorff_test(seq: _SequenceLike,
@@ -481,26 +518,6 @@ class SubnormalityReport:
     evidence: Mapping[str, object] = field(default_factory=dict)
 
 
-def _verdict_dict(v: PropertyVerdict) -> dict:
-    return {
-        "holds": v.holds,
-        "verified_depth": v.verified_depth,
-        "witness": list(v.witness) if v.witness else None,
-        "tolerance": v.tolerance,
-        "note": v.note,
-    }
-
-
-def _moment_verdict_dict(v: MomentVerdict) -> dict:
-    return {
-        "is_stieltjes": v.is_stieltjes,
-        "is_hausdorff": v.is_hausdorff,
-        "failing_order": v.failing_order,
-        "extremal_value": v.extremal_value,
-        "detail": v.detail,
-    }
-
-
 def _extension_integral(shift: WeightedShift) -> Optional[float]:
     """Integral of 1/t for the backward extension of the root dual tail:
     sum over root children of weight^2/(2 - norm^2), divided by the
@@ -570,8 +587,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                 "subnormal contraction: expansion identity plus sibling "
                 "norm constancy (decision path cdsubn)",
                 n - 2, nmax,
-                {"two_isometry": _verdict_dict(two),
-                 "kernel_condition": _verdict_dict(kc0),
+                {"two_isometry": two.to_dict(),
+                 "kernel_condition": kc0.to_dict(),
                  "representing_measure": measure.description,
                  "dual_root_moments": list(measure.moments.values)})
         if shift.is_adjacency:
@@ -582,8 +599,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                     "subnormal: quasi-Brownian adjacency isometry "
                     "(decision path BrownianG)",
                     n - 2, nmax,
-                    {"quasi_brownian": _verdict_dict(
-                        cls.quasi_brownian_isometry)})
+                    {"quasi_brownian":
+                        cls.quasi_brownian_isometry.to_dict()})
             l = comb_pattern_valency(tree)
             if l is not None:
                 root_seq = moment_sequence(shift, tree.root,
@@ -625,7 +642,7 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                     n - 2, nmax,
                     {"perturbation_order": k_found,
                      "root_sequence": list(root_seq.values),
-                     "root_stieltjes": _moment_verdict_dict(st),
+                     "root_stieltjes": st.to_dict(),
                      "extension_integral": integral})
             notes.append(
                 f"sibling constancy holds from generation {k_found} but "
@@ -643,19 +660,19 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         cap = min(nmax, n - 1 - tree.depth_at(i))
         if cap >= 2:
             plan.append((tree.label(i), i, cap))
+    verdicts: list[MomentVerdict] = []
     if plan:
         top = max(tree.depth_at(i) + cap for _, i, cap in plan)
         table = _power_norms(cauchy_dual(shift), top,
                              max(cap for _, _, cap in plan))
-    tested = []
-    failure = None
-    for u, i, cap in plan:
-        seq = MomentSequence(tuple(table[:cap + 1, i].tolist()))
-        v = stieltjes_test(seq, tol)
-        tested.append({"vertex": u, "nmax": cap,
-                       "stieltjes": _moment_verdict_dict(v)})
-        if not v.is_stieltjes and failure is None:
-            failure = (u, v)
+        # MomentSequence rejects non-finite moments
+        verdicts = _stieltjes_batch(
+            [MomentSequence(tuple(table[:cap + 1, i].tolist())).values
+             for _, i, cap in plan], tol)
+    tested = [{"vertex": u, "nmax": cap, "stieltjes": v.to_dict()}
+              for (u, _, cap), v in zip(plan, verdicts)]
+    failure = next(((u, v) for (u, _, _), v in zip(plan, verdicts)
+                    if not v.is_stieltjes), None)
     evidence = {"witnesses": tested, "notes": notes}
     if failure is not None:
         u, v = failure

@@ -366,6 +366,12 @@ class PropertyVerdict:
     note: str = ""
     details: Mapping[str, float] = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        """Report form of the verdict (``details`` is not reported)."""
+        return {"holds": self.holds, "verified_depth": self.verified_depth,
+                "witness": list(self.witness) if self.witness else None,
+                "tolerance": self.tolerance, "note": self.note}
+
 
 def _scaled(residual: float, lhs: float) -> float:
     return residual / (1.0 + abs(lhs))

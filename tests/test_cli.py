@@ -65,6 +65,8 @@ def test_parse_defaults_tree_from_weight_kind():
     ('{"weights":{"kind":"dirichlet"},"tolerances":{"tol":-1}}',
      "$.tolerances.tol"),
     ('{"weights":{"kind":"kernel_condition"}}', "$.weights.x"),
+    ('{"weights":{"kind":"dirichlet"},"commands":[{"name":"check-2iso"}],'
+     '"output":{"json":"r.json"}}', "$.output"),
 ])
 def test_parse_errors_carry_json_paths(text, path_fragment):
     with pytest.raises(SpecParseError) as err:
