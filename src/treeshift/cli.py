@@ -13,6 +13,7 @@ conclusion; 2 = configuration or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -113,7 +115,24 @@ def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecParseError(f"expected a number, got {value!r}",
                              json_path=path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise SpecParseError("expected a number within the float range",
+                             json_path=path) from exc
+
+
+def _tolerance(value: Any) -> float:
+    """A tolerance: finite and > 0.  Checks both the spec's
+    ``tolerances.tol`` and the ``--tol`` string."""
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tol must be a finite number > 0, got {value!r}")
+    return tol
 
 
 def _as_bool(value: Any, path: str) -> bool:
@@ -250,7 +269,11 @@ def _parse_weights(obj: Any, path: str) -> WeightSpec:
             raise SpecParseError(
                 "values must map vertex ids to numbers",
                 json_path=f"{path}.values")
-        kwargs["values"] = {k: float(v) for k, v in values.items()}
+        try:
+            kwargs["values"] = {k: float(v) for k, v in values.items()}
+        except OverflowError as exc:
+            raise SpecParseError("values must be within the float range",
+                                 json_path=f"{path}.values") from exc
     if kind == "kernel_condition":
         kwargs["x"] = _as_number(_require(obj, "x", path), f"{path}.x")
         if "split" in obj:
@@ -349,31 +372,13 @@ def parse_spec(text: str) -> RunSpec:
                                  json_path="$.tolerances")
         _reject_unknown(tols, {"tol"}, "$.tolerances")
         if "tol" in tols:
-            tolerance = _as_number(tols["tol"], "$.tolerances.tol")
-            if tolerance <= 0:
-                raise SpecParseError("tol must be > 0",
-                                     json_path="$.tolerances.tol")
+            try:
+                tolerance = _tolerance(_as_number(tols["tol"],
+                                                  "$.tolerances.tol"))
+            except argparse.ArgumentTypeError as exc:
+                raise SpecParseError(str(exc),
+                                     json_path="$.tolerances.tol") from exc
     return RunSpec(tree, weights, tuple(commands), tolerance)
-
-
-# ---------------------------------------------------------------------------
-# verdict serialization helpers
-# ---------------------------------------------------------------------------
-
-def _table1_dict(rep) -> dict:
-    return {"row": rep.row, "holds": rep.holds,
-            "max_abs_error": rep.max_abs_error, "nmax": rep.nmax,
-            "tolerance": rep.tolerance, "checked": rep.checked,
-            "verified_depth": rep.verified_depth,
-            "per_order": [list(t) for t in rep.per_order],
-            "note": rep.note}
-
-
-def _sub_dict(rep) -> dict:
-    return {"verdict": rep.verdict, "conclusive": rep.conclusive,
-            "decision_path": rep.decision_path, "statement": rep.statement,
-            "verified_depth": rep.verified_depth, "nmax": rep.nmax,
-            "evidence": rep.evidence}
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +523,7 @@ class _Suite:
             status = "passed" if rep.verdict != "not-subnormal" else "failed"
         else:
             status = "passed" if rep.verdict == expect else "failed"
-        return (_sub_dict(rep), status)
+        return (rep.to_dict(), status)
 
     def _cmd_verify_table1(self, params) -> tuple[dict, str]:
         if self.check_state.get("check-2iso") is False:
@@ -537,7 +542,7 @@ class _Suite:
         else:
             shift = self.shift
         rep = verify_table1(shift, row, nmax, tol=self.tol)
-        return (_table1_dict(rep), "passed" if rep.holds else "failed")
+        return (rep.to_dict(), "passed" if rep.holds else "failed")
 
     def _cmd_demo(self, params) -> tuple[dict, str]:
         payload, code = run_demo(params["demo"], tol=self.tol,
@@ -612,10 +617,10 @@ def _demo_dirichlet(tol: float, nmax: int) -> _DemoOutcome:
                  f"{vt.max_abs_error:.3e}")
     return _DemoOutcome(statement, ok, {
         "two_isometry": two.to_dict(), "kernel_condition": kc0.to_dict(),
-        "subnormality": _sub_dict(rep),
+        "subnormality": rep.to_dict(),
         "dual_moments": list(seq.values),
         "dual_moment_max_deviation_from_1_over_n_plus_1": dev,
-        "table_row_check": _table1_dict(vt)}, seq)
+        "table_row_check": vt.to_dict()}, seq)
 
 
 def _demo_bergman_dual(tol: float, nmax: int) -> _DemoOutcome:
@@ -683,7 +688,7 @@ def _demo_treiso(tol: float, nmax: int) -> _DemoOutcome:
         "two_isometry": two.to_dict(),
         "dual_b4_root_entry": root_entry,
         "dual_b4_expected": target,
-        "subnormality": _sub_dict(rep)})
+        "subnormality": rep.to_dict()})
 
 
 def _demo_glowny(tol: float, nmax: int) -> _DemoOutcome:
@@ -721,7 +726,7 @@ def _demo_glowny(tol: float, nmax: int) -> _DemoOutcome:
         "kernel_condition_k1": kc1.to_dict(),
         "cauchy_schwarz_sum": cs, "root_norm_fourth_power": n4,
         "closed_form_max_deviation": dev_pk,
-        "subnormality": _sub_dict(rep)})
+        "subnormality": rep.to_dict()})
 
 
 def _demo_przadj(tol: float, nmax: int) -> _DemoOutcome:
@@ -766,7 +771,7 @@ def _demo_przadj(tol: float, nmax: int) -> _DemoOutcome:
         "root_sequence": list(root_seq.values),
         "root_max_deviation_from_shifted_rho_moments": dev_root,
         "root_stieltjes": st.to_dict(),
-        "subnormality": _sub_dict(rep)}, root_seq)
+        "subnormality": rep.to_dict()}, root_seq)
 
 
 def _demo_nbnkcsub(valency: int, tol: float, nmax: int) -> _DemoOutcome:
@@ -784,7 +789,7 @@ def _demo_nbnkcsub(valency: int, tol: float, nmax: int) -> _DemoOutcome:
         "root_sequence": list(root_seq.values),
         "closed_form_max_deviation": dev,
         "stieltjes": st.to_dict(),
-        "subnormality": _sub_dict(rep)}
+        "subnormality": rep.to_dict()}
     ok = (dev < 1e-10 and st.is_stieltjes
           and rep.verdict == "subnormal"
           and rep.decision_path == expected_path)
@@ -796,8 +801,8 @@ def _demo_nbnkcsub(valency: int, tol: float, nmax: int) -> _DemoOutcome:
                                    tol=tol)
         vt_qb = verify_table1(shift, "quasi_brownian", nmax=8, tol=tol)
         evidence["row_agreement_max_gap"] = gap
-        evidence["pattern_row_check"] = _table1_dict(vt_pattern)
-        evidence["quasi_brownian_row_check"] = _table1_dict(vt_qb)
+        evidence["pattern_row_check"] = vt_pattern.to_dict()
+        evidence["quasi_brownian_row_check"] = vt_qb.to_dict()
         ok = ok and gap < 1e-12 and vt_pattern.holds and vt_qb.holds
         statement = (f"subnormal (decision path BrownianG): the valency-2 "
                      f"comb is a quasi-Brownian tree, and the pattern and "
@@ -832,7 +837,7 @@ def _demo_brownian_shift(tol: float, nmax: int) -> _DemoOutcome:
                  f"dual is subnormal (quasi-Brownian class)")
     return _DemoOutcome(statement, ok, {
         "sigma": sigma, "t": t,
-        "table_row_check": _table1_dict(vt),
+        "table_row_check": vt.to_dict(),
         "b2_interior_max": b2_norm,
         "dual_first_moment_at_c": r1,
         "expected_r1": closed_form_table1("quasi_brownian", t, 1)})
@@ -905,7 +910,7 @@ def _demo_mewa_distinction(tol: float, nmax: int) -> _DemoOutcome:
         "quasi_brownian_isometry": cls.quasi_brownian_isometry.to_dict(),
         "brownian_isometry": cls.brownian_isometry.to_dict(),
         "isometry": cls.isometry.to_dict(),
-        "subnormality": _sub_dict(rep)})
+        "subnormality": rep.to_dict()})
 
 
 def _demo_sl_chm(tol: float, nmax: int) -> _DemoOutcome:
@@ -997,7 +1002,89 @@ def _write_csv(path: str, seq: Sequence[float]) -> None:
             fh.write(f"{n},{v!r}\n")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+class _Fallback(Exception):
+    """The report holds something only ``json.dumps`` renders exactly."""
+
+
+_CONTAINERS = frozenset((dict, list, tuple))
+# the exact types of JSON values; any other type is checked for being a
+# container subclass, which only json.dumps renders exactly
+_PLAIN = _CONTAINERS | {str, int, float, bool, type(None)}
+
+
+@functools.lru_cache(maxsize=None)
+def _level(level: int) -> tuple[Callable[[Any, int], Sequence[str]], str,
+                                 str, str]:
+    """For a container opened at indent ``level``: the C encoder that
+    writes its items one per line, the line break after its opening
+    bracket, the item separator, and the line break before its closing
+    bracket."""
+    separator = ",\n" + "  " * (level + 1)
+    encode = c_make_encoder(None, json.JSONEncoder().default,
+                            encode_basestring_ascii, None, ": ", separator,
+                            True, False, True)
+    return encode, separator[1:], separator, "\n" + "  " * level
+
+
+def _render(obj: Any, level: int) -> str:
+    """The indent-2 rendering of obj, a non-empty dict, list or tuple
+    that starts at indent level.
+
+    The C encoder writes obj in one call with every non-empty container
+    in it replaced by 0; its items then sit one per line, and the walk
+    puts each nested rendering in place of its 0.  Encoded strings hold
+    no raw line break, so the item separator splits the items exactly,
+    and ``sorted`` orders the keys as the encoder's ``sort_keys`` does."""
+    is_dict = type(obj) is dict
+    kinds = set(map(type, obj.values() if is_dict else obj))
+    if not kinds <= _PLAIN and any(issubclass(k, (dict, list, tuple))
+                                   for k in kinds - _PLAIN):
+        raise _Fallback
+    encode, opening, separator, closing = _level(level)
+    if kinds.isdisjoint(_CONTAINERS):
+        body = "".join(encode(obj, level))[1:-1]
+    elif is_dict:
+        nested = [k for k, v in obj.items() if type(v) in _CONTAINERS and v]
+        shallow = {**obj, **dict.fromkeys(nested, 0)}
+        items = "".join(encode(shallow, level))[1:-1].split(separator)
+        keys = sorted(obj)
+        for k in nested:
+            i = keys.index(k)
+            items[i] = items[i][:-1] + _render(obj[k], level + 1)
+        body = separator.join(items)
+    else:
+        nested = [i for i, v in enumerate(obj)
+                  if type(v) in _CONTAINERS and v]
+        shallow = list(obj)
+        for i in nested:
+            shallow[i] = 0
+        items = "".join(encode(shallow, level))[1:-1].split(separator)
+        for i in nested:
+            items[i] = items[i][:-1] + _render(obj[i], level + 1)
+        body = separator.join(items)
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}{opening}{body}{closing}{brackets[1]}"
+
+
+def _render_report(obj: Any) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    With ``indent``, ``json`` encodes in pure Python; here the C encoder
+    writes every container, and only the nesting of non-empty containers
+    is walked in Python.  Whatever the walk cannot render exactly (no C
+    encoder, a container subclass, a cycle) goes to ``json.dumps``
+    whole."""
+    if c_make_encoder is not None and type(obj) in _CONTAINERS and obj:
+        try:
+            return _render(obj, 0)
+        except (_Fallback, RecursionError):
+            pass
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="treeshift",
         description="Weighted shifts on rooted trees: property checks, "
@@ -1012,14 +1099,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--csv", metavar="PATH",
                         help="write the last computed moment sequence as "
                              "CSV (header n,value)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (default 1e-9, relative)")
+    parser.add_argument("--tol", type=_tolerance, default=None,
+                        help="tolerance override, finite and > 0 "
+                             "(default 1e-9, relative)")
     parser.add_argument("--nmax", type=int, default=12,
                         help="default moment order (default 12)")
     parser.add_argument("--depth", type=int, default=None,
                         help="materialization depth override")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress stdout report")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if (args.spec is None) == (args.demo is None):
@@ -1072,7 +1165,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rendered = json.dumps(report, sort_keys=True, indent=2)
+    rendered = _render_report(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -217,6 +217,15 @@ class Table1Report:
     per_order: tuple[tuple[int, float, int], ...]
     note: str = ""
 
+    def to_dict(self) -> dict:
+        """Report form of the comparison."""
+        return {"row": self.row, "holds": self.holds,
+                "max_abs_error": self.max_abs_error, "nmax": self.nmax,
+                "tolerance": self.tolerance, "checked": self.checked,
+                "verified_depth": self.verified_depth,
+                "per_order": [list(t) for t in self.per_order],
+                "note": self.note}
+
 
 def _require_row_membership(shift: WeightedShift, row: str,
                             tol: float) -> str:

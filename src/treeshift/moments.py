@@ -517,6 +517,14 @@ class SubnormalityReport:
     nmax: int
     evidence: Mapping[str, object] = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        """Report form of the decision."""
+        return {"verdict": self.verdict, "conclusive": self.conclusive,
+                "decision_path": self.decision_path,
+                "statement": self.statement,
+                "verified_depth": self.verified_depth, "nmax": self.nmax,
+                "evidence": self.evidence}
+
 
 def _extension_integral(shift: WeightedShift) -> Optional[float]:
     """Integral of 1/t for the backward extension of the root dual tail:

@@ -84,8 +84,8 @@ class WeightedShift:
 
     The weights are one float array in the tree's canonical vertex
     order (``weight_array``; its root entry is 0 and carries no
-    meaning).  ``squared_weights`` and ``vertex_norms`` are computed on
-    first use and kept.
+    meaning).  ``squared_weights``, ``vertex_norms`` and
+    ``squared_norms`` are computed on first use and kept.
     """
 
     def __init__(self, tree: DirectedTree, weights: Mapping[str, float],
@@ -152,6 +152,14 @@ class WeightedShift:
                                     minlength=self._tree.vertex_count))
         norms.flags.writeable = False
         return norms
+
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """``vertex_norms`` squared, through the same libm pow as
+        ``vertex_norm(shift, v) ** 2``."""
+        squares = _squared(self.vertex_norms)
+        squares.flags.writeable = False
+        return squares
 
     def weight(self, vid: str) -> float:
         try:
@@ -392,7 +400,7 @@ def is_two_isometry(shift: WeightedShift,
     if shift.has_zero_weights:
         note += "; zero weights present"
     kids = slice(1, int(off[n]))
-    terms = shift.squared_weights[kids] * (2.0 - _squared(norms[kids]))
+    terms = shift.squared_weights[kids] * (2.0 - shift.squared_norms[kids])
     lhs = np.bincount(tree.parents[kids], weights=terms,
                       minlength=int(off[n - 1]))[:off[n - 1]]
     res = np.abs(lhs - 1.0) / (1.0 + np.abs(lhs))
@@ -494,7 +502,7 @@ def cauchy_dual(shift: WeightedShift) -> WeightedShift:
             f"vertex norm is 0 at {tree.label(zero)!r}; the shift is not "
             f"left invertible")
     w = np.zeros(tree.vertex_count)
-    w[1:] = shift.weight_array[1:] / _squared(norms[tree.parents[1:]])
+    w[1:] = shift.weight_array[1:] / shift.squared_norms[tree.parents[1:]]
     return WeightedShift.from_array(
         tree, w, name=f"dual({shift.name})" if shift.name else None)
 

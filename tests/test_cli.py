@@ -64,6 +64,18 @@ def test_parse_defaults_tree_from_weight_kind():
      "$.commands[0].row"),
     ('{"weights":{"kind":"dirichlet"},"tolerances":{"tol":-1}}',
      "$.tolerances.tol"),
+    ('{"weights":{"kind":"dirichlet"},"tolerances":{"tol":0}}',
+     "$.tolerances.tol"),
+    ('{"weights":{"kind":"dirichlet"},"tolerances":{"tol":NaN}}',
+     "$.tolerances.tol"),
+    ('{"weights":{"kind":"dirichlet"},"tolerances":{"tol":Infinity}}',
+     "$.tolerances.tol"),
+    ('{"weights":{"kind":"dirichlet"},"tolerances":{"tol":1' + '0' * 400
+     + '}}', "$.tolerances.tol"),
+    ('{"weights":{"kind":"kernel_condition","x":1' + '0' * 400 + '}}',
+     "$.weights.x"),
+    ('{"weights":{"kind":"explicit","values":{"g1:0":1' + '0' * 400
+     + '}},"tree":{"kind":"path","depth":1}}', "$.weights.values"),
     ('{"weights":{"kind":"kernel_condition"}}', "$.weights.x"),
     ('{"weights":{"kind":"dirichlet"},"commands":[{"name":"check-2iso"}],'
      '"output":{"json":"r.json"}}', "$.output"),
@@ -311,6 +323,16 @@ def test_main_tol_and_nmax_flags(tmp_path, capsys):
                   "--out", str(tmp_path / "r2.json")])
     assert code2 == 0
     assert json.loads((tmp_path / "r2.json").read_text())["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, tol):
+    spec_file = tmp_path / "s.json"
+    spec_file.write_text(VALID_MIN)
+    with pytest.raises(SystemExit) as exc:
+        main(["--spec", str(spec_file), "--quiet", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol: tol must be a finite number > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,path", [

@@ -1,0 +1,136 @@
+"""Report rendering: ``_render_report`` is ``json.dumps(sort_keys=True,
+indent=2)`` byte for byte, and ``main`` behaves the same on every call
+of one process."""
+import collections
+import contextlib
+import io
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treeshift import cli
+from treeshift.cli import (DEMO_NAMES, _render_report, main, parse_spec,
+                           run_demo, run_suite)
+
+SPECS = Path(__file__).resolve().parent / "golden" / "specs"
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _outcome(render, obj):
+    """The rendered text, or the type of the error rendering raised."""
+    try:
+        return render(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_text = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n\t\r\x00\x1f", " ", "café", "\U0001f600",
+     "a\"b\\c\nd"])
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+            | _text)
+# keys of one dict must be mutually comparable, as sort_keys needs
+_keys = [_text, st.integers() | st.floats() | st.booleans(), st.none()]
+
+
+def _containers(children):
+    return (st.lists(children, max_size=5)
+            | st.lists(children, max_size=5).map(tuple)
+            | st.one_of(*(st.dictionaries(k, children, max_size=5)
+                          for k in _keys)))
+
+
+_reports = st.recursive(_scalars, _containers, max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reports)
+def test_render_matches_json_dumps(obj):
+    assert _outcome(_render_report, obj) == _outcome(_dumps, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": {1: [2], 2.5: 4, True: None}},         # non-str keys, walked
+    {"a": [1], None: 2},                         # keys that cannot sort
+    {"a": collections.OrderedDict(b=[1])},       # dict subclass
+    [collections.UserList([1]), [2]],            # not a JSON container
+    {"a": [], "b": {"c": [()]}},
+    "text", 1.5, [], {},
+])
+def test_render_edge_cases_match_json_dumps(obj):
+    assert _outcome(_render_report, obj) == _outcome(_dumps, obj)
+
+
+def test_render_falls_back_to_json_dumps(monkeypatch):
+    cycle: list = [[1]]
+    cycle.append(cycle)
+    assert _outcome(_render_report, cycle) is ValueError
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    assert _render_report({"a": [1, {"b": 2}]}) == _dumps(
+        {"a": [1, {"b": 2}]})
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_render_matches_json_dumps_on_demo_reports(name):
+    payload, code = run_demo(name)
+    report = {"tool": "treeshift", "tolerance": 1e-9, "results": [payload],
+              "exit_code": code}
+    assert _render_report(report) == _dumps(report)
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_render_matches_json_dumps_on_spec_reports(path):
+    report, _ = run_suite(parse_spec(path.read_text(encoding="utf-8")))
+    assert _render_report(report) == _dumps(report)
+
+
+def _strip_timing(text):
+    def strip(value):
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items()
+                    if k != "wall_clock_s"}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+    return strip(json.loads(text)) if text.strip() else text
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, _strip_timing(out.getvalue()), err.getvalue()
+
+
+def _fresh(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeshift", *argv], capture_output=True,
+        text=True, timeout=120, env={"PYTHONPATH": str(src),
+                                     "OPENBLAS_NUM_THREADS": "1"})
+    return proc.returncode, _strip_timing(proc.stdout), proc.stderr
+
+
+def test_repeated_main_calls_behave_like_fresh_calls(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"weights":{"kind":"dirichlet"},'
+                    '"commands":[{"name":"check-2iso"}]}', encoding="utf-8")
+    calls = [[], ["--spec", str(spec)], ["--demo", "two-plus-three"],
+             ["--demo", "two-plus-three", "--tol", "0"]]
+    repeated = [_in_process(argv) for argv in calls]
+    assert [code for code, _, _ in repeated] == [2, 0, 0, 2]
+    assert repeated == [_fresh(argv) for argv in calls]
