@@ -49,22 +49,6 @@ from .trees import (MAX_VERTICES, TreeSpec, classify_tree, comb_tree_spec,
 __all__ = ["RunSpec", "CommandRecord", "parse_spec", "run_suite", "run_demo",
            "main", "DEMO_NAMES"]
 
-_COMMAND_PARAMS: dict[str, set[str]] = {
-    "materialize": set(),
-    "classify-tree": set(),
-    "check-2iso": {"expect"},
-    "check-kernel": {"k", "expect"},
-    "cauchy-dual": set(),
-    "moments": {"vertex", "nmax", "dual"},
-    "classify-adjacency": set(),
-    "invariants": set(),
-    "equivalent": {"other", "expect"},
-    "dual-subnormality": {"nmax", "expect"},
-    "verify-table1": {"row", "nmax", "depth"},
-    "demo": {"demo"},
-}
-
-
 @dataclass(frozen=True)
 class CommandRecord:
     name: str
@@ -123,16 +107,24 @@ def _as_number(value: Any, path: str) -> float:
 
 
 def _tolerance(value: Any) -> float:
-    """A tolerance: finite and > 0.  Checks both the spec's
-    ``tolerances.tol`` and the ``--tol`` string."""
+    """A tolerance: finite and > 0.  Checks ``--tol``, the spec's
+    ``tolerances.tol`` and the ``tol`` of run_suite and run_demo."""
     try:
         tol = float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(
+        raise ConfigurationError(
             f"tol must be a finite number > 0, got {value!r}")
     return tol
+
+
+def _tolerance_arg(text: str) -> float:
+    """``--tol``: argparse reports a bad value as a usage error."""
+    try:
+        return _tolerance(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _as_bool(value: Any, path: str) -> bool:
@@ -155,13 +147,6 @@ def _as_vertex(value: Any, path: str) -> Any:
         f"{value!r}", json_path=path)
 
 
-# command parameters checked by type at parse time
-_PARAM_TYPES: dict[str, Callable[[Any, str], Any]] = {
-    "nmax": _as_int, "k": _as_int, "depth": _as_int, "dual": _as_bool,
-    "vertex": _as_vertex,
-}
-
-
 def _check_size(tree: TreeSpec, depth: Optional[int], what: str) -> None:
     """Refuse, before materializing, a tree above MAX_VERTICES."""
     count = spec_vertex_count(tree, depth)
@@ -172,161 +157,112 @@ def _check_size(tree: TreeSpec, depth: Optional[int], what: str) -> None:
             f"{MAX_VERTICES}", json_path=f"$.tree.{field}")
 
 
-_TREE_KEYS: dict[str, set[str]] = {
-    "path": {"kind", "depth"},
-    "t_eta_kappa": {"kind", "eta", "kappa", "depth"},
-    "quasi_brownian": {"kind", "valency", "depth"},
-    "explicit": {"kind", "edges", "depth"},
-    "generation_rule": {"kind", "rule", "depth"},
-}
-
-
-def _parse_tree(obj: Any, path: str) -> TreeSpec:
-    if not isinstance(obj, dict):
-        raise SpecParseError("tree section must be an object", json_path=path)
-    kind = _require(obj, "kind", path)
-    if kind not in _TREE_KEYS:
+def _as_edges(value: Any, path: str) -> tuple[tuple[str, str], ...]:
+    if (not isinstance(value, list)
+            or not all(isinstance(e, list) and len(e) == 2
+                       and all(isinstance(x, str) for x in e)
+                       for e in value)):
         raise SpecParseError(
-            f"unknown tree kind {kind!r} (expected one of "
-            f"{sorted(_TREE_KEYS)})", json_path=f"{path}.kind")
-    _reject_unknown(obj, _TREE_KEYS[kind], path)
-    depth = None
-    if "depth" in obj:
-        depth = _as_int(obj["depth"], f"{path}.depth", minimum=0)
-    elif kind != "explicit":
-        raise SpecParseError("missing required field 'depth'",
-                             json_path=f"{path}.depth")
-    try:
-        if kind == "path":
-            return TreeSpec("path", depth=depth)
-        if kind == "t_eta_kappa":
-            eta = _as_int(_require(obj, "eta", path), f"{path}.eta")
-            kappa = _as_int(obj.get("kappa", 0), f"{path}.kappa")
-            return TreeSpec("t_eta_kappa", eta=eta, kappa=kappa, depth=depth)
-        if kind == "quasi_brownian":
-            valency = _as_int(_require(obj, "valency", path),
-                              f"{path}.valency")
-            return TreeSpec("quasi_brownian", valency=valency, depth=depth)
-        if kind == "explicit":
-            edges_raw = _require(obj, "edges", path)
-            if (not isinstance(edges_raw, list)
-                    or not all(isinstance(e, list) and len(e) == 2
-                               and all(isinstance(x, str) for x in e)
-                               for e in edges_raw)):
-                raise SpecParseError(
-                    "edges must be a list of [parent, child] string pairs",
-                    json_path=f"{path}.edges")
-            edges = tuple((p, c) for p, c in edges_raw)
-            if depth is None:
-                depth = len(edges)  # upper bound; tightened below
-                probe = materialize(TreeSpec("explicit", edges=edges,
-                                             depth=depth))
-                depth = max(g for g in range(depth + 1)
-                            if probe.generations()[g])
-            return TreeSpec("explicit", edges=edges, depth=depth)
-        rule_raw = _require(obj, "rule", path)
-        if (not isinstance(rule_raw, list)
-                or not all(isinstance(r, list) for r in rule_raw)
-                or not set(map(type, chain.from_iterable(rule_raw)))
-                <= {int}):
-            raise SpecParseError(
-                "rule must be a list of per-generation child-count lists",
-                json_path=f"{path}.rule")
-        return TreeSpec("generation_rule",
-                        rule=tuple(tuple(r) for r in rule_raw), depth=depth)
-    except (ConfigurationError, DomainError) as exc:
-        raise SpecParseError(str(exc), json_path=path) from exc
+            "edges must be a list of [parent, child] string pairs",
+            json_path=path)
+    return tuple((p, c) for p, c in value)
 
 
-_WEIGHT_KEYS: dict[str, set[str]] = {
-    "explicit": {"kind", "values"},
-    "adjacency": {"kind"},
-    "kernel_condition": {"kind", "x", "split", "proportions"},
-    "glowny": {"kind", "y1", "y2"},
-    "dirichlet": {"kind"},
-    "bergman_dual": {"kind"},
-    "treiso": {"kind"},
-}
+def _as_rule(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
+    if (not isinstance(value, list)
+            or not all(isinstance(r, list) for r in value)
+            or not set(map(type, chain.from_iterable(value))) <= {int}):
+        raise SpecParseError(
+            "rule must be a list of per-generation child-count lists",
+            json_path=path)
+    return tuple(tuple(r) for r in value)
 
 
-def _parse_weights(obj: Any, path: str) -> WeightSpec:
-    if not isinstance(obj, dict):
-        raise SpecParseError("weights section must be an object",
+def _as_values(value: Any, path: str) -> dict[str, float]:
+    if (not isinstance(value, dict)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in value.values())):
+        raise SpecParseError("values must map vertex ids to numbers",
                              json_path=path)
-    kind = _require(obj, "kind", path)
-    if kind not in _WEIGHT_KEYS:
-        raise SpecParseError(
-            f"unknown weight kind {kind!r} (expected one of "
-            f"{sorted(_WEIGHT_KEYS)})", json_path=f"{path}.kind")
-    _reject_unknown(obj, _WEIGHT_KEYS[kind], path)
-    kwargs: dict[str, Any] = {}
-    if kind == "explicit":
-        values = _require(obj, "values", path)
-        if (not isinstance(values, dict)
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool)
-                           for v in values.values())):
-            raise SpecParseError(
-                "values must map vertex ids to numbers",
-                json_path=f"{path}.values")
-        try:
-            kwargs["values"] = {k: float(v) for k, v in values.items()}
-        except OverflowError as exc:
-            raise SpecParseError("values must be within the float range",
-                                 json_path=f"{path}.values") from exc
-    if kind == "kernel_condition":
-        kwargs["x"] = _as_number(_require(obj, "x", path), f"{path}.x")
-        if "split" in obj:
-            kwargs["split"] = obj["split"]
-        if "proportions" in obj:
-            props = obj["proportions"]
-            if not isinstance(props, dict):
-                raise SpecParseError("proportions must be an object",
-                                     json_path=f"{path}.proportions")
-            kwargs["proportions"] = {k: _as_number(v,
-                                                   f"{path}.proportions.{k}")
-                                     for k, v in props.items()}
-    if kind == "glowny":
-        if "y1" in obj:
-            kwargs["y1"] = _as_number(obj["y1"], f"{path}.y1")
-        if "y2" in obj:
-            kwargs["y2"] = _as_number(obj["y2"], f"{path}.y2")
     try:
-        return WeightSpec(kind=kind, **kwargs)
+        return {k: float(v) for k, v in value.items()}
+    except OverflowError as exc:
+        raise SpecParseError("values must be within the float range",
+                             json_path=path) from exc
+
+
+def _as_proportions(value: Any, path: str) -> dict[str, float]:
+    if not isinstance(value, dict):
+        raise SpecParseError("proportions must be an object", json_path=path)
+    return {k: _as_number(v, f"{path}.{k}") for k, v in value.items()}
+
+
+def _as_other(value: Any, path: str) -> dict[str, Any]:
+    """The second shift of ``equivalent``: a tree and its weights."""
+    if not isinstance(value, dict):
+        raise SpecParseError("'other' must be an object with tree and "
+                             "weights", json_path=path)
+    _reject_unknown(value, {"tree", "weights"}, path)
+    return {"tree": _parse_section(_require(value, "tree", path),
+                                   f"{path}.tree", TreeSpec),
+            "weights": _parse_section(_require(value, "weights", path),
+                                      f"{path}.weights", WeightSpec)}
+
+
+# the JSON type of every tree field, weight field and command parameter
+# that is checked at parse time; the others are passed on as given
+_FIELD_TYPES: dict[str, Callable[[Any, str], Any]] = {
+    "depth": functools.partial(_as_int, minimum=0), "eta": _as_int,
+    "kappa": _as_int, "valency": _as_int, "edges": _as_edges,
+    "rule": _as_rule, "values": _as_values, "x": _as_number,
+    "proportions": _as_proportions, "y1": _as_number, "y2": _as_number,
+    "nmax": _as_int, "k": _as_int, "dual": _as_bool, "vertex": _as_vertex,
+    "other": _as_other,
+}
+
+
+def _parse_fields(obj: Any, path: str, key: str,
+                  fields: Mapping[str, tuple[tuple[str, ...], ...]]
+                  ) -> tuple[str, dict[str, Any]]:
+    """Check a tree, weights or command object against the schema
+    ``fields``: ``obj[key]`` names an entry whose last two items are its
+    required and its optional fields, checked in that order.  Returns
+    the name and the fields present, converted through _FIELD_TYPES."""
+    if not isinstance(obj, dict):
+        raise SpecParseError("expected an object", json_path=path)
+    name = _require(obj, key, path)
+    if name not in fields:
+        raise SpecParseError(
+            f"unknown {key} {name!r} (expected one of {sorted(fields)})",
+            json_path=f"{path}.{key}")
+    required, optional = fields[name][-2:]
+    _reject_unknown(obj, {key, *required, *optional}, path)
+    values = {}
+    for f in required + optional:
+        if f in obj:
+            convert = _FIELD_TYPES.get(f)
+            values[f] = (obj[f] if convert is None
+                         else convert(obj[f], f"{path}.{f}"))
+        elif f in required:
+            raise SpecParseError(f"missing required field {f!r}",
+                                 json_path=f"{path}.{f}")
+    return name, values
+
+
+def _parse_section(obj: Any, path: str, cls: type) -> Any:
+    """A TreeSpec or WeightSpec from its JSON object, checked against
+    ``cls.KIND_FIELDS``."""
+    kind, values = _parse_fields(obj, path, "kind", cls.KIND_FIELDS)
+    try:
+        if cls is TreeSpec and kind == "explicit" and "depth" not in values:
+            depth = len(values["edges"])  # upper bound; tightened below
+            probe = materialize(TreeSpec(kind, edges=values["edges"],
+                                         depth=depth))
+            values["depth"] = max(g for g in range(depth + 1)
+                                  if probe.generations()[g])
+        return cls(kind, **values)
     except (ConfigurationError, DomainError) as exc:
         raise SpecParseError(str(exc), json_path=path) from exc
-
-
-def _parse_command(obj: Any, path: str) -> CommandRecord:
-    if not isinstance(obj, dict):
-        raise SpecParseError("command must be an object", json_path=path)
-    name = _require(obj, "name", path)
-    if name not in _COMMAND_PARAMS:
-        raise SpecParseError(
-            f"unknown command {name!r} (expected one of "
-            f"{sorted(_COMMAND_PARAMS)})", json_path=f"{path}.name")
-    _reject_unknown(obj, _COMMAND_PARAMS[name] | {"name"}, path)
-    params = {k: _PARAM_TYPES[k](v, f"{path}.{k}") if k in _PARAM_TYPES
-              else v for k, v in obj.items() if k != "name"}
-    if name == "verify-table1":
-        _require(obj, "row", path)
-    if name == "demo":
-        _require(obj, "demo", path)
-    if name == "equivalent":
-        other = _require(obj, "other", path)
-        if not isinstance(other, dict):
-            raise SpecParseError("'other' must be an object with tree and "
-                                 "weights", json_path=f"{path}.other")
-        _reject_unknown(other, {"tree", "weights"}, f"{path}.other")
-        params = dict(params)
-        params["other"] = {
-            "tree": _parse_tree(_require(other, "tree", f"{path}.other"),
-                                f"{path}.other.tree"),
-            "weights": _parse_weights(
-                _require(other, "weights", f"{path}.other"),
-                f"{path}.other.weights"),
-        }
-    return CommandRecord(name, params)
 
 
 _DEFAULT_TREES: dict[str, TreeSpec] = {
@@ -347,9 +283,10 @@ def parse_spec(text: str) -> RunSpec:
     if not isinstance(doc, dict):
         raise SpecParseError("top level must be an object", json_path="$")
     _reject_unknown(doc, {"tree", "weights", "commands", "tolerances"}, "$")
-    weights = _parse_weights(_require(doc, "weights", "$"), "$.weights")
+    weights = _parse_section(_require(doc, "weights", "$"), "$.weights",
+                             WeightSpec)
     if "tree" in doc:
-        tree = _parse_tree(doc["tree"], "$.tree")
+        tree = _parse_section(doc["tree"], "$.tree", TreeSpec)
     else:
         tree = _DEFAULT_TREES.get(weights.kind)
         if tree is None:
@@ -363,7 +300,8 @@ def parse_spec(text: str) -> RunSpec:
         raise SpecParseError("commands must be a list",
                              json_path="$.commands")
     for i, c in enumerate(raw_commands):
-        commands.append(_parse_command(c, f"$.commands[{i}]"))
+        commands.append(CommandRecord(*_parse_fields(
+            c, f"$.commands[{i}]", "name", _Suite.COMMANDS)))
     tolerance = DEFAULT_TOL
     if "tolerances" in doc:
         tols = doc["tolerances"]
@@ -375,7 +313,7 @@ def parse_spec(text: str) -> RunSpec:
             try:
                 tolerance = _tolerance(_as_number(tols["tol"],
                                                   "$.tolerances.tol"))
-            except argparse.ArgumentTypeError as exc:
+            except ConfigurationError as exc:
                 raise SpecParseError(str(exc),
                                      json_path="$.tolerances.tol") from exc
     return RunSpec(tree, weights, tuple(commands), tolerance)
@@ -414,11 +352,8 @@ class _Suite:
             f"vertex must be an id string or a child-index list, got "
             f"{spec_vertex!r}")
 
-    # each executor returns (payload, status) with status in
-    # {"passed", "failed", "skipped"}
     def execute(self, cmd: CommandRecord) -> tuple[dict, str]:
-        handler = getattr(self, "_cmd_" + cmd.name.replace("-", "_"))
-        return handler(cmd.params)
+        return self.COMMANDS[cmd.name][0](self, cmd.params)
 
     @staticmethod
     def _status(actual: bool, expect: Any) -> str:
@@ -493,8 +428,7 @@ class _Suite:
         inv = shift_invariants(self.shift, self.tol)
         return ({"root_norm": inv.root_norm,
                  "branching": list(inv.branching),
-                 "verified_depth": inv.verified_depth,
-                 "truncated": inv.truncated}, "passed")
+                 "verified_depth": inv.verified_depth}, "passed")
 
     def _cmd_equivalent(self, params) -> tuple[dict, str]:
         other = params["other"]
@@ -549,6 +483,24 @@ class _Suite:
                                  nmax=self.nmax)
         return (payload, "passed" if code == 0 else "failed")
 
+    # command name -> (handler, required parameters, optional parameters);
+    # each handler returns (payload, status) with status in
+    # {"passed", "failed", "skipped"}
+    COMMANDS: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
+        "materialize": (_cmd_materialize, (), ()),
+        "classify-tree": (_cmd_classify_tree, (), ()),
+        "check-2iso": (_cmd_check_2iso, (), ("expect",)),
+        "check-kernel": (_cmd_check_kernel, (), ("k", "expect")),
+        "cauchy-dual": (_cmd_cauchy_dual, (), ()),
+        "moments": (_cmd_moments, (), ("vertex", "nmax", "dual")),
+        "classify-adjacency": (_cmd_classify_adjacency, (), ()),
+        "invariants": (_cmd_invariants, (), ()),
+        "equivalent": (_cmd_equivalent, ("other",), ("expect",)),
+        "dual-subnormality": (_cmd_dual_subnormality, (), ("nmax", "expect")),
+        "verify-table1": (_cmd_verify_table1, ("row",), ("nmax", "depth")),
+        "demo": (_cmd_demo, ("demo",), ()),
+    }
+
 
 def run_suite(spec: RunSpec, tol: Optional[float] = None,
               nmax: int = 12, depth: Optional[int] = None
@@ -557,7 +509,7 @@ def run_suite(spec: RunSpec, tol: Optional[float] = None,
 
     Returns (report, exit_code).  Command-level errors are recorded in
     the report and yield exit code 1; they never abort the suite."""
-    effective_tol = spec.tolerance if tol is None else tol
+    effective_tol = _tolerance(spec.tolerance if tol is None else tol)
     if depth is not None and spec.tree is not None:
         _check_size(spec.tree, depth, f"the tree at --depth {depth}")
     suite = _Suite(spec, effective_tol, nmax, depth)
@@ -979,6 +931,7 @@ def run_demo(name: str, tol: float = DEFAULT_TOL,
         raise SpecParseError(
             f"unknown demo {name!r}; catalog: {', '.join(DEMO_NAMES)}",
             json_path="$.demo")
+    tol = _tolerance(tol)
     start = time.perf_counter()
     outcome = _DEMOS[name](tol, nmax)
     payload = {"demo": name,
@@ -1099,7 +1052,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", metavar="PATH",
                         help="write the last computed moment sequence as "
                              "CSV (header n,value)")
-    parser.add_argument("--tol", type=_tolerance, default=None,
+    parser.add_argument("--tol", type=_tolerance_arg, default=None,
                         help="tolerance override, finite and > 0 "
                              "(default 1e-9, relative)")
     parser.add_argument("--nmax", type=int, default=12,
@@ -1152,16 +1105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 values = entry.get("result", {}).get("values")
                 if entry.get("command") == "moments" and values:
                     csv_seq = values
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TreeShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TreeShiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

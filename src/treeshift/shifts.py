@@ -210,14 +210,24 @@ class WeightSpec:
     y1: Optional[float] = None
     y2: Optional[float] = None
 
-    _KINDS = ("explicit", "adjacency", "kernel_condition", "glowny",
-              "dirichlet", "bergman_dual", "treiso")
+    # kind -> (required fields, optional fields), in the order a run
+    # spec checks them; glowny needs y1 and y2 too, but __post_init__
+    # checks that, after the range of whichever one is given
+    KIND_FIELDS = {
+        "explicit": (("values",), ()),
+        "adjacency": ((), ()),
+        "kernel_condition": (("x",), ("split", "proportions")),
+        "glowny": ((), ("y1", "y2")),
+        "dirichlet": ((), ()),
+        "bergman_dual": ((), ()),
+        "treiso": ((), ()),
+    }
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KIND_FIELDS:
             raise ConfigurationError(
                 f"unknown weight kind {self.kind!r}; expected one of "
-                f"{list(self._KINDS)}")
+                f"{list(self.KIND_FIELDS)}")
         if self.kind == "explicit" and self.values is None:
             raise ConfigurationError("explicit weights require values")
         if self.kind == "kernel_condition":
@@ -597,7 +607,6 @@ class ShiftInvariants:
     root_norm: float
     branching: tuple[int, ...]
     verified_depth: int
-    truncated: bool = True
 
 
 def shift_invariants(shift: WeightedShift,

@@ -317,14 +317,21 @@ class TreeSpec:
     rule: Optional[tuple[tuple[int, ...], ...]] = None
     depth: Optional[int] = None
 
-    _KINDS = ("path", "t_eta_kappa", "quasi_brownian", "explicit",
-              "generation_rule")
+    # kind -> (required fields, optional fields), in the order a run
+    # spec checks them; explicit trees infer a missing depth
+    KIND_FIELDS = {
+        "path": (("depth",), ()),
+        "t_eta_kappa": (("depth", "eta"), ("kappa",)),
+        "quasi_brownian": (("depth", "valency"), ()),
+        "explicit": (("edges",), ("depth",)),
+        "generation_rule": (("depth", "rule"), ()),
+    }
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KIND_FIELDS:
             raise ConfigurationError(
                 f"unknown tree kind {self.kind!r}; expected one of "
-                f"{list(self._KINDS)}")
+                f"{list(self.KIND_FIELDS)}")
         if self.kind == "t_eta_kappa":
             if self.eta is None or self.eta < 2:
                 raise ConfigurationError("t_eta_kappa requires eta >= 2")
@@ -363,52 +370,41 @@ def _tree_from_rule(rows: Sequence[Sequence[int]],
     return DirectedTree.from_degrees(degrees, sizes)
 
 
-def _comb_degrees(valency: int, depth: int) -> list[list[int]]:
-    """Root of degree l; its children are one ray and l-1 comb spines;
-    every spine vertex has one ray child and one spine child."""
-    degs: list[list[int]] = []
+def _comb_rule_spec(children: Mapping[str, tuple[str, ...]],
+                    depth: int) -> TreeSpec:
+    """Generation rule of the tree whose root has kind "root" and whose
+    vertex of kind k has children of kinds children[k]; rays continue
+    as rays and every comb spine vertex has one ray and one spine
+    child."""
+    children = {"ray": ("ray",), "spine": ("ray", "spine"), **children}
+    rows = []
     kinds = ["root"]
-    deg_of = {"root": valency, "ray": 1, "spine": 2}
-    child_of = {"root": ["ray"] + ["spine"] * (valency - 1),
-                "ray": ["ray"], "spine": ["ray", "spine"]}
     for _ in range(depth):
-        degs.append([deg_of[k] for k in kinds])
-        kinds = [c for k in kinds for c in child_of[k]]
-    return degs
-
-
-def _hub_comb_degrees(valency: int, depth: int) -> list[list[int]]:
-    """Root of degree l with l-1 ray children and one degree-l hub child;
-    the hub's children are one ray and l-1 comb spines."""
-    degs: list[list[int]] = []
-    kinds = ["root"]
-    deg_of = {"root": valency, "hub": valency, "ray": 1, "spine": 2}
-    child_of = {"root": ["ray"] * (valency - 1) + ["hub"],
-                "hub": ["ray"] + ["spine"] * (valency - 1),
-                "ray": ["ray"], "spine": ["ray", "spine"]}
-    for _ in range(depth):
-        degs.append([deg_of[k] for k in kinds])
-        kinds = [c for k in kinds for c in child_of[k]]
-    return degs
+        # a tuple of known length reuses the interpreter's free tuples;
+        # tuple(generator) would not, while still returning them
+        rows.append(tuple([len(children[k]) for k in kinds]))
+        kinds = [c for k in kinds for c in children[k]]
+    return TreeSpec(kind="generation_rule", rule=tuple(rows), depth=depth)
 
 
 def comb_tree_spec(valency: int, depth: int) -> TreeSpec:
-    """Generation rule for the comb tree of the given valency."""
+    """Generation rule for the comb tree of the given valency: a root of
+    degree l whose children are one ray and l-1 comb spines."""
     if valency < 2:
         raise ConfigurationError("comb tree requires valency >= 2")
-    return TreeSpec(kind="generation_rule",
-                    rule=tuple(tuple(r) for r in _comb_degrees(valency, depth)),
-                    depth=depth)
+    return _comb_rule_spec({"root": ("ray",) + ("spine",) * (valency - 1)},
+                           depth)
 
 
 def hub_comb_tree_spec(valency: int, depth: int) -> TreeSpec:
-    """Generation rule for the hub-comb tree of the given valency."""
+    """Generation rule for the hub-comb tree of the given valency: a root
+    of degree l with l-1 ray children and one degree-l hub child, whose
+    children are one ray and l-1 comb spines."""
     if valency < 2:
         raise ConfigurationError("hub-comb tree requires valency >= 2")
-    return TreeSpec(kind="generation_rule",
-                    rule=tuple(tuple(r) for r in
-                               _hub_comb_degrees(valency, depth)),
-                    depth=depth)
+    return _comb_rule_spec({"root": ("ray",) * (valency - 1) + ("hub",),
+                            "hub": ("ray",) + ("spine",) * (valency - 1)},
+                           depth)
 
 
 def two_plus_three_tree_spec(variant: str, depth: int) -> TreeSpec:

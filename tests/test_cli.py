@@ -1,4 +1,5 @@
 """Command line: spec parsing, suite execution, demos, exit codes."""
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,9 @@ import time
 
 import pytest
 
-from treeshift import SpecParseError
-from treeshift.cli import (DEMO_NAMES, main, parse_spec, run_demo,
+from treeshift import (ConfigurationError, SpecParseError, TreeSpec,
+                       WeightSpec)
+from treeshift.cli import (DEMO_NAMES, _Suite, main, parse_spec, run_demo,
                            run_suite)
 
 VALID_MIN = '{"tree":{"kind":"path","depth":64},"weights":{"kind":"dirichlet"},"commands":[{"name":"dual-subnormality"}]}'
@@ -394,3 +396,85 @@ def test_generation_rule_entries_must_be_integers():
                        '"generation_rule","depth":3,"rule":[[2],' + row
                        + ']}}')
         assert err.value.json_path == "$.tree.rule"
+
+
+# ---------------------------------------------------------------------------
+# the spec schema: TreeSpec/WeightSpec.KIND_FIELDS and the command table
+# ---------------------------------------------------------------------------
+
+# a valid value for every required field and command parameter
+_SAMPLE = {"depth": 3, "eta": 2, "valency": 3, "edges": [["r", "a"]],
+           "rule": [[2]], "values": {"g1:0": 1.0}, "x": 1.2,
+           "row": "kernel", "demo": "dirichlet",
+           "other": {"tree": {"kind": "path", "depth": 3},
+                     "weights": {"kind": "adjacency"}}}
+_SECTIONS = {"tree": TreeSpec, "weights": WeightSpec}
+
+
+def _section_spec(section, obj):
+    other = "weights" if section == "tree" else "tree"
+    filler = {"kind": "adjacency"} if other == "weights" else \
+        {"kind": "path", "depth": 3}
+    return json.dumps({section: obj, other: filler})
+
+
+@pytest.mark.parametrize("section,kind,field", [
+    (section, kind, field) for section, cls in _SECTIONS.items()
+    for kind, (required, _) in cls.KIND_FIELDS.items() for field in required])
+def test_missing_required_field_fails_at_its_path(section, kind, field):
+    required = _SECTIONS[section].KIND_FIELDS[kind][0]
+    obj = {"kind": kind, **{f: _SAMPLE[f] for f in required if f != field}}
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(_section_spec(section, obj))
+    assert err.value.json_path == f"$.{section}.{field}"
+
+
+@pytest.mark.parametrize("section,kind,field", [
+    (section, kind, field) for section, cls in _SECTIONS.items()
+    for kind, own in cls.KIND_FIELDS.items()
+    for field in sorted({f for r, o in cls.KIND_FIELDS.values() for f in r + o}
+                        - set(own[0] + own[1]))])
+def test_field_of_another_kind_is_rejected_at_its_path(section, kind, field):
+    required = _SECTIONS[section].KIND_FIELDS[kind][0]
+    obj = {"kind": kind, **{f: _SAMPLE[f] for f in required}, field: 1}
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(_section_spec(section, obj))
+    assert err.value.json_path == f"$.{section}.{field}"
+
+
+def _command_spec(command):
+    return json.dumps({"weights": {"kind": "dirichlet"},
+                       "commands": [command]})
+
+
+@pytest.mark.parametrize("name", sorted(_Suite.COMMANDS))
+def test_every_command_checks_its_parameters(name):
+    _, required, _ = _Suite.COMMANDS[name]
+    full = {"name": name, **{p: _SAMPLE[p] for p in required}}
+    assert parse_spec(_command_spec(full)).commands[0].name == name
+    for p in required:
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(_command_spec({k: v for k, v in full.items()
+                                      if k != p}))
+        assert err.value.json_path == f"$.commands[0].{p}"
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(_command_spec({**full, "bogus": 1}))
+    assert err.value.json_path == "$.commands[0].bogus"
+
+
+def test_command_depth_must_be_non_negative():
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(_command_spec({"name": "verify-table1", "row": "kernel",
+                                  "depth": -1}))
+    assert err.value.json_path == "$.commands[0].depth"
+
+
+@pytest.mark.parametrize("tol", [-1, 0, math.nan, math.inf])
+def test_library_entry_points_reject_bad_tolerances(tol):
+    spec = parse_spec(VALID_MIN)
+    with pytest.raises(ConfigurationError, match="finite number > 0"):
+        run_suite(spec, tol=tol)
+    with pytest.raises(ConfigurationError, match="finite number > 0"):
+        run_suite(dataclasses.replace(spec, tolerance=tol))
+    with pytest.raises(ConfigurationError, match="finite number > 0"):
+        run_demo("dirichlet", tol=tol)
