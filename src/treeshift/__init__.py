@@ -22,10 +22,11 @@ from .shifts import (DEFAULT_TOL, AdjacencyClassification, PropertyVerdict,
                      ShiftInvariants, WeightSpec, WeightedShift,
                      are_unitarily_equivalent,
                      are_unitarily_equivalent_multiset, build_shift,
-                     cauchy_dual, classify_adjacency, is_two_isometry,
-                     operator_norm, satisfies_kernel_condition,
-                     shift_invariants, sibling_constancy_by_generation,
-                     two_isometry_weight, vertex_norm)
+                     cauchy_dual, check_tolerance, classify_adjacency,
+                     is_two_isometry, operator_norm,
+                     satisfies_kernel_condition, shift_invariants,
+                     sibling_constancy_by_generation, two_isometry_weight,
+                     vertex_norm)
 from .moments import (DiscreteMeasure, MomentSequence, MomentVerdict,
                       ReciprocalLinearResult, SubnormalityReport,
                       backward_extension, closed_form_table1,
@@ -52,8 +53,9 @@ __all__ = [
     "two_plus_three_tree_spec", "comb_pattern_valency", "MAX_VERTICES",
     "spec_vertex_count",
     # shifts
-    "DEFAULT_TOL", "two_isometry_weight", "WeightedShift", "WeightSpec",
-    "build_shift", "vertex_norm", "operator_norm", "PropertyVerdict",
+    "DEFAULT_TOL", "check_tolerance", "two_isometry_weight",
+    "WeightedShift", "WeightSpec", "build_shift", "vertex_norm",
+    "operator_norm", "PropertyVerdict",
     "is_two_isometry", "satisfies_kernel_condition",
     "sibling_constancy_by_generation", "cauchy_dual",
     "AdjacencyClassification", "classify_adjacency", "ShiftInvariants",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (ConfigurationError, DomainError, SpecParseError,
-                     TreeShiftError)
+                     StructureError, TreeShiftError)
 from .matrices import (TruncatedOperator, block_shift_from_atoms,
                        build_brownian_shift, defect, dual_matrix, truncate,
                        verify_table1)
@@ -37,14 +37,15 @@ from .moments import (DiscreteMeasure, MomentSequence, backward_extension,
                       moment_sequence, perturbed_kernel_dual_moment,
                       reciprocal_linear_moments, stieltjes_test)
 from .shifts import (DEFAULT_TOL, WeightedShift, WeightSpec, build_shift,
-                     cauchy_dual, classify_adjacency, is_two_isometry,
-                     operator_norm, satisfies_kernel_condition,
-                     shift_invariants, two_isometry_weight, vertex_norm,
+                     cauchy_dual, check_tolerance, classify_adjacency,
+                     is_two_isometry, operator_norm,
+                     satisfies_kernel_condition, shift_invariants,
+                     two_isometry_weight, vertex_norm,
                      are_unitarily_equivalent,
                      are_unitarily_equivalent_multiset)
-from .trees import (MAX_VERTICES, TreeSpec, classify_tree, comb_tree_spec,
-                    generation, hub_comb_tree_spec, materialize,
-                    spec_vertex_count, two_plus_three_tree_spec)
+from .trees import (MAX_VERTICES, DirectedTree, TreeSpec, classify_tree,
+                    comb_tree_spec, generation, hub_comb_tree_spec,
+                    materialize, spec_vertex_count, two_plus_three_tree_spec)
 
 __all__ = ["RunSpec", "CommandRecord", "parse_spec", "run_suite", "run_demo",
            "main", "DEMO_NAMES"]
@@ -106,23 +107,10 @@ def _as_number(value: Any, path: str) -> float:
                              json_path=path) from exc
 
 
-def _tolerance(value: Any) -> float:
-    """A tolerance: finite and > 0.  Checks ``--tol``, the spec's
-    ``tolerances.tol`` and the ``tol`` of run_suite and run_demo."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError):
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigurationError(
-            f"tol must be a finite number > 0, got {value!r}")
-    return tol
-
-
 def _tolerance_arg(text: str) -> float:
     """``--tol``: argparse reports a bad value as a usage error."""
     try:
-        return _tolerance(text)
+        return check_tolerance(text)
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -160,12 +148,12 @@ def _check_size(tree: TreeSpec, depth: Optional[int], what: str) -> None:
 def _as_edges(value: Any, path: str) -> tuple[tuple[str, str], ...]:
     if (not isinstance(value, list)
             or not all(isinstance(e, list) and len(e) == 2
-                       and all(isinstance(x, str) for x in e)
+                       and isinstance(e[0], str) and isinstance(e[1], str)
                        for e in value)):
         raise SpecParseError(
             "edges must be a list of [parent, child] string pairs",
             json_path=path)
-    return tuple((p, c) for p, c in value)
+    return tuple(map(tuple, value))
 
 
 def _as_rule(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
@@ -179,13 +167,13 @@ def _as_rule(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _as_values(value: Any, path: str) -> dict[str, float]:
+    # JSON numbers are exactly int and float; bool is neither
     if (not isinstance(value, dict)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value.values())):
+            or not set(map(type, value.values())) <= {int, float}):
         raise SpecParseError("values must map vertex ids to numbers",
                              json_path=path)
     try:
-        return {k: float(v) for k, v in value.items()}
+        return dict(zip(value, map(float, value.values())))
     except OverflowError as exc:
         raise SpecParseError("values must be within the float range",
                              json_path=path) from exc
@@ -255,14 +243,14 @@ def _parse_section(obj: Any, path: str, cls: type) -> Any:
     kind, values = _parse_fields(obj, path, "kind", cls.KIND_FIELDS)
     try:
         if cls is TreeSpec and kind == "explicit" and "depth" not in values:
-            depth = len(values["edges"])  # upper bound; tightened below
-            probe = materialize(TreeSpec(kind, edges=values["edges"],
-                                         depth=depth))
-            values["depth"] = max(g for g in range(depth + 1)
-                                  if probe.generations()[g])
+            values["depth"] = DirectedTree.from_edges(
+                values["edges"]).materialized_depth
         return cls(kind, **values)
     except (ConfigurationError, DomainError) as exc:
         raise SpecParseError(str(exc), json_path=path) from exc
+    except StructureError as exc:  # TreeSpec's edge list or rule table
+        field = "edges" if kind == "explicit" else "rule"
+        raise SpecParseError(str(exc), json_path=f"{path}.{field}") from exc
 
 
 _DEFAULT_TREES: dict[str, TreeSpec] = {
@@ -311,8 +299,8 @@ def parse_spec(text: str) -> RunSpec:
         _reject_unknown(tols, {"tol"}, "$.tolerances")
         if "tol" in tols:
             try:
-                tolerance = _tolerance(_as_number(tols["tol"],
-                                                  "$.tolerances.tol"))
+                tolerance = check_tolerance(
+                    _as_number(tols["tol"], "$.tolerances.tol"))
             except ConfigurationError as exc:
                 raise SpecParseError(str(exc),
                                      json_path="$.tolerances.tol") from exc
@@ -332,7 +320,10 @@ class _Suite:
         tree_spec = spec.tree
         assert tree_spec is not None
         self.tree_spec = tree_spec
-        self.tree = materialize(tree_spec, depth)
+        try:
+            self.tree = materialize(tree_spec, depth)
+        except StructureError as exc:  # only an edge list can be malformed
+            raise SpecParseError(str(exc), json_path="$.tree.edges") from exc
         self.shift = build_shift(spec.weights, self.tree)
         self.check_state: dict[str, bool] = {}
         self.last_sequence: Optional[MomentSequence] = None
@@ -509,7 +500,7 @@ def run_suite(spec: RunSpec, tol: Optional[float] = None,
 
     Returns (report, exit_code).  Command-level errors are recorded in
     the report and yield exit code 1; they never abort the suite."""
-    effective_tol = _tolerance(spec.tolerance if tol is None else tol)
+    effective_tol = check_tolerance(spec.tolerance if tol is None else tol)
     if depth is not None and spec.tree is not None:
         _check_size(spec.tree, depth, f"the tree at --depth {depth}")
     suite = _Suite(spec, effective_tol, nmax, depth)
@@ -931,7 +922,7 @@ def run_demo(name: str, tol: float = DEFAULT_TOL,
         raise SpecParseError(
             f"unknown demo {name!r}; catalog: {', '.join(DEMO_NAMES)}",
             json_path="$.demo")
-    tol = _tolerance(tol)
+    tol = check_tolerance(tol)
     start = time.perf_counter()
     outcome = _DEMOS[name](tol, nmax)
     payload = {"demo": name,

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (ClassificationError, DomainError,
                      NotLeftInvertibleError, RangeError)
 from .moments import TABLE1_ROWS, table1_value
-from .shifts import (DEFAULT_TOL, WeightedShift, classify_adjacency,
-                     is_two_isometry, satisfies_kernel_condition,
-                     two_isometry_weight)
+from .shifts import (DEFAULT_TOL, WeightedShift, check_tolerance,
+                     classify_adjacency, is_two_isometry,
+                     satisfies_kernel_condition, two_isometry_weight)
 from .trees import comb_pattern_valency
 
 __all__ = [
@@ -329,6 +329,7 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     >= 1).  For weighted shifts the class membership matching the row is
     verified first.
     """
+    tol = check_tolerance(tol)
     if row not in TABLE1_ROWS:
         raise DomainError(
             f"unknown row {row!r}; expected one of {list(TABLE1_ROWS)}")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ClassificationError, DomainError,
                      NotLeftInvertibleError, RangeError)
 from .shifts import (DEFAULT_TOL, WeightedShift, cauchy_dual,
-                     classify_adjacency, is_two_isometry,
+                     check_tolerance, classify_adjacency, is_two_isometry,
                      satisfies_kernel_condition,
                      sibling_constancy_by_generation, vertex_norm)
 from .trees import DirectedTree, comb_pattern_valency
@@ -279,6 +279,7 @@ def perturbed_kernel_dual_moment(shift: WeightedShift, u: Optional[str] = None,
     weight(v)^2 / ((n-1) norm(v)^2 - (n-2)).  Elsewhere:
     norm(u)^(-2) / ((n-1) a^2 - (n-2)) with a the common child norm.
     """
+    tol = check_tolerance(tol)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     two = is_two_isometry(shift, tol)
@@ -327,7 +328,7 @@ def _hankel_index(size: int) -> np.ndarray:
     return index
 
 
-def _stieltjes_batch(seqs: Sequence[tuple[float, ...]],
+def _stieltjes_batch(seqs: Sequence[Sequence[float]],
                      tol: float) -> list[MomentVerdict]:
     """``stieltjes_test`` of several sequences (each of length >= 3).
 
@@ -377,6 +378,7 @@ def stieltjes_test(seq: _SequenceLike,
     smallest violating p; the test stops there, and extremal_value is
     the least eigenvalue over the blocks examined up to that order.
     """
+    tol = check_tolerance(tol)
     gamma = _values(seq)
     if len(gamma) < 3:
         raise RangeError("stieltjes test needs at least 3 moments")
@@ -391,6 +393,7 @@ def hausdorff_test(seq: _SequenceLike,
     with k + n <= N must be >= -tol after scaling by 1 + max |gamma|.
     failing_order is the smallest violating difference order k.
     """
+    tol = check_tolerance(tol)
     gamma = _values(seq)
     nn = len(gamma) - 1
     if len(gamma) < 2:
@@ -547,6 +550,10 @@ def _extension_integral(shift: WeightedShift) -> Optional[float]:
     return total / nr ** 4
 
 
+#: Most witnesses a generic-path report lists; it counts the others.
+MAX_LISTED_WITNESSES = 64
+
+
 def _default_witnesses(tree: DirectedTree) -> list[int]:
     """Indices of the root and of the first vertex of every later
     non-empty generation above the last."""
@@ -569,10 +576,13 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     check on dual sequences over a witness set; a failure is conclusive,
     a pass is only "consistent to order nmax".  The dual sequences of
     all witnesses come from one pass of the recurrence over the tree.
+    The evidence lists at most MAX_LISTED_WITNESSES of them, the first
+    failure included, and counts the rest as ``witnesses_omitted``.
 
     Requires left invertibility.  Shifts that fail the expansion
     identity skip the fast paths and go straight to the generic test.
     """
+    tol = check_tolerance(tol)
     tree = shift.tree
     n = tree.materialized_depth
     if n < 2:
@@ -670,20 +680,32 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
             plan.append((tree.label(i), i, cap))
     verdicts: list[MomentVerdict] = []
     if plan:
+        caps = np.array([cap for _, _, cap in plan])
         top = max(tree.depth_at(i) + cap for _, i, cap in plan)
-        table = _power_norms(cauchy_dual(shift), top,
-                             max(cap for _, _, cap in plan))
-        # MomentSequence rejects non-finite moments
+        table = _power_norms(cauchy_dual(shift), top, int(caps.max()))
+        # witness k reads rows 0..caps[k] of its column
+        read = np.arange(len(table))[:, None] <= caps
+        if not np.isfinite(table[:, [i for _, i, _ in plan]][read]).all():
+            raise DomainError("moment sequence values must be finite")
+        # lists, not tuples: CPython 3.11 keeps every freed 20-tuple on a
+        # free list it never reuses, and only a full collection empties it
         verdicts = _stieltjes_batch(
-            [MomentSequence(tuple(table[:cap + 1, i].tolist())).values
-             for _, i, cap in plan], tol)
-    tested = [{"vertex": u, "nmax": cap, "stieltjes": v.to_dict()}
-              for (u, _, cap), v in zip(plan, verdicts)]
-    failure = next(((u, v) for (u, _, _), v in zip(plan, verdicts)
-                    if not v.is_stieltjes), None)
-    evidence = {"witnesses": tested, "notes": notes}
-    if failure is not None:
-        u, v = failure
+            [table[:cap + 1, i].tolist() for _, i, cap in plan], tol)
+    failed = next((k for k, v in enumerate(verdicts) if not v.is_stieltjes),
+                  None)
+    # every witness is tested; the report lists the first ones and the
+    # first failure
+    listed = list(range(min(len(plan), MAX_LISTED_WITNESSES)))
+    if failed is not None and failed not in listed:
+        listed[-1] = failed
+    evidence: dict = {
+        "witnesses": [{"vertex": plan[k][0], "nmax": plan[k][2],
+                       "stieltjes": verdicts[k].to_dict()} for k in listed],
+        "notes": notes}
+    if len(plan) > len(listed):
+        evidence["witnesses_omitted"] = len(plan) - len(listed)
+    if failed is not None:
+        u, v = plan[failed][0], verdicts[failed]
         return SubnormalityReport(
             "not-subnormal", True, "generic-moment-test",
             f"NOT subnormal: dual moment sequence at {u} fails the "

@@ -42,9 +42,24 @@ __all__ = [
     "are_unitarily_equivalent",
     "are_unitarily_equivalent_multiset",
     "DEFAULT_TOL",
+    "check_tolerance",
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+def check_tolerance(tol: object) -> float:
+    """``tol`` as a float when it is finite and > 0, else
+    ConfigurationError.  Every function that takes ``tol`` checks it."""
+    try:
+        value = float(tol)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"tol must be a finite number > 0, got {tol!r}")
+    return value
+
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -93,16 +108,11 @@ class WeightedShift:
         labels = tree.labels
         if labels[0] in weights:
             raise ConfigurationError("root must not carry a weight")
-        w = np.zeros(len(labels))
-        for i in range(1, len(labels)):
-            vid = labels[i]
-            if vid not in weights:
-                raise ConfigurationError(f"missing weight for vertex {vid!r}")
-            val = float(weights[vid])
-            if not math.isfinite(val) or val < 0.0:
-                raise ConfigurationError(
-                    f"weight at {vid!r} must be finite and >= 0, got {val}")
-            w[i] = val
+        try:
+            w = [0.0] + [weights[v] for v in labels[1:]]
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"missing weight for vertex {exc.args[0]!r}") from None
         if len(weights) != len(labels) - 1:
             extra = set(weights) - set(labels)
             raise ConfigurationError(
@@ -113,20 +123,19 @@ class WeightedShift:
     def from_array(cls, tree: DirectedTree, weights: np.ndarray,
                    name: Optional[str] = None) -> "WeightedShift":
         """Shift from weights in canonical order (entry 0 is ignored)."""
-        w = np.array(weights, dtype=float)
-        w[0] = 0.0
-        bad = ~(np.isfinite(w) & (w >= 0.0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigurationError(
-                f"weight at {tree.label(i)!r} must be finite and >= 0, "
-                f"got {float(w[i])}")
         shift = cls.__new__(cls)
-        shift._init(tree, w, name)
+        shift._init(tree, weights, name)
         return shift
 
-    def _init(self, tree: DirectedTree, w: np.ndarray,
+    def _init(self, tree: DirectedTree, weights: Sequence[float],
               name: Optional[str]) -> None:
+        w = np.array(weights, dtype=float)
+        w[0] = 0.0
+        bad = _first(~(np.isfinite(w) & (w >= 0.0)))
+        if bad is not None:
+            raise ConfigurationError(
+                f"weight at {tree.label(bad)!r} must be finite and >= 0, "
+                f"got {float(w[bad])}")
         w.flags.writeable = False
         self._tree = tree
         #: weights in canonical vertex order; entry 0 (the root) is 0
@@ -399,6 +408,7 @@ def is_two_isometry(shift: WeightedShift,
                     tol: float = DEFAULT_TOL) -> PropertyVerdict:
     """Check the expansion identity at every vertex of depth <= N-2:
     sum over children v of weight(v)^2 * (2 - norm(v)^2) must equal 1."""
+    tol = check_tolerance(tol)
     tree = shift.tree
     n = tree.materialized_depth
     if n < 2:
@@ -461,6 +471,7 @@ def satisfies_kernel_condition(shift: WeightedShift, k: int = 0,
     spread within tolerance).  k = 0 is the plain condition; k >= 1 is
     the perturbed variant.
     """
+    tol = check_tolerance(tol)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     tree = shift.tree
@@ -486,6 +497,7 @@ def sibling_constancy_by_generation(shift: WeightedShift,
     """Entry g is True when every vertex of depth g (g <= N-2) passes the
     sibling constancy check of ``satisfies_kernel_condition``; the
     condition from generation k on is ``all(result[k:])``."""
+    tol = check_tolerance(tol)
     tree = shift.tree
     n = tree.materialized_depth
     if n < 2:
@@ -537,6 +549,7 @@ class AdjacencyClassification:
 def classify_adjacency(tree: DirectedTree,
                        tol: float = DEFAULT_TOL) -> AdjacencyClassification:
     """Classify the adjacency (all weights one) shift on the tree."""
+    tol = check_tolerance(tol)
     n = tree.materialized_depth
     if n < 2:
         raise RangeError("need materialized depth >= 2")
@@ -568,11 +581,11 @@ def classify_adjacency(tree: DirectedTree,
     iso = verdict(path_witness is None, path_witness,
                   0.0 if branch is None else float(deg[branch] - 1))
 
+    # the joint class and the Brownian isometries: exactly the paths
+    joint = iso.holds and two_iso.holds
+    joint_witness = None if joint else (path_witness or two_iso.witness[0])
     kernel = verdict(
-        iso.holds and two_iso.holds,
-        None if (iso.holds and two_iso.holds) else
-        (path_witness if path_witness else two_iso.witness[0]),
-        0.0 if (iso.holds and two_iso.holds) else 1.0,
+        joint, joint_witness, 1.0,
         note="adjacency shifts satisfy the joint sibling-constant class "
              "exactly on paths")
 
@@ -590,12 +603,8 @@ def classify_adjacency(tree: DirectedTree,
                  note=f"valency {structure.valency}" if structure.valency
                  else "")
 
-    brownian = verdict(
-        two_iso.holds and iso.holds,
-        None if (two_iso.holds and iso.holds) else
-        (path_witness if path_witness else two_iso.witness[0]),
-        0.0 if (two_iso.holds and iso.holds) else 1.0,
-        note="rooted case: requires a path")
+    brownian = verdict(joint, joint_witness, 1.0,
+                       note="rooted case: requires a path")
     return AdjacencyClassification(two_iso, kernel, qb, brownian, iso)
 
 

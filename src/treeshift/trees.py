@@ -7,6 +7,7 @@ materialized part only and carry the depth to which they were verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -69,18 +70,36 @@ class DirectedTree:
 
     def __init__(self, vertices: Mapping[str, Vertex], root: str,
                  materialized_depth: int):
-        vertices = dict(vertices)
-        _validate(vertices, root, materialized_depth)
-        labels = [root]
-        degrees = []
-        sizes = [0] * (materialized_depth + 1)
-        for vid in labels:  # breadth first; the list grows as it is read
-            v = vertices[vid]
-            sizes[v.depth] += 1
-            degrees.append(len(v.children))
-            labels.extend(v.children)
-        self._setup(np.array(degrees, dtype=np.int64),
-                    np.array(sizes, dtype=np.int64), labels)
+        """Tree from Vertex records keyed by id.  The children lists give
+        the edges; every record must agree with the tree they build."""
+        records = dict(vertices)
+        edges = [(vid, c) for vid, v in records.items() for c in v.children]
+        # every record is interned first, so one that no edge reaches
+        # shows up as a second root
+        ids = {vid: i for i, vid in enumerate(records)}
+        self._setup(*_edge_arrays(edges, materialized_depth, ids))
+        for vid in self.labels:
+            if records.get(vid) != self.vertex(vid):
+                raise StructureError(
+                    f"vertex {vid!r}: the records give {records.get(vid)}, "
+                    f"their children lists {self.vertex(vid)}")
+        if self.root != root:
+            raise StructureError(f"the root is {self.root!r}, not {root!r}")
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[tuple[str, str]],
+                   depth: Optional[int] = None) -> "DirectedTree":
+        """Tree from (parent, child) id pairs, in O(E).
+
+        A vertex keeps its children in the order of their first edges; a
+        repeated edge counts once.  The tree is materialized to ``depth``,
+        or, when that is None, to the depth of its deepest vertex.
+        Raises StructureError naming the vertex at fault for a second
+        parent, a cycle (a self-loop too), a second root and a vertex
+        deeper than ``depth``."""
+        tree = cls.__new__(cls)
+        tree._setup(*_edge_arrays(edges, depth, {}))
+        return tree
 
     @classmethod
     def from_degrees(cls, degrees: Sequence[int],
@@ -249,47 +268,70 @@ class DirectedTree:
         return self.label(i)
 
 
-def _validate(vertices: Mapping[str, Vertex], root: str,
-              depth: int) -> None:
-    roots = [v for v in vertices.values() if v.parent is None]
-    if len(roots) != 1 or roots[0].id != root:
-        extra = [v.id for v in roots if v.id != root]
+def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int],
+                 ids: dict[str, int]
+                 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Degrees, generation sizes and labels, in canonical order, of the
+    tree with the given edges (see ``DirectedTree.from_edges``).  ``ids``
+    maps the ids interned so far to 0, 1, ...; it takes the others."""
+    intern = ids.setdefault
+    edges = tuple(edges)
+    par = np.array([intern(p, len(ids)) for p, _ in edges], dtype=np.int64)
+    kid = np.array([intern(c, len(ids)) for _, c in edges], dtype=np.int64)
+    names = list(ids)
+    count = len(names)
+    if not count:
+        raise StructureError("edge list is empty")
+    parent = np.full(count, -1, dtype=np.int64)
+    parent[kid] = par
+    clash = _first(parent[kid] != par)
+    if clash is not None:
+        c = kid.item(clash)
         raise StructureError(
-            f"tree must have exactly one parentless vertex (the root); "
-            f"offenders: {extra or [root]}")
-    if roots[0].depth != 0:
-        raise StructureError(f"root {root!r} must have depth 0")
-    listed_by: dict[str, set[str]] = {}
-    for v in vertices.values():
-        for c in v.children:
-            listed_by.setdefault(c, set()).add(v.id)
-    for v in vertices.values():
-        if v.depth > depth:
-            raise StructureError(
-                f"vertex {v.id!r} at depth {v.depth} exceeds "
-                f"materialized depth {depth}")
-        if v.parent is not None:
-            p = vertices.get(v.parent)
-            if p is None:
-                raise StructureError(
-                    f"vertex {v.id!r} names missing parent {v.parent!r}")
-            if v.depth != p.depth + 1:
-                raise StructureError(
-                    f"vertex {v.id!r}: depth {v.depth} is not parent "
-                    f"depth {p.depth} + 1")
-            if p.id not in listed_by.get(v.id, ()):
-                raise StructureError(
-                    f"vertex {v.id!r} missing from children of "
-                    f"{v.parent!r}")
-        for c in v.children:
-            cv = vertices.get(c)
-            if cv is None:
-                raise StructureError(
-                    f"vertex {v.id!r} lists missing child {c!r}")
-            if cv.parent != v.id:
-                raise StructureError(
-                    f"vertex {c!r} has two parents "
-                    f"({cv.parent!r} and {v.id!r})")
+            f"vertex {names[c]!r} has two parents ({names[parent.item(c)]!r} "
+            f"and {names[par.item(clash)]!r})")
+    roots = np.flatnonzero(parent < 0).tolist()
+    if len(roots) > 1:
+        raise StructureError(
+            f"edge list must describe one tree; {names[roots[0]]!r} and "
+            f"{names[roots[1]]!r} both have no parent")
+    if len(kid) >= count:  # a repeated edge: keep the first of each
+        first = np.sort(np.unique(kid, return_index=True)[1])
+        par, kid = par[first], kid[first]
+    # children grouped by parent, each group in edge order; an edge list
+    # written parent by parent is grouped already
+    if np.any(par[1:] < par[:-1]):
+        kid = kid[np.argsort(par, kind="stable")]
+    seq = kid.tolist()
+    degree = np.bincount(par, minlength=count)
+    ends = np.cumsum(degree).tolist()
+    starts = [0] + ends
+    canon = roots  # breadth first; the list grows as it is read
+    for v in canon:
+        canon.extend(seq[starts[v]:ends[v]])
+    if len(canon) < count:
+        # a vertex the root does not reach has an ancestor on a cycle (a
+        # self-loop included)
+        v, seen = min(set(range(count)).difference(canon)), set()
+        while v not in seen:
+            seen.add(v)
+            v = parent.item(v)
+        raise StructureError(f"cycle through vertex {names[v]!r}")
+    degrees = degree[canon]
+    # the children of generation g make up generation g + 1
+    child_starts = np.cumsum(np.append(1, degrees)).tolist()
+    offsets, end = [0], 0
+    while end < count:
+        end = child_starts[end]
+        offsets.append(end)
+    inferred = len(offsets) - 2
+    if depth is not None and inferred > depth:
+        raise StructureError(
+            f"vertex {names[canon[offsets[depth + 1]]]!r} at depth "
+            f"{depth + 1} exceeds requested depth {depth}")
+    pad = 0 if depth is None else depth - inferred  # empty generations
+    return (degrees, np.diff(offsets + [count] * pad),
+            list(map(names.__getitem__, canon)))
 
 
 @dataclass(frozen=True)
@@ -344,28 +386,29 @@ class TreeSpec:
                     "quasi_brownian requires valency >= 2")
         if self.kind == "explicit" and not self.edges:
             raise ConfigurationError("explicit tree requires an edge list")
-        if self.kind == "generation_rule" and self.rule is None:
-            raise ConfigurationError("generation_rule requires a rule table")
+        if self.kind == "generation_rule":
+            if self.rule is None:
+                raise ConfigurationError(
+                    "generation_rule requires a rule table")
+            width = 1
+            for g, row in enumerate(self.rule):
+                if len(row) != width or min(row, default=0) < 0:
+                    raise StructureError(
+                        f"generation rule row {g} has length {len(row)}; "
+                        f"it needs {width} child counts >= 0, one per "
+                        f"vertex of generation {g}")
+                width = sum(row)
 
 
 def _tree_from_rule(rows: Sequence[Sequence[int]],
                     depth: int) -> DirectedTree:
     """Tree whose generation g < len(rows) has child counts rows[g];
     later generations continue with one child each."""
-    sizes = [1]
-    for g, row in enumerate(rows):
-        if len(row) != sizes[-1]:
-            raise StructureError(
-                f"generation rule row of length {len(row)} does not match "
-                f"generation size {sizes[-1]}")
-        sizes.append(sum(row))
-    for g, row in enumerate(rows):
-        if min(row, default=0) < 0:
-            raise StructureError(f"negative child count at generation {g}")
+    sizes = [1] + [sum(row) for row in rows]  # rows checked by TreeSpec
     sizes += [sizes[-1]] * (depth - len(rows))
     degrees = np.ones(sum(sizes), dtype=np.int64)
     ruled = sum(sizes[:len(rows)])
-    degrees[:ruled] = [d for row in rows for d in row]
+    degrees[:ruled] = np.fromiter(chain.from_iterable(rows), np.int64, ruled)
     degrees[len(degrees) - sizes[-1]:] = 0
     return DirectedTree.from_degrees(degrees, sizes)
 
@@ -422,55 +465,6 @@ def two_plus_three_tree_spec(variant: str, depth: int) -> TreeSpec:
     return TreeSpec(kind="generation_rule", rule=tuple(start), depth=depth)
 
 
-def _build_explicit(edges: Sequence[tuple[str, str]],
-                    depth: int) -> DirectedTree:
-    parents: dict[str, str] = {}
-    child_lists: dict[str, list[str]] = {}
-    nodes: set[str] = set()
-    for p, c in edges:
-        nodes.add(p)
-        nodes.add(c)
-        child_lists.setdefault(p, [])
-        child_lists.setdefault(c, [])
-        if c in parents and parents[c] != p:
-            raise StructureError(f"vertex {c!r} has two parents")
-        if c in parents:
-            continue
-        if p == c:
-            raise StructureError(f"vertex {c!r} is its own parent (cycle)")
-        parents[c] = p
-        child_lists[p].append(c)
-    roots = sorted(nodes - set(parents))
-    if len(roots) != 1:
-        raise StructureError(
-            f"edge list must describe one tree; parentless vertices: {roots}")
-    root = roots[0]
-    depths: dict[str, int] = {}
-    for v in nodes:
-        chain = []
-        cur = v
-        while cur not in depths and cur in parents:
-            if cur in chain:
-                raise StructureError(f"cycle through vertex {cur!r}")
-            chain.append(cur)
-            cur = parents[cur]
-        base = depths.get(cur, 0)
-        for i, u in enumerate(reversed(chain)):
-            depths[u] = base + i + 1
-        depths.setdefault(v, depths.get(v, 0))
-    depths[root] = 0
-    too_deep = sorted(v for v, d in depths.items() if d > depth)
-    if too_deep:
-        raise StructureError(
-            f"vertex {too_deep[0]!r} at depth {depths[too_deep[0]]} exceeds "
-            f"requested depth {depth}")
-    vertices = {
-        v: Vertex(v, depths[v], parents.get(v), tuple(child_lists[v]))
-        for v in nodes
-    }
-    return DirectedTree(vertices, root, depth)
-
-
 def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
     """Exact vertex count of ``materialize(spec, depth)``, computed from
     the spec alone (explicit trees: the number of distinct ids)."""
@@ -491,7 +485,7 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
         return depth + 1 + (spec.valency - 1) * depth * (depth + 1) // 2
     if spec.kind == "explicit":
         assert spec.edges is not None
-        return len({v for edge in spec.edges for v in edge})
+        return len(set(chain.from_iterable(spec.edges)))
     assert spec.rule is not None
     total = width = 1
     rows = spec.rule[:depth]
@@ -525,7 +519,7 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         return DirectedTree.from_degrees(degrees, sizes)
     if spec.kind == "explicit":
         assert spec.edges is not None
-        return _build_explicit(spec.edges, depth)
+        return DirectedTree.from_edges(spec.edges, depth)
     if spec.kind == "path":
         rule: Sequence[Sequence[int]] = ()
     elif spec.kind == "t_eta_kappa":
@@ -614,28 +608,23 @@ def classify_tree(tree: DirectedTree) -> TreeStructureReport:
     max_deg = int(known.max()) if len(known) else 0
     multisets = tuple(tuple(np.sort(tree.degrees[off[g]:off[g + 1]]).tolist())
                       for g in range(n))
+    valency = None
     if n < 2:
         verdict = StructureVerdict(
             False, max(n - 2, 0),
             note="materialized depth < 2: quasi-Brownian condition "
                  "unverifiable")
-        return TreeStructureReport(leafless, True, max_deg, multisets,
-                                   verdict, None)
-    if max_deg < 2:
+    elif max_deg < 2:
         verdict = StructureVerdict(
             False, n - 2, note="no vertex of degree >= 2")
-        return TreeStructureReport(leafless, True, max_deg, multisets,
-                                   verdict, None)
-    valency = max_deg
-    sums_ok, kids_ok = _child_degree_checks(tree, (1, valency))
-    own_ok = np.isin(tree.degrees[:len(sums_ok)], (1, valency))
-    bad = _first(~(own_ok & kids_ok & sums_ok))
-    if bad is not None:
-        verdict = StructureVerdict(False, n - 2, witness=tree.label(bad),
-                                   note="verified to depth N-2")
-        return TreeStructureReport(leafless, True, max_deg, multisets,
-                                   verdict, None)
-    verdict = StructureVerdict(True, n - 2, note="verified to depth N-2")
+    else:
+        sums_ok, kids_ok = _child_degree_checks(tree, (1, max_deg))
+        own_ok = np.isin(tree.degrees[:len(sums_ok)], (1, max_deg))
+        bad = _first(~(own_ok & kids_ok & sums_ok))
+        verdict = StructureVerdict(
+            bad is None, n - 2, None if bad is None else tree.label(bad),
+            note="verified to depth N-2")
+        valency = max_deg if bad is None else None
     return TreeStructureReport(leafless, True, max_deg, multisets, verdict,
                                valency)
 

@@ -478,3 +478,40 @@ def test_library_entry_points_reject_bad_tolerances(tol):
         run_suite(dataclasses.replace(spec, tolerance=tol))
     with pytest.raises(ConfigurationError, match="finite number > 0"):
         run_demo("dirichlet", tol=tol)
+
+
+@pytest.mark.parametrize("tree,path", [
+    # a 2-cycle: no root; found while inferring the depth
+    ({"kind": "explicit", "edges": [["a", "b"], ["b", "a"]]},
+     "$.tree.edges: cycle through vertex"),
+    # the same with a depth given: found when the tree is built
+    ({"kind": "explicit", "edges": [["r", "a"], ["b", "c"], ["c", "b"]],
+      "depth": 3}, "$.tree.edges: cycle through vertex"),
+    ({"kind": "explicit", "edges": [["r", "a"], ["a", "b"]], "depth": 1},
+     "$.tree.edges: vertex 'b' at depth 2"),
+    # a rule row that does not match its generation
+    ({"kind": "generation_rule", "depth": 3, "rule": [[2], [1]]},
+     "$.tree.rule: generation rule row 1 has length 1"),
+])
+def test_structural_errors_exit_two_with_a_json_path(tmp_path, capsys, tree,
+                                                     path):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": tree, "weights": {"kind": "adjacency"},
+        "commands": [{"name": "materialize"}]}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_generic_path_report_is_bounded(tmp_path):
+    spec_file, out = tmp_path / "run.json", tmp_path / "report.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "path", "depth": 100_000},
+        "weights": {"kind": "bergman_dual"},
+        "commands": [{"name": "dual-subnormality"}]}))
+    main(["--spec", str(spec_file), "--out", str(out), "--quiet"])
+    assert out.stat().st_size < 100_000
+    evidence = json.loads(out.read_text())["results"][0]["result"][
+        "evidence"]
+    assert len(evidence["witnesses"]) == 64
+    assert evidence["witnesses_omitted"] == 99_998 - 64

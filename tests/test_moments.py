@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from treeshift import (ClassificationError, DiscreteMeasure, DomainError,
+from treeshift import (ClassificationError, ConfigurationError,
+                       DiscreteMeasure, DomainError,
                        MomentSequence, NotLeftInvertibleError, RangeError,
                        TreeSpec, WeightSpec, WeightedShift,
                        backward_extension, build_shift, cauchy_dual,
@@ -12,7 +13,10 @@ from treeshift import (ClassificationError, DiscreteMeasure, DomainError,
                        materialize, moment_sequence, operator_norm,
                        perturbed_kernel_dual_moment,
                        reciprocal_linear_moments, stieltjes_test,
-                       vertex_norm)
+                       vertex_norm, check_tolerance, classify_adjacency,
+                       is_two_isometry, satisfies_kernel_condition,
+                       sibling_constancy_by_generation, verify_table1)
+from treeshift.moments import MAX_LISTED_WITNESSES
 
 SQRT2 = math.sqrt(2.0)
 
@@ -414,3 +418,78 @@ def test_decision_requires_left_invertibility():
     w[ids[3]] = 0.0
     with pytest.raises(NotLeftInvertibleError):
         dual_subnormality(WeightedShift(tree, w))
+
+
+
+def test_generic_report_is_bounded_and_keeps_the_first_failure():
+    tree = materialize(TreeSpec("path", depth=200))
+    bergman = build_shift(WeightSpec("bergman_dual"), tree)
+    # weight 1 down to depth 100: the witnesses above depth 88 see
+    # constant dual weights and pass, the later ones fail
+    weights = {v: 1.0 if tree.depth_of(v) <= 100 else w
+               for v, w in bergman.weights().items()}
+    report = dual_subnormality(WeightedShift(tree, weights), 12)
+    assert report.verdict == "not-subnormal"
+    listed = report.evidence["witnesses"]
+    assert len(listed) == MAX_LISTED_WITNESSES
+    assert report.evidence["witnesses_omitted"] == 198 - MAX_LISTED_WITNESSES
+    assert [w["vertex"] for w in listed[:-1]] == [
+        f"g{d}:0" for d in range(MAX_LISTED_WITNESSES - 1)]
+    assert all(w["stieltjes"]["is_stieltjes"] for w in listed[:-1])
+    failure = listed[-1]
+    assert not failure["stieltjes"]["is_stieltjes"]
+    assert failure["vertex"] in report.statement
+    assert tree.depth_of(failure["vertex"]) > MAX_LISTED_WITNESSES
+    # a short path lists every witness and counts none
+    short = dual_subnormality(
+        build_shift(WeightSpec("bergman_dual"),
+                    materialize(TreeSpec("path", depth=40))), 12)
+    assert len(short.evidence["witnesses"]) == 38
+    assert "witnesses_omitted" not in short.evidence
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_generic_path_rejects_moments_that_overflow():
+    tree = materialize(TreeSpec("path", depth=8))
+    # dual weights 1e100: the second dual moment at the root is inf
+    shift = WeightedShift(tree, {v: 1e-100 for v in tree.ids()
+                                 if v != tree.root})
+    with pytest.raises(DomainError, match="finite"):
+        dual_subnormality(shift, 6)
+
+
+def test_nan_tolerance_no_longer_passes_the_treiso_checks():
+    shift = build_shift(WeightSpec("treiso"),
+                        materialize(TreeSpec("path", depth=8)))
+    assert dual_subnormality(shift, 8).verdict == "not-subnormal"
+    assert not is_two_isometry(shift).holds
+    with pytest.raises(ConfigurationError, match="finite number > 0"):
+        dual_subnormality(shift, 8, math.nan)
+    with pytest.raises(ConfigurationError, match="finite number > 0"):
+        is_two_isometry(shift, math.nan)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_every_tol_parameter_is_checked(tol):
+    dirichlet = build_shift(WeightSpec("dirichlet"),
+                            materialize(TreeSpec("path", depth=32)))
+    calls = [
+        lambda: is_two_isometry(dirichlet, tol),
+        lambda: satisfies_kernel_condition(dirichlet, 0, tol),
+        lambda: sibling_constancy_by_generation(dirichlet, tol),
+        lambda: classify_adjacency(dirichlet.tree, tol),
+        lambda: stieltjes_test([1.0, 0.5, 0.5], tol),
+        lambda: hausdorff_test([1.0, 0.5, 0.5], tol),
+        lambda: dual_subnormality(dirichlet, 8, tol),
+        lambda: perturbed_kernel_dual_moment(dirichlet, n=2, tol=tol),
+        lambda: verify_table1(dirichlet, "kernel", 4, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            call()
+
+
+def test_check_tolerance_returns_a_float():
+    assert check_tolerance(1) == 1.0 and type(check_tolerance(1)) is float
+    with pytest.raises(ConfigurationError):
+        check_tolerance(None)
