@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -122,6 +122,32 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
+def _as_string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise SpecParseError(f"expected a string, got {value!r}",
+                             json_path=path)
+    return value
+
+
+_VERDICTS = ("subnormal", "not-subnormal", "consistent")
+
+
+def _as_verdict(value: Any, path: str) -> str:
+    if value not in _VERDICTS:
+        raise SpecParseError(
+            f"expected one of {list(_VERDICTS)}, got {value!r}",
+            json_path=path)
+    return value
+
+
+def _as_demo(value: Any, path: str) -> str:
+    if value not in DEMO_NAMES:
+        raise SpecParseError(
+            f"unknown demo {value!r}; catalog: {', '.join(DEMO_NAMES)}",
+            json_path=path)
+    return value
+
+
 def _as_vertex(value: Any, path: str) -> Any:
     """A vertex id string, a list of child indices, or null (the root)."""
     if value is None or isinstance(value, str):
@@ -135,14 +161,16 @@ def _as_vertex(value: Any, path: str) -> Any:
         f"{value!r}", json_path=path)
 
 
-def _check_size(tree: TreeSpec, depth: Optional[int], what: str) -> None:
-    """Refuse, before materializing, a tree above MAX_VERTICES."""
+def _check_size(tree: TreeSpec, depth: Optional[int], path: str) -> None:
+    """Refuse, before materializing, a tree above MAX_VERTICES; ``path``
+    is the JSON path of the tree section."""
     count = spec_vertex_count(tree, depth)
     if count > MAX_VERTICES:
+        what = "the tree" if depth is None else f"the tree at --depth {depth}"
         field = "edges" if tree.kind == "explicit" else "depth"
         raise SpecParseError(
             f"{what} would have {count} vertices; the limit is "
-            f"{MAX_VERTICES}", json_path=f"$.tree.{field}")
+            f"{MAX_VERTICES}", json_path=f"{path}.{field}")
 
 
 def _as_edges(value: Any, path: str) -> tuple[tuple[str, str], ...]:
@@ -197,15 +225,18 @@ def _as_other(value: Any, path: str) -> dict[str, Any]:
                                       f"{path}.weights", WeightSpec)}
 
 
-# the JSON type of every tree field, weight field and command parameter
-# that is checked at parse time; the others are passed on as given
+# the JSON type of every tree field, weight field and command parameter,
+# checked at parse time; a "<name>.<field>" entry overrides "<field>" for
+# the kind or command of that name
 _FIELD_TYPES: dict[str, Callable[[Any, str], Any]] = {
     "depth": functools.partial(_as_int, minimum=0), "eta": _as_int,
     "kappa": _as_int, "valency": _as_int, "edges": _as_edges,
     "rule": _as_rule, "values": _as_values, "x": _as_number,
     "proportions": _as_proportions, "y1": _as_number, "y2": _as_number,
     "nmax": _as_int, "k": _as_int, "dual": _as_bool, "vertex": _as_vertex,
-    "other": _as_other,
+    "other": _as_other, "expect": _as_bool,
+    "dual-subnormality.expect": _as_verdict, "row": _as_string,
+    "demo": _as_demo,
 }
 
 
@@ -228,9 +259,8 @@ def _parse_fields(obj: Any, path: str, key: str,
     values = {}
     for f in required + optional:
         if f in obj:
-            convert = _FIELD_TYPES.get(f)
-            values[f] = (obj[f] if convert is None
-                         else convert(obj[f], f"{path}.{f}"))
+            convert = _FIELD_TYPES.get(f"{name}.{f}", _FIELD_TYPES[f])
+            values[f] = convert(obj[f], f"{path}.{f}")
         elif f in required:
             raise SpecParseError(f"missing required field {f!r}",
                                  json_path=f"{path}.{f}")
@@ -242,10 +272,12 @@ def _parse_section(obj: Any, path: str, cls: type) -> Any:
     ``cls.KIND_FIELDS``."""
     kind, values = _parse_fields(obj, path, "kind", cls.KIND_FIELDS)
     try:
-        if cls is TreeSpec and kind == "explicit" and "depth" not in values:
-            values["depth"] = DirectedTree.from_edges(
-                values["edges"]).materialized_depth
-        return cls(kind, **values)
+        spec = cls(kind, **values)
+        if cls is TreeSpec and kind == "explicit" and spec.depth is None:
+            _check_size(spec, None, path)  # before building anything
+            spec = replace(spec, depth=DirectedTree.from_edges(
+                spec.edges).materialized_depth)
+        return spec
     except (ConfigurationError, DomainError) as exc:
         raise SpecParseError(str(exc), json_path=path) from exc
     except StructureError as exc:  # TreeSpec's edge list or rule table
@@ -281,7 +313,7 @@ def parse_spec(text: str) -> RunSpec:
             raise SpecParseError(
                 f"missing required field 'tree' (no default tree for "
                 f"weight kind {weights.kind!r})", json_path="$.tree")
-    _check_size(tree, None, "the tree")
+    _check_size(tree, None, "$.tree")
     commands: list[CommandRecord] = []
     raw_commands = doc.get("commands", [])
     if not isinstance(raw_commands, list):
@@ -347,10 +379,8 @@ class _Suite:
         return self.COMMANDS[cmd.name][0](self, cmd.params)
 
     @staticmethod
-    def _status(actual: bool, expect: Any) -> str:
-        if expect is None:
-            return "passed" if actual else "failed"
-        return "passed" if actual == bool(expect) else "failed"
+    def _status(actual: bool, expect: Optional[bool]) -> str:
+        return "passed" if actual == (expect is not False) else "failed"
 
     def _cmd_materialize(self, params) -> tuple[dict, str]:
         t = self.tree
@@ -363,7 +393,6 @@ class _Suite:
         rep = classify_tree(self.tree)
         qb = rep.quasi_brownian
         return ({"leafless_to_depth": rep.leafless_to_depth,
-                 "locally_finite": rep.locally_finite,
                  "max_degree": rep.max_degree,
                  "degree_multiset_per_generation":
                      [list(m) for m in rep.degree_multiset_per_generation],
@@ -470,8 +499,7 @@ class _Suite:
         return (rep.to_dict(), "passed" if rep.holds else "failed")
 
     def _cmd_demo(self, params) -> tuple[dict, str]:
-        payload, code = run_demo(params["demo"], tol=self.tol,
-                                 nmax=self.nmax)
+        payload, code = run_demo(params["demo"], tol=self.tol)
         return (payload, "passed" if code == 0 else "failed")
 
     # command name -> (handler, required parameters, optional parameters);
@@ -502,7 +530,7 @@ def run_suite(spec: RunSpec, tol: Optional[float] = None,
     the report and yield exit code 1; they never abort the suite."""
     effective_tol = check_tolerance(spec.tolerance if tol is None else tol)
     if depth is not None and spec.tree is not None:
-        _check_size(spec.tree, depth, f"the tree at --depth {depth}")
+        _check_size(spec.tree, depth, "$.tree")
     suite = _Suite(spec, effective_tol, nmax, depth)
     results = []
     worst = 0
@@ -542,13 +570,13 @@ class _DemoOutcome:
     csv_sequence: Optional[MomentSequence] = None
 
 
-def _demo_dirichlet(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_dirichlet(tol: float) -> _DemoOutcome:
     tree = materialize(TreeSpec("path", depth=64))
     shift = build_shift(WeightSpec("dirichlet"), tree)
     two = is_two_isometry(shift, tol)
     kc0 = satisfies_kernel_condition(shift, 0, tol)
-    rep = dual_subnormality(shift, min(nmax, 12), tol)
-    seq = moment_sequence(shift, tree.root, min(nmax, 12), dual=True)
+    rep = dual_subnormality(shift, 12, tol)
+    seq = moment_sequence(shift, tree.root, 12, dual=True)
     dev = max(abs(seq[n] - 1.0 / (n + 1)) for n in range(len(seq)))
     vt = verify_table1(shift, "kernel", nmax=10, tol=tol)
     ok = (two.holds and kc0.holds and rep.verdict == "subnormal"
@@ -566,13 +594,13 @@ def _demo_dirichlet(tol: float, nmax: int) -> _DemoOutcome:
         "table_row_check": vt.to_dict()}, seq)
 
 
-def _demo_bergman_dual(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_bergman_dual(tol: float) -> _DemoOutcome:
     tree = materialize(TreeSpec("path", depth=64))
     shift = build_shift(WeightSpec("bergman_dual"), tree)
-    seq = moment_sequence(shift, tree.root, min(nmax, 12))
+    seq = moment_sequence(shift, tree.root, 12)
     dev = max(abs(seq[n] - 1.0 / (n + 1)) for n in range(len(seq)))
     haus = hausdorff_test(seq, tol)
-    mu = reciprocal_linear_moments(1.0, 1.0, min(nmax, 12))
+    mu = reciprocal_linear_moments(1.0, 1.0, 12)
     dev_mu = max(abs(a - b) for a, b in zip(seq.values, mu.moments.values))
     dual = cauchy_dual(shift)
     two_d = is_two_isometry(dual, tol)
@@ -599,7 +627,7 @@ def _demo_bergman_dual(tol: float, nmax: int) -> _DemoOutcome:
         "dual_weight_max_deviation": dev_w}, seq)
 
 
-def _demo_treiso(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_treiso(tol: float) -> _DemoOutcome:
     tree = materialize(TreeSpec("path", depth=32))
     shift = build_shift(WeightSpec("treiso"), tree)
     trunc = truncate(shift)
@@ -611,7 +639,7 @@ def _demo_treiso(tol: float, nmax: int) -> _DemoOutcome:
     b4 = defect(dual, 4)
     root_entry = float(b4[0, 0])
     target = -12.0 / 85.0
-    rep = dual_subnormality(shift, min(nmax, 12), tol)
+    rep = dual_subnormality(shift, 12, tol)
     order = None
     for w in rep.evidence.get("witnesses", []):
         if w["vertex"] == tree.root:
@@ -634,7 +662,7 @@ def _demo_treiso(tol: float, nmax: int) -> _DemoOutcome:
         "subnormality": rep.to_dict()})
 
 
-def _demo_glowny(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_glowny(tol: float) -> _DemoOutcome:
     tree = materialize(TreeSpec("t_eta_kappa", eta=2, depth=16))
     shift = build_shift(WeightSpec("glowny", y1=1.1, y2=1.3), tree)
     two = is_two_isometry(shift, tol)
@@ -643,7 +671,7 @@ def _demo_glowny(tol: float, nmax: int) -> _DemoOutcome:
     cs = sum(shift.weight(v) ** 2 / (2.0 - vertex_norm(shift, v) ** 2)
              for v in tree.children_of(tree.root))
     n4 = vertex_norm(shift, tree.root) ** 4
-    rep = dual_subnormality(shift, min(nmax, 12), tol)
+    rep = dual_subnormality(shift, 12, tol)
     dev_pk = 0.0
     for n in range(1, 9):
         seq = moment_sequence(shift, tree.root, n, dual=True)
@@ -672,7 +700,7 @@ def _demo_glowny(tol: float, nmax: int) -> _DemoOutcome:
         "subnormality": rep.to_dict()})
 
 
-def _demo_przadj(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_przadj(tol: float) -> _DemoOutcome:
     tree = materialize(hub_comb_tree_spec(3, 14))
     shift = build_shift(WeightSpec("adjacency"), tree)
     psi = tree.children_of(tree.root)[-1]
@@ -688,7 +716,7 @@ def _demo_przadj(tol: float, nmax: int) -> _DemoOutcome:
                    for n in range(1, 13))
     st = stieltjes_test(root_seq, tol)
     rho_adm, rho_integral, _ = backward_extension(rho)
-    rep = dual_subnormality(shift, min(nmax, 12), tol)
+    rep = dual_subnormality(shift, 12, tol)
     ok = (admissible and abs(integral - 7.0 / 9.0) < 1e-12
           and dev_hub < 1e-12 and abs(rho_zero - 2.0 / 81.0) < 1e-12
           and dev_root < 1e-12 and not st.is_stieltjes
@@ -717,7 +745,7 @@ def _demo_przadj(tol: float, nmax: int) -> _DemoOutcome:
         "subnormality": rep.to_dict()}, root_seq)
 
 
-def _demo_nbnkcsub(valency: int, tol: float, nmax: int) -> _DemoOutcome:
+def _demo_nbnkcsub(valency: int, tol: float) -> _DemoOutcome:
     tree = materialize(comb_tree_spec(valency, 14))
     shift = build_shift(WeightSpec("adjacency"), tree)
     root_seq = moment_sequence(shift, tree.root, 12, dual=True)
@@ -725,7 +753,7 @@ def _demo_nbnkcsub(valency: int, tol: float, nmax: int) -> _DemoOutcome:
                   - closed_form_table1("adjacency_pattern", valency, n))
               for n in range(13))
     st = stieltjes_test(root_seq, tol)
-    rep = dual_subnormality(shift, min(nmax, 12), tol)
+    rep = dual_subnormality(shift, 12, tol)
     expected_path = "BrownianG" if valency == 2 else "constant-t"
     evidence = {
         "valency": valency,
@@ -760,7 +788,7 @@ def _demo_nbnkcsub(valency: int, tol: float, nmax: int) -> _DemoOutcome:
     return _DemoOutcome(statement, ok, evidence, root_seq)
 
 
-def _demo_brownian_shift(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_brownian_shift(tol: float) -> _DemoOutcome:
     sigma = 1.0
     trunc = build_brownian_shift(sigma, 64)
     vt = verify_table1(trunc, "quasi_brownian", nmax=10, tol=tol)
@@ -786,7 +814,7 @@ def _demo_brownian_shift(tol: float, nmax: int) -> _DemoOutcome:
         "expected_r1": closed_form_table1("quasi_brownian", t, 1)})
 
 
-def _demo_two_plus_three(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_two_plus_three(tol: float) -> _DemoOutcome:
     depth = 12
     x = 1.2
     tree_a = materialize(two_plus_three_tree_spec("a", depth))
@@ -833,11 +861,11 @@ def _demo_two_plus_three(tol: float, nmax: int) -> _DemoOutcome:
         "block_b2_interior_max": b2_norm})
 
 
-def _demo_mewa_distinction(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_mewa_distinction(tol: float) -> _DemoOutcome:
     tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=12))
     cls = classify_adjacency(tree, tol)
     shift = build_shift(WeightSpec("adjacency"), tree)
-    rep = dual_subnormality(shift, min(nmax, 10), tol)
+    rep = dual_subnormality(shift, 10, tol)
     ok = (cls.two_isometry.holds and cls.quasi_brownian_isometry.holds
           and not cls.brownian_isometry.holds and not cls.isometry.holds
           and not cls.kernel_condition.holds
@@ -856,7 +884,7 @@ def _demo_mewa_distinction(tol: float, nmax: int) -> _DemoOutcome:
         "subnormality": rep.to_dict()})
 
 
-def _demo_sl_chm(tol: float, nmax: int) -> _DemoOutcome:
+def _demo_sl_chm(tol: float) -> _DemoOutcome:
     depth = 6
     norms = []
     residual_max = 0.0
@@ -895,16 +923,16 @@ def _demo_sl_chm(tol: float, nmax: int) -> _DemoOutcome:
                 "family, so only non-root vertices are checked"})
 
 
-_DEMOS: dict[str, Callable[[float, int], _DemoOutcome]] = {
+_DEMOS: dict[str, Callable[[float], _DemoOutcome]] = {
     "dirichlet": _demo_dirichlet,
     "bergman-dual": _demo_bergman_dual,
     "treiso": _demo_treiso,
     "glowny": _demo_glowny,
     "przadj": _demo_przadj,
-    "nbnkcsub": lambda tol, nmax: _demo_nbnkcsub(3, tol, nmax),
-    "nbnkcsub-2": lambda tol, nmax: _demo_nbnkcsub(2, tol, nmax),
-    "nbnkcsub-3": lambda tol, nmax: _demo_nbnkcsub(3, tol, nmax),
-    "nbnkcsub-4": lambda tol, nmax: _demo_nbnkcsub(4, tol, nmax),
+    "nbnkcsub": functools.partial(_demo_nbnkcsub, 3),
+    "nbnkcsub-2": functools.partial(_demo_nbnkcsub, 2),
+    "nbnkcsub-3": functools.partial(_demo_nbnkcsub, 3),
+    "nbnkcsub-4": functools.partial(_demo_nbnkcsub, 4),
     "brownian-shift": _demo_brownian_shift,
     "two-plus-three": _demo_two_plus_three,
     "mewa-distinction": _demo_mewa_distinction,
@@ -914,17 +942,14 @@ _DEMOS: dict[str, Callable[[float, int], _DemoOutcome]] = {
 DEMO_NAMES = tuple(sorted(_DEMOS))
 
 
-def run_demo(name: str, tol: float = DEFAULT_TOL,
-             nmax: int = 12) -> tuple[dict, int]:
-    """Run one catalog demo.  Returns (report payload, exit code); exit
-    code 0 iff every check matches the demo's published conclusion."""
-    if name not in _DEMOS:
-        raise SpecParseError(
-            f"unknown demo {name!r}; catalog: {', '.join(DEMO_NAMES)}",
-            json_path="$.demo")
+def run_demo(name: str, tol: float = DEFAULT_TOL) -> tuple[dict, int]:
+    """Run one catalog demo at its published orders.  Returns (report
+    payload, exit code); exit code 0 iff every check matches the demo's
+    published conclusion."""
+    _as_demo(name, "$.demo")
     tol = check_tolerance(tol)
     start = time.perf_counter()
-    outcome = _DEMOS[name](tol, nmax)
+    outcome = _DEMOS[name](tol)
     payload = {"demo": name,
                "statement": outcome.statement,
                "conclusion_matches": outcome.ok,
@@ -1046,10 +1071,12 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=_tolerance_arg, default=None,
                         help="tolerance override, finite and > 0 "
                              "(default 1e-9, relative)")
-    parser.add_argument("--nmax", type=int, default=12,
-                        help="default moment order (default 12)")
+    parser.add_argument("--nmax", type=int, default=None,
+                        help="default moment order of a --spec run "
+                             "(default 12)")
     parser.add_argument("--depth", type=int, default=None,
-                        help="materialization depth override")
+                        help="materialization depth override of a --spec "
+                             "run")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress stdout report")
     return parser
@@ -1064,11 +1091,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: exactly one of --spec and --demo is required",
               file=sys.stderr)
         return 2
+    if args.demo is not None and (args.nmax, args.depth) != (None, None):
+        parser.print_usage(sys.stderr)
+        print("error: --nmax and --depth apply to --spec only; a demo runs "
+              "at its published orders", file=sys.stderr)
+        return 2
 
     try:
         if args.demo is not None:
             tol = DEFAULT_TOL if args.tol is None else args.tol
-            payload, code = run_demo(args.demo, tol=tol, nmax=args.nmax)
+            payload, code = run_demo(args.demo, tol=tol)
             report = {"tool": "treeshift", "version": __version__,
                       "tolerance": tol, "results": [payload],
                       "exit_code": code}
@@ -1085,8 +1117,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 digest_src = raw
                 spec_path = args.spec
             spec = parse_spec(text)
-            report, code = run_suite(spec, tol=args.tol, nmax=args.nmax,
-                                     depth=args.depth)
+            report, code = run_suite(
+                spec, tol=args.tol,
+                nmax=12 if args.nmax is None else args.nmax,
+                depth=args.depth)
             report["input"] = {
                 "path": spec_path,
                 "digest": "sha256:"

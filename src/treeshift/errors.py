@@ -1,5 +1,18 @@
 """Exception hierarchy for the treeshift package."""
 
+__all__ = [
+    "TreeShiftError",
+    "StructureError",
+    "RangeError",
+    "DomainError",
+    "ConfigurationError",
+    "ResourceLimitError",
+    "ClassificationError",
+    "NotLeftInvertibleError",
+    "ComparisonError",
+    "SpecParseError",
+]
+
 
 class TreeShiftError(Exception):
     """Base class for all errors raised by this package."""

@@ -31,11 +31,9 @@ __all__ = [
     "DiscreteMeasure",
     "MomentVerdict",
     "ReciprocalLinearResult",
-    "TABLE1_ROWS",
     "SubnormalityReport",
     "moment_sequence",
     "closed_form_table1",
-    "table1_value",
     "perturbed_kernel_dual_moment",
     "stieltjes_test",
     "hausdorff_test",
@@ -563,9 +561,7 @@ def _default_witnesses(tree: DirectedTree) -> list[int]:
 
 
 def dual_subnormality(shift: WeightedShift, nmax: int = 12,
-                      tol: float = DEFAULT_TOL,
-                      witnesses: Optional[Sequence[str]] = None
-                      ) -> SubnormalityReport:
+                      tol: float = DEFAULT_TOL) -> SubnormalityReport:
     """Decide subnormality of the Cauchy dual.
 
     Fast analytic paths (conclusive): sibling-constant expansive shifts
@@ -573,7 +569,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     adjacency shifts (constant-t), and expansive shifts whose sibling
     constancy holds only from some generation k >= 1 on (main2, a
     negative).  Otherwise the generic moment test runs the Stieltjes
-    check on dual sequences over a witness set; a failure is conclusive,
+    check on the dual sequences of the root and of the first vertex of
+    every later generation (the witnesses); a failure is conclusive,
     a pass is only "consistent to order nmax".  The dual sequences of
     all witnesses come from one pass of the recurrence over the tree.
     The evidence lists at most MAX_LISTED_WITNESSES of them, the first
@@ -671,10 +668,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
             f"not a 2-isometry (witness {w}); fast paths unavailable")
 
     # generic moment test
-    picks = (_default_witnesses(tree) if witnesses is None
-             else [tree.index(u) for u in witnesses])
     plan = []
-    for i in picks:
+    for i in _default_witnesses(tree):
         cap = min(nmax, n - 1 - tree.depth_at(i))
         if cap >= 2:
             plan.append((tree.label(i), i, cap))

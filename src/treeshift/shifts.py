@@ -201,8 +201,8 @@ class WeightSpec:
       - "adjacency": every weight 1.
       - "kernel_condition": sibling groups share their parent's generation
         norm target; a vertex in generation n has squared norm
-        two_isometry_weight(n, x)^2, split equally among children or
-        according to ``proportions``.
+        two_isometry_weight(n, x)^2, split equally among children, or in
+        proportion to ``proportions`` (default 1) when that is given.
       - "glowny": on a degree-2 root with two infinite rays; branch i gets
         first weight 1/sqrt(2(2-y_i^2)) and then the two-isometry weight
         ladder started at y_i.
@@ -214,7 +214,6 @@ class WeightSpec:
     kind: str
     values: Optional[Mapping[str, float]] = None
     x: Optional[float] = None
-    split: str = "equal"
     proportions: Optional[Mapping[str, float]] = None
     y1: Optional[float] = None
     y2: Optional[float] = None
@@ -225,7 +224,7 @@ class WeightSpec:
     KIND_FIELDS = {
         "explicit": (("values",), ()),
         "adjacency": ((), ()),
-        "kernel_condition": (("x",), ("split", "proportions")),
+        "kernel_condition": (("x",), ("proportions",)),
         "glowny": ((), ("y1", "y2")),
         "dirichlet": ((), ()),
         "bergman_dual": ((), ()),
@@ -244,12 +243,6 @@ class WeightSpec:
                 raise ConfigurationError("kernel_condition requires x")
             if self.x < 1.0:
                 raise DomainError(f"x must be >= 1, got {self.x}")
-            if self.split not in ("equal", "given"):
-                raise ConfigurationError(
-                    f"split must be 'equal' or 'given', got {self.split!r}")
-            if self.split == "given" and self.proportions is None:
-                raise ConfigurationError(
-                    "split='given' requires proportions")
         if self.kind == "glowny":
             for label, y in (("y1", self.y1), ("y2", self.y2)):
                 if y is None:
@@ -305,12 +298,11 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
         targets = _squared(_two_isometry_weights(np.arange(n), spec.x))
         # squared norm target of every parent, by depth
         target = np.repeat(targets, np.diff(tree.gen_offsets[:n + 1]))[parents]
-        if spec.split == "equal":
+        if spec.proportions is None:
             if leaf is not None:
                 _leaf_error(tree, leaf)
             w = np.sqrt(target / deg[parents])
         else:
-            assert spec.proportions is not None
             props = np.ones(count - 1)
             for vid, p in spec.proportions.items():
                 if vid in tree and tree.index(vid) > 0:

@@ -467,13 +467,17 @@ def two_plus_three_tree_spec(variant: str, depth: int) -> TreeSpec:
 
 def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
     """Exact vertex count of ``materialize(spec, depth)``, computed from
-    the spec alone (explicit trees: the number of distinct ids)."""
+    the spec alone (explicit trees: the number of distinct ids, which
+    needs no depth)."""
     if depth is None:
         depth = spec.depth
+    if depth is not None and depth < 0:
+        raise RangeError(f"depth must be >= 0, got {depth}")
+    if spec.kind == "explicit":
+        assert spec.edges is not None
+        return len(set(chain.from_iterable(spec.edges)))
     if depth is None:
         raise ConfigurationError("no materialization depth given")
-    if depth < 0:
-        raise RangeError(f"depth must be >= 0, got {depth}")
     if spec.kind == "path":
         return depth + 1
     if spec.kind == "t_eta_kappa":
@@ -483,9 +487,6 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
         assert spec.valency is not None
         # generation n has 1 + n(valency - 1) vertices
         return depth + 1 + (spec.valency - 1) * depth * (depth + 1) // 2
-    if spec.kind == "explicit":
-        assert spec.edges is not None
-        return len(set(chain.from_iterable(spec.edges)))
     assert spec.rule is not None
     total = width = 1
     rows = spec.rule[:depth]
@@ -496,18 +497,23 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
 
 
 def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
-    """Materialize a tree spec to the given depth (default: spec.depth).
+    """Materialize a tree spec to the given depth (default: spec.depth;
+    an explicit tree without either goes to its deepest vertex).
 
     Raises ResourceLimitError, before allocating anything, when the tree
     would have more than MAX_VERTICES vertices."""
     if depth is None:
         depth = spec.depth
     count = spec_vertex_count(spec, depth)
-    assert depth is not None
     if count > MAX_VERTICES:
+        at = "" if depth is None else f" at depth {depth}"
         raise ResourceLimitError(
-            f"tree of kind {spec.kind!r} at depth {depth} would have "
-            f"{count} vertices; the limit is {MAX_VERTICES}")
+            f"tree of kind {spec.kind!r}{at} would have {count} vertices; "
+            f"the limit is {MAX_VERTICES}")
+    if spec.kind == "explicit":
+        assert spec.edges is not None
+        return DirectedTree.from_edges(spec.edges, depth)
+    assert depth is not None
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         # the first vertex of each generation has degree valency, the
@@ -517,9 +523,6 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         degrees[np.cumsum([0] + sizes[:-1])] = spec.valency
         degrees[count - sizes[-1]:] = 0
         return DirectedTree.from_degrees(degrees, sizes)
-    if spec.kind == "explicit":
-        assert spec.edges is not None
-        return DirectedTree.from_edges(spec.edges, depth)
     if spec.kind == "path":
         rule: Sequence[Sequence[int]] = ()
     elif spec.kind == "t_eta_kappa":
@@ -566,7 +569,6 @@ class TreeStructureReport:
     only, never about the unmaterialized tail."""
 
     leafless_to_depth: bool
-    locally_finite: bool
     max_degree: int
     degree_multiset_per_generation: tuple[tuple[int, ...], ...]
     quasi_brownian: StructureVerdict
@@ -625,8 +627,7 @@ def classify_tree(tree: DirectedTree) -> TreeStructureReport:
             bad is None, n - 2, None if bad is None else tree.label(bad),
             note="verified to depth N-2")
         valency = max_deg if bad is None else None
-    return TreeStructureReport(leafless, True, max_deg, multisets, verdict,
-                               valency)
+    return TreeStructureReport(leafless, max_deg, multisets, verdict, valency)
 
 
 def comb_pattern_valency(tree: DirectedTree) -> Optional[int]:

@@ -19,11 +19,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
+from treeshift.cli import DEMO_NAMES
 
-DEMOS = ("bergman-dual", "brownian-shift", "dirichlet", "glowny",
-         "mewa-distinction", "nbnkcsub", "nbnkcsub-2", "nbnkcsub-3",
-         "nbnkcsub-4", "przadj", "sl-chm", "treiso", "two-plus-three")
+HERE = Path(__file__).resolve().parent
 
 # case name -> argv; "specs/..." entries are resolved against HERE
 CASES: dict[str, list[str]] = {
@@ -36,7 +34,7 @@ CASES: dict[str, list[str]] = {
                          "--nmax", "8", "--tol", "1e-10"],
     "comb-3-depth-override": ["--spec", "specs/comb-3-12.json", "--depth",
                               "9"],
-    **{f"demo-{name}": ["--demo", name] for name in DEMOS},
+    **{f"demo-{name}": ["--demo", name] for name in DEMO_NAMES},
 }
 
 

@@ -9,8 +9,10 @@ import time
 
 import pytest
 
-from treeshift import (ConfigurationError, SpecParseError, TreeSpec,
-                       WeightSpec)
+import treeshift
+from treeshift import (ConfigurationError, DirectedTree, SpecParseError,
+                       TreeSpec, WeightSpec, build_shift, cli, materialize,
+                       trees)
 from treeshift.cli import (DEMO_NAMES, _Suite, main, parse_spec, run_demo,
                            run_suite)
 
@@ -86,6 +88,17 @@ def test_parse_errors_carry_json_paths(text, path_fragment):
     with pytest.raises(SpecParseError) as err:
         parse_spec(text)
     assert err.value.json_path == path_fragment
+
+
+def test_proportions_alone_select_the_proportional_split():
+    spec = parse_spec(json.dumps({
+        "tree": {"kind": "generation_rule", "rule": [[2]], "depth": 2},
+        "weights": {"kind": "kernel_condition", "x": 1.2,
+                    "proportions": {"g1:0": 5}}}))
+    shift = build_shift(spec.weights, materialize(spec.tree))
+    # an equal split would give both 0.84853
+    assert shift.weight("g1:0") == pytest.approx(1.17670, abs=1e-5)
+    assert shift.weight("g1:1") == pytest.approx(0.23534, abs=1e-5)
 
 
 def test_parse_explicit_tree_infers_depth():
@@ -284,6 +297,12 @@ def test_main_demo_failure_surface(capsys):
     assert "catalog" in err
 
 
+@pytest.mark.parametrize("flag", ["--nmax", "--depth"])
+def test_main_demo_refuses_spec_options(capsys, flag):
+    assert main(["--demo", "treiso", flag, "5", "--quiet"]) == 2
+    assert "apply to --spec only" in capsys.readouterr().err
+
+
 def test_main_demo_report_shape(capsys):
     code = main(["--demo", "nbnkcsub-3"])
     assert code == 0
@@ -348,6 +367,17 @@ def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, tol):
     ('{"name":"moments","vertex":3}', "$.commands[0].vertex"),
     ('{"name":"moments","vertex":[0,true]}', "$.commands[0].vertex[1]"),
     ('{"name":"dual-subnormality","nmax":12.0}', "$.commands[0].nmax"),
+    ('{"name":"check-2iso","expect":"no"}', "$.commands[0].expect"),
+    ('{"name":"check-kernel","expect":1}', "$.commands[0].expect"),
+    ('{"name":"equivalent","other":{"tree":{"kind":"path","depth":3},'
+     '"weights":{"kind":"adjacency"}},"expect":"yes"}',
+     "$.commands[0].expect"),
+    ('{"name":"dual-subnormality","expect":true}', "$.commands[0].expect"),
+    ('{"name":"dual-subnormality","expect":"normal"}',
+     "$.commands[0].expect"),
+    ('{"name":"verify-table1","row":5}', "$.commands[0].row"),
+    ('{"name":"demo","demo":5}', "$.commands[0].demo"),
+    ('{"name":"demo","demo":"no-such-demo"}', "$.commands[0].demo"),
 ])
 def test_command_parameter_types_checked_at_parse_time(tmp_path, capsys,
                                                        command, path):
@@ -369,6 +399,25 @@ def test_size_budget_fails_fast(tmp_path, capsys):
     assert "$.tree.depth" in err and "100000001 vertices" in err
 
 
+def test_explicit_edge_list_is_sized_before_it_is_built(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(trees, "MAX_VERTICES", 3)
+    monkeypatch.setattr(cli, "MAX_VERTICES", 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the edge list was built")
+
+    monkeypatch.setattr(DirectedTree, "from_edges", refuse)
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "explicit",
+                 "edges": [["r", "a"], ["a", "b"], ["b", "c"], ["c", "d"]]},
+        "weights": {"kind": "adjacency"}}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "$.tree.edges" in err and "5 vertices" in err
+
+
 def test_size_budget_applies_to_depth_override(tmp_path, capsys):
     spec_file = tmp_path / "run.json"
     spec_file.write_text('{"tree":{"kind":"quasi_brownian","valency":3,'
@@ -387,6 +436,16 @@ def test_import_loads_no_scipy():
                              os.environ, PYTHONPATH=os.pathsep.join(
                                  p for p in sys.path if p)))
     assert out.stdout.strip() == "[]"
+
+
+def test_package_exports_each_module_all_once():
+    names = treeshift.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(treeshift, name) for name in names)
+    assert names == ["__version__"] + [
+        name for module in ("errors", "trees", "shifts", "moments",
+                            "matrices")
+        for name in getattr(treeshift, module).__all__]
 
 
 def test_generation_rule_entries_must_be_integers():
@@ -440,6 +499,17 @@ def test_field_of_another_kind_is_rejected_at_its_path(section, kind, field):
     with pytest.raises(SpecParseError) as err:
         parse_spec(_section_spec(section, obj))
     assert err.value.json_path == f"$.{section}.{field}"
+
+
+@pytest.mark.parametrize("kind", sorted(WeightSpec.KIND_FIELDS))
+def test_split_is_not_a_weight_field(kind):
+    # a proportional split follows from the presence of "proportions"
+    required = WeightSpec.KIND_FIELDS[kind][0]
+    obj = {"kind": kind, **{f: _SAMPLE[f] for f in required},
+           "split": "given"}
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(_section_spec("weights", obj))
+    assert err.value.json_path == "$.weights.split"
 
 
 def _command_spec(command):

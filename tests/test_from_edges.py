@@ -55,6 +55,8 @@ def test_repeated_identical_edge_counts_once():
 def test_depth_is_inferred_padded_and_bounded():
     path = [("r", "a"), ("a", "b"), ("b", "c")]
     assert DirectedTree.from_edges(path).materialized_depth == 3
+    assert materialize(TreeSpec("explicit",
+                                edges=tuple(path))).materialized_depth == 3
     padded = DirectedTree.from_edges(path, 5)
     assert padded.generation_sizes == (1, 1, 1, 1, 0, 0)
     with pytest.raises(StructureError,

@@ -84,7 +84,7 @@ REPORTS = sorted(p.stem for p in (GOLDEN / "reports").glob("*.json"))
 
 def test_every_case_has_a_report():
     assert sorted(capture.CASES) == REPORTS
-    assert {f"demo-{d}" for d in capture.DEMOS} <= set(REPORTS)
+    assert {f"demo-{d}" for d in capture.DEMO_NAMES} <= set(REPORTS)
 
 
 @pytest.mark.parametrize("name", REPORTS)

@@ -99,7 +99,7 @@ def test_kernel_condition_weights_hit_generation_targets():
 def test_kernel_condition_proportional_split():
     tree = materialize(TreeSpec("t_eta_kappa", eta=2, depth=6))
     kids = tree.children_of(tree.root)
-    spec = WeightSpec("kernel_condition", x=1.2, split="given",
+    spec = WeightSpec("kernel_condition", x=1.2,
                       proportions={kids[0]: 2.0, kids[1]: 1.0})
     shift = build_shift(spec, tree)
     assert shift.weight(kids[0]) == pytest.approx(2 * shift.weight(kids[1]),

@@ -43,7 +43,6 @@ def test_quasi_brownian_tree_shape():
     assert report.quasi_brownian.holds
     assert report.valency == 3
     assert report.leafless_to_depth
-    assert report.locally_finite
     assert report.max_degree == 3
     assert report.quasi_brownian.verified_depth == 3
 
@@ -155,7 +154,6 @@ def test_classify_tree_on_t20():
     tree = materialize(TreeSpec("t_eta_kappa", eta=2, depth=6))
     report = classify_tree(tree)
     assert not report.quasi_brownian.holds
-    assert report.locally_finite
     assert report.max_degree == 2
 
 
