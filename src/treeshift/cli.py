@@ -219,8 +219,10 @@ def _as_other(value: Any, path: str) -> dict[str, Any]:
         raise SpecParseError("'other' must be an object with tree and "
                              "weights", json_path=path)
     _reject_unknown(value, {"tree", "weights"}, path)
-    return {"tree": _parse_section(_require(value, "tree", path),
-                                   f"{path}.tree", TreeSpec),
+    tree = _parse_section(_require(value, "tree", path), f"{path}.tree",
+                          TreeSpec)
+    _check_size(tree, None, f"{path}.tree")
+    return {"tree": tree,
             "weights": _parse_section(_require(value, "weights", path),
                                       f"{path}.weights", WeightSpec)}
 
@@ -233,10 +235,10 @@ _FIELD_TYPES: dict[str, Callable[[Any, str], Any]] = {
     "kappa": _as_int, "valency": _as_int, "edges": _as_edges,
     "rule": _as_rule, "values": _as_values, "x": _as_number,
     "proportions": _as_proportions, "y1": _as_number, "y2": _as_number,
-    "nmax": _as_int, "k": _as_int, "dual": _as_bool, "vertex": _as_vertex,
-    "other": _as_other, "expect": _as_bool,
-    "dual-subnormality.expect": _as_verdict, "row": _as_string,
-    "demo": _as_demo,
+    "nmax": functools.partial(_as_int, minimum=0), "k": _as_int,
+    "dual": _as_bool, "vertex": _as_vertex, "other": _as_other,
+    "expect": _as_bool, "dual-subnormality.expect": _as_verdict,
+    "row": _as_string, "demo": _as_demo,
 }
 
 
@@ -356,7 +358,10 @@ class _Suite:
             self.tree = materialize(tree_spec, depth)
         except StructureError as exc:  # only an edge list can be malformed
             raise SpecParseError(str(exc), json_path="$.tree.edges") from exc
-        self.shift = build_shift(spec.weights, self.tree)
+        try:
+            self.shift = build_shift(spec.weights, self.tree)
+        except ConfigurationError as exc:  # weights that do not fit the tree
+            raise SpecParseError(str(exc), json_path="$.weights") from exc
         self.check_state: dict[str, bool] = {}
         self.last_sequence: Optional[MomentSequence] = None
 
@@ -390,16 +395,7 @@ class _Suite:
                  "root": t.root}, "passed")
 
     def _cmd_classify_tree(self, params) -> tuple[dict, str]:
-        rep = classify_tree(self.tree)
-        qb = rep.quasi_brownian
-        return ({"leafless_to_depth": rep.leafless_to_depth,
-                 "max_degree": rep.max_degree,
-                 "degree_multiset_per_generation":
-                     [list(m) for m in rep.degree_multiset_per_generation],
-                 "quasi_brownian": {"holds": qb.holds,
-                                    "verified_depth": qb.verified_depth,
-                                    "witness": qb.witness, "note": qb.note},
-                 "valency": rep.valency}, "passed")
+        return (classify_tree(self.tree).to_dict(), "passed")
 
     def _cmd_check_2iso(self, params) -> tuple[dict, str]:
         v = is_two_isometry(self.shift, self.tol)
@@ -431,13 +427,7 @@ class _Suite:
                  "values": list(seq.values), "source": seq.source}, "passed")
 
     def _cmd_classify_adjacency(self, params) -> tuple[dict, str]:
-        cls = classify_adjacency(self.tree, self.tol)
-        return ({"two_isometry": cls.two_isometry.to_dict(),
-                 "kernel_condition": cls.kernel_condition.to_dict(),
-                 "quasi_brownian_isometry":
-                     cls.quasi_brownian_isometry.to_dict(),
-                 "brownian_isometry": cls.brownian_isometry.to_dict(),
-                 "isometry": cls.isometry.to_dict()}, "passed")
+        return (classify_adjacency(self.tree, self.tol).to_dict(), "passed")
 
     def _cmd_invariants(self, params) -> tuple[dict, str]:
         if self.check_state.get("check-2iso") is False \
@@ -446,23 +436,19 @@ class _Suite:
                                "(expansion identity or sibling constancy) "
                                "failed earlier in the suite"}, "skipped")
         inv = shift_invariants(self.shift, self.tol)
-        return ({"root_norm": inv.root_norm,
-                 "branching": list(inv.branching),
-                 "verified_depth": inv.verified_depth}, "passed")
+        return ({**inv.to_dict(), "verified_depth": inv.verified_depth},
+                "passed")
 
     def _cmd_equivalent(self, params) -> tuple[dict, str]:
+        # each tree at its own depth; unequal depths are a ComparisonError
         other = params["other"]
-        depth = self.tree.materialized_depth
-        other_tree = materialize(other["tree"], depth)
-        other_shift = build_shift(other["weights"], other_tree)
+        other_shift = build_shift(other["weights"],
+                                  materialize(other["tree"]))
         inv_a = shift_invariants(self.shift, self.tol)
         inv_b = shift_invariants(other_shift, self.tol)
         eq = are_unitarily_equivalent(inv_a, inv_b)
-        return ({"equivalent": eq,
-                 "left": {"root_norm": inv_a.root_norm,
-                          "branching": list(inv_a.branching)},
-                 "right": {"root_norm": inv_b.root_norm,
-                           "branching": list(inv_b.branching)}},
+        return ({"equivalent": eq, "left": inv_a.to_dict(),
+                 "right": inv_b.to_dict()},
                 self._status(eq, params.get("expect")))
 
     def _cmd_dual_subnormality(self, params) -> tuple[dict, str]:
@@ -672,12 +658,9 @@ def _demo_glowny(tol: float) -> _DemoOutcome:
              for v in tree.children_of(tree.root))
     n4 = vertex_norm(shift, tree.root) ** 4
     rep = dual_subnormality(shift, 12, tol)
-    dev_pk = 0.0
-    for n in range(1, 9):
-        seq = moment_sequence(shift, tree.root, n, dual=True)
-        dev_pk = max(dev_pk, abs(seq[n]
-                                 - perturbed_kernel_dual_moment(
-                                     shift, tree.root, n, tol)))
+    seq = moment_sequence(shift, tree.root, 8, dual=True)
+    dev_pk = max(abs(seq[n] - perturbed_kernel_dual_moment(
+        shift, tree.root, n, tol)) for n in range(1, 9))
     order = rep.evidence.get("root_stieltjes", {}).get("failing_order")
     integral = rep.evidence.get("extension_integral")
     ok = (two.holds and not kc0.holds and kc1.holds
@@ -852,10 +835,8 @@ def _demo_two_plus_three(tol: float) -> _DemoOutcome:
         "equal_parameters_equivalent": eq_same,
         "different_x_equivalent": eq_x,
         "different_branching_equivalent": eq_branch,
-        "invariants_a": {"root_norm": inv_a.root_norm,
-                         "branching": list(inv_a.branching)},
-        "invariants_b": {"root_norm": inv_b.root_norm,
-                         "branching": list(inv_b.branching)},
+        "invariants_a": inv_a.to_dict(),
+        "invariants_b": inv_b.to_dict(),
         "block_decomposition": list(decomposition),
         "block_multiset_matches": multiset_ok,
         "block_b2_interior_max": b2_norm})
@@ -875,13 +856,8 @@ def _demo_mewa_distinction(tol: float) -> _DemoOutcome:
                  "quasi-Brownian isometry that is neither Brownian nor an "
                  "isometry and does not satisfy sibling constancy; its "
                  "dual is subnormal (decision path BrownianG)")
-    return _DemoOutcome(statement, ok, {
-        "two_isometry": cls.two_isometry.to_dict(),
-        "kernel_condition": cls.kernel_condition.to_dict(),
-        "quasi_brownian_isometry": cls.quasi_brownian_isometry.to_dict(),
-        "brownian_isometry": cls.brownian_isometry.to_dict(),
-        "isometry": cls.isometry.to_dict(),
-        "subnormality": rep.to_dict()})
+    return _DemoOutcome(statement, ok, {**cls.to_dict(),
+                                        "subnormality": rep.to_dict()})
 
 
 def _demo_sl_chm(tol: float) -> _DemoOutcome:
@@ -1085,6 +1061,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.nmax is not None and args.nmax < 0:
+        parser.error(f"argument --nmax: must be >= 0, got {args.nmax}")
 
     if (args.spec is None) == (args.demo is None):
         parser.print_usage(sys.stderr)

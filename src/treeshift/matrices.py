@@ -19,8 +19,8 @@ from .errors import (ClassificationError, DomainError,
                      NotLeftInvertibleError, RangeError)
 from .moments import TABLE1_ROWS, table1_value
 from .shifts import (DEFAULT_TOL, WeightedShift, check_tolerance,
-                     classify_adjacency, is_two_isometry,
-                     satisfies_kernel_condition, two_isometry_weight)
+                     classify_adjacency, require_kernel_class,
+                     two_isometry_weight)
 from .trees import comb_pattern_valency
 
 __all__ = [
@@ -230,16 +230,7 @@ class Table1Report:
 def _require_row_membership(shift: WeightedShift, row: str,
                             tol: float) -> str:
     if row == "kernel":
-        two = is_two_isometry(shift, tol)
-        if not two.holds:
-            raise ClassificationError(
-                f"row 'kernel' needs the expansion identity; witness "
-                f"{two.witness}")
-        kc0 = satisfies_kernel_condition(shift, 0, tol)
-        if not kc0.holds:
-            raise ClassificationError(
-                f"row 'kernel' needs sibling norm constancy; witness "
-                f"{kc0.witness}")
+        require_kernel_class(shift, 0, tol, "row 'kernel' needs")
         return "sibling-constant expansive shift"
     if not shift.is_adjacency:
         raise ClassificationError(

@@ -18,12 +18,11 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ClassificationError, DomainError,
-                     NotLeftInvertibleError, RangeError)
+from .errors import DomainError, NotLeftInvertibleError, RangeError
 from .shifts import (DEFAULT_TOL, WeightedShift, cauchy_dual,
                      check_tolerance, classify_adjacency, is_two_isometry,
-                     satisfies_kernel_condition,
-                     sibling_constancy_by_generation, vertex_norm)
+                     require_kernel_class, satisfies_kernel_condition,
+                     vertex_norm)
 from .trees import DirectedTree, comb_pattern_valency
 
 __all__ = [
@@ -280,40 +279,47 @@ def perturbed_kernel_dual_moment(shift: WeightedShift, u: Optional[str] = None,
     tol = check_tolerance(tol)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    two = is_two_isometry(shift, tol)
-    if not two.holds:
-        raise ClassificationError(
-            f"closed form requires the expansion identity; witness "
-            f"{two.witness}")
-    kc1 = satisfies_kernel_condition(shift, 1, tol)
-    if not kc1.holds:
-        raise ClassificationError(
-            f"closed form requires sibling norm constancy from generation "
-            f"1; witness {kc1.witness}")
+    require_kernel_class(shift, 1, tol, "closed form requires")
     tree = shift.tree
-    if u is None:
-        u = tree.root
-    if u == tree.root:
-        nr2 = vertex_norm(shift, u) ** 2
-        total = 0.0
-        for v in tree.children_of(u):
-            nv2 = vertex_norm(shift, v) ** 2
-            total += shift.weight(v) ** 2 / ((n - 1) * nv2 - (n - 2))
-        return total / nr2 ** 2
-    du = tree.depth_of(u)
+    i = 0 if u is None else tree.index(u)
+    if i == 0:
+        value = _root_extension_sum(shift, n)
+        if value is None:
+            raise DomainError(f"no closed form at the root at order {n}: "
+                              f"a denominator vanishes")
+        return value
+    du = tree.depth_at(i)
     if du > tree.materialized_depth - 2:
         raise RangeError(
             f"closed form at {u!r} needs grandchildren; depth {du} too deep")
-    nu2 = vertex_norm(shift, u) ** 2
+    nu2 = shift.squared_norms.item(i)
     if nu2 == 0.0:
         raise NotLeftInvertibleError(f"vertex norm is 0 at {u!r}")
-    child_norms = [vertex_norm(shift, v) for v in tree.children_of(u)
-                   if shift.weight(v) != 0.0]
-    if not child_norms:
+    start = tree.child_starts.item(i)
+    weighted = np.flatnonzero(
+        shift.weight_array[start:start + tree.degrees.item(i)])
+    if not len(weighted):
         raise NotLeftInvertibleError(
             f"all children of {u!r} carry zero weight")
-    alpha2 = child_norms[0] ** 2
+    alpha2 = shift.squared_norms.item(start + weighted.item(0))
     return (1.0 / nu2) / ((n - 1) * alpha2 - (n - 2))
+
+
+def _root_extension_sum(shift: WeightedShift, n: int) -> Optional[float]:
+    """Sum over the root's children v of
+    weight(v)^2 / ((n-1) norm(v)^2 - (n-2)), divided by norm(root)^4.
+
+    At n >= 1 this is the root closed form of
+    ``perturbed_kernel_dual_moment``; at n = 0 it is the integral of 1/t
+    for the backward extension of the root dual tail.  None when the root
+    norm is 0 or a denominator is within 1e-12 of 0."""
+    kids = slice(1, 1 + shift.tree.degrees.item(0))  # the root's children
+    root2 = shift.squared_norms.item(0)
+    den = (n - 1) * shift.squared_norms[kids] - (n - 2)
+    if root2 == 0.0 or np.any(np.abs(den) < 1e-12):
+        return None
+    # cumsum adds left to right, as the sums of vertex_norms do
+    return np.cumsum(shift.squared_weights[kids] / den).item(-1) / root2 ** 2
 
 
 @functools.lru_cache(maxsize=64)
@@ -527,27 +533,6 @@ class SubnormalityReport:
                 "evidence": self.evidence}
 
 
-def _extension_integral(shift: WeightedShift) -> Optional[float]:
-    """Integral of 1/t for the backward extension of the root dual tail:
-    sum over root children of weight^2/(2 - norm^2), divided by the
-    fourth power of the root norm.  None when a child norm reaches
-    sqrt(2)."""
-    tree = shift.tree
-    norms = shift.vertex_norms.tolist()
-    w = shift.weight_array.tolist()
-    nr = norms[0]
-    if nr == 0.0:
-        return None
-    total = 0.0
-    for c in range(int(tree.child_starts[0]),
-                   int(tree.child_starts[0] + tree.degrees[0])):
-        den = 2.0 - norms[c] ** 2
-        if abs(den) < 1e-12:
-            return None
-        total += w[c] ** 2 / den
-    return total / nr ** 4
-
-
 #: Most witnesses a generic-path report lists; it counts the others.
 MAX_LISTED_WITNESSES = 64
 
@@ -580,6 +565,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     identity skip the fast paths and go straight to the generic test.
     """
     tol = check_tolerance(tol)
+    if nmax < 0:
+        raise DomainError(f"nmax must be >= 0, got {nmax}")
     tree = shift.tree
     n = tree.materialized_depth
     if n < 2:
@@ -633,16 +620,14 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                      "root_sequence": list(root_seq.values),
                      "closed_form_max_deviation": dev})
         # smallest k >= 1 with constancy in every generation k..N-2
-        constant = sibling_constancy_by_generation(shift, tol)
-        holds_from = np.logical_and.accumulate(constant[::-1])[::-1]
-        k_found = next((k for k in range(1, n - 1) if holds_from[k]), None)
-        if k_found is not None:
+        k_found = kc0.details["constant_from"]
+        if k_found <= n - 2:
             first_gens = slice(1, int(tree.gen_offsets[k_found + 1]))
             if np.all(shift.weight_array[first_gens] > 0.0):
                 cap = min(nmax, n - 1)
                 root_seq = moment_sequence(shift, tree.root, cap, dual=True)
                 st = stieltjes_test(root_seq, tol)
-                integral = _extension_integral(shift)
+                integral = _root_extension_sum(shift, 0)
                 extra = ""
                 if st.failing_order is not None:
                     extra = (f"; root moment test fails at order "

@@ -13,7 +13,7 @@ verdict records that verified depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ClassificationError, ComparisonError, ConfigurationError,
                      DomainError, NotLeftInvertibleError, RangeError)
-from .trees import DirectedTree, branching_degree, classify_tree
+from .trees import DirectedTree, quasi_brownian
 
 __all__ = [
     "WeightedShift",
@@ -35,6 +35,7 @@ __all__ = [
     "operator_norm",
     "is_two_isometry",
     "satisfies_kernel_condition",
+    "require_kernel_class",
     "sibling_constancy_by_generation",
     "cauchy_dual",
     "classify_adjacency",
@@ -305,8 +306,10 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
         else:
             props = np.ones(count - 1)
             for vid, p in spec.proportions.items():
-                if vid in tree and tree.index(vid) > 0:
-                    props[tree.index(vid) - 1] = float(p)
+                if vid not in tree or tree.index(vid) == 0:
+                    raise ConfigurationError(
+                        f"proportions key {vid!r} names no non-root vertex")
+                props[tree.index(vid) - 1] = float(p)
             nonpositive = np.bincount(parents, weights=props <= 0,
                                       minlength=inner)
             bad = _first(nonpositive > 0)
@@ -461,7 +464,9 @@ def satisfies_kernel_condition(shift: WeightedShift, k: int = 0,
     For every vertex u with k <= depth(u) <= N-2, the norms of the
     children of u that carry a nonzero weight must coincide (relative
     spread within tolerance).  k = 0 is the plain condition; k >= 1 is
-    the perturbed variant.
+    the perturbed variant.  ``details["constant_from"]`` is the smallest
+    generation g >= k such that the condition holds from g on (N-1 when
+    it fails in generation N-2).
     """
     tol = check_tolerance(tol)
     if k < 0:
@@ -476,12 +481,33 @@ def satisfies_kernel_condition(shift: WeightedShift, k: int = 0,
         note = "zero-weight children excluded from constancy groups"
     spread, bad = _sibling_spread(shift, tol)
     start = int(tree.gen_offsets[k])
-    first = _first(bad[start:])
-    if first is not None:
-        u = start + first
-        return PropertyVerdict(False, n - 2,
-                               (tree.label(u), float(spread[u])), tol, note)
-    return PropertyVerdict(True, n - 2, None, tol, note)
+    failing = np.flatnonzero(bad[start:]) + start
+    if not len(failing):
+        return PropertyVerdict(True, n - 2, None, tol, note,
+                               {"constant_from": k})
+    u = failing.item(0)
+    # constancy holds from the generation after the last failure
+    after = np.searchsorted(tree.gen_offsets, failing.item(-1), side="right")
+    return PropertyVerdict(False, n - 2, (tree.label(u), float(spread[u])),
+                           tol, note, {"constant_from": int(after)})
+
+
+def require_kernel_class(shift: WeightedShift, k: int, tol: float,
+                         prefix: str) -> None:
+    """Raise ClassificationError unless the shift satisfies the expansion
+    identity and sibling norm constancy from generation k on.  The
+    message starts with ``prefix`` (what needs the class) and names the
+    witness of the first check that fails."""
+    two = is_two_isometry(shift, tol)
+    if not two.holds:
+        raise ClassificationError(
+            f"{prefix} the expansion identity; witness {two.witness}")
+    constancy = satisfies_kernel_condition(shift, k, tol)
+    if not constancy.holds:
+        since = f" from generation {k}" if k else ""
+        raise ClassificationError(
+            f"{prefix} sibling norm constancy{since}; witness "
+            f"{constancy.witness}")
 
 
 def sibling_constancy_by_generation(shift: WeightedShift,
@@ -537,6 +563,11 @@ class AdjacencyClassification:
     brownian_isometry: PropertyVerdict
     isometry: PropertyVerdict
 
+    def to_dict(self) -> dict:
+        """Report form: each flag's verdict under its field name."""
+        return {f.name: getattr(self, f.name).to_dict()
+                for f in fields(self)}
+
 
 def classify_adjacency(tree: DirectedTree,
                        tol: float = DEFAULT_TOL) -> AdjacencyClassification:
@@ -551,24 +582,20 @@ def classify_adjacency(tree: DirectedTree,
         return PropertyVerdict(holds, vd,
                                None if holds else (witness, res), tol, note)
 
-    off = tree.gen_offsets
-    parents_end = int(off[n - 1])
+    inner = int(tree.gen_offsets[n - 1])  # vertices of depth <= N-2
     deg = tree.degrees
 
-    # expansion identity: child degrees sum to 2*deg - 1
-    kids = slice(1, int(off[n]))
-    child_sum = np.bincount(tree.parents[kids], weights=deg[kids],
-                            minlength=parents_end)[:parents_end]
-    bad = _first(child_sum != 2 * deg[:parents_end] - 1)
+    grandchildren, target = tree.adjacency_expansion()
+    bad = _first(grandchildren != target)
     two_iso = verdict(True)
     if bad is not None:
-        lhs, rhs = int(child_sum[bad]), 2 * int(deg[bad]) - 1
+        lhs, rhs = grandchildren.item(bad), target.item(bad)
         two_iso = verdict(False, tree.label(bad),
                           _scaled(abs(lhs - rhs), lhs),
                           note=f"degree sum {lhs} != {rhs}")
 
     # all degrees one (isometry; on rooted leafless trees: a path)
-    branch = _first(deg[:parents_end] != 1)
+    branch = _first(deg[:inner] != 1)
     path_witness = None if branch is None else tree.label(branch)
     iso = verdict(path_witness is None, path_witness,
                   0.0 if branch is None else float(deg[branch] - 1))
@@ -581,18 +608,19 @@ def classify_adjacency(tree: DirectedTree,
         note="adjacency shifts satisfy the joint sibling-constant class "
              "exactly on paths")
 
-    structure = classify_tree(tree)
-    qb_holds = two_iso.holds and (iso.holds or structure.quasi_brownian.holds)
+    structure = quasi_brownian(tree)
+    qb_holds = two_iso.holds and (iso.holds or structure.holds)
     qb_witness = None
     if not qb_holds:
         if not two_iso.holds:
             qb_witness = two_iso.witness[0]
-        elif structure.quasi_brownian.witness is not None:
-            qb_witness = structure.quasi_brownian.witness
+        elif structure.witness is not None:
+            qb_witness = structure.witness
         else:
             qb_witness = tree.root
+    # a quasi-Brownian tree's valency is its maximum degree
     qb = verdict(qb_holds, qb_witness, 0.0 if qb_holds else 1.0,
-                 note=f"valency {structure.valency}" if structure.valency
+                 note=f"valency {int(deg.max())}" if structure.holds
                  else "")
 
     brownian = verdict(joint, joint_witness, 1.0,
@@ -609,6 +637,11 @@ class ShiftInvariants:
     branching: tuple[int, ...]
     verified_depth: int
 
+    def to_dict(self) -> dict:
+        """Report form of the pair (``verified_depth`` is not reported)."""
+        return {"root_norm": self.root_norm,
+                "branching": list(self.branching)}
+
 
 def shift_invariants(shift: WeightedShift,
                      tol: float = DEFAULT_TOL) -> ShiftInvariants:
@@ -617,22 +650,13 @@ def shift_invariants(shift: WeightedShift,
     Raises ClassificationError outside that class: the pair is a complete
     invariant only there.
     """
-    two = is_two_isometry(shift, tol)
-    if not two.holds:
-        raise ClassificationError(
-            f"invariants require the expansion identity; witness "
-            f"{two.witness}")
-    kc = satisfies_kernel_condition(shift, 0, tol)
-    if not kc.holds:
-        raise ClassificationError(
-            f"invariants require sibling norm constancy; witness "
-            f"{kc.witness}")
+    require_kernel_class(shift, 0, tol, "invariants require")
     tree = shift.tree
-    n = tree.materialized_depth
+    # branching_degree(tree, k), k = 1..N, from the generation offsets
     return ShiftInvariants(
         float(shift.vertex_norms[0]),
-        tuple(branching_degree(tree, k) for k in range(1, n + 1)),
-        verified_depth=n)
+        tuple(np.diff(tree.gen_offsets, 2).tolist()),
+        verified_depth=tree.materialized_depth)
 
 
 def are_unitarily_equivalent(a: ShiftInvariants, b: ShiftInvariants,

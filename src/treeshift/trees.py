@@ -6,7 +6,7 @@ materialized part only and carry the depth to which they were verified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -27,6 +27,7 @@ __all__ = [
     "generation",
     "branching_degree",
     "classify_tree",
+    "quasi_brownian",
     "comb_pattern_valency",
     "comb_tree_spec",
     "hub_comb_tree_spec",
@@ -247,6 +248,18 @@ class DirectedTree:
                 f"degree of {vid!r} at depth {depth} is unknown: children "
                 f"beyond depth {self._depth} are not materialized")
         return self.degrees.item(i)
+
+    def adjacency_expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both sides of the adjacency shift's expansion identity at every
+        vertex u of depth <= N-2, in canonical order: the sum of the
+        degrees of u's children (its grandchild count), and 2*deg(u) - 1.
+        """
+        inner = self.gen_offsets.item(max(self._depth - 1, 0))
+        starts = self.child_starts
+        # the grandchildren of u are the range starts[starts[u]] :
+        # starts[starts[u + 1]]
+        grandchildren = starts[starts[1:inner + 1]] - starts[starts[:inner]]
+        return grandchildren, 2 * self.degrees[:inner] - 1
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
@@ -549,8 +562,8 @@ def branching_degree(tree: DirectedTree, k: int) -> int:
         raise RangeError(
             f"branching degree index {k} out of range "
             f"[1, {tree.materialized_depth}]")
-    sizes = tree.generation_sizes
-    return sizes[k] - sizes[k - 1]
+    off = tree.gen_offsets
+    return off.item(k + 1) - 2 * off.item(k) + off.item(k - 1)
 
 
 @dataclass(frozen=True)
@@ -574,6 +587,11 @@ class TreeStructureReport:
     quasi_brownian: StructureVerdict
     valency: Optional[int] = None
 
+    def to_dict(self) -> dict:
+        """Report form of the classification: every field, the verdict as
+        a dict of its fields (tuples render as JSON arrays)."""
+        return asdict(self)
+
 
 def _first(mask: np.ndarray) -> Optional[int]:
     """Index of the first True entry, or None."""
@@ -583,26 +601,44 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 def _child_degree_checks(tree: DirectedTree, allowed: Sequence[int]
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """For every vertex of depth <= N-2: whether the child degrees sum
-    to 2*degree - 1, and whether every child degree is in ``allowed``."""
+    """For every vertex of depth <= N-2: whether the adjacency expansion
+    identity holds, and whether every child degree is in ``allowed``."""
+    grandchildren, target = tree.adjacency_expansion()
+    kids = slice(1, tree.gen_offsets.item(tree.materialized_depth))
+    stray = np.bincount(tree.parents[kids],
+                        weights=~np.isin(tree.degrees[kids], allowed),
+                        minlength=len(target))
+    return grandchildren == target, stray == 0
+
+
+def quasi_brownian(tree: DirectedTree) -> StructureVerdict:
+    """Quasi-Brownian verdict of the materialized tree: for every vertex
+    u of depth <= N-2, the degree of u and of each child is 1 or l
+    (l = the maximum degree), and the child degrees sum to
+    2*deg(u) - 1.  ``classify_tree`` reports this verdict."""
     n = tree.materialized_depth
-    parents_end = int(tree.gen_offsets[n - 1])
-    kids = slice(1, int(tree.gen_offsets[n]))
-    deg, par = tree.degrees, tree.parents[kids]
-    child_sum = np.bincount(par, weights=deg[kids], minlength=parents_end)
-    stray = np.bincount(par, weights=~np.isin(deg[kids], allowed),
-                        minlength=parents_end)
-    return (child_sum[:parents_end] == 2 * deg[:parents_end] - 1,
-            stray[:parents_end] == 0)
+    if n < 2:
+        return StructureVerdict(
+            False, max(n - 2, 0),
+            note="materialized depth < 2: quasi-Brownian condition "
+                 "unverifiable")
+    # the last level has degree 0, so this is the maximum over depth < N
+    max_deg = int(tree.degrees.max())
+    if max_deg < 2:
+        return StructureVerdict(False, n - 2,
+                                note="no vertex of degree >= 2")
+    sums_ok, kids_ok = _child_degree_checks(tree, (1, max_deg))
+    own_ok = np.isin(tree.degrees[:len(sums_ok)], (1, max_deg))
+    bad = _first(~(own_ok & kids_ok & sums_ok))
+    return StructureVerdict(bad is None, n - 2,
+                            None if bad is None else tree.label(bad),
+                            note="verified to depth N-2")
 
 
 def classify_tree(tree: DirectedTree) -> TreeStructureReport:
-    """Structural classification of the materialized tree.
-
-    The quasi-Brownian verdict checks, for every vertex u of depth
-    <= N-2: the degree of u and of each child is 1 or l (l = the maximum
-    degree), and the child degrees sum to 2*deg(u) - 1.
-    """
+    """Structural classification of the materialized tree, with the
+    ``quasi_brownian`` verdict; the valency is the maximum degree when
+    that verdict holds."""
     n = tree.materialized_depth
     off = tree.gen_offsets.tolist()
     known = tree.degrees[:off[n]]
@@ -610,24 +646,9 @@ def classify_tree(tree: DirectedTree) -> TreeStructureReport:
     max_deg = int(known.max()) if len(known) else 0
     multisets = tuple(tuple(np.sort(tree.degrees[off[g]:off[g + 1]]).tolist())
                       for g in range(n))
-    valency = None
-    if n < 2:
-        verdict = StructureVerdict(
-            False, max(n - 2, 0),
-            note="materialized depth < 2: quasi-Brownian condition "
-                 "unverifiable")
-    elif max_deg < 2:
-        verdict = StructureVerdict(
-            False, n - 2, note="no vertex of degree >= 2")
-    else:
-        sums_ok, kids_ok = _child_degree_checks(tree, (1, max_deg))
-        own_ok = np.isin(tree.degrees[:len(sums_ok)], (1, max_deg))
-        bad = _first(~(own_ok & kids_ok & sums_ok))
-        verdict = StructureVerdict(
-            bad is None, n - 2, None if bad is None else tree.label(bad),
-            note="verified to depth N-2")
-        valency = max_deg if bad is None else None
-    return TreeStructureReport(leafless, max_deg, multisets, verdict, valency)
+    verdict = quasi_brownian(tree)
+    return TreeStructureReport(leafless, max_deg, multisets, verdict,
+                               max_deg if verdict.holds else None)
 
 
 def comb_pattern_valency(tree: DirectedTree) -> Optional[int]:

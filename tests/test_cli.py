@@ -367,6 +367,8 @@ def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, tol):
     ('{"name":"moments","vertex":3}', "$.commands[0].vertex"),
     ('{"name":"moments","vertex":[0,true]}', "$.commands[0].vertex[1]"),
     ('{"name":"dual-subnormality","nmax":12.0}', "$.commands[0].nmax"),
+    ('{"name":"dual-subnormality","nmax":-5}', "$.commands[0].nmax"),
+    ('{"name":"moments","nmax":-1}', "$.commands[0].nmax"),
     ('{"name":"check-2iso","expect":"no"}', "$.commands[0].expect"),
     ('{"name":"check-kernel","expect":1}', "$.commands[0].expect"),
     ('{"name":"equivalent","other":{"tree":{"kind":"path","depth":3},'

@@ -128,8 +128,11 @@ def test_constancy_profile_agrees_with_every_k(shift):
     n = shift.tree.materialized_depth
     profile = sibling_constancy_by_generation(shift)
     for k in range(n - 1):
-        assert satisfies_kernel_condition(shift, k).holds == \
-            bool(profile[k:].all())
+        verdict = satisfies_kernel_condition(shift, k)
+        assert verdict.holds == bool(profile[k:].all())
+        # the smallest g >= k with constancy in generations g..N-2
+        assert verdict.details["constant_from"] == next(
+            g for g in range(k, n) if profile[g:].all())
 
 
 @settings(**COMMON)
