@@ -692,9 +692,14 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
             f"Stieltjes test at order {v.failing_order} "
             f"(decision path generic-moment-test)",
             n - 2, nmax, evidence)
+    # a witness needs moments 0..2 for the Hankel block of order 1
+    passed = (f"consistent to order {nmax}: every tested dual sequence "
+              f"passes the Stieltjes test" if plan else
+              f"consistent: no dual sequence was tested, since no witness "
+              f"reaches Hankel order 1 at nmax {nmax} and materialized "
+              f"depth {n}")
     return SubnormalityReport(
         "consistent", False, "generic-moment-test",
-        f"consistent to order {nmax}: every tested dual sequence passes "
-        f"the Stieltjes test (decision path generic-moment-test); "
-        f"subnormality is not decided by finite prefixes",
+        f"{passed} (decision path generic-moment-test); subnormality is "
+        f"not decided by finite prefixes",
         n - 2, nmax, evidence)

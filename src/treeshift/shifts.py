@@ -13,9 +13,9 @@ verdict records that verified depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,15 +65,6 @@ def check_tolerance(tol: object) -> float:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _squared(a: np.ndarray) -> np.ndarray:
-    """Elementwise a ** 2 through libm pow, as Python's ``x ** 2`` does.
-
-    ``a * a`` is correctly rounded and pow is not always, so the two
-    differ in the last bit for about one value in a thousand; this keeps
-    the array code bit-identical to the scalar formulas."""
-    return np.float_power(a, 2.0)
-
-
 def two_isometry_weight(n: int, x: float) -> float:
     """n-th weight of the expansive unilateral shift with first weight x.
 
@@ -101,7 +92,10 @@ class WeightedShift:
     The weights are one float array in the tree's canonical vertex
     order (``weight_array``; its root entry is 0 and carries no
     meaning).  ``squared_weights``, ``vertex_norms`` and
-    ``squared_norms`` are computed on first use and kept.
+    ``squared_norms`` are computed on first use and kept; squares are
+    products, which IEEE 754 rounds correctly.  The verdicts of
+    ``is_two_isometry`` and ``satisfies_kernel_condition`` are kept per
+    tolerance (and k), never the arrays behind them.
     """
 
     def __init__(self, tree: DirectedTree, weights: Mapping[str, float],
@@ -142,6 +136,8 @@ class WeightedShift:
         #: weights in canonical vertex order; entry 0 (the root) is 0
         self.weight_array = w
         self.name = name
+        # check verdicts by (check, k, tol); see _kept
+        self._verdicts: dict[tuple, PropertyVerdict] = {}
 
     @property
     def tree(self) -> DirectedTree:
@@ -149,7 +145,8 @@ class WeightedShift:
 
     @cached_property
     def squared_weights(self) -> np.ndarray:
-        squares = _squared(self.weight_array)
+        w = self.weight_array
+        squares = w * w
         squares.flags.writeable = False
         return squares
 
@@ -165,9 +162,10 @@ class WeightedShift:
 
     @cached_property
     def squared_norms(self) -> np.ndarray:
-        """``vertex_norms`` squared, through the same libm pow as
-        ``vertex_norm(shift, v) ** 2``."""
-        squares = _squared(self.vertex_norms)
+        """``vertex_norms`` times itself, entry by entry: the square of
+        the rounded norm, not the children's squared-weight sum."""
+        norms = self.vertex_norms
+        squares = norms * norms
         squares.flags.writeable = False
         return squares
 
@@ -296,7 +294,8 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
         inner = int(tree.gen_offsets[n])  # vertices of depth <= N-1
         deg = tree.degrees[:inner]
         leaf = _first(deg == 0)
-        targets = _squared(_two_isometry_weights(np.arange(n), spec.x))
+        ladder = _two_isometry_weights(np.arange(n), spec.x)
+        targets = ladder * ladder
         # squared norm target of every parent, by depth
         target = np.repeat(targets, np.diff(tree.gen_offsets[:n + 1]))[parents]
         if spec.proportions is None:
@@ -399,15 +398,32 @@ def _scaled(residual: float, lhs: float) -> float:
     return residual / (1.0 + abs(lhs))
 
 
+def _kept(shift: WeightedShift, key: tuple,
+          check: Callable[[], PropertyVerdict]) -> PropertyVerdict:
+    """``check()``, run once per shift and key; every caller gets its own
+    copy of ``details``, so no caller sees another's changes to it."""
+    verdict = shift._verdicts.get(key)
+    if verdict is None:
+        verdict = shift._verdicts[key] = check()
+    return replace(verdict, details=dict(verdict.details))
+
+
 def is_two_isometry(shift: WeightedShift,
                     tol: float = DEFAULT_TOL) -> PropertyVerdict:
     """Check the expansion identity at every vertex of depth <= N-2:
-    sum over children v of weight(v)^2 * (2 - norm(v)^2) must equal 1."""
+    sum over children v of weight(v)^2 * (2 - norm(v)^2) must equal 1.
+    The verdict is computed once per shift and tolerance."""
     tol = check_tolerance(tol)
+    if shift.tree.materialized_depth < 2:
+        raise RangeError("need materialized depth >= 2")
+    return _kept(shift, ("two_isometry", tol),
+                 lambda: _expansion_check(shift, tol))
+
+
+def _expansion_check(shift: WeightedShift, tol: float) -> PropertyVerdict:
+    """The array pass behind ``is_two_isometry``."""
     tree = shift.tree
     n = tree.materialized_depth
-    if n < 2:
-        raise RangeError("need materialized depth >= 2")
     off = tree.gen_offsets
     norms = shift.vertex_norms
     min_norm = float(norms[:off[n]].min())
@@ -466,16 +482,24 @@ def satisfies_kernel_condition(shift: WeightedShift, k: int = 0,
     spread within tolerance).  k = 0 is the plain condition; k >= 1 is
     the perturbed variant.  ``details["constant_from"]`` is the smallest
     generation g >= k such that the condition holds from g on (N-1 when
-    it fails in generation N-2).
+    it fails in generation N-2).  The verdict is computed once per
+    shift, k and tolerance.
     """
     tol = check_tolerance(tol)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    tree = shift.tree
-    n = tree.materialized_depth
-    if n < k + 2:
+    if shift.tree.materialized_depth < k + 2:
         raise RangeError(
             f"need materialized depth >= {k + 2} for k = {k}")
+    return _kept(shift, ("kernel_condition", k, tol),
+                 lambda: _constancy_check(shift, k, tol))
+
+
+def _constancy_check(shift: WeightedShift, k: int,
+                     tol: float) -> PropertyVerdict:
+    """The array pass behind ``satisfies_kernel_condition``."""
+    tree = shift.tree
+    n = tree.materialized_depth
     note = ""
     if shift.has_zero_weights:
         note = "zero-weight children excluded from constancy groups"

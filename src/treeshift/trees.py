@@ -146,6 +146,7 @@ class DirectedTree:
         self._labels = labels
         self._index_map: Optional[dict[str, int]] = None
         self._depths: Optional[np.ndarray] = None
+        self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
 
     @property
@@ -253,13 +254,18 @@ class DirectedTree:
         """Both sides of the adjacency shift's expansion identity at every
         vertex u of depth <= N-2, in canonical order: the sum of the
         degrees of u's children (its grandchild count), and 2*deg(u) - 1.
+        Computed on first use and kept (read-only).
         """
-        inner = self.gen_offsets.item(max(self._depth - 1, 0))
-        starts = self.child_starts
-        # the grandchildren of u are the range starts[starts[u]] :
-        # starts[starts[u + 1]]
-        grandchildren = starts[starts[1:inner + 1]] - starts[starts[:inner]]
-        return grandchildren, 2 * self.degrees[:inner] - 1
+        if self._expansion is None:
+            inner = self.gen_offsets.item(max(self._depth - 1, 0))
+            starts = self.child_starts
+            # the grandchildren of u are the range starts[starts[u]] :
+            # starts[starts[u + 1]]
+            grandchildren = (starts[starts[1:inner + 1]]
+                             - starts[starts[:inner]])
+            self._expansion = (_frozen(grandchildren),
+                               _frozen(2 * self.degrees[:inner] - 1))
+        return self._expansion
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
@@ -599,14 +605,19 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return i if len(mask) and mask[i] else None
 
 
-def _child_degree_checks(tree: DirectedTree, allowed: Sequence[int]
+def _either(degrees: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Whether each degree is a or b."""
+    return (degrees == a) | (degrees == b)
+
+
+def _child_degree_checks(tree: DirectedTree, a: int, b: int
                          ) -> tuple[np.ndarray, np.ndarray]:
     """For every vertex of depth <= N-2: whether the adjacency expansion
-    identity holds, and whether every child degree is in ``allowed``."""
+    identity holds, and whether every child degree is a or b."""
     grandchildren, target = tree.adjacency_expansion()
     kids = slice(1, tree.gen_offsets.item(tree.materialized_depth))
     stray = np.bincount(tree.parents[kids],
-                        weights=~np.isin(tree.degrees[kids], allowed),
+                        weights=~_either(tree.degrees[kids], a, b),
                         minlength=len(target))
     return grandchildren == target, stray == 0
 
@@ -627,8 +638,8 @@ def quasi_brownian(tree: DirectedTree) -> StructureVerdict:
     if max_deg < 2:
         return StructureVerdict(False, n - 2,
                                 note="no vertex of degree >= 2")
-    sums_ok, kids_ok = _child_degree_checks(tree, (1, max_deg))
-    own_ok = np.isin(tree.degrees[:len(sums_ok)], (1, max_deg))
+    sums_ok, kids_ok = _child_degree_checks(tree, 1, max_deg)
+    own_ok = _either(tree.degrees[:len(sums_ok)], 1, max_deg)
     bad = _first(~(own_ok & kids_ok & sums_ok))
     return StructureVerdict(bad is None, n - 2,
                             None if bad is None else tree.label(bad),
@@ -667,8 +678,8 @@ def comb_pattern_valency(tree: DirectedTree) -> Optional[int]:
     l = int(tree.degrees[0])
     if l < 2:
         return None
-    sums_ok, kids_ok = _child_degree_checks(tree, (1, 2))
-    own_ok = np.isin(tree.degrees[1:len(sums_ok)], (1, 2))
+    sums_ok, kids_ok = _child_degree_checks(tree, 1, 2)
+    own_ok = _either(tree.degrees[1:len(sums_ok)], 1, 2)
     if not (sums_ok.all() and kids_ok.all() and own_ok.all()):
         return None
     return l

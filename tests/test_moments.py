@@ -411,6 +411,18 @@ def test_decision_generic_inconclusive_pass():
         assert w["stieltjes"]["is_stieltjes"] is True
 
 
+@pytest.mark.parametrize("depth,nmax", [(64, 0), (64, 1), (2, 12)])
+def test_decision_generic_says_when_no_witness_is_tested(depth, nmax):
+    # every witness needs moments 0..2; with nmax < 2, or a tree too
+    # shallow for them, no sequence is tested and the statement says so
+    path = materialize(TreeSpec("path", depth=depth))
+    rep = dual_subnormality(build_shift(WeightSpec("treiso"), path), nmax)
+    assert (rep.verdict, rep.conclusive) == ("consistent", False)
+    assert rep.evidence["witnesses"] == []
+    assert "every tested dual sequence passes" not in rep.statement
+    assert "no witness reaches Hankel order 1" in rep.statement
+
+
 def test_decision_requires_left_invertibility():
     tree = materialize(TreeSpec("path", depth=6))
     ids = list(tree.ids())
