@@ -13,6 +13,7 @@ conclusion; 2 = configuration or parse error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import json
@@ -1058,7 +1059,35 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters and the values main() sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 64 << 20
+_TRIM_THRESHOLD = 128 << 20
+
+
+@functools.cache
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process.
+
+    By default glibc serves each block above 128 KiB with a fresh mmap
+    and unmaps it on free, so a run that builds arrays of a few hundred
+    KB pays a page fault per 4 KiB page on every pass; the threshold
+    rises only after a large block is freed.  Fixed at 64 MiB (mmap) and
+    128 MiB (trim), freed arrays stay in the heap for reuse.  A no-op
+    where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _set_malloc_thresholds()
     parser = _parser()
     args = parser.parse_args(argv)
     if args.nmax is not None and args.nmax < 0:

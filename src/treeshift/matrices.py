@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -126,31 +126,38 @@ def defect(op: Union[WeightedShift, TruncatedOperator],
     return out
 
 
-def _diagonal_gram(a: np.ndarray
-                   ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _row_entries(a: np.ndarray
+                 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """When no row of T has two nonzero entries (the columns have
     disjoint supports, as for any shift on a tree), T*T is exactly
     diagonal: return the column and value of each row's entry (value 0
-    for an empty row) and the Gram diagonal.  Otherwise None."""
+    in column 0 for an empty row).  Otherwise None."""
     nonzero = a != 0
     if a.size and nonzero.sum(axis=1).max() > 1:
         return None
     col = nonzero.argmax(axis=1)
-    val = a[np.arange(len(a)), col]
-    return col, val, np.bincount(col, weights=val * val, minlength=len(a))
+    return col, a[np.arange(len(a)), col]
 
 
-def _inverse_gram_diagonal(gram: np.ndarray,
-                           trunc: TruncatedOperator) -> np.ndarray:
+def _gram_diagonal(col: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """T*T of a matrix whose row i holds val[i] in column col[i]."""
+    return np.bincount(col, weights=val * val, minlength=len(col))
+
+
+def _inverse_gram_diagonal(gram: np.ndarray, depths: np.ndarray,
+                           interior_depth: int,
+                           label: Callable[[int], str]) -> np.ndarray:
     """Reciprocals of the Gram diagonal, with the eigh path's cutoff;
-    a vanishing entry is tolerated only beyond the interior depth."""
+    a vanishing entry is tolerated only beyond the interior depth
+    (``depths[j]`` is the depth of basis vector j, ``label(j)`` its
+    name)."""
     cutoff = max(float(gram.max(initial=0.0)), 0.0) * 1e-12 + 1e-300
     small = gram <= cutoff
-    for j in np.flatnonzero(small):
-        if trunc.depths[j] <= trunc.interior_depth:
-            raise NotLeftInvertibleError(
-                f"Gram matrix is singular on the interior (basis "
-                f"vector {trunc.basis[j]!r})")
+    inside = np.flatnonzero(small & (depths <= interior_depth))
+    if len(inside):
+        raise NotLeftInvertibleError(
+            f"Gram matrix is singular on the interior (basis "
+            f"vector {label(inside.item(0))!r})")
     inv = np.zeros_like(gram)
     np.divide(1.0, gram, out=inv, where=~small)
     return inv
@@ -167,9 +174,11 @@ def dual_matrix(trunc: TruncatedOperator) -> TruncatedOperator:
     operator is not left invertible.
     """
     a = trunc.matrix
-    diagonal = _diagonal_gram(a)
-    if diagonal is not None:
-        dual = a * _inverse_gram_diagonal(diagonal[2], trunc)
+    entries = _row_entries(a)
+    if entries is not None:
+        dual = a * _inverse_gram_diagonal(
+            _gram_diagonal(*entries), np.asarray(trunc.depths),
+            trunc.interior_depth, trunc.basis.__getitem__)
     else:
         gram = a.T @ a
         eigval, eigvec = np.linalg.eigh(gram)
@@ -249,13 +258,21 @@ def _require_row_membership(shift: WeightedShift, row: str,
     return f"comb-pattern adjacency shift of valency {valency}"
 
 
-def _table1_of_gram(row: str, gram: np.ndarray, n: int) -> np.ndarray:
-    """The row's r_n at each Gram eigenvalue; values <= 0.5 are
-    truncation artifacts and map to r_n(0) = [n == 0]."""
+def _table1_of_gram(row: str, gram: np.ndarray
+                    ) -> Callable[[int], np.ndarray]:
+    """n -> the row's r_n at each Gram eigenvalue; values <= 0.5 are
+    truncation artifacts and map to r_n(0) = [n == 0].  The eigenvalues
+    are sorted once, not once per order."""
     values, where = np.unique(gram, return_inverse=True)
-    table = np.array([table1_value(row, float(lam), n) if lam > 0.5
-                      else (1.0 if n == 0 else 0.0) for lam in values])
-    return table[where.reshape(-1)]
+    where = where.reshape(-1)
+    genuine = (values > 0.5).tolist()
+
+    def at(n: int) -> np.ndarray:
+        table = np.array([table1_value(row, lam, n) if live
+                          else (1.0 if n == 0 else 0.0)
+                          for lam, live in zip(values.tolist(), genuine)])
+        return table[where]
+    return at
 
 
 # Both per-order generators yield (max |lhs - rhs| on the interior
@@ -265,11 +282,12 @@ def _table1_orders_dense(trunc: TruncatedOperator, row: str, nmax: int
                          ) -> Iterator[tuple[float, float, int]]:
     dual = dual_matrix(trunc)
     eigval, eigvec = np.linalg.eigh(trunc.matrix.T @ trunc.matrix)
+    r_n = _table1_of_gram(row, eigval)
     power = np.eye(trunc.dim)
     for n in range(nmax + 1):
         if n > 0:
             power = dual.matrix @ power
-        rhs = eigvec @ np.diag(_table1_of_gram(row, eigval, n)) @ eigvec.T
+        rhs = eigvec @ np.diag(r_n(n)) @ eigvec.T
         idx = trunc.interior_indices(n)
         if not idx:
             yield 0.0, 0.0, 0
@@ -279,27 +297,57 @@ def _table1_orders_dense(trunc: TruncatedOperator, row: str, nmax: int
                float(np.max(np.abs(rhs[block]))), len(idx))
 
 
-def _table1_orders_diagonal(trunc: TruncatedOperator, row: str, nmax: int,
-                            col: np.ndarray, val: np.ndarray,
-                            gram: np.ndarray
+def _table1_orders_diagonal(row: str, nmax: int, col: np.ndarray,
+                            val: np.ndarray, depths: np.ndarray,
+                            interior_depth: int,
+                            label: Callable[[int], str]
                             ) -> Iterator[tuple[float, float, int]]:
-    dual_val = val * _inverse_gram_diagonal(gram, trunc)[col]
-    depths = np.asarray(trunc.depths)
+    """Row i of T holds its one entry, val[i], in column col[i] (value 0
+    for an empty row); basis vector i has depth depths[i] and name
+    label(i)."""
+    dim = len(col)
+    gram = _gram_diagonal(col, val)
+    dual_val = val * _inverse_gram_diagonal(gram, depths, interior_depth,
+                                            label)[col]
+    r_n = _table1_of_gram(row, gram)
     # Row i of the n-th dual power holds its one entry, power_val[i], in
     # column power_col[i]; (T')^n* (T')^n is then exactly diagonal.
-    power_col, power_val = np.arange(trunc.dim), np.ones(trunc.dim)
+    power_col, power_val = np.arange(dim), np.ones(dim)
     for n in range(nmax + 1):
         if n > 0:
             power_col, power_val = power_col[col], dual_val * power_val[col]
-        inside = depths <= trunc.interior_depth - n
+        inside = depths <= interior_depth - n
         if not inside.any():
             yield 0.0, 0.0, 0
             continue
         lhs = np.bincount(power_col, weights=power_val * power_val,
-                          minlength=trunc.dim)
-        rhs = _table1_of_gram(row, gram, n)[inside]
+                          minlength=dim)
+        rhs = r_n(n)[inside]
         yield (float(np.abs(lhs[inside] - rhs).max()),
                float(np.abs(rhs).max()), int(inside.sum()))
+
+
+def _shift_orders(shift: WeightedShift, row: str, nmax: int,
+                  depth: Optional[int]
+                  ) -> tuple[int, Iterator[tuple[float, float, int]]]:
+    """Interior depth and per-order generator of ``truncate(shift,
+    depth)``, read as index arrays: row i holds weight_array[i] in column
+    parents[i], or 0 in column 0 for the root and zero weights, as
+    ``_row_entries`` reads the matrix.  No V x V matrix is built."""
+    tree = shift.tree
+    cut = tree.materialized_depth if depth is None else depth
+    if cut < 1 or cut > tree.materialized_depth:
+        raise RangeError(
+            f"cut depth must be in [1, {tree.materialized_depth}], "
+            f"got {cut}")
+    if nmax > cut - 1:
+        raise RangeError(f"nmax {nmax} exceeds interior depth {cut - 1}")
+    size = tree.gen_offsets.item(cut + 1)  # vertices of depth <= cut
+    val = shift.weight_array[:size]
+    col = np.where(val != 0.0, tree.parents[:size], 0)
+    depths = np.repeat(np.arange(cut + 1), np.diff(tree.gen_offsets[:cut + 2]))
+    return cut - 1, _table1_orders_diagonal(row, nmax, col, val, depths,
+                                            cut - 1, tree.label)
 
 
 def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
@@ -311,9 +359,11 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     When no row of T has two nonzero entries (every shift on a tree),
     T*T is diagonal, the dual is a column scaling of T, each dual power
     keeps one entry per row and is composed index by index in O(dim),
-    and r_n(T*T) is r_n of the diagonal.  Otherwise the left side comes
-    from repeated dense
-    multiplication of the dual matrix and the right side from the
+    and r_n(T*T) is r_n of the diagonal.  A weighted shift is read this
+    way straight from its parent and weight arrays, in O(V) time and
+    memory, and gives the same report as ``truncate(shift, depth)``
+    apart from ``note``.  Otherwise the left side comes from repeated
+    dense multiplication of the dual matrix and the right side from the
     spectral decomposition of T*T.  Either way r_n is applied to Gram
     eigenvalues above 0.5 (truncation artifacts contribute spurious zero
     eigenvalues; genuine Gram eigenvalues of the covered classes are
@@ -329,15 +379,17 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     note = ""
     if isinstance(op, WeightedShift):
         note = _require_row_membership(op, row, tol)
-        trunc = truncate(op, depth)
+        interior, orders = _shift_orders(op, row, nmax, depth)
     else:
-        trunc = op
-    if nmax > trunc.interior_depth:
-        raise RangeError(
-            f"nmax {nmax} exceeds interior depth {trunc.interior_depth}")
-    diagonal = _diagonal_gram(trunc.matrix)
-    orders = (_table1_orders_dense(trunc, row, nmax) if diagonal is None
-              else _table1_orders_diagonal(trunc, row, nmax, *diagonal))
+        interior = op.interior_depth
+        if nmax > interior:
+            raise RangeError(
+                f"nmax {nmax} exceeds interior depth {interior}")
+        entries = _row_entries(op.matrix)
+        orders = (_table1_orders_dense(op, row, nmax) if entries is None
+                  else _table1_orders_diagonal(
+                      row, nmax, *entries, np.asarray(op.depths),
+                      interior, op.basis.__getitem__))
     max_err = 0.0
     scale = 1.0
     checked = 0
@@ -349,7 +401,7 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
         per_order.append((n, err, size))
     holds = max_err <= tol * (1.0 + scale)
     return Table1Report(row, holds, max_err, nmax, tol, checked,
-                        trunc.interior_depth, tuple(per_order), note)
+                        interior, tuple(per_order), note)
 
 
 def build_brownian_shift(sigma: float, size: int) -> TruncatedOperator:

@@ -449,27 +449,36 @@ def _sibling_spread(shift: WeightedShift, tol: float
     """For every vertex of depth <= N-2: the spread (max - min) of the
     norms of its nonzero-weight children, and whether that spread breaks
     sibling constancy (two or more such children and spread above
-    tol * (1 + max))."""
+    tol * (1 + max)).  Only parents with two or more children can break
+    it, so only their children are read."""
     tree = shift.tree
-    n = tree.materialized_depth
-    off = tree.gen_offsets
-    parents_end = int(off[n - 1])
-    kids = slice(1, int(off[n]))
-    norms = shift.vertex_norms[kids]
-    nonzero = shift.weight_array[kids] != 0.0
-    deg = tree.degrees[:parents_end]
-    # children of consecutive parents are consecutive: one segment each
-    starts = (tree.child_starts[:parents_end] - 1)[deg > 0]
+    parents_end = tree.gen_offsets.item(tree.materialized_depth - 1)
     spread = np.zeros(parents_end)
     bad = np.zeros(parents_end, dtype=bool)
-    if len(starts):
-        high = np.maximum.reduceat(np.where(nonzero, norms, -np.inf), starts)
-        low = np.minimum.reduceat(np.where(nonzero, norms, np.inf), starts)
-        counted = np.add.reduceat(nonzero.astype(np.int64), starts) >= 2
-        with np.errstate(invalid="ignore"):
-            gap = np.where(counted, high - low, 0.0)
-        spread[deg > 0] = gap
-        bad[deg > 0] = counted & (gap > tol * (1.0 + high))
+    branching = np.flatnonzero(tree.degrees[:parents_end] >= 2)
+    if not len(branching):
+        return spread, bad
+    counts = tree.degrees[branching]
+    first = tree.child_starts[branching]
+    # segment j of the gathered children holds the children of
+    # branching[j], the range first[j] + 0..counts[j]-1
+    segments = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=segments[1:])
+    if first.item(-1) - first.item(0) == segments.item(-1):
+        # no child of a one-child parent lies between: one range
+        kids = slice(first.item(0), first.item(-1) + counts.item(-1))
+    else:
+        kids = np.repeat(first - segments, counts)
+        kids += np.arange(len(kids))
+    norms = shift.vertex_norms[kids]
+    nonzero = shift.weight_array[kids] != 0.0
+    high = np.maximum.reduceat(np.where(nonzero, norms, -np.inf), segments)
+    low = np.minimum.reduceat(np.where(nonzero, norms, np.inf), segments)
+    counted = np.add.reduceat(nonzero.astype(np.int64), segments) >= 2
+    with np.errstate(invalid="ignore"):
+        gap = np.where(counted, high - low, 0.0)
+    spread[branching] = gap
+    bad[branching] = counted & (gap > tol * (1.0 + high))
     return spread, bad
 
 

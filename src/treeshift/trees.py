@@ -110,13 +110,8 @@ class DirectedTree:
         ``g<depth>:<index in generation>``."""
         degrees = np.asarray(degrees, dtype=np.int64)
         sizes = np.asarray(generation_sizes, dtype=np.int64)
-        ends = np.cumsum(sizes)
-        summed = np.concatenate([[0], np.cumsum(degrees)])
-        if (len(sizes) == 0 or sizes[0] != 1 or degrees.min(initial=0) < 0
-                or len(degrees) != ends[-1]
-                # the children of generation g make up generation g + 1
-                or not np.array_equal(summed[ends] - summed[ends - sizes],
-                                      np.append(sizes[1:], 0))):
+        if (len(sizes) == 0 or sizes[0] != 1 or sizes.min() < 0
+                or degrees.min(initial=0) < 0 or len(degrees) != sizes.sum()):
             raise StructureError(
                 "child counts do not match the generation sizes")
         tree = cls.__new__(cls)
@@ -132,6 +127,12 @@ class DirectedTree:
         child_starts = np.ones(count + 1, dtype=np.int64)
         np.cumsum(degrees, out=child_starts[1:])
         child_starts[1:] += 1
+        # the children of generation g make up generation g + 1, and the
+        # last generation has none
+        if (child_starts.item(-1) != count
+                or np.any(child_starts[offsets[1:-1]] != offsets[2:])):
+            raise StructureError(
+                "child counts do not match the generation sizes")
         parents = np.empty(count, dtype=np.int64)
         parents[0] = -1
         parents[1:] = np.repeat(np.arange(count, dtype=np.int64), degrees)
@@ -409,27 +410,61 @@ class TreeSpec:
             if self.rule is None:
                 raise ConfigurationError(
                     "generation_rule requires a rule table")
-            width = 1
-            for g, row in enumerate(self.rule):
-                if len(row) != width or min(row, default=0) < 0:
-                    raise StructureError(
-                        f"generation rule row {g} has length {len(row)}; "
-                        f"it needs {width} child counts >= 0, one per "
-                        f"vertex of generation {g}")
-                width = sum(row)
+            # checked and flattened once; spec_vertex_count and
+            # materialize read the arrays
+            object.__setattr__(self, "_rule_arrays", _rule_arrays(self.rule))
 
 
-def _tree_from_rule(rows: Sequence[Sequence[int]],
+#: Largest rule entry kept in int64: sums of fewer than 2**31 such
+#: entries cannot overflow.  A rule with a larger entry is held as
+#: Python ints, whose sums are exact (its tree is never materialized).
+_RULE_ENTRY_MAX = 2 ** 31
+
+
+def _rule_arrays(rule: Sequence[Sequence[int]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's child counts in one array, generation after
+    generation, and the generation sizes: 1, then the sum of each row.
+    Raises StructureError naming the first row that is not one count
+    >= 0 per vertex of its generation."""
+    try:
+        flat = np.fromiter(chain.from_iterable(rule), np.int64)
+        exact = flat.max(initial=0) <= _RULE_ENTRY_MAX
+    except OverflowError:
+        exact = False
+    if not exact:
+        flat = np.fromiter(chain.from_iterable(rule), object)
+    lengths = np.fromiter(map(len, rule), np.int64, len(rule))
+    ends = np.cumsum(lengths)
+    summed = np.concatenate([[0], np.cumsum(flat)])
+    sizes = np.concatenate([[1], summed[ends] - summed[ends - lengths]])
+    # the row of the first negative count
+    negative = np.searchsorted(ends, np.flatnonzero(flat < 0), side="right")
+    bad = np.flatnonzero(lengths != sizes[:-1])
+    g = min(bad[:1].tolist() + negative[:1].tolist(), default=None)
+    if g is not None:
+        raise StructureError(
+            f"generation rule row {g} has length {lengths.item(g)}; it "
+            f"needs {sizes[g]} child counts >= 0, one per vertex of "
+            f"generation {g}")
+    return flat, sizes
+
+
+def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray,
                     depth: int) -> DirectedTree:
-    """Tree whose generation g < len(rows) has child counts rows[g];
-    later generations continue with one child each."""
-    sizes = [1] + [sum(row) for row in rows]  # rows checked by TreeSpec
-    sizes += [sizes[-1]] * (depth - len(rows))
-    degrees = np.ones(sum(sizes), dtype=np.int64)
-    ruled = sum(sizes[:len(rows)])
-    degrees[:ruled] = np.fromiter(chain.from_iterable(rows), np.int64, ruled)
-    degrees[len(degrees) - sizes[-1]:] = 0
-    return DirectedTree.from_degrees(degrees, sizes)
+    """Tree whose generation g < len(sizes) - 1 has the child counts of
+    rule row g (``_rule_arrays``); later generations continue with one
+    child each."""
+    rows = min(depth, len(sizes) - 1)
+    generations = np.full(depth + 1, sizes[rows], dtype=np.int64)
+    generations[:rows] = sizes[:rows]
+    count = int(generations.sum())
+    degrees = np.ones(count, dtype=np.int64)
+    # generations rows..depth all have sizes[rows] vertices
+    ruled = count - (depth + 1 - rows) * generations.item(-1)
+    degrees[:ruled] = flat[:ruled]
+    degrees[count - generations.item(-1):] = 0
+    return DirectedTree.from_degrees(degrees, generations)
 
 
 def _comb_rule_spec(children: Mapping[str, tuple[str, ...]],
@@ -506,13 +541,9 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
         assert spec.valency is not None
         # generation n has 1 + n(valency - 1) vertices
         return depth + 1 + (spec.valency - 1) * depth * (depth + 1) // 2
-    assert spec.rule is not None
-    total = width = 1
-    rows = spec.rule[:depth]
-    for row in rows:
-        width = sum(row)
-        total += width
-    return total + (depth - len(rows)) * width
+    sizes = spec._rule_arrays[1]
+    rows = min(depth, len(sizes) - 1)
+    return int(sizes[:rows + 1].sum()) + (depth - rows) * int(sizes[rows])
 
 
 def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
@@ -543,14 +574,13 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         degrees[count - sizes[-1]:] = 0
         return DirectedTree.from_degrees(degrees, sizes)
     if spec.kind == "path":
-        rule: Sequence[Sequence[int]] = ()
+        arrays = (np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64))
     elif spec.kind == "t_eta_kappa":
         assert spec.eta is not None
-        rule = ((spec.eta,),)
+        arrays = (np.array([spec.eta]), np.array([1, spec.eta]))
     else:
-        assert spec.rule is not None
-        rule = spec.rule
-    return _tree_from_rule(rule[:depth], depth)
+        arrays = spec._rule_arrays
+    return _tree_from_rule(*arrays, depth)
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
