@@ -65,6 +65,10 @@ class RunSpec:
     weights: WeightSpec
     commands: tuple[CommandRecord, ...]
     tolerance: float = DEFAULT_TOL
+    #: a depth-less explicit ``tree``, built while parsing to infer its
+    #: depth; a run at that depth reuses it
+    built_tree: Optional[DirectedTree] = field(default=None, compare=False,
+                                               repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +102,30 @@ def _as_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
 
 
 def _as_number(value: Any, path: str) -> float:
+    """A finite number; the JSON decoder also yields NaN and infinities
+    (from ``NaN``, ``Infinity`` or a literal such as 1e400)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecParseError(f"expected a number, got {value!r}",
                              json_path=path)
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:  # an integer beyond the float range
         raise SpecParseError("expected a number within the float range",
                              json_path=path) from exc
+    if not math.isfinite(number):
+        raise SpecParseError(f"expected a finite number, got {number!r}",
+                             json_path=path)
+    return number
+
+
+def _as_ladder_start(value: Any, path: str) -> float:
+    """``x`` of kernel_condition weights: a finite number whose ladder
+    parameter x * x - 1 is finite too."""
+    x = _as_number(value, path)
+    if not math.isfinite(x * x - 1.0):
+        raise SpecParseError(
+            f"x * x - 1 must be finite, got x = {x!r}", json_path=path)
+    return x
 
 
 def _tolerance_arg(text: str) -> float:
@@ -202,10 +222,16 @@ def _as_values(value: Any, path: str) -> dict[str, float]:
         raise SpecParseError("values must map vertex ids to numbers",
                              json_path=path)
     try:
-        return dict(zip(value, map(float, value.values())))
+        values = dict(zip(value, map(float, value.values())))
     except OverflowError as exc:
         raise SpecParseError("values must be within the float range",
                              json_path=path) from exc
+    if not all(map(math.isfinite, values.values())):
+        vid, number = next((k, v) for k, v in values.items()
+                           if not math.isfinite(v))
+        raise SpecParseError(f"expected a finite number, got {number!r}",
+                             json_path=f"{path}.{vid}")
+    return values
 
 
 def _as_proportions(value: Any, path: str) -> dict[str, float]:
@@ -220,9 +246,7 @@ def _as_other(value: Any, path: str) -> dict[str, Any]:
         raise SpecParseError("'other' must be an object with tree and "
                              "weights", json_path=path)
     _reject_unknown(value, {"tree", "weights"}, path)
-    tree = _parse_section(_require(value, "tree", path), f"{path}.tree",
-                          TreeSpec)
-    _check_size(tree, None, f"{path}.tree")
+    tree, _ = _parse_tree(_require(value, "tree", path), f"{path}.tree")
     return {"tree": tree,
             "weights": _parse_section(_require(value, "weights", path),
                                       f"{path}.weights", WeightSpec)}
@@ -234,7 +258,7 @@ def _as_other(value: Any, path: str) -> dict[str, Any]:
 _FIELD_TYPES: dict[str, Callable[[Any, str], Any]] = {
     "depth": functools.partial(_as_int, minimum=0), "eta": _as_int,
     "kappa": _as_int, "valency": _as_int, "edges": _as_edges,
-    "rule": _as_rule, "values": _as_values, "x": _as_number,
+    "rule": _as_rule, "values": _as_values, "x": _as_ladder_start,
     "proportions": _as_proportions, "y1": _as_number, "y2": _as_number,
     "nmax": functools.partial(_as_int, minimum=0), "k": _as_int,
     "dual": _as_bool, "vertex": _as_vertex, "other": _as_other,
@@ -275,17 +299,31 @@ def _parse_section(obj: Any, path: str, cls: type) -> Any:
     ``cls.KIND_FIELDS``."""
     kind, values = _parse_fields(obj, path, "kind", cls.KIND_FIELDS)
     try:
-        spec = cls(kind, **values)
-        if cls is TreeSpec and kind == "explicit" and spec.depth is None:
-            _check_size(spec, None, path)  # before building anything
-            spec = replace(spec, depth=DirectedTree.from_edges(
-                spec.edges).materialized_depth)
-        return spec
+        return cls(kind, **values)
     except (ConfigurationError, DomainError) as exc:
         raise SpecParseError(str(exc), json_path=path) from exc
     except StructureError as exc:  # TreeSpec's edge list or rule table
         field = "edges" if kind == "explicit" else "rule"
         raise SpecParseError(str(exc), json_path=f"{path}.{field}") from exc
+
+
+def _parse_tree(obj: Any, path: str
+                ) -> tuple[TreeSpec, Optional[DirectedTree]]:
+    """A TreeSpec from its JSON object, refused above MAX_VERTICES.  An
+    explicit tree without a depth is built to infer it; that tree comes
+    back too (else None)."""
+    spec = _parse_section(obj, path, TreeSpec)
+    built = None
+    if spec.kind == "explicit" and spec.depth is None:
+        _check_size(spec, None, path)  # before building anything
+        try:
+            built = DirectedTree.from_edges(spec.edges)
+        except StructureError as exc:
+            raise SpecParseError(str(exc),
+                                 json_path=f"{path}.edges") from exc
+        spec = replace(spec, depth=built.materialized_depth)
+    _check_size(spec, None, path)
+    return spec, built
 
 
 _DEFAULT_TREES: dict[str, TreeSpec] = {
@@ -308,15 +346,16 @@ def parse_spec(text: str) -> RunSpec:
     _reject_unknown(doc, {"tree", "weights", "commands", "tolerances"}, "$")
     weights = _parse_section(_require(doc, "weights", "$"), "$.weights",
                              WeightSpec)
+    built = None
     if "tree" in doc:
-        tree = _parse_section(doc["tree"], "$.tree", TreeSpec)
+        tree, built = _parse_tree(doc["tree"], "$.tree")
     else:
         tree = _DEFAULT_TREES.get(weights.kind)
         if tree is None:
             raise SpecParseError(
                 f"missing required field 'tree' (no default tree for "
                 f"weight kind {weights.kind!r})", json_path="$.tree")
-    _check_size(tree, None, "$.tree")
+        _check_size(tree, None, "$.tree")
     commands: list[CommandRecord] = []
     raw_commands = doc.get("commands", [])
     if not isinstance(raw_commands, list):
@@ -339,7 +378,7 @@ def parse_spec(text: str) -> RunSpec:
             except ConfigurationError as exc:
                 raise SpecParseError(str(exc),
                                      json_path="$.tolerances.tol") from exc
-    return RunSpec(tree, weights, tuple(commands), tolerance)
+    return RunSpec(tree, weights, tuple(commands), tolerance, built)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +395,9 @@ class _Suite:
         assert tree_spec is not None
         self.tree_spec = tree_spec
         try:
-            self.tree = materialize(tree_spec, depth)
+            self.tree = (spec.built_tree
+                         if depth is None and spec.built_tree is not None
+                         else materialize(tree_spec, depth))
         except StructureError as exc:  # only an edge list can be malformed
             raise SpecParseError(str(exc), json_path="$.tree.edges") from exc
         try:

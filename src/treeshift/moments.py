@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, NotLeftInvertibleError, RangeError
-from .shifts import (DEFAULT_TOL, WeightedShift, cauchy_dual,
+from .shifts import (DEFAULT_TOL, WeightedShift, cauchy_dual_weights,
                      check_tolerance, classify_adjacency, is_two_isometry,
                      require_kernel_class, satisfies_kernel_condition,
                      vertex_norm)
@@ -178,18 +178,26 @@ class MomentVerdict:
                 "detail": self.detail}
 
 
-def _power_norms(shift: WeightedShift, top: int, kmax: int) -> np.ndarray:
+def _power_norms(shift: WeightedShift, top: int, kmax: int,
+                 dual: bool = False) -> np.ndarray:
     """Squared norms of S^k e_v for k = 0..kmax at every vertex v of
     depth <= top, by the children-sum recurrence
-    d(v, k+1) = sum over children c of weight(c)^2 d(c, k).
+    d(v, k+1) = sum over children c of weight(c)^2 d(c, k), where S is
+    the shift or, with dual=True, its Cauchy dual.
 
     Row k, column v; an entry is exact when depth(v) + k <= top.  The
-    sums run over children in order, as a left-to-right loop would.
+    sums run over children in order, as a left-to-right loop would.  The
+    dual weights are formed for the vertices the recurrence reads only,
+    and are those of ``cauchy_dual(shift)`` bit for bit.
     """
     tree = shift.tree
     end = int(tree.gen_offsets[top + 1])
     parents = tree.parents[1:end]
-    w2 = shift.squared_weights[1:end]
+    if dual:
+        w = cauchy_dual_weights(shift, end)
+        w2 = w * w
+    else:
+        w2 = shift.squared_weights[1:end]
     out = np.empty((kmax + 1, end))
     out[0] = 1.0
     for k in range(kmax):
@@ -219,13 +227,15 @@ def moment_sequence(shift: WeightedShift, u: Optional[str] = None,
             f"sequence at {u!r} (depth {d0}) to order {nmax} requires "
             f"materialized depth >= {d0 + nmax + (1 if dual else 0)}, "
             f"have {tree.materialized_depth}")
-    s = cauchy_dual(shift) if dual else shift
-    table = _power_norms(s, d0 + nmax, nmax)
+    table = _power_norms(shift, d0 + nmax, nmax, dual)
+    name = shift.name
+    if dual and name:
+        name = f"dual({name})"  # the name cauchy_dual gives
     label = "dual " if dual else ""
     return MomentSequence(
         tuple(table[:, i].tolist()),
         source=f"{label}power norm sequence at {u} "
-               f"(shift {s.name or 'unnamed'}, nmax={nmax})")
+               f"(shift {name or 'unnamed'}, nmax={nmax})")
 
 
 TABLE1_ROWS = ("kernel", "quasi_brownian", "adjacency_pattern")
@@ -662,7 +672,7 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     if plan:
         caps = np.array([cap for _, _, cap in plan])
         top = max(tree.depth_at(i) + cap for _, i, cap in plan)
-        table = _power_norms(cauchy_dual(shift), top, int(caps.max()))
+        table = _power_norms(shift, top, int(caps.max()), dual=True)
         # witness k reads rows 0..caps[k] of its column
         read = np.arange(len(table))[:, None] <= caps
         if not np.isfinite(table[:, [i for _, i, _ in plan]][read]).all():

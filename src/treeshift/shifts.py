@@ -38,6 +38,7 @@ __all__ = [
     "require_kernel_class",
     "sibling_constancy_by_generation",
     "cauchy_dual",
+    "cauchy_dual_weights",
     "classify_adjacency",
     "shift_invariants",
     "are_unitarily_equivalent",
@@ -92,8 +93,9 @@ class WeightedShift:
     The weights are one float array in the tree's canonical vertex
     order (``weight_array``; its root entry is 0 and carries no
     meaning).  ``squared_weights``, ``vertex_norms`` and
-    ``squared_norms`` are computed on first use and kept; squares are
-    products, which IEEE 754 rounds correctly.  The verdicts of
+    ``squared_norms`` are computed on first use and kept, and so are
+    ``has_zero_weights`` and ``is_adjacency``; squares are products,
+    which IEEE 754 rounds correctly.  The verdicts of
     ``is_two_isometry`` and ``satisfies_kernel_condition`` are kept per
     tolerance (and k), never the arrays behind them.
     """
@@ -146,7 +148,8 @@ class WeightedShift:
     @cached_property
     def squared_weights(self) -> np.ndarray:
         w = self.weight_array
-        squares = w * w
+        with np.errstate(over="ignore"):  # the checks fail on inf
+            squares = w * w
         squares.flags.writeable = False
         return squares
 
@@ -165,7 +168,8 @@ class WeightedShift:
         """``vertex_norms`` times itself, entry by entry: the square of
         the rounded norm, not the children's squared-weight sum."""
         norms = self.vertex_norms
-        squares = norms * norms
+        with np.errstate(over="ignore"):  # the checks fail on inf
+            squares = norms * norms
         squares.flags.writeable = False
         return squares
 
@@ -182,11 +186,11 @@ class WeightedShift:
         return dict(zip(self._tree.labels[1:],
                         self.weight_array[1:].tolist()))
 
-    @property
+    @cached_property
     def has_zero_weights(self) -> bool:
         return bool(np.any(self.weight_array[1:] == 0.0))
 
-    @property
+    @cached_property
     def is_adjacency(self) -> bool:
         return bool(np.all(self.weight_array[1:] == 1.0))
 
@@ -242,6 +246,9 @@ class WeightSpec:
                 raise ConfigurationError("kernel_condition requires x")
             if self.x < 1.0:
                 raise DomainError(f"x must be >= 1, got {self.x}")
+            if not math.isfinite(self.x * self.x - 1.0):
+                raise DomainError(f"x * x - 1 must be finite, got x = "
+                                  f"{self.x!r}")
         if self.kind == "glowny":
             for label, y in (("y1", self.y1), ("y2", self.y2)):
                 if y is None:
@@ -431,11 +438,14 @@ def _expansion_check(shift: WeightedShift, tol: float) -> PropertyVerdict:
     if shift.has_zero_weights:
         note += "; zero weights present"
     kids = slice(1, int(off[n]))
-    terms = shift.squared_weights[kids] * (2.0 - shift.squared_norms[kids])
-    lhs = np.bincount(tree.parents[kids], weights=terms,
-                      minlength=int(off[n - 1]))[:off[n - 1]]
-    res = np.abs(lhs - 1.0) / (1.0 + np.abs(lhs))
-    bad = _first(res > tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (shift.squared_weights[kids]
+                 * (2.0 - shift.squared_norms[kids]))
+        lhs = np.bincount(tree.parents[kids], weights=terms,
+                          minlength=int(off[n - 1]))[:off[n - 1]]
+        res = np.abs(lhs - 1.0) / (1.0 + np.abs(lhs))
+    # an overflow leaves lhs infinite and res NaN: a failure, not a pass
+    bad = _first(~(res <= tol))
     if bad is not None:
         return PropertyVerdict(False, n - 2,
                                (tree.label(bad), float(res[bad])), tol, note,
@@ -444,42 +454,69 @@ def _expansion_check(shift: WeightedShift, tol: float) -> PropertyVerdict:
                            {"min_vertex_norm": min_norm})
 
 
-def _sibling_spread(shift: WeightedShift, tol: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """For every vertex of depth <= N-2: the spread (max - min) of the
-    norms of its nonzero-weight children, and whether that spread breaks
-    sibling constancy (two or more such children and spread above
-    tol * (1 + max)).  Only parents with two or more children can break
-    it, so only their children are read."""
-    tree = shift.tree
-    parents_end = tree.gen_offsets.item(tree.materialized_depth - 1)
-    spread = np.zeros(parents_end)
-    bad = np.zeros(parents_end, dtype=bool)
-    branching = np.flatnonzero(tree.degrees[:parents_end] >= 2)
-    if not len(branching):
-        return spread, bad
-    counts = tree.degrees[branching]
-    first = tree.child_starts[branching]
-    # segment j of the gathered children holds the children of
-    # branching[j], the range first[j] + 0..counts[j]-1
+def _child_segments(tree: DirectedTree, parents: np.ndarray
+                    ) -> tuple[slice | np.ndarray, np.ndarray]:
+    """The children of ``parents`` (increasing indices, each with a
+    child), in order: one slice when no other vertex's child lies
+    between them, else an index array; and where each parent's segment
+    of them starts."""
+    counts = tree.degrees[parents]
+    first = tree.child_starts[parents]
+    if first.item(-1) - first.item(0) == counts[:-1].sum():
+        return (slice(first.item(0), first.item(-1) + counts.item(-1)),
+                first - first.item(0))
     segments = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=segments[1:])
-    if first.item(-1) - first.item(0) == segments.item(-1):
-        # no child of a one-child parent lies between: one range
-        kids = slice(first.item(0), first.item(-1) + counts.item(-1))
-    else:
-        kids = np.repeat(first - segments, counts)
-        kids += np.arange(len(kids))
-    norms = shift.vertex_norms[kids]
-    nonzero = shift.weight_array[kids] != 0.0
-    high = np.maximum.reduceat(np.where(nonzero, norms, -np.inf), segments)
-    low = np.minimum.reduceat(np.where(nonzero, norms, np.inf), segments)
+    kids = np.repeat(first - segments, counts)
+    kids += np.arange(len(kids))
+    return kids, segments
+
+
+def _sibling_spread(shift: WeightedShift, tol: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of depth <= N-2 that break sibling constancy, in
+    increasing order, and the spread (max - min) of the norms of each
+    one's nonzero-weight children.  A vertex breaks it with two or more
+    such children and a spread above tol * (1 + max), or an infinite
+    norm among them (an overflow).
+
+    Only a suspect can break it: a parent with two or more children, one
+    of which has a norm other than its previous sibling's; zero weights
+    need no test, since any subset of equal norms agrees.  The
+    reductions run over the suspects' children alone."""
+    tree = shift.tree
+    parents_end = tree.gen_offsets.item(tree.materialized_depth - 1)
+    none = np.zeros(0, dtype=np.int64), np.zeros(0)
+    branching = np.flatnonzero(tree.degrees[:parents_end] >= 2)
+    if not len(branching):
+        return none
+    norms, w = shift.vertex_norms, shift.weight_array
+    kids, segments = _child_segments(tree, branching)
+    kid_norms = norms[kids]
+    with np.errstate(invalid="ignore"):
+        # a difference, not !=, so that inf - inf (NaN) differs too
+        differs = kid_norms[1:] - kid_norms[:-1] != 0.0
+    differs[segments[1:] - 1] = False  # a first child and the child before
+    if not differs.any():
+        return none
+    # differs[i] compares child i + 1 with child i, both in i's segment
+    suspect = np.zeros(len(branching), dtype=bool)
+    suspect[np.searchsorted(segments, np.flatnonzero(differs),
+                            side="right") - 1] = True
+    suspects = branching
+    if not suspect.all():
+        suspects = branching[suspect]
+        kids, segments = _child_segments(tree, suspects)
+        kid_norms = norms[kids]
+    nonzero = w[kids] != 0.0
+    high = np.maximum.reduceat(np.where(nonzero, kid_norms, -np.inf),
+                               segments)
+    low = np.minimum.reduceat(np.where(nonzero, kid_norms, np.inf), segments)
     counted = np.add.reduceat(nonzero.astype(np.int64), segments) >= 2
     with np.errstate(invalid="ignore"):
-        gap = np.where(counted, high - low, 0.0)
-    spread[branching] = gap
-    bad[branching] = counted & (gap > tol * (1.0 + high))
-    return spread, bad
+        gap = high - low
+        bad = counted & ((gap > tol * (1.0 + high)) | (high == np.inf))
+    return suspects[bad], gap[bad]
 
 
 def satisfies_kernel_condition(shift: WeightedShift, k: int = 0,
@@ -512,16 +549,15 @@ def _constancy_check(shift: WeightedShift, k: int,
     note = ""
     if shift.has_zero_weights:
         note = "zero-weight children excluded from constancy groups"
-    spread, bad = _sibling_spread(shift, tol)
-    start = int(tree.gen_offsets[k])
-    failing = np.flatnonzero(bad[start:]) + start
-    if not len(failing):
+    failing, spreads = _sibling_spread(shift, tol)
+    i = int(np.searchsorted(failing, tree.gen_offsets[k]))
+    if i == len(failing):
         return PropertyVerdict(True, n - 2, None, tol, note,
                                {"constant_from": k})
-    u = failing.item(0)
     # constancy holds from the generation after the last failure
     after = np.searchsorted(tree.gen_offsets, failing.item(-1), side="right")
-    return PropertyVerdict(False, n - 2, (tree.label(u), float(spread[u])),
+    return PropertyVerdict(False, n - 2,
+                           (tree.label(failing.item(i)), spreads.item(i)),
                            tol, note, {"constant_from": int(after)})
 
 
@@ -553,10 +589,31 @@ def sibling_constancy_by_generation(shift: WeightedShift,
     n = tree.materialized_depth
     if n < 2:
         raise RangeError("need materialized depth >= 2")
-    _, bad = _sibling_spread(shift, tol)
-    generation_of = np.repeat(np.arange(n - 1),
-                              np.diff(tree.gen_offsets[:n]))
-    return np.bincount(generation_of, weights=bad, minlength=n - 1) == 0
+    failing, _ = _sibling_spread(shift, tol)
+    generations = np.searchsorted(tree.gen_offsets, failing, side="right") - 1
+    return np.bincount(generations, minlength=n - 1) == 0
+
+
+def cauchy_dual_weights(shift: WeightedShift,
+                        end: Optional[int] = None) -> np.ndarray:
+    """Weights of the Cauchy dual at the vertices 1..end-1 (default:
+    every non-root vertex), weight(v) / norm(parent(v))^2; entry i holds
+    vertex i + 1.
+
+    Requires every vertex norm on the materialized part to be positive,
+    whatever ``end`` is."""
+    tree = shift.tree
+    norms = shift.vertex_norms
+    zero = _first(norms[:int(tree.gen_offsets[tree.materialized_depth])]
+                  == 0.0)
+    if zero is not None:
+        raise NotLeftInvertibleError(
+            f"vertex norm is 0 at {tree.label(zero)!r}; the shift is not "
+            f"left invertible")
+    if end is None:
+        end = tree.vertex_count
+    return (shift.weight_array[1:end]
+            / shift.squared_norms[tree.parents[1:end]])
 
 
 def cauchy_dual(shift: WeightedShift) -> WeightedShift:
@@ -566,18 +623,10 @@ def cauchy_dual(shift: WeightedShift) -> WeightedShift:
     materialized part).  The result lives on the same tree; treat its
     deepest level as one step less reliable than the original's.
     """
-    tree = shift.tree
-    norms = shift.vertex_norms
-    zero = _first(norms[:int(tree.gen_offsets[tree.materialized_depth])]
-                  == 0.0)
-    if zero is not None:
-        raise NotLeftInvertibleError(
-            f"vertex norm is 0 at {tree.label(zero)!r}; the shift is not "
-            f"left invertible")
-    w = np.zeros(tree.vertex_count)
-    w[1:] = shift.weight_array[1:] / shift.squared_norms[tree.parents[1:]]
+    w = np.zeros(shift.tree.vertex_count)
+    w[1:] = cauchy_dual_weights(shift)
     return WeightedShift.from_array(
-        tree, w, name=f"dual({shift.name})" if shift.name else None)
+        shift.tree, w, name=f"dual({shift.name})" if shift.name else None)
 
 
 @dataclass(frozen=True)
