@@ -21,7 +21,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -206,13 +205,13 @@ def _as_edges(value: Any, path: str) -> tuple[tuple[str, str], ...]:
 
 
 def _as_rule(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
-    if (not isinstance(value, list)
-            or not all(isinstance(r, list) for r in value)
-            or not set(map(type, chain.from_iterable(value))) <= {int}):
+    """The rows of a rule; TreeSpec checks and converts their entries."""
+    if not isinstance(value, list) or not all(isinstance(r, list)
+                                              for r in value):
         raise SpecParseError(
             "rule must be a list of per-generation child-count lists",
             json_path=path)
-    return tuple(tuple(r) for r in value)
+    return tuple(map(tuple, value))
 
 
 def _as_values(value: Any, path: str) -> dict[str, float]:
@@ -241,13 +240,14 @@ def _as_proportions(value: Any, path: str) -> dict[str, float]:
 
 
 def _as_other(value: Any, path: str) -> dict[str, Any]:
-    """The second shift of ``equivalent``: a tree and its weights."""
+    """The second shift of ``equivalent``: a tree and its weights, and
+    the tree itself when it was built to infer its depth (else None)."""
     if not isinstance(value, dict):
         raise SpecParseError("'other' must be an object with tree and "
                              "weights", json_path=path)
     _reject_unknown(value, {"tree", "weights"}, path)
-    tree, _ = _parse_tree(_require(value, "tree", path), f"{path}.tree")
-    return {"tree": tree,
+    tree, built = _parse_tree(_require(value, "tree", path), f"{path}.tree")
+    return {"tree": tree, "built_tree": built,
             "weights": _parse_section(_require(value, "weights", path),
                                       f"{path}.weights", WeightSpec)}
 
@@ -484,8 +484,8 @@ class _Suite:
     def _cmd_equivalent(self, params) -> tuple[dict, str]:
         # each tree at its own depth; unequal depths are a ComparisonError
         other = params["other"]
-        other_shift = build_shift(other["weights"],
-                                  materialize(other["tree"]))
+        tree = other["built_tree"] or materialize(other["tree"])
+        other_shift = build_shift(other["weights"], tree)
         inv_a = shift_invariants(self.shift, self.tol)
         inv_b = shift_invariants(other_shift, self.tol)
         eq = are_unitarily_equivalent(inv_a, inv_b)

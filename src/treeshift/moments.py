@@ -76,11 +76,11 @@ class DiscreteMeasure:
 
     def __init__(self, atoms: Sequence[tuple[float, float]]):
         cleaned = sorted((float(t), float(w)) for t, w in atoms)
-        for t, w in cleaned:
-            if t < 0.0:
-                raise DomainError(f"atom location {t} < 0")
-            if w <= 0.0:
-                raise DomainError(f"atom mass {w} must be > 0")
+        for t, w in cleaned:  # the comparisons are false for NaN
+            if not 0.0 <= t < math.inf:
+                raise DomainError(f"atom location {t} must be finite, >= 0")
+            if not 0.0 < w < math.inf:
+                raise DomainError(f"atom mass {w} must be finite, > 0")
         for (t1, _), (t2, _) in zip(cleaned, cleaned[1:]):
             if t1 == t2:
                 raise DomainError(f"duplicate atom location {t1}")
@@ -448,21 +448,30 @@ class ReciprocalLinearResult:
     atom_measure: Optional[DiscreteMeasure] = None
 
     def sampled_measure(self, nodes: int = 64) -> DiscreteMeasure:
-        """Atomic quadrature surrogate of the representing measure."""
+        """Atomic quadrature surrogate of the representing measure: the
+        Gauss-Jacobi rule for (1+x)^beta, beta = a/b - 1, by Golub-Welsch
+        (Math. Comp. 23 (1969)), moved to [0, 1].  Node i's mass is
+        v_0i^2 / a; the total mass 2^(beta+1)/(beta+1) cancels, so no
+        power is formed and nothing overflows."""
         if not self.is_hamburger:
             raise DomainError(
                 "no representing measure: the sequence is not a moment "
                 "sequence")
+        if nodes < 1:
+            raise DomainError(f"nodes must be >= 1, got {nodes}")
         if self.b == 0.0:
             assert self.atom_measure is not None
             return self.atom_measure
-        from scipy.special import roots_jacobi  # slow import, rarely used
-
         beta = self.a / self.b - 1.0
-        x, w = roots_jacobi(nodes, 0.0, beta)
-        locs = (1.0 + x) / 2.0
-        masses = w / (self.b * 2.0 ** (beta + 1.0))
-        return DiscreteMeasure(list(zip(locs.tolist(), masses.tolist())))
+        m = np.arange(1.0, nodes)
+        t = 2.0 * m + beta
+        diag = np.concatenate([[beta / (beta + 2.0)],
+                               beta / t * (beta / (t + 2.0))])
+        sub = 2.0 * m * ((m + beta) / t) / np.sqrt(t + 1.0) / np.sqrt(t - 1.0)
+        x, v = np.linalg.eigh(np.diag(diag) + np.diag(sub, -1), UPLO="L")
+        masses = v[0] * v[0] / self.a  # an underflow to 0 is no atom
+        return DiscreteMeasure([(loc, w) for loc, w in zip(
+            ((1.0 + x) / 2.0).tolist(), masses.tolist()) if w > 0.0])
 
 
 def reciprocal_linear_moments(a: float, b: float,

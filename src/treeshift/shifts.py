@@ -304,11 +304,11 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
         ladder = _two_isometry_weights(np.arange(n), spec.x)
         targets = ladder * ladder
         # squared norm target of every parent, by depth
-        target = np.repeat(targets, np.diff(tree.gen_offsets[:n + 1]))[parents]
+        target = np.repeat(targets, np.diff(tree.gen_offsets[:n + 1]))
         if spec.proportions is None:
             if leaf is not None:
                 _leaf_error(tree, leaf)
-            w = np.sqrt(target / deg[parents])
+            w = np.sqrt(target[parents] / deg[parents])
         else:
             props = np.ones(count - 1)
             for vid, p in spec.proportions.items():
@@ -325,8 +325,19 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
                 raise ConfigurationError(
                     f"proportions must be > 0 (children of "
                     f"{tree.label(bad)!r})")
-            s = np.bincount(parents, weights=props * props, minlength=inner)
-            w = np.sqrt(target / s[parents]) * props
+            # a sum of squares that overflows, underflows to 0 or leaves
+            # target / sum infinite describes no operator in floats
+            with np.errstate(over="ignore", divide="ignore"):
+                s = np.bincount(parents, weights=props * props,
+                                minlength=inner)
+                ratio = target / s
+            bad = _first(~(np.isfinite(s) & np.isfinite(ratio)))
+            if bad is not None:
+                raise ConfigurationError(
+                    f"proportions at the children of {tree.label(bad)!r} "
+                    f"are out of range: their sum of squares is "
+                    f"{float(s[bad])!r}")
+            w = np.sqrt(ratio[parents]) * props
         return WeightedShift.from_array(tree, np.concatenate([[0.0], w]),
                                         name=f"kernel_condition(x={spec.x})")
     # glowny
@@ -395,10 +406,18 @@ class PropertyVerdict:
     details: Mapping[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Report form of the verdict (``details`` is not reported)."""
+        """Report form of the verdict (``details`` is not reported).  A
+        witness value that overflowed is written as null, which strict
+        JSON parsers accept, and the note says so."""
+        witness, note = self.witness, self.note
+        if witness is not None and not math.isfinite(witness[1]):
+            note = "; ".join(filter(None, (
+                note, f"witness value {witness[1]!r} (an overflow) "
+                      f"written as null")))
+            witness = (witness[0], None)
         return {"holds": self.holds, "verified_depth": self.verified_depth,
-                "witness": list(self.witness) if self.witness else None,
-                "tolerance": self.tolerance, "note": self.note}
+                "witness": list(witness) if witness else None,
+                "tolerance": self.tolerance, "note": note}
 
 
 def _scaled(residual: float, lhs: float) -> float:

@@ -6,6 +6,7 @@ materialized part only and carry the depth to which they were verified.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
@@ -425,15 +426,27 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The rule's child counts in one array, generation after
     generation, and the generation sizes: 1, then the sum of each row.
-    Raises StructureError naming the first row that is not one count
-    >= 0 per vertex of its generation."""
+    Raises StructureError when an entry is not an int (a bool is not),
+    or naming the first row that is not one count >= 0 per vertex of
+    its generation."""
+    entries = list(chain.from_iterable(rule))
     try:
-        flat = np.fromiter(chain.from_iterable(rule), np.int64)
+        # one pass converts every entry and refuses all but ints and
+        # bools; a bool lands on 0 or 1, so only those entries' types
+        # are looked at
+        flat = np.frombuffer(array("q", entries), np.int64)
         exact = flat.max(initial=0) <= _RULE_ENTRY_MAX
+        typed = bool not in set(map(type, map(
+            entries.__getitem__, np.flatnonzero(flat <= 1).tolist())))
+    except TypeError:
+        typed = False
     except OverflowError:
-        exact = False
+        exact, typed = False, set(map(type, entries)) <= {int}
+    if not typed:
+        raise StructureError(
+            "rule must be a list of per-generation child-count lists")
     if not exact:
-        flat = np.fromiter(chain.from_iterable(rule), object)
+        flat = np.array(entries, dtype=object)
     lengths = np.fromiter(map(len, rule), np.int64, len(rule))
     ends = np.cumsum(lengths)
     summed = np.concatenate([[0], np.cumsum(flat)])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -587,3 +588,78 @@ def test_generic_path_report_is_bounded(tmp_path):
         "evidence"]
     assert len(evidence["witnesses"]) == 64
     assert evidence["witnesses_omitted"] == 99_998 - 64
+
+
+@pytest.mark.parametrize("proportions,total", [
+    ({"g1:0": 1e200}, "inf"),  # the square overflows
+    ({"g1:0": 1e-200, "g1:1": 1e-200}, "0.0"),  # both squares underflow
+    # a subnormal sum: the target divided by it overflows
+    ({"g1:0": 1e-160, "g1:1": 1e-160}, "2e-320"),
+])
+def test_proportions_out_of_the_float_range_exit_two(tmp_path, capsys,
+                                                     proportions, total):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "generation_rule", "rule": [[2]], "depth": 4},
+        "weights": {"kind": "kernel_condition", "x": 1.3,
+                    "proportions": proportions},
+        "commands": [{"name": "check-2iso"}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        f"error: $.weights: proportions at the children of 'g0:0' are out "
+        f"of range: their sum of squares is {total}\n")
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("tree,big,command,value", [
+    ({"kind": "path", "depth": 5}, 1e308, "check-2iso", "nan"),
+    ({"kind": "generation_rule", "rule": [[2], [2, 2], [1, 1, 1, 1]],
+      "depth": 4}, 1e300, "check-kernel", "inf"),
+])
+def test_overflowed_witness_values_are_strict_json(tmp_path, tree, big,
+                                                   command, value):
+    labels = materialize(parse_spec(json.dumps({
+        "tree": tree, "weights": {"kind": "adjacency"}})).tree).labels
+    values = {v: 1.0 for v in labels[1:]}
+    values["g3:0"] = big
+    spec_file, out = tmp_path / "run.json", tmp_path / "report.json"
+    spec_file.write_text(json.dumps({
+        "tree": tree, "weights": {"kind": "explicit", "values": values},
+        "commands": [{"name": command}]}))
+    assert main(["--spec", str(spec_file), "--out", str(out),
+                 "--quiet"]) == 1
+    result = _strict_json(out.read_text())["results"][0]["result"]
+    assert result["holds"] is False
+    assert result["witness"] == ["g1:0", None]
+    assert f"witness value {value} (an overflow) written as null" in (
+        result["note"])
+
+
+def test_equivalent_builds_an_explicit_other_tree_once(tmp_path,
+                                                       monkeypatch):
+    built = []
+    from_edges = DirectedTree.from_edges
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return from_edges(*args, **kwargs)
+
+    monkeypatch.setattr(DirectedTree, "from_edges", counted)
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "path", "depth": 3},
+        "weights": {"kind": "adjacency"},
+        "commands": [{"name": "equivalent", "other": {
+            "tree": {"kind": "explicit",
+                     "edges": [["r", "a"], ["a", "b"], ["b", "c"]]},
+            "weights": {"kind": "adjacency"}}}]}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 0
+    assert len(built) == 1

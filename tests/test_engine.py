@@ -43,6 +43,12 @@ def random_shifts(draw):
     return WeightedShift(tree, weights)
 
 
+def _sq(x):
+    """The correctly rounded square, as the engine forms it; ``x ** 2``
+    calls libm ``pow``, which misrounds some squares (0.6580808220575628)."""
+    return x * x
+
+
 def _sum(values):
     """Left-to-right float sum (``sum`` compensates on Python >= 3.12)."""
     total = 0.0
@@ -52,7 +58,7 @@ def _sum(values):
 
 
 def _scalar_norm(shift, u):
-    return math.sqrt(_sum(shift.weight(c) ** 2
+    return math.sqrt(_sum(_sq(shift.weight(c))
                           for c in shift.tree.children_of(u)))
 
 
@@ -68,7 +74,7 @@ def _scalar_moments(shift, u, nmax):
         nxt = {}
         for lvl in cone[:nmax - k]:
             for v in lvl:
-                nxt[v] = _sum(shift.weight(w) ** 2 * cur[w]
+                nxt[v] = _sum(_sq(shift.weight(w)) * cur[w]
                               for w in tree.children_of(v))
         out.append(nxt[u])
         cur = nxt
@@ -113,8 +119,8 @@ def test_expansion_witness_matches_scalar_scan(shift):
     expected = None
     for g in range(n - 1):
         for u in tree.generations()[g]:
-            lhs = _sum(shift.weight(v) ** 2
-                       * (2.0 - _scalar_norm(shift, v) ** 2)
+            lhs = _sum(_sq(shift.weight(v))
+                       * (2.0 - _sq(_scalar_norm(shift, v)))
                        for v in tree.children_of(u))
             res = abs(lhs - 1.0) / (1.0 + abs(lhs))
             if res > 1e-9 and expected is None:

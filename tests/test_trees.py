@@ -80,6 +80,15 @@ def test_generation_rule_padding_and_validation():
         materialize(TreeSpec("generation_rule", rule=((2,), (3,)), depth=4))
 
 
+# (2 ** 70, 1.0): a float after an int beyond int64
+@pytest.mark.parametrize("row", [(1.5, 1), (True, 1), ("2", 1),
+                                 (2 ** 70, 1.0), (None, 1)])
+def test_generation_rule_entries_are_ints(row):
+    # a float was truncated to an int, and a bool read as 0 or 1
+    with pytest.raises(StructureError, match="child-count lists"):
+        TreeSpec("generation_rule", rule=((2,), row), depth=3)
+
+
 def test_resolve_path_and_vertex_access():
     tree = materialize(TreeSpec("t_eta_kappa", eta=2, depth=4))
     first = tree.resolve_path([0])
