@@ -27,8 +27,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigurationError, DomainError, SpecParseError,
-                     StructureError, TreeShiftError)
+from .errors import (ConfigurationError, DomainError, ResourceLimitError,
+                     SpecParseError, StructureError, TreeShiftError)
 from .matrices import (TruncatedOperator, block_shift_from_atoms,
                        build_brownian_shift, defect, dual_matrix, truncate,
                        verify_table1)
@@ -43,9 +43,9 @@ from .shifts import (DEFAULT_TOL, WeightedShift, WeightSpec, build_shift,
                      two_isometry_weight, vertex_norm,
                      are_unitarily_equivalent,
                      are_unitarily_equivalent_multiset)
-from .trees import (MAX_VERTICES, DirectedTree, TreeSpec, classify_tree,
-                    comb_tree_spec, generation, hub_comb_tree_spec,
-                    materialize, spec_vertex_count, two_plus_three_tree_spec)
+from .trees import (DirectedTree, TreeSpec, classify_tree, comb_tree_spec,
+                    generation, hub_comb_tree_spec, materialize,
+                    two_plus_three_tree_spec)
 
 __all__ = ["RunSpec", "CommandRecord", "parse_spec", "run_suite", "run_demo",
            "main", "DEMO_NAMES"]
@@ -64,8 +64,8 @@ class RunSpec:
     weights: WeightSpec
     commands: tuple[CommandRecord, ...]
     tolerance: float = DEFAULT_TOL
-    #: a depth-less explicit ``tree``, built while parsing to infer its
-    #: depth; a run at that depth reuses it
+    #: ``tree`` at its own depth, built while parsing; a run without a
+    #: depth override reuses it
     built_tree: Optional[DirectedTree] = field(default=None, compare=False,
                                                repr=False)
 
@@ -181,18 +181,6 @@ def _as_vertex(value: Any, path: str) -> Any:
         f"{value!r}", json_path=path)
 
 
-def _check_size(tree: TreeSpec, depth: Optional[int], path: str) -> None:
-    """Refuse, before materializing, a tree above MAX_VERTICES; ``path``
-    is the JSON path of the tree section."""
-    count = spec_vertex_count(tree, depth)
-    if count > MAX_VERTICES:
-        what = "the tree" if depth is None else f"the tree at --depth {depth}"
-        field = "edges" if tree.kind == "explicit" else "depth"
-        raise SpecParseError(
-            f"{what} would have {count} vertices; the limit is "
-            f"{MAX_VERTICES}", json_path=f"{path}.{field}")
-
-
 def _as_edges(value: Any, path: str) -> tuple[tuple[str, str], ...]:
     if (not isinstance(value, list)
             or not all(isinstance(e, list) and len(e) == 2
@@ -240,14 +228,14 @@ def _as_proportions(value: Any, path: str) -> dict[str, float]:
 
 
 def _as_other(value: Any, path: str) -> dict[str, Any]:
-    """The second shift of ``equivalent``: a tree and its weights, and
-    the tree itself when it was built to infer its depth (else None)."""
+    """The second shift of ``equivalent``: its built tree and its
+    weights."""
     if not isinstance(value, dict):
         raise SpecParseError("'other' must be an object with tree and "
                              "weights", json_path=path)
     _reject_unknown(value, {"tree", "weights"}, path)
-    tree, built = _parse_tree(_require(value, "tree", path), f"{path}.tree")
-    return {"tree": tree, "built_tree": built,
+    _, tree = _parse_tree(_require(value, "tree", path), f"{path}.tree")
+    return {"tree": tree,
             "weights": _parse_section(_require(value, "weights", path),
                                       f"{path}.weights", WeightSpec)}
 
@@ -307,22 +295,27 @@ def _parse_section(obj: Any, path: str, cls: type) -> Any:
         raise SpecParseError(str(exc), json_path=f"{path}.{field}") from exc
 
 
-def _parse_tree(obj: Any, path: str
-                ) -> tuple[TreeSpec, Optional[DirectedTree]]:
-    """A TreeSpec from its JSON object, refused above MAX_VERTICES.  An
-    explicit tree without a depth is built to infer it; that tree comes
-    back too (else None)."""
+def _build_tree(spec: TreeSpec, depth: Optional[int],
+                path: str) -> DirectedTree:
+    """``materialize(spec, depth)``, its errors carrying JSON paths under
+    ``path``, the tree section: the vertex budget at its depth (edges for
+    an explicit tree), a malformed edge list at its edges."""
+    try:
+        return materialize(spec, depth)
+    except ResourceLimitError as exc:
+        field = "edges" if spec.kind == "explicit" else "depth"
+        raise SpecParseError(str(exc), json_path=f"{path}.{field}") from exc
+    except StructureError as exc:  # only an edge list can be malformed
+        raise SpecParseError(str(exc), json_path=f"{path}.edges") from exc
+
+
+def _parse_tree(obj: Any, path: str) -> tuple[TreeSpec, DirectedTree]:
+    """A TreeSpec from its JSON object, and its tree; an explicit tree
+    without a depth gets the depth of its deepest vertex."""
     spec = _parse_section(obj, path, TreeSpec)
-    built = None
-    if spec.kind == "explicit" and spec.depth is None:
-        _check_size(spec, None, path)  # before building anything
-        try:
-            built = DirectedTree.from_edges(spec.edges)
-        except StructureError as exc:
-            raise SpecParseError(str(exc),
-                                 json_path=f"{path}.edges") from exc
+    built = _build_tree(spec, None, path)
+    if spec.depth is None:
         spec = replace(spec, depth=built.materialized_depth)
-    _check_size(spec, None, path)
     return spec, built
 
 
@@ -346,7 +339,6 @@ def parse_spec(text: str) -> RunSpec:
     _reject_unknown(doc, {"tree", "weights", "commands", "tolerances"}, "$")
     weights = _parse_section(_require(doc, "weights", "$"), "$.weights",
                              WeightSpec)
-    built = None
     if "tree" in doc:
         tree, built = _parse_tree(doc["tree"], "$.tree")
     else:
@@ -355,7 +347,7 @@ def parse_spec(text: str) -> RunSpec:
             raise SpecParseError(
                 f"missing required field 'tree' (no default tree for "
                 f"weight kind {weights.kind!r})", json_path="$.tree")
-        _check_size(tree, None, "$.tree")
+        built = _build_tree(tree, None, "$.tree")
     commands: list[CommandRecord] = []
     raw_commands = doc.get("commands", [])
     if not isinstance(raw_commands, list):
@@ -386,26 +378,17 @@ def parse_spec(text: str) -> RunSpec:
 # ---------------------------------------------------------------------------
 
 class _Suite:
-    def __init__(self, spec: RunSpec, tol: float, nmax: int,
-                 depth: Optional[int]):
+    def __init__(self, spec: RunSpec, tree: DirectedTree, tol: float,
+                 nmax: int):
         self.spec = spec
         self.tol = tol
         self.nmax = nmax
-        tree_spec = spec.tree
-        assert tree_spec is not None
-        self.tree_spec = tree_spec
+        self.tree = tree
         try:
-            self.tree = (spec.built_tree
-                         if depth is None and spec.built_tree is not None
-                         else materialize(tree_spec, depth))
-        except StructureError as exc:  # only an edge list can be malformed
-            raise SpecParseError(str(exc), json_path="$.tree.edges") from exc
-        try:
-            self.shift = build_shift(spec.weights, self.tree)
+            self.shift = build_shift(spec.weights, tree)
         except ConfigurationError as exc:  # weights that do not fit the tree
             raise SpecParseError(str(exc), json_path="$.weights") from exc
         self.check_state: dict[str, bool] = {}
-        self.last_sequence: Optional[MomentSequence] = None
 
     def resolve_vertex(self, spec_vertex: Any) -> str:
         if spec_vertex is None:
@@ -464,7 +447,6 @@ class _Suite:
         nmax = params.get("nmax", self.nmax)
         dual = bool(params.get("dual", False))
         seq = moment_sequence(self.shift, u, nmax, dual=dual)
-        self.last_sequence = seq
         return ({"vertex": u, "nmax": nmax, "dual": dual,
                  "values": list(seq.values), "source": seq.source}, "passed")
 
@@ -484,8 +466,7 @@ class _Suite:
     def _cmd_equivalent(self, params) -> tuple[dict, str]:
         # each tree at its own depth; unequal depths are a ComparisonError
         other = params["other"]
-        tree = other["built_tree"] or materialize(other["tree"])
-        other_shift = build_shift(other["weights"], tree)
+        other_shift = build_shift(other["weights"], other["tree"])
         inv_a = shift_invariants(self.shift, self.tol)
         inv_b = shift_invariants(other_shift, self.tol)
         eq = are_unitarily_equivalent(inv_a, inv_b)
@@ -515,11 +496,11 @@ class _Suite:
         nmax = params.get("nmax", 8)
         depth = params.get("depth")
         if depth is not None:
-            if self.tree_spec.kind == "explicit":
+            if self.spec.tree.kind == "explicit":
                 raise ConfigurationError(
                     "explicit trees have a fixed shape and cannot be "
                     "rematerialized at another depth")
-            tree = materialize(self.tree_spec, depth)
+            tree = materialize(self.spec.tree, depth)
             shift = build_shift(self.spec.weights, tree)
         else:
             shift = self.shift
@@ -557,9 +538,11 @@ def run_suite(spec: RunSpec, tol: Optional[float] = None,
     Returns (report, exit_code).  Command-level errors are recorded in
     the report and yield exit code 1; they never abort the suite."""
     effective_tol = check_tolerance(spec.tolerance if tol is None else tol)
-    if depth is not None and spec.tree is not None:
-        _check_size(spec.tree, depth, "$.tree")
-    suite = _Suite(spec, effective_tol, nmax, depth)
+    tree = spec.built_tree
+    if depth is not None or tree is None:
+        assert spec.tree is not None
+        tree = _build_tree(spec.tree, depth, "$.tree")
+    suite = _Suite(spec, tree, effective_tol, nmax)
     results = []
     worst = 0
     for cmd in spec.commands:
@@ -1131,8 +1114,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _set_malloc_thresholds()
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.nmax is not None and args.nmax < 0:
-        parser.error(f"argument --nmax: must be >= 0, got {args.nmax}")
+    for name in ("nmax", "depth"):
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            parser.error(f"argument --{name}: must be >= 0, got {value}")
 
     if (args.spec is None) == (args.demo is None):
         parser.print_usage(sys.stderr)

@@ -77,6 +77,19 @@ class TruncatedOperator:
         return [i for i, d in enumerate(self.depths) if d <= top]
 
 
+def _cut(shift: WeightedShift, depth: Optional[int]
+         ) -> tuple[int, int, np.ndarray]:
+    """Cut depth (default: materialized), basis size, basis depths."""
+    tree = shift.tree
+    cut = tree.materialized_depth if depth is None else depth
+    if cut < 1 or cut > tree.materialized_depth:
+        raise RangeError(
+            f"cut depth must be in [1, {tree.materialized_depth}], "
+            f"got {cut}")
+    return cut, tree.gen_offsets.item(cut + 1), np.repeat(
+        np.arange(cut + 1), np.diff(tree.gen_offsets[:cut + 2]))
+
+
 def truncate(shift: WeightedShift,
              depth: Optional[int] = None) -> TruncatedOperator:
     """Matrix of the shift on basis vectors of depth <= depth.
@@ -84,20 +97,12 @@ def truncate(shift: WeightedShift,
     Columns of cut-depth vertices are zero (their children fall outside
     the basis), so the interior depth is depth - 1.
     """
-    tree = shift.tree
-    cut = tree.materialized_depth if depth is None else depth
-    if cut < 1 or cut > tree.materialized_depth:
-        raise RangeError(
-            f"cut depth must be in [1, {tree.materialized_depth}], "
-            f"got {cut}")
-    size = int(tree.gen_offsets[cut + 1])  # vertices of depth <= cut
-    basis = tree.labels[:size]
-    depths = np.repeat(np.arange(cut + 1),
-                       np.diff(tree.gen_offsets[:cut + 2])).tolist()
+    cut, size, depths = _cut(shift, depth)
     m = np.zeros((size, size))
     kids = np.arange(1, size)  # their parents lie above the cut
-    m[kids, tree.parents[kids]] = shift.weight_array[kids]
-    return TruncatedOperator(m, tuple(basis), tuple(depths), cut - 1,
+    m[kids, shift.tree.parents[kids]] = shift.weight_array[kids]
+    return TruncatedOperator(m, tuple(shift.tree.labels[:size]),
+                             tuple(depths.tolist()), cut - 1,
                              name=f"truncate({shift.name or 'shift'}, "
                                   f"{cut})")
 
@@ -163,6 +168,25 @@ def _inverse_gram_diagonal(gram: np.ndarray, depths: np.ndarray,
     return inv
 
 
+def _dense_dual(trunc: TruncatedOperator) -> tuple[np.ndarray, ...]:
+    """T (T*T)^(-1) by one dense eigendecomposition of T*T, inverted on
+    its positive eigenspace, with the eigenvalues and eigenvectors."""
+    a = trunc.matrix
+    eigval, eigvec = np.linalg.eigh(a.T @ a)
+    cutoff = max(float(eigval[-1]), 0.0) * 1e-12 + 1e-300
+    inv = np.zeros_like(eigval)
+    for i, lam in enumerate(eigval):
+        if lam > cutoff:
+            inv[i] = 1.0 / lam
+        else:
+            for j in np.flatnonzero(np.abs(eigvec[:, i]) > 1e-8):
+                if trunc.depths[j] <= trunc.interior_depth:
+                    raise NotLeftInvertibleError(
+                        f"Gram matrix is singular on the interior "
+                        f"(basis vector {trunc.basis[j]!r})")
+    return a @ (eigvec @ np.diag(inv) @ eigvec.T), eigval, eigvec
+
+
 def dual_matrix(trunc: TruncatedOperator) -> TruncatedOperator:
     """Matrix of the Cauchy dual T (T*T)^(-1) of a truncation.
 
@@ -180,21 +204,7 @@ def dual_matrix(trunc: TruncatedOperator) -> TruncatedOperator:
             _gram_diagonal(*entries), np.asarray(trunc.depths),
             trunc.interior_depth, trunc.basis.__getitem__)
     else:
-        gram = a.T @ a
-        eigval, eigvec = np.linalg.eigh(gram)
-        cutoff = max(float(eigval[-1]), 0.0) * 1e-12 + 1e-300
-        inv = np.zeros_like(eigval)
-        for i, lam in enumerate(eigval):
-            if lam > cutoff:
-                inv[i] = 1.0 / lam
-            else:
-                support = np.abs(eigvec[:, i]) > 1e-8
-                for j in np.nonzero(support)[0]:
-                    if trunc.depths[j] <= trunc.interior_depth:
-                        raise NotLeftInvertibleError(
-                            f"Gram matrix is singular on the interior "
-                            f"(basis vector {trunc.basis[j]!r})")
-        dual = a @ (eigvec @ np.diag(inv) @ eigvec.T)
+        dual = _dense_dual(trunc)[0]
     return TruncatedOperator(dual, trunc.basis, trunc.depths,
                              trunc.interior_depth,
                              name=f"dual({trunc.name or 'truncation'})")
@@ -280,13 +290,12 @@ def _table1_of_gram(row: str, gram: np.ndarray
 
 def _table1_orders_dense(trunc: TruncatedOperator, row: str, nmax: int
                          ) -> Iterator[tuple[float, float, int]]:
-    dual = dual_matrix(trunc)
-    eigval, eigvec = np.linalg.eigh(trunc.matrix.T @ trunc.matrix)
+    dual, eigval, eigvec = _dense_dual(trunc)
     r_n = _table1_of_gram(row, eigval)
     power = np.eye(trunc.dim)
     for n in range(nmax + 1):
         if n > 0:
-            power = dual.matrix @ power
+            power = dual @ power
         rhs = eigvec @ np.diag(r_n(n)) @ eigvec.T
         idx = trunc.interior_indices(n)
         if not idx:
@@ -334,20 +343,13 @@ def _shift_orders(shift: WeightedShift, row: str, nmax: int,
     depth)``, read as index arrays: row i holds weight_array[i] in column
     parents[i], or 0 in column 0 for the root and zero weights, as
     ``_row_entries`` reads the matrix.  No V x V matrix is built."""
-    tree = shift.tree
-    cut = tree.materialized_depth if depth is None else depth
-    if cut < 1 or cut > tree.materialized_depth:
-        raise RangeError(
-            f"cut depth must be in [1, {tree.materialized_depth}], "
-            f"got {cut}")
+    cut, size, depths = _cut(shift, depth)
     if nmax > cut - 1:
         raise RangeError(f"nmax {nmax} exceeds interior depth {cut - 1}")
-    size = tree.gen_offsets.item(cut + 1)  # vertices of depth <= cut
     val = shift.weight_array[:size]
-    col = np.where(val != 0.0, tree.parents[:size], 0)
-    depths = np.repeat(np.arange(cut + 1), np.diff(tree.gen_offsets[:cut + 2]))
+    col = np.where(val != 0.0, shift.tree.parents[:size], 0)
     return cut - 1, _table1_orders_diagonal(row, nmax, col, val, depths,
-                                            cut - 1, tree.label)
+                                            cut - 1, shift.tree.label)
 
 
 def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,

@@ -316,7 +316,7 @@ def test_equivalent_other_tree_is_sized_at_parse_time(monkeypatch):
     with pytest.raises(treeshift.SpecParseError) as err:
         parse_spec(json.dumps(_equivalent(12, 100_000_000)))
     assert err.value.json_path == "$.commands[0].other.tree.depth"
-    monkeypatch.setattr(cli, "MAX_VERTICES", 3)
+    monkeypatch.setattr(treeshift.trees, "MAX_VERTICES", 3)
     spec = _equivalent(2, 2)
     spec["commands"][0]["other"]["tree"] = {
         "kind": "explicit", "edges": [["r", "a"], ["a", "b"], ["b", "c"]]}

@@ -304,6 +304,16 @@ def test_main_demo_refuses_spec_options(capsys, flag):
     assert "apply to --spec only" in capsys.readouterr().err
 
 
+def test_depth_flag_must_be_non_negative(tmp_path, capsys):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(VALID_MIN)
+    with pytest.raises(SystemExit) as exc:
+        main(["--spec", str(spec_file), "--depth", "-1", "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "argument --depth: must be >= 0, got -1" in err
+
+
 def test_main_demo_report_shape(capsys):
     code = main(["--demo", "nbnkcsub-3"])
     assert code == 0
@@ -405,7 +415,6 @@ def test_size_budget_fails_fast(tmp_path, capsys):
 def test_explicit_edge_list_is_sized_before_it_is_built(tmp_path, capsys,
                                                         monkeypatch):
     monkeypatch.setattr(trees, "MAX_VERTICES", 3)
-    monkeypatch.setattr(cli, "MAX_VERTICES", 3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the edge list was built")
@@ -557,7 +566,7 @@ def test_library_entry_points_reject_bad_tolerances(tol):
     # a 2-cycle: no root; found while inferring the depth
     ({"kind": "explicit", "edges": [["a", "b"], ["b", "a"]]},
      "$.tree.edges: cycle through vertex"),
-    # the same with a depth given: found when the tree is built
+    # the same with a depth given: found while parsing too
     ({"kind": "explicit", "edges": [["r", "a"], ["b", "c"], ["c", "b"]],
       "depth": 3}, "$.tree.edges: cycle through vertex"),
     ({"kind": "explicit", "edges": [["r", "a"], ["a", "b"]], "depth": 1},
@@ -574,6 +583,36 @@ def test_structural_errors_exit_two_with_a_json_path(tmp_path, capsys, tree,
         "commands": [{"name": "materialize"}]}))
     assert main(["--spec", str(spec_file), "--quiet"]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_parse_spec_finds_a_cycle_under_a_given_depth():
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(json.dumps({
+            "tree": {"kind": "explicit", "depth": 3,
+                     "edges": [["r", "a"], ["b", "c"], ["c", "b"]]},
+            "weights": {"kind": "adjacency"}}))
+    assert err.value.json_path == "$.tree.edges"
+    assert "cycle through vertex" in str(err.value)
+
+
+def test_spec_run_sizes_and_builds_each_tree_once(tmp_path, monkeypatch):
+    sized, built = [], []
+    count, from_edges = trees.spec_vertex_count, DirectedTree.from_edges
+    monkeypatch.setattr(trees, "spec_vertex_count",
+                        lambda *args: sized.append(args) or count(*args))
+    monkeypatch.setattr(DirectedTree, "from_edges",
+                        lambda *args: built.append(args) or from_edges(*args))
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "explicit", "edges": [["r", "a"], ["a", "b"]]},
+        "weights": {"kind": "adjacency"},
+        "commands": [{"name": "materialize"}, {
+            "name": "equivalent", "other": {
+                "tree": {"kind": "path", "depth": 2},
+                "weights": {"kind": "adjacency"}}}]}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 0
+    assert len(sized) == 2  # the main tree and the other tree
+    assert len(built) == 1  # the explicit one
 
 
 def test_generic_path_report_is_bounded(tmp_path):

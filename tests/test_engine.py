@@ -231,6 +231,17 @@ def test_eigh_fallback_agrees_with_diagonal_oracle():
     assert [p[2] for p in plain.per_order] == [p[2] for p in dense.per_order]
 
 
+def test_dense_table1_fallback_decomposes_the_gram_matrix_once(monkeypatch):
+    shift = build_shift(WeightSpec("adjacency"),
+                        materialize(comb_tree_spec(2, 10)))
+    _, rotated = _rotated_within_generation(truncate(shift), 4)
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: sizes.append(len(a)) or eigh(a))
+    assert verify_table1(rotated, "quasi_brownian", nmax=6).holds
+    assert sizes == [rotated.dim]
+
+
 def test_diagonal_oracle_detects_a_broken_identity():
     shift = build_shift(WeightSpec("adjacency"),
                         materialize(comb_tree_spec(3, 10)))

@@ -16,6 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from treeshift import materialize
+from treeshift.cli import parse_spec
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL_TOL = 1e-12
 
@@ -95,6 +98,15 @@ def test_golden_report(name):
     assert code == golden["exit_code"]
     problems = diff(golden["report"], report)
     assert not problems, "\n".join(problems[:20])
+
+
+@pytest.mark.parametrize("path", sorted((GOLDEN / "specs").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_parsed_spec_holds_its_tree_at_the_spec_depth(path):
+    spec = parse_spec(path.read_text(encoding="utf-8"))
+    tree = spec.built_tree
+    assert tree.materialized_depth == spec.tree.depth
+    assert tree.generation_sizes == materialize(spec.tree).generation_sizes
 
 
 @pytest.mark.parametrize("a,b,same", [
