@@ -60,14 +60,13 @@ class CommandRecord:
 class RunSpec:
     """Validated run specification."""
 
-    tree: Optional[TreeSpec]
+    tree: TreeSpec
     weights: WeightSpec
     commands: tuple[CommandRecord, ...]
+    #: ``weights`` on ``tree`` at the run's depth, built while parsing;
+    #: the run reads it
+    shift: WeightedShift = field(compare=False, repr=False)
     tolerance: float = DEFAULT_TOL
-    #: ``tree`` at its own depth, built while parsing; a run without a
-    #: depth override reuses it
-    built_tree: Optional[DirectedTree] = field(default=None, compare=False,
-                                               repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +226,17 @@ def _as_proportions(value: Any, path: str) -> dict[str, float]:
     return {k: _as_number(v, f"{path}.{k}") for k, v in value.items()}
 
 
-def _as_other(value: Any, path: str) -> dict[str, Any]:
-    """The second shift of ``equivalent``: its built tree and its
-    weights."""
+def _as_other(value: Any, path: str) -> WeightedShift:
+    """The second shift of ``equivalent``, on its tree at the tree's own
+    depth."""
     if not isinstance(value, dict):
         raise SpecParseError("'other' must be an object with tree and "
                              "weights", json_path=path)
     _reject_unknown(value, {"tree", "weights"}, path)
     _, tree = _parse_tree(_require(value, "tree", path), f"{path}.tree")
-    return {"tree": tree,
-            "weights": _parse_section(_require(value, "weights", path),
-                                      f"{path}.weights", WeightSpec)}
+    weights = _parse_section(_require(value, "weights", path),
+                             f"{path}.weights", WeightSpec)
+    return _build_shift(weights, tree, f"{path}.weights")
 
 
 # the JSON type of every tree field, weight field and command parameter,
@@ -309,14 +308,26 @@ def _build_tree(spec: TreeSpec, depth: Optional[int],
         raise SpecParseError(str(exc), json_path=f"{path}.edges") from exc
 
 
-def _parse_tree(obj: Any, path: str) -> tuple[TreeSpec, DirectedTree]:
-    """A TreeSpec from its JSON object, and its tree; an explicit tree
-    without a depth gets the depth of its deepest vertex."""
+def _parse_tree(obj: Any, path: str, depth: Optional[int] = None
+                ) -> tuple[TreeSpec, DirectedTree]:
+    """A TreeSpec from its JSON object, and its tree at ``depth``
+    (default: the spec's own); an explicit tree without a depth takes
+    that of the built tree."""
     spec = _parse_section(obj, path, TreeSpec)
-    built = _build_tree(spec, None, path)
+    built = _build_tree(spec, depth, path)
     if spec.depth is None:
         spec = replace(spec, depth=built.materialized_depth)
     return spec, built
+
+
+def _build_shift(weights: WeightSpec, tree: DirectedTree,
+                 path: str) -> WeightedShift:
+    """``build_shift(weights, tree)``; weights that do not fit the tree
+    fail at ``path``, the weights section."""
+    try:
+        return build_shift(weights, tree)
+    except ConfigurationError as exc:
+        raise SpecParseError(str(exc), json_path=path) from exc
 
 
 _DEFAULT_TREES: dict[str, TreeSpec] = {
@@ -327,9 +338,12 @@ _DEFAULT_TREES: dict[str, TreeSpec] = {
 }
 
 
-def parse_spec(text: str) -> RunSpec:
-    """Parse and validate a JSON run spec; unknown fields are rejected
-    and every error carries the JSON path of the offending field."""
+def parse_spec(text: str, depth: Optional[int] = None) -> RunSpec:
+    """Parse and validate a JSON run spec, and build its shifts: the
+    main one on its tree at ``depth`` (default: the spec's depth), each
+    ``equivalent`` one on its tree at that tree's depth.  Unknown fields
+    are rejected and every error carries the JSON path of the offending
+    field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -340,14 +354,14 @@ def parse_spec(text: str) -> RunSpec:
     weights = _parse_section(_require(doc, "weights", "$"), "$.weights",
                              WeightSpec)
     if "tree" in doc:
-        tree, built = _parse_tree(doc["tree"], "$.tree")
+        tree, built = _parse_tree(doc["tree"], "$.tree", depth)
     else:
         tree = _DEFAULT_TREES.get(weights.kind)
         if tree is None:
             raise SpecParseError(
                 f"missing required field 'tree' (no default tree for "
                 f"weight kind {weights.kind!r})", json_path="$.tree")
-        built = _build_tree(tree, None, "$.tree")
+        built = _build_tree(tree, depth, "$.tree")
     commands: list[CommandRecord] = []
     raw_commands = doc.get("commands", [])
     if not isinstance(raw_commands, list):
@@ -370,7 +384,8 @@ def parse_spec(text: str) -> RunSpec:
             except ConfigurationError as exc:
                 raise SpecParseError(str(exc),
                                      json_path="$.tolerances.tol") from exc
-    return RunSpec(tree, weights, tuple(commands), tolerance, built)
+    return RunSpec(tree, weights, tuple(commands),
+                   _build_shift(weights, built, "$.weights"), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +393,11 @@ def parse_spec(text: str) -> RunSpec:
 # ---------------------------------------------------------------------------
 
 class _Suite:
-    def __init__(self, spec: RunSpec, tree: DirectedTree, tol: float,
-                 nmax: int):
-        self.spec = spec
+    def __init__(self, shift: WeightedShift, tol: float, nmax: int):
         self.tol = tol
         self.nmax = nmax
-        self.tree = tree
-        try:
-            self.shift = build_shift(spec.weights, tree)
-        except ConfigurationError as exc:  # weights that do not fit the tree
-            raise SpecParseError(str(exc), json_path="$.weights") from exc
+        self.shift = shift
+        self.tree = shift.tree
         self.check_state: dict[str, bool] = {}
 
     def resolve_vertex(self, spec_vertex: Any) -> str:
@@ -465,10 +475,8 @@ class _Suite:
 
     def _cmd_equivalent(self, params) -> tuple[dict, str]:
         # each tree at its own depth; unequal depths are a ComparisonError
-        other = params["other"]
-        other_shift = build_shift(other["weights"], other["tree"])
         inv_a = shift_invariants(self.shift, self.tol)
-        inv_b = shift_invariants(other_shift, self.tol)
+        inv_b = shift_invariants(params["other"], self.tol)
         eq = are_unitarily_equivalent(inv_a, inv_b)
         return ({"equivalent": eq, "left": inv_a.to_dict(),
                  "right": inv_b.to_dict()},
@@ -492,19 +500,8 @@ class _Suite:
         if self.check_state.get("check-2iso") is False:
             return ({"reason": "skipped: check-2iso failed earlier in the "
                                "suite"}, "skipped")
-        row = params["row"]
-        nmax = params.get("nmax", 8)
-        depth = params.get("depth")
-        if depth is not None:
-            if self.spec.tree.kind == "explicit":
-                raise ConfigurationError(
-                    "explicit trees have a fixed shape and cannot be "
-                    "rematerialized at another depth")
-            tree = materialize(self.spec.tree, depth)
-            shift = build_shift(self.spec.weights, tree)
-        else:
-            shift = self.shift
-        rep = verify_table1(shift, row, nmax, tol=self.tol)
+        rep = verify_table1(self.shift, params["row"], params.get("nmax", 8),
+                            params.get("depth"), tol=self.tol)
         return (rep.to_dict(), "passed" if rep.holds else "failed")
 
     def _cmd_demo(self, params) -> tuple[dict, str]:
@@ -531,18 +528,13 @@ class _Suite:
 
 
 def run_suite(spec: RunSpec, tol: Optional[float] = None,
-              nmax: int = 12, depth: Optional[int] = None
-              ) -> tuple[dict, int]:
+              nmax: int = 12) -> tuple[dict, int]:
     """Execute the commands of a parsed run spec in order.
 
     Returns (report, exit_code).  Command-level errors are recorded in
     the report and yield exit code 1; they never abort the suite."""
     effective_tol = check_tolerance(spec.tolerance if tol is None else tol)
-    tree = spec.built_tree
-    if depth is not None or tree is None:
-        assert spec.tree is not None
-        tree = _build_tree(spec.tree, depth, "$.tree")
-    suite = _Suite(spec, tree, effective_tol, nmax)
+    suite = _Suite(spec.shift, effective_tol, nmax)
     results = []
     worst = 0
     for cmd in spec.commands:
@@ -579,6 +571,13 @@ class _DemoOutcome:
     ok: bool
     evidence: dict
     csv_sequence: Optional[MomentSequence] = None
+
+
+def _interior_defect(op: TruncatedOperator, m: int) -> float:
+    """Largest entry of the order-m defect on the interior block, the
+    part free of truncation artifacts."""
+    idx = op.interior_indices(m)
+    return float(np.max(np.abs(defect(op, m)[np.ix_(idx, idx)])))
 
 
 def _demo_dirichlet(tol: float) -> _DemoOutcome:
@@ -642,9 +641,7 @@ def _demo_treiso(tol: float) -> _DemoOutcome:
     tree = materialize(TreeSpec("path", depth=32))
     shift = build_shift(WeightSpec("treiso"), tree)
     trunc = truncate(shift)
-    b3 = defect(trunc, 3)
-    idx3 = trunc.interior_indices(3)
-    b3_norm = float(np.max(np.abs(b3[np.ix_(idx3, idx3)])))
+    b3_norm = _interior_defect(trunc, 3)
     two = is_two_isometry(shift, tol)
     dual = dual_matrix(trunc)
     b4 = defect(dual, 4)
@@ -800,9 +797,7 @@ def _demo_brownian_shift(tol: float) -> _DemoOutcome:
     sigma = 1.0
     trunc = build_brownian_shift(sigma, 64)
     vt = verify_table1(trunc, "quasi_brownian", nmax=10, tol=tol)
-    b2 = defect(trunc, 2)
-    idx = trunc.interior_indices(2)
-    b2_norm = float(np.max(np.abs(b2[np.ix_(idx, idx)])))
+    b2_norm = _interior_defect(trunc, 2)
     dual = dual_matrix(trunc)
     c = trunc.index("c")
     r1 = float((dual.matrix[:, c] ** 2).sum())
@@ -844,9 +839,7 @@ def _demo_two_plus_three(tol: float) -> _DemoOutcome:
     hand_built = [(1.2,), (1.2,), (math.sqrt(2.0),)]
     multiset_ok = are_unitarily_equivalent_multiset(
         [(x_,) for x_ in decomposition], hand_built)
-    b2 = defect(block, 2)
-    idx = block.interior_indices(2)
-    b2_norm = float(np.max(np.abs(b2[np.ix_(idx, idx)])))
+    b2_norm = _interior_defect(block, 2)
     ok = (eq_same and not eq_x and not eq_branch and multiset_ok
           and b2_norm < 1e-10)
     statement = (f"complete invariants decide equivalence: the two "
@@ -1149,11 +1142,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 text = raw.decode("utf-8")
                 digest_src = raw
                 spec_path = args.spec
-            spec = parse_spec(text)
             report, code = run_suite(
-                spec, tol=args.tol,
-                nmax=12 if args.nmax is None else args.nmax,
-                depth=args.depth)
+                parse_spec(text, depth=args.depth), tol=args.tol,
+                nmax=12 if args.nmax is None else args.nmax)
             report["input"] = {
                 "path": spec_path,
                 "digest": "sha256:"

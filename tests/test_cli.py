@@ -702,3 +702,102 @@ def test_equivalent_builds_an_explicit_other_tree_once(tmp_path,
             "weights": {"kind": "adjacency"}}}]}))
     assert main(["--spec", str(spec_file), "--quiet"]) == 0
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# every shift of a run is built while parsing
+# ---------------------------------------------------------------------------
+
+def test_parse_spec_refuses_weights_that_do_not_fit_the_tree():
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(json.dumps({
+            "tree": {"kind": "path", "depth": 3},
+            "weights": {"kind": "kernel_condition", "x": 1.2,
+                        "proportions": {"g9:0": 2}}}))
+    assert err.value.json_path == "$.weights"
+    assert "names no non-root vertex" in str(err.value)
+
+
+def test_other_weights_that_do_not_fit_exit_two(tmp_path, capsys):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "path", "depth": 4},
+        "weights": {"kind": "dirichlet"},
+        "commands": [{"name": "equivalent", "other": {
+            "tree": {"kind": "t_eta_kappa", "eta": 2, "depth": 4},
+            "weights": {"kind": "dirichlet"}}}]}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: $.commands[0].other.weights: weight kind 'dirichlet' "
+        "requires a path")
+
+
+def _binary_edges(depth):
+    return [[f"v{i}", f"v{2 * i + c}"] for i in range(1, 2 ** depth)
+            for c in (0, 1)]
+
+
+def _table1_result(tree, command):
+    report, code = run_suite(parse_spec(json.dumps({
+        "tree": tree, "weights": {"kind": "kernel_condition", "x": 1.2},
+        "commands": [command]})))
+    return code, report["results"][0]
+
+
+def test_verify_table1_depth_cuts_an_explicit_tree():
+    command = {"name": "verify-table1", "row": "kernel", "nmax": 3}
+    code, cut = _table1_result(
+        {"kind": "explicit", "edges": _binary_edges(6)},
+        {**command, "depth": 4})
+    assert code == 0 and cut["status"] == "passed"
+    _, small = _table1_result(
+        {"kind": "explicit", "edges": _binary_edges(4)}, command)
+    assert cut["result"] == small["result"]
+    assert cut["result"]["verified_depth"] == 3
+
+
+def test_verify_table1_depth_above_the_run_depth_is_a_range_error():
+    code, entry = _table1_result(
+        {"kind": "path", "depth": 6},
+        {"name": "verify-table1", "row": "kernel", "nmax": 3, "depth": 7})
+    assert code == 1 and entry["status"] == "error"
+    assert entry["result"] == {
+        "error": "cut depth must be in [1, 6], got 7",
+        "error_type": "RangeError"}
+
+
+def test_depth_override_builds_only_the_run_tree(tmp_path, capsys):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "quasi_brownian", "valency": 3, "depth": 5000},
+        "weights": {"kind": "adjacency"},
+        "commands": [{"name": "materialize"}]}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert "$.tree.depth" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert main(["--spec", str(spec_file), "--depth", "4", "--out",
+                 str(out), "--quiet"]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result["materialized_depth"] == 4
+    assert result["vertex_count"] == 25
+
+
+def test_run_suite_builds_no_tree_and_no_shift(monkeypatch):
+    spec = parse_spec(json.dumps({
+        "tree": {"kind": "path", "depth": 12},
+        "weights": {"kind": "dirichlet"},
+        "commands": [
+            {"name": "equivalent", "expect": False, "other": {
+                "tree": {"kind": "path", "depth": 12},
+                "weights": {"kind": "kernel_condition", "x": 1.3}}},
+            {"name": "verify-table1", "row": "kernel", "nmax": 4,
+             "depth": 8}]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built while running")
+
+    monkeypatch.setattr(cli, "materialize", refuse)
+    monkeypatch.setattr(cli, "build_shift", refuse)
+    report, code = run_suite(spec)
+    assert code == 0
+    assert [r["status"] for r in report["results"]] == ["passed"] * 2

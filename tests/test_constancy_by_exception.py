@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeshift import (DirectedTree, DomainError, NotLeftInvertibleError,
-                       TreeSpec, WeightSpec, WeightedShift, build_shift,
-                       cauchy_dual, materialize, satisfies_kernel_condition,
+                       TreeSpec, WeightSpec, WeightedShift, cauchy_dual,
+                       materialize, satisfies_kernel_condition,
                        sibling_constancy_by_generation)
 from treeshift.cli import main, parse_spec
 from treeshift.moments import _power_norms
@@ -160,10 +160,7 @@ def test_an_infinite_sibling_norm_breaks_constancy():
 
 def _golden_shifts():
     for path in sorted(SPECS.glob("*.json")):
-        spec = parse_spec(path.read_text())
-        tree = (materialize(spec.tree) if spec.built_tree is None
-                else spec.built_tree)
-        yield path.stem, build_shift(spec.weights, tree)
+        yield path.stem, parse_spec(path.read_text()).shift
 
 
 def _assert_dual_table_matches(shift):
@@ -347,7 +344,7 @@ def test_kernel_condition_weights_refuse_an_infinite_ladder():
 
 # -- a depth-less explicit tree is built once ------------------------------
 
-@pytest.mark.parametrize("extra,builds", [((), 1), (("--depth", "3"), 2)])
+@pytest.mark.parametrize("extra,builds", [((), 1), (("--depth", "3"), 1)])
 def test_depthless_explicit_tree_is_built_once(tmp_path, monkeypatch,
                                                extra, builds):
     calls = []

@@ -104,7 +104,7 @@ def test_golden_report(name):
                          ids=lambda path: path.stem)
 def test_parsed_spec_holds_its_tree_at_the_spec_depth(path):
     spec = parse_spec(path.read_text(encoding="utf-8"))
-    tree = spec.built_tree
+    tree = spec.shift.tree
     assert tree.materialized_depth == spec.tree.depth
     assert tree.generation_sizes == materialize(spec.tree).generation_sizes
 
