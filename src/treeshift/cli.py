@@ -247,7 +247,8 @@ _FIELD_TYPES: dict[str, Callable[[Any, str], Any]] = {
     "kappa": _as_int, "valency": _as_int, "edges": _as_edges,
     "rule": _as_rule, "values": _as_values, "x": _as_ladder_start,
     "proportions": _as_proportions, "y1": _as_number, "y2": _as_number,
-    "nmax": functools.partial(_as_int, minimum=0), "k": _as_int,
+    "nmax": functools.partial(_as_int, minimum=0),
+    "k": functools.partial(_as_int, minimum=0),
     "dual": _as_bool, "vertex": _as_vertex, "other": _as_other,
     "expect": _as_bool, "dual-subnormality.expect": _as_verdict,
     "row": _as_string, "demo": _as_demo,

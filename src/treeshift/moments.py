@@ -11,7 +11,6 @@ drives the full decision procedure with its fast analytic paths.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
@@ -23,7 +22,7 @@ from .shifts import (DEFAULT_TOL, WeightedShift, cauchy_dual_weights,
                      check_tolerance, classify_adjacency, is_two_isometry,
                      require_kernel_class, satisfies_kernel_condition,
                      vertex_norm)
-from .trees import DirectedTree, comb_pattern_valency
+from .trees import comb_pattern_valency
 
 __all__ = [
     "MomentSequence",
@@ -42,6 +41,9 @@ __all__ = [
 ]
 
 
+_NOT_FINITE = "moment sequence values must be finite"
+
+
 @dataclass(frozen=True)
 class MomentSequence:
     """A finite moment prefix gamma_0..gamma_N with provenance text."""
@@ -52,8 +54,8 @@ class MomentSequence:
     def __post_init__(self):
         if not self.values:
             raise DomainError("moment sequence must contain gamma_0")
-        if not all(math.isfinite(v) for v in self.values):
-            raise DomainError("moment sequence values must be finite")
+        if not all(map(math.isfinite, self.values)):
+            raise DomainError(_NOT_FINITE)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -171,11 +173,19 @@ class MomentVerdict:
 
     def to_dict(self) -> dict:
         """Report form of the verdict."""
-        return {"is_stieltjes": self.is_stieltjes,
-                "is_hausdorff": self.is_hausdorff,
-                "failing_order": self.failing_order,
-                "extremal_value": self.extremal_value,
-                "detail": self.detail}
+        return _verdict_dict(self.is_stieltjes, self.is_hausdorff,
+                             self.failing_order, self.extremal_value,
+                             self.detail)
+
+
+def _verdict_dict(is_stieltjes: Optional[bool], is_hausdorff: Optional[bool],
+                  failing_order: Optional[int], extremal_value: float,
+                  detail: str) -> dict:
+    """Report form of a moment verdict, for ``MomentVerdict.to_dict`` and
+    for the generic path's evidence, which builds no verdict objects."""
+    return {"is_stieltjes": is_stieltjes, "is_hausdorff": is_hausdorff,
+            "failing_order": failing_order, "extremal_value": extremal_value,
+            "detail": detail}
 
 
 def _power_norms(shift: WeightedShift, top: int, kmax: int,
@@ -193,16 +203,19 @@ def _power_norms(shift: WeightedShift, top: int, kmax: int,
     tree = shift.tree
     end = int(tree.gen_offsets[top + 1])
     parents = tree.parents[1:end]
-    if dual:
-        w = cauchy_dual_weights(shift, end)
-        w2 = w * w
-    else:
-        w2 = shift.squared_weights[1:end]
     out = np.empty((kmax + 1, end))
     out[0] = 1.0
-    for k in range(kmax):
-        out[k + 1] = np.bincount(parents, weights=w2 * out[k, 1:],
-                                 minlength=end)
+    # an overflow becomes inf (and inf times a zero weight NaN), which the
+    # callers refuse as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dual:
+            w = cauchy_dual_weights(shift, end)
+            w2 = w * w
+        else:
+            w2 = shift.squared_weights[1:end]
+        for k in range(kmax):
+            out[k + 1] = np.bincount(parents, weights=w2 * out[k, 1:],
+                                     minlength=end)
     return out
 
 
@@ -332,54 +345,85 @@ def _root_extension_sum(shift: WeightedShift, n: int) -> Optional[float]:
     return np.cumsum(shift.squared_weights[kids] / den).item(-1) / root2 ** 2
 
 
-@functools.lru_cache(maxsize=64)
-def _hankel_index(size: int) -> np.ndarray:
-    """Read-only (size, size) array of i + j: the offsets a Hankel block
-    of that size reads from its first moment."""
-    r = np.arange(size)
-    index = r[:, None] + r
-    index.flags.writeable = False
-    return index
+def _hankel_scan(rows: np.ndarray, caps: Sequence[int], tol: float
+                 ) -> tuple[list[int], list[float], list[float]]:
+    """Stieltjes test of every row of ``rows``: row r holds
+    gamma_0..gamma_caps[r] (caps[r] >= 2) in its first caps[r] + 1
+    entries and zeros after them.
+
+    Order p runs one stacked ``eigvalsh`` over the Hankel and shifted
+    blocks of size p+1 of every row still alive whose cap admits them,
+    row by row, unshifted first; a row drops out after its first failing
+    order.  The blocks examined, and hence each verdict, are those of a
+    row-by-row loop; LAPACK solves each stacked matrix on its own, so the
+    eigenvalues are bit-identical too.
+
+    Returns per row the failing order (-1 on a pass), the least
+    eigenvalue over the blocks examined (the first of equal ones, as
+    ``min`` keeps it) and the threshold -tol * (1 + max |gamma|).  A
+    value that is not finite raises DomainError.
+    """
+    n, width = rows.shape
+    bound = np.abs(rows).max(axis=1).tolist()
+    if not all(map(math.isfinite, bound)):
+        raise DomainError(_NOT_FINITE)
+    thresholds = [-tol * (1.0 + b) for b in bound]
+    flat = np.ascontiguousarray(rows).ravel()  # a view of a C-order table
+    step = flat.itemsize
+    worst = [math.inf] * n
+    failing = [-1] * n
+    # block 2r + s is [gamma_(i+j+s)] of row r; it ends after order last
+    owner, shift = np.divmod(np.arange(2 * n), 2)
+    last = (np.repeat(caps, 2) - shift) // 2
+    rows_of = owner.tolist()  # owner as a list, for the fold below
+    p, drop = 0, int(last.min()) + 1  # drop: the next order a block leaves
+    while True:
+        if p == drop:
+            keep = (last >= p) & (np.array(failing)[owner] < 0)
+            owner, shift, last = owner[keep], shift[keep], last[keep]
+            if not len(owner):
+                break
+            rows_of = owner.tolist()
+            drop = int(last.min()) + 1
+        # blocks[r, s] is [gamma_(i+j+s)] of size p+1 of row r, a view of
+        # flat; a shifted block fits only while 2p + 1 < width
+        blocks = np.ndarray((n, min(2, width - 2 * p), p + 1, p + 1),
+                            flat.dtype, flat, 0,
+                            (width * step, step, step, step))
+        lows = np.linalg.eigvalsh(blocks[owner, shift])[:, 0].tolist()
+        for r, low in zip(rows_of, lows):
+            if low < worst[r]:  # as min(worst[r], low) does
+                worst[r] = low
+            if low < thresholds[r]:
+                failing[r] = p
+                drop = p + 1
+        p += 1
+    return failing, worst, thresholds
+
+
+def _stieltjes_dicts(scan: tuple[list[int], list[float], list[float]],
+                     caps: Sequence[int], picked: Sequence[int]
+                     ) -> list[dict]:
+    """Report form of the verdicts of ``_hankel_scan`` rows ``picked``."""
+    failing, worst, thresholds = scan
+    return [_verdict_dict(failing[k] < 0, None,
+                          None if failing[k] < 0 else failing[k], worst[k],
+                          f"Hankel orders 0..{caps[k] // 2}, threshold "
+                          f"{thresholds[k]:.3e}")
+            for k in picked]
 
 
 def _stieltjes_batch(seqs: Sequence[Sequence[float]],
                      tol: float) -> list[MomentVerdict]:
-    """``stieltjes_test`` of several sequences (each of length >= 3).
-
-    Order p runs one stacked ``eigvalsh`` over the Hankel and shifted
-    blocks of size p+1 of every sequence still alive whose length
-    admits them; a sequence drops out after its first failing order.
-    The blocks examined, and hence each verdict, are those of a
-    sequence-by-sequence loop; LAPACK solves each stacked matrix on its
-    own, so the eigenvalues are bit-identical too.
-    """
+    """``stieltjes_test`` of several sequences (each of length >= 3), by
+    one ``_hankel_scan`` over a table of them."""
     caps = [len(s) - 1 for s in seqs]
-    width = max(caps) + 1
-    flat = np.zeros(len(seqs) * width)
-    for r, s in enumerate(seqs):
-        flat[r * width:r * width + len(s)] = s
-    thresholds = [-tol * (1.0 + max(map(abs, s))) for s in seqs]
-    worst = [math.inf] * len(seqs)
-    failing: list[Optional[int]] = [None] * len(seqs)
-    live = range(len(seqs))
-    p = 0
-    while live:
-        # block (r, s) reads flat[r * width + s + i + j]
-        starts = [r * width + s for r in live for s in (0, 1)
-                  if 2 * p + s <= caps[r]]
-        stack = flat.take(np.add.outer(starts, _hankel_index(p + 1)))
-        lows = np.linalg.eigvalsh(stack)[:, 0].tolist()
-        for start, low in zip(starts, lows):
-            r = start // width
-            worst[r] = min(worst[r], low)
-            if low < thresholds[r]:
-                failing[r] = p
-        p += 1
-        live = [r for r in live if failing[r] is None and 2 * p <= caps[r]]
-    return [MomentVerdict(
-                is_stieltjes=f is None, failing_order=f, extremal_value=w,
-                detail=f"Hankel orders 0..{c // 2}, threshold {t:.3e}")
-            for f, w, c, t in zip(failing, worst, caps, thresholds)]
+    rows = np.zeros((len(seqs), max(caps) + 1))
+    for row, s in zip(rows, seqs):
+        row[:len(s)] = s
+    scan = _hankel_scan(rows, caps, tol)
+    return [MomentVerdict(**d)
+            for d in _stieltjes_dicts(scan, caps, range(len(seqs)))]
 
 
 def stieltjes_test(seq: _SequenceLike,
@@ -390,7 +434,8 @@ def stieltjes_test(seq: _SequenceLike,
     i, j = 0..p must both be positive semidefinite.  PSD means the least
     eigenvalue is >= -tol * (1 + max |gamma|).  failing_order is the
     smallest violating p; the test stops there, and extremal_value is
-    the least eigenvalue over the blocks examined up to that order.
+    the least eigenvalue over the blocks examined up to that order.  A
+    moment that is not finite raises DomainError.
     """
     tol = check_tolerance(tol)
     gamma = _values(seq)
@@ -405,13 +450,16 @@ def hausdorff_test(seq: _SequenceLike,
 
     All alternating finite differences sum_j (-1)^j C(k,j) gamma_(n+j)
     with k + n <= N must be >= -tol after scaling by 1 + max |gamma|.
-    failing_order is the smallest violating difference order k.
+    failing_order is the smallest violating difference order k.  A
+    moment that is not finite raises DomainError.
     """
     tol = check_tolerance(tol)
     gamma = _values(seq)
     nn = len(gamma) - 1
     if len(gamma) < 2:
         raise RangeError("hausdorff test needs at least 2 moments")
+    if not all(map(math.isfinite, gamma)):
+        raise DomainError(_NOT_FINITE)
     scale = 1.0 + max(abs(g) for g in gamma)
     worst = math.inf
     failing: Optional[int] = None
@@ -556,14 +604,6 @@ class SubnormalityReport:
 MAX_LISTED_WITNESSES = 64
 
 
-def _default_witnesses(tree: DirectedTree) -> list[int]:
-    """Indices of the root and of the first vertex of every later
-    non-empty generation above the last."""
-    off = tree.gen_offsets.tolist()
-    return [off[g] for g in range(tree.materialized_depth)
-            if off[g] < off[g + 1]]
-
-
 def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                       tol: float = DEFAULT_TOL) -> SubnormalityReport:
     """Decide subnormality of the Cauchy dual.
@@ -576,9 +616,10 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     check on the dual sequences of the root and of the first vertex of
     every later generation (the witnesses); a failure is conclusive,
     a pass is only "consistent to order nmax".  The dual sequences of
-    all witnesses come from one pass of the recurrence over the tree.
-    The evidence lists at most MAX_LISTED_WITNESSES of them, the first
-    failure included, and counts the rest as ``witnesses_omitted``.
+    all witnesses come from one pass of the recurrence over the tree,
+    and one Hankel scan tests them all.  The evidence lists at most
+    MAX_LISTED_WITNESSES of them, the first failure included, and counts
+    the rest as ``witnesses_omitted``.
 
     Requires left invertibility.  Shifts that fail the expansion
     identity skip the fast paths and go straight to the generic test.
@@ -671,49 +712,48 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         notes.append(
             f"not a 2-isometry (witness {w}); fast paths unavailable")
 
-    # generic moment test
-    plan = []
-    for i in _default_witnesses(tree):
-        cap = min(nmax, n - 1 - tree.depth_at(i))
-        if cap >= 2:
-            plan.append((tree.label(i), i, cap))
-    verdicts: list[MomentVerdict] = []
-    if plan:
-        caps = np.array([cap for _, _, cap in plan])
-        top = max(tree.depth_at(i) + cap for _, i, cap in plan)
-        table = _power_norms(shift, top, int(caps.max()), dual=True)
-        # witness k reads rows 0..caps[k] of its column
-        read = np.arange(len(table))[:, None] <= caps
-        if not np.isfinite(table[:, [i for _, i, _ in plan]][read]).all():
-            raise DomainError("moment sequence values must be finite")
-        # lists, not tuples: CPython 3.11 keeps every freed 20-tuple on a
-        # free list it never reuses, and only a full collection empties it
-        verdicts = _stieltjes_batch(
-            [table[:cap + 1, i].tolist() for _, i, cap in plan], tol)
-    failed = next((k for k, v in enumerate(verdicts) if not v.is_stieltjes),
-                  None)
-    # every witness is tested; the report lists the first ones and the
-    # first failure
-    listed = list(range(min(len(plan), MAX_LISTED_WITNESSES)))
-    if failed is not None and failed not in listed:
-        listed[-1] = failed
-    evidence: dict = {
-        "witnesses": [{"vertex": plan[k][0], "nmax": plan[k][2],
-                       "stieltjes": verdicts[k].to_dict()} for k in listed],
-        "notes": notes}
-    if len(plan) > len(listed):
-        evidence["witnesses_omitted"] = len(plan) - len(listed)
+    # generic moment test on the witnesses: the root and the first vertex
+    # of every later non-empty generation above the last; a witness needs
+    # moments 0..2 for the Hankel block of order 1
+    off = tree.gen_offsets
+    depths = np.flatnonzero(off[:n] < off[1:n + 1])
+    caps = np.minimum(nmax, n - 1 - depths)
+    tested = caps >= 2
+    depths, caps = depths[tested], caps[tested]
+    cols = off[depths]
+    witnesses: list[dict] = []
+    failed = None  # the first failing witness
+    if len(cols):
+        table = _power_norms(shift, int((depths + caps).max()),
+                             int(caps.max()), dual=True)
+        # one row per witness, zero past the moments it reads
+        rows = table[:, cols].T
+        rows[np.arange(rows.shape[1]) > caps[:, None]] = 0.0
+        caps = caps.tolist()
+        scan = _hankel_scan(rows, caps, tol)
+        failed = next((k for k, f in enumerate(scan[0]) if f >= 0), None)
+        # every witness is tested; the report lists the first ones and
+        # the first failure
+        listed = list(range(min(len(cols), MAX_LISTED_WITNESSES)))
+        if failed is not None and failed >= len(listed):
+            listed[-1] = failed
+        witnesses = [{"vertex": tree.label(cols.item(k)), "nmax": caps[k],
+                      "stieltjes": d}
+                     for k, d in zip(listed,
+                                     _stieltjes_dicts(scan, caps, listed))]
+    evidence: dict = {"witnesses": witnesses, "notes": notes}
+    if len(cols) > len(witnesses):
+        evidence["witnesses_omitted"] = len(cols) - len(witnesses)
     if failed is not None:
-        u, v = plan[failed][0], verdicts[failed]
+        u = tree.label(cols.item(failed))
         return SubnormalityReport(
             "not-subnormal", True, "generic-moment-test",
             f"NOT subnormal: dual moment sequence at {u} fails the "
-            f"Stieltjes test at order {v.failing_order} "
+            f"Stieltjes test at order {scan[0][failed]} "
             f"(decision path generic-moment-test)",
             n - 2, nmax, evidence)
-    # a witness needs moments 0..2 for the Hankel block of order 1
     passed = (f"consistent to order {nmax}: every tested dual sequence "
-              f"passes the Stieltjes test" if plan else
+              f"passes the Stieltjes test" if len(cols) else
               f"consistent: no dual sequence was tested, since no witness "
               f"reaches Hankel order 1 at nmax {nmax} and materialized "
               f"depth {n}")

@@ -551,6 +551,18 @@ def test_command_depth_must_be_non_negative():
     assert err.value.json_path == "$.commands[0].depth"
 
 
+def test_check_kernel_k_must_be_non_negative(tmp_path, capsys):
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(_command_spec({"name": "check-kernel", "k": -1}))
+    assert err.value.json_path == "$.commands[0].k"
+    assert "expected an integer >= 0, got -1" in str(err.value)
+    assert parse_spec(_command_spec({"name": "check-kernel", "k": 0}))
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(_command_spec({"name": "check-kernel", "k": -1}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert "$.commands[0].k" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", [-1, 0, math.nan, math.inf])
 def test_library_entry_points_reject_bad_tolerances(tol):
     spec = parse_spec(VALID_MIN)
@@ -650,6 +662,27 @@ def test_proportions_out_of_the_float_range_exit_two(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: $.weights: proportions at the children of 'g0:0' are out "
         f"of range: their sum of squares is {total}\n")
+
+
+def test_overflowing_dual_moments_are_refused_without_a_warning(
+        tmp_path, capsys):
+    # dual weights 1e100 on a path: the squared norms of the powers pass
+    # 1e308 by order 4, which is an error, not a numpy overflow warning
+    spec_file, out = tmp_path / "run.json", tmp_path / "report.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "path", "depth": 8},
+        "weights": {"kind": "explicit",
+                    "values": {f"g{d}:0": 1e-100 for d in range(1, 9)}},
+        "commands": [{"name": "moments", "dual": True, "nmax": 6}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--spec", str(spec_file), "--out", str(out),
+                     "--quiet"]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result == {"error": "moment sequence values must be finite",
+                      "error_type": "DomainError"}
 
 
 def _strict_json(text):

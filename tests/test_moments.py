@@ -266,6 +266,19 @@ def test_hausdorff_examples():
     assert verdict.failing_order == 1
 
 
+@pytest.mark.parametrize("values", [
+    (math.nan, 1.0, 1.0),  # read as "threshold nan" and passed
+    (1.0, 0.5, math.inf),  # read as "threshold -inf" and passed
+    (1.0, -math.inf, 1.0, 0.5),
+    (1.0, 0.5, 0.25, math.nan),
+])
+def test_moment_tests_refuse_non_finite_values(values):
+    for test in (stieltjes_test, hausdorff_test):
+        with pytest.raises(DomainError,
+                           match="moment sequence values must be finite"):
+            test(values)
+
+
 def test_reciprocal_linear_moments():
     r = reciprocal_linear_moments(1.0, 0.0, 10)
     assert r.is_hamburger
