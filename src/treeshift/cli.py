@@ -290,32 +290,25 @@ def _parse_section(obj: Any, path: str, cls: type) -> Any:
         return cls(kind, **values)
     except (ConfigurationError, DomainError) as exc:
         raise SpecParseError(str(exc), json_path=path) from exc
-    except StructureError as exc:  # TreeSpec's edge list or rule table
-        field = "edges" if kind == "explicit" else "rule"
-        raise SpecParseError(str(exc), json_path=f"{path}.{field}") from exc
-
-
-def _build_tree(spec: TreeSpec, depth: Optional[int],
-                path: str) -> DirectedTree:
-    """``materialize(spec, depth)``, its errors carrying JSON paths under
-    ``path``, the tree section: the vertex budget at its depth (edges for
-    an explicit tree), a malformed edge list at its edges."""
-    try:
-        return materialize(spec, depth)
-    except ResourceLimitError as exc:
-        field = "edges" if spec.kind == "explicit" else "depth"
-        raise SpecParseError(str(exc), json_path=f"{path}.{field}") from exc
-    except StructureError as exc:  # only an edge list can be malformed
-        raise SpecParseError(str(exc), json_path=f"{path}.edges") from exc
+    except StructureError as exc:  # only a TreeSpec's rule table
+        raise SpecParseError(str(exc), json_path=f"{path}.rule") from exc
 
 
 def _parse_tree(obj: Any, path: str, depth: Optional[int] = None
                 ) -> tuple[TreeSpec, DirectedTree]:
     """A TreeSpec from its JSON object, and its tree at ``depth``
     (default: the spec's own); an explicit tree without a depth takes
-    that of the built tree."""
+    that of the built tree.  ``materialize``'s errors carry JSON paths
+    under ``path``: the budget at the field it counted, a malformed edge
+    list at its edges."""
     spec = _parse_section(obj, path, TreeSpec)
-    built = _build_tree(spec, depth, path)
+    try:
+        built = materialize(spec, depth)
+    except ResourceLimitError as exc:
+        raise SpecParseError(str(exc),
+                             json_path=f"{path}.{exc.field}") from exc
+    except StructureError as exc:  # only an edge list can be malformed
+        raise SpecParseError(str(exc), json_path=f"{path}.edges") from exc
     if spec.depth is None:
         spec = replace(spec, depth=built.materialized_depth)
     return spec, built
@@ -331,11 +324,12 @@ def _build_shift(weights: WeightSpec, tree: DirectedTree,
         raise SpecParseError(str(exc), json_path=path) from exc
 
 
-_DEFAULT_TREES: dict[str, TreeSpec] = {
-    "glowny": TreeSpec("t_eta_kappa", eta=2, depth=16),
-    "dirichlet": TreeSpec("path", depth=64),
-    "bergman_dual": TreeSpec("path", depth=64),
-    "treiso": TreeSpec("path", depth=64),
+# the tree section of a spec that has none, by weight kind
+_DEFAULT_TREES: dict[str, dict[str, Any]] = {
+    "glowny": {"kind": "t_eta_kappa", "eta": 2, "depth": 16},
+    "dirichlet": {"kind": "path", "depth": 64},
+    "bergman_dual": {"kind": "path", "depth": 64},
+    "treiso": {"kind": "path", "depth": 64},
 }
 
 
@@ -354,15 +348,12 @@ def parse_spec(text: str, depth: Optional[int] = None) -> RunSpec:
     _reject_unknown(doc, {"tree", "weights", "commands", "tolerances"}, "$")
     weights = _parse_section(_require(doc, "weights", "$"), "$.weights",
                              WeightSpec)
-    if "tree" in doc:
-        tree, built = _parse_tree(doc["tree"], "$.tree", depth)
-    else:
-        tree = _DEFAULT_TREES.get(weights.kind)
-        if tree is None:
-            raise SpecParseError(
-                f"missing required field 'tree' (no default tree for "
-                f"weight kind {weights.kind!r})", json_path="$.tree")
-        built = _build_tree(tree, depth, "$.tree")
+    if "tree" not in doc and weights.kind not in _DEFAULT_TREES:
+        raise SpecParseError(
+            f"missing required field 'tree' (no default tree for "
+            f"weight kind {weights.kind!r})", json_path="$.tree")
+    tree, built = _parse_tree(
+        doc.get("tree", _DEFAULT_TREES.get(weights.kind)), "$.tree", depth)
     commands: list[CommandRecord] = []
     raw_commands = doc.get("commands", [])
     if not isinstance(raw_commands, list):

@@ -1,4 +1,5 @@
 """Exception hierarchy for the treeshift package."""
+from typing import Optional
 
 __all__ = [
     "TreeShiftError",
@@ -35,7 +36,12 @@ class ConfigurationError(TreeShiftError):
 
 
 class ResourceLimitError(ConfigurationError):
-    """The requested object would exceed a fixed size limit."""
+    """The requested object would exceed a fixed size limit; ``field``
+    names the spec field whose value was counted, when there is one."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ClassificationError(TreeShiftError):

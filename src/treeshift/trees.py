@@ -395,12 +395,19 @@ class TreeSpec:
             raise ConfigurationError(
                 f"unknown tree kind {self.kind!r}; expected one of "
                 f"{list(self.KIND_FIELDS)}")
+        # a path is the rule () and a t_eta_kappa tree the rule ((eta,),);
+        # spec_vertex_count and materialize read each rule's arrays
+        arrays = _PATH_ARRAYS if self.kind == "path" else None
         if self.kind == "t_eta_kappa":
             if self.eta is None or self.eta < 2:
                 raise ConfigurationError("t_eta_kappa requires eta >= 2")
             if self.kappa != 0:
                 raise ConfigurationError(
                     "only kappa = 0 trees are generated")
+            # held as _rule_arrays holds the entries of a rule
+            dtype = np.int64 if self.eta <= _RULE_ENTRY_MAX else object
+            arrays = (np.array([self.eta], dtype),
+                      np.array([1, self.eta], dtype))
         if self.kind == "quasi_brownian":
             if self.valency is None or self.valency < 2:
                 raise ConfigurationError(
@@ -411,15 +418,18 @@ class TreeSpec:
             if self.rule is None:
                 raise ConfigurationError(
                     "generation_rule requires a rule table")
-            # checked and flattened once; spec_vertex_count and
-            # materialize read the arrays
-            object.__setattr__(self, "_rule_arrays", _rule_arrays(self.rule))
+            arrays = _rule_arrays(self.rule)
+        object.__setattr__(self, "_rule_arrays", arrays)
 
 
 #: Largest rule entry kept in int64: sums of fewer than 2**31 such
 #: entries cannot overflow.  A rule with a larger entry is held as
 #: Python ints, whose sums are exact (its tree is never materialized).
 _RULE_ENTRY_MAX = 2 ** 31
+
+#: ``_rule_arrays`` of the empty rule: every generation has one vertex
+_PATH_ARRAYS = (_frozen(np.zeros(0, dtype=np.int64)),
+                _frozen(np.ones(1, dtype=np.int64)))
 
 
 def _rule_arrays(rule: Sequence[Sequence[int]]
@@ -545,11 +555,6 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
         return len(set(chain.from_iterable(spec.edges)))
     if depth is None:
         raise ConfigurationError("no materialization depth given")
-    if spec.kind == "path":
-        return depth + 1
-    if spec.kind == "t_eta_kappa":
-        assert spec.eta is not None
-        return 1 + spec.eta * depth
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         # generation n has 1 + n(valency - 1) vertices
@@ -564,7 +569,8 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     an explicit tree without either goes to its deepest vertex).
 
     Raises ResourceLimitError, before allocating anything, when the tree
-    would have more than MAX_VERTICES vertices."""
+    would have more than MAX_VERTICES vertices; its ``field`` is the one
+    counted, ``edges`` for an explicit tree and ``depth`` otherwise."""
     if depth is None:
         depth = spec.depth
     count = spec_vertex_count(spec, depth)
@@ -572,7 +578,8 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         at = "" if depth is None else f" at depth {depth}"
         raise ResourceLimitError(
             f"tree of kind {spec.kind!r}{at} would have {count} vertices; "
-            f"the limit is {MAX_VERTICES}")
+            f"the limit is {MAX_VERTICES}",
+            "edges" if spec.kind == "explicit" else "depth")
     if spec.kind == "explicit":
         assert spec.edges is not None
         return DirectedTree.from_edges(spec.edges, depth)
@@ -586,14 +593,7 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         degrees[np.cumsum([0] + sizes[:-1])] = spec.valency
         degrees[count - sizes[-1]:] = 0
         return DirectedTree.from_degrees(degrees, sizes)
-    if spec.kind == "path":
-        arrays = (np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64))
-    elif spec.kind == "t_eta_kappa":
-        assert spec.eta is not None
-        arrays = (np.array([spec.eta]), np.array([1, spec.eta]))
-    else:
-        arrays = spec._rule_arrays
-    return _tree_from_rule(*arrays, depth)
+    return _tree_from_rule(*spec._rule_arrays, depth)
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
