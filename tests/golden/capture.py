@@ -1,6 +1,6 @@
 """Write the golden reports that tests/test_golden.py replays.
 
-    PYTHONPATH=src python3 tests/golden/capture.py
+    PYTHONPATH=src python3 tests/golden/capture.py [--check]
 
 Each case is one call of ``treeshift.cli.main``: a spec under
 ``specs/`` (optionally with command-line overrides) or a catalog demo.
@@ -8,10 +8,13 @@ Each case is one call of ``treeshift.cli.main``: a spec under
 directory), the exit code and the JSON report minus its
 ``wall_clock_s`` fields.  The reports pin the behaviour of the code
 they were captured from; recapture only when a change of a report is
-intended, and say which keys changed and why.
+intended, and say which keys changed and why.  With ``--check`` the
+reports are captured into a temporary directory instead, and the exit
+code is 1 when any of them differs from ``reports/`` by a byte.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -62,16 +65,34 @@ def run_case(argv: list[str]) -> tuple[int, dict]:
     return code, strip_timing(report)
 
 
-def main() -> int:
-    (HERE / "reports").mkdir(exist_ok=True)
+def capture(directory: Path) -> None:
+    """Write every case's report to ``directory``."""
     for name, argv in CASES.items():
         code, report = run_case(argv)
         doc = {"argv": argv, "exit_code": code, "report": report}
-        (HERE / "reports" / f"{name}.json").write_text(
+        (directory / f"{name}.json").write_text(
             json.dumps(doc, indent=1, sort_keys=True) + "\n",
             encoding="utf-8")
         print(f"{name}: exit {code}")
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare a fresh capture with reports/ byte "
+                             "for byte instead of rewriting it")
+    if not parser.parse_args(argv).check:
+        (HERE / "reports").mkdir(exist_ok=True)
+        capture(HERE / "reports")
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        capture(Path(tmp))
+        differ = [name for name in CASES
+                  if (Path(tmp) / f"{name}.json").read_bytes()
+                  != (HERE / "reports" / f"{name}.json").read_bytes()]
+    for name in differ:
+        print(f"{name}: differs from reports/{name}.json")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
