@@ -89,6 +89,11 @@ def _require(obj: Mapping[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
+#: Largest integer a spec field or a count flag takes: the int64 range,
+#: which numpy arrays of orders and sizes hold
+_INT_MAX = 2 ** 63 - 1
+
+
 def _as_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SpecParseError(f"expected an integer, got {value!r}",
@@ -96,6 +101,9 @@ def _as_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
     if minimum is not None and value < minimum:
         raise SpecParseError(f"expected an integer >= {minimum}, got {value}",
                              json_path=path)
+    if value > _INT_MAX:
+        raise SpecParseError(f"expected an integer <= {_INT_MAX}, got "
+                             f"{value}", json_path=path)
     return value
 
 
@@ -265,7 +273,7 @@ def _parse_fields(obj: Any, path: str, key: str,
     if not isinstance(obj, dict):
         raise SpecParseError("expected an object", json_path=path)
     name = _require(obj, key, path)
-    if name not in fields:
+    if not isinstance(name, str) or name not in fields:
         raise SpecParseError(
             f"unknown {key} {name!r} (expected one of {sorted(fields)})",
             json_path=f"{path}.{key}")
@@ -1101,8 +1109,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     for name in ("nmax", "depth"):
         value = getattr(args, name)
-        if value is not None and value < 0:
-            parser.error(f"argument --{name}: must be >= 0, got {value}")
+        if value is not None and not 0 <= value <= _INT_MAX:
+            bound = ">= 0" if value < 0 else f"<= {_INT_MAX}"
+            parser.error(f"argument --{name}: must be {bound}, got {value}")
 
     if (args.spec is None) == (args.demo is None):
         parser.print_usage(sys.stderr)

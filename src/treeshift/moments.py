@@ -205,17 +205,22 @@ def _power_norms(shift: WeightedShift, top: int, kmax: int,
     parents = tree.parents[1:end]
     out = np.empty((kmax + 1, end))
     out[0] = 1.0
-    # an overflow becomes inf (and inf times a zero weight NaN), which the
-    # callers refuse as not finite
+    # an overflow becomes inf (and inf times a square that underflowed
+    # to 0 NaN), which the callers refuse as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         if dual:
             w = cauchy_dual_weights(shift, end)
             w2 = w * w
         else:
             w2 = shift.squared_weights[1:end]
+        # a zero-weight child adds exactly 0, even below an overflow
+        zero = (shift.weight_array[1:end] == 0.0
+                if shift.has_zero_weights else None)
         for k in range(kmax):
-            out[k + 1] = np.bincount(parents, weights=w2 * out[k, 1:],
-                                     minlength=end)
+            terms = w2 * out[k, 1:]
+            if zero is not None:
+                terms[zero] = 0.0
+            out[k + 1] = np.bincount(parents, weights=terms, minlength=end)
     return out
 
 
@@ -570,10 +575,6 @@ def backward_extension(mu: DiscreteMeasure, tol: float = 1e-12
 # decision procedure
 # ---------------------------------------------------------------------------
 
-_DECISION_PATHS = ("cdsubn", "BrownianG", "constant-t", "main2",
-                   "generic-moment-test")
-
-
 @dataclass(frozen=True)
 class SubnormalityReport:
     """Decision about subnormality of the Cauchy dual.
@@ -631,6 +632,9 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     n = tree.materialized_depth
     if n < 2:
         raise RangeError("need materialized depth >= 2")
+    # the deepest dual moment the tree holds; clamped in Python, so that
+    # any nmax reaches numpy as an int64
+    cap = min(nmax, n - 1)
     norms = shift.vertex_norms[:int(tree.gen_offsets[n])]
     if not norms.all():
         u = tree.label(int(np.argmin(norms != 0.0)))
@@ -642,8 +646,7 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         kc0 = satisfies_kernel_condition(shift, 0, tol)
         if kc0.holds:
             t = vertex_norm(shift, tree.root) ** 2
-            measure = reciprocal_linear_moments(1.0, t - 1.0,
-                                                min(nmax, n - 1))
+            measure = reciprocal_linear_moments(1.0, t - 1.0, cap)
             return SubnormalityReport(
                 "subnormal", True, "cdsubn",
                 "subnormal contraction: expansion identity plus sibling "
@@ -665,8 +668,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                         cls.quasi_brownian_isometry.to_dict()})
             l = comb_pattern_valency(tree)
             if l is not None:
-                root_seq = moment_sequence(shift, tree.root,
-                                           min(nmax, n - 1), dual=True)
+                root_seq = moment_sequence(shift, tree.root, cap,
+                                           dual=True)
                 dev = max(
                     abs(root_seq[k] - table1_value("adjacency_pattern",
                                                    float(l), k))
@@ -684,7 +687,6 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         if k_found <= n - 2:
             first_gens = slice(1, int(tree.gen_offsets[k_found + 1]))
             if np.all(shift.weight_array[first_gens] > 0.0):
-                cap = min(nmax, n - 1)
                 root_seq = moment_sequence(shift, tree.root, cap, dual=True)
                 st = stieltjes_test(root_seq, tol)
                 integral = _root_extension_sum(shift, 0)
@@ -717,7 +719,7 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     # moments 0..2 for the Hankel block of order 1
     off = tree.gen_offsets
     depths = np.flatnonzero(off[:n] < off[1:n + 1])
-    caps = np.minimum(nmax, n - 1 - depths)
+    caps = np.minimum(cap, n - 1 - depths)
     tested = caps >= 2
     depths, caps = depths[tested], caps[tested]
     cols = off[depths]

@@ -35,8 +35,8 @@ __all__ = [
     "two_plus_three_tree_spec",
 ]
 
-#: Largest tree ``materialize`` builds.  Checked from the spec alone,
-#: before anything is allocated.
+#: Largest tree ``materialize`` builds, in vertices and in generations.
+#: Checked from the spec alone, before anything is allocated.
 MAX_VERTICES = 2_000_000
 
 
@@ -569,17 +569,25 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     an explicit tree without either goes to its deepest vertex).
 
     Raises ResourceLimitError, before allocating anything, when the tree
-    would have more than MAX_VERTICES vertices; its ``field`` is the one
-    counted, ``edges`` for an explicit tree and ``depth`` otherwise."""
+    would have more than MAX_VERTICES vertices (its ``field`` is the one
+    counted, ``edges`` for an explicit tree and ``depth`` otherwise), or
+    more than MAX_VERTICES generations (``depth``)."""
     if depth is None:
         depth = spec.depth
     count = spec_vertex_count(spec, depth)
+    at = "" if depth is None else f" at depth {depth}"
     if count > MAX_VERTICES:
-        at = "" if depth is None else f" at depth {depth}"
         raise ResourceLimitError(
             f"tree of kind {spec.kind!r}{at} would have {count} vertices; "
             f"the limit is {MAX_VERTICES}",
             "edges" if spec.kind == "explicit" else "depth")
+    # few vertices can still span many generations, empty ones included
+    # (an explicit tree or a rule with a 0 row), and each costs an array
+    # entry
+    if depth is not None and depth >= MAX_VERTICES:
+        raise ResourceLimitError(
+            f"tree of kind {spec.kind!r}{at} would have {depth + 1} "
+            f"generations; the limit is {MAX_VERTICES}", "depth")
     if spec.kind == "explicit":
         assert spec.edges is not None
         return DirectedTree.from_edges(spec.edges, depth)

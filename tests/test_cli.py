@@ -834,3 +834,74 @@ def test_run_suite_builds_no_tree_and_no_shift(monkeypatch):
     report, code = run_suite(spec)
     assert code == 0
     assert [r["status"] for r in report["results"]] == ["passed"] * 2
+
+
+# ---------------------------------------------------------------------------
+# resource bounds and malformed input: exit 2 at a JSON path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tree", [
+    {"kind": "explicit", "edges": [["r", "a"]]},
+    {"kind": "generation_rule", "rule": [[1], [0]]},
+])
+def test_level_budget_refuses_deep_trees_of_few_vertices(tmp_path, capsys,
+                                                         tree):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {**tree, "depth": trees.MAX_VERTICES},
+        "weights": {"kind": "adjacency"},
+        "commands": [{"name": "materialize"}]}))
+    start = time.perf_counter()
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == (
+        f"error: $.tree.depth: tree of kind {tree['kind']!r} at depth "
+        f"{trees.MAX_VERTICES} would have {trees.MAX_VERTICES + 1} "
+        f"generations; the limit is {trees.MAX_VERTICES}\n")
+
+
+def test_level_budget_applies_to_depth_override(tmp_path, capsys):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "explicit", "edges": [["r", "a"]]},
+        "weights": {"kind": "adjacency"}}))
+    assert main(["--spec", str(spec_file), "--depth", "5000000",
+                 "--quiet"]) == 2
+    assert "error: $.tree.depth: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,path", [
+    ({"weights": {"kind": []}}, "$.weights.kind"),
+    ({"tree": {"kind": {}}, "weights": {"kind": "adjacency"}},
+     "$.tree.kind"),
+    ({"weights": {"kind": "dirichlet"}, "commands": [{"name": []}]},
+     "$.commands[0].name"),
+    ({"weights": {"kind": "dirichlet"},
+      "commands": [{"name": "dual-subnormality", "nmax": 10 ** 30}]},
+     "$.commands[0].nmax"),
+    ({"weights": {"kind": "dirichlet"},
+      "commands": [{"name": "check-kernel", "k": 2 ** 63}]},
+     "$.commands[0].k"),
+])
+def test_malformed_names_and_huge_integers_exit_two(tmp_path, capsys, doc,
+                                                    path):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps(doc))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flag", ["--nmax", "--depth"])
+def test_count_flags_above_the_int64_range_are_usage_errors(tmp_path,
+                                                            capsys, flag):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text('{"weights":{"kind":"dirichlet"},"commands":'
+                         '[{"name":"dual-subnormality"}]}')
+    with pytest.raises(SystemExit) as raised:
+        main(["--spec", str(spec_file), flag, str(10 ** 30), "--quiet"])
+    assert raised.value.code == 2
+    assert (f"argument {flag}: must be <= {2 ** 63 - 1}, got {10 ** 30}"
+            in capsys.readouterr().err)
+    # the largest int64 passes the flag check
+    assert main(["--spec", str(spec_file), flag, str(2 ** 63 - 1),
+                 "--quiet"]) == (0 if flag == "--nmax" else 2)

@@ -15,6 +15,7 @@ from treeshift import (MAX_VERTICES, DirectedTree, ResourceLimitError,
                        satisfies_kernel_condition,
                        sibling_constancy_by_generation, spec_vertex_count,
                        stieltjes_test, truncate, verify_table1)
+from treeshift import trees
 from treeshift.matrices import TruncatedOperator
 
 COMMON = dict(max_examples=40, deadline=None)
@@ -193,6 +194,22 @@ def test_vertex_count_is_exact(spec):
             continue
         assert spec_vertex_count(spec, depth) == \
             materialize(spec, depth).vertex_count
+
+
+def test_budget_errors_name_the_field_they_counted(monkeypatch):
+    explicit = TreeSpec("explicit", edges=(("r", "a"),))
+    cases = [(TreeSpec("path", depth=MAX_VERTICES), None, "depth"),
+             (explicit, MAX_VERTICES, "depth"),
+             (TreeSpec("generation_rule", rule=((1,), (0,)), depth=3),
+              MAX_VERTICES, "depth")]
+    for spec, depth, field in cases:
+        with pytest.raises(ResourceLimitError) as raised:
+            materialize(spec, depth)
+        assert raised.value.field == field
+    monkeypatch.setattr(trees, "MAX_VERTICES", 1)
+    with pytest.raises(ResourceLimitError, match="2 vertices") as raised:
+        materialize(explicit)
+    assert raised.value.field == "edges"
 
 
 def test_materialize_refuses_trees_above_the_limit():

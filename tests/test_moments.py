@@ -518,3 +518,26 @@ def test_check_tolerance_returns_a_float():
     assert check_tolerance(1) == 1.0 and type(check_tolerance(1)) is float
     with pytest.raises(ConfigurationError):
         check_tolerance(None)
+
+
+def test_decision_clamps_nmax_beyond_the_int64_range():
+    shift = build_shift(WeightSpec("treiso"),
+                        materialize(TreeSpec("path", depth=12)))
+    huge, capped = (dual_subnormality(shift, nmax) for nmax in (10 ** 30, 11))
+    assert huge.nmax == 10 ** 30
+    assert huge.verdict == capped.verdict
+    assert huge.evidence["witnesses"] == capped.evidence["witnesses"]
+
+
+def test_zero_weight_child_adds_zero_below_an_overflow():
+    # a: weight 0 over a ray of weights 1e-100, whose dual moments
+    # overflow; b: weight 1 over a ray of 1s
+    rays = {c: [f"{c}{i}" for i in range(1, 9)] for c in "ab"}
+    edges = [("r", "a"), ("r", "b")] + [
+        (p, v) for c, ray in rays.items() for p, v in zip([c] + ray, ray)]
+    values = {"a": 0.0, "b": 1.0, **{v: 1e-100 for v in rays["a"]},
+              **{v: 1.0 for v in rays["b"]}}
+    tree = materialize(TreeSpec("explicit", edges=tuple(edges)))
+    shift = build_shift(WeightSpec("explicit", values=values), tree)
+    assert moment_sequence(shift, "r", 6, dual=True).values == (1.0,) * 7
+    assert moment_sequence(shift, "r", 6).values == (1.0,) * 7
