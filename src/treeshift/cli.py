@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -970,9 +971,10 @@ class _Fallback(Exception):
 
 
 _CONTAINERS = frozenset((dict, list, tuple))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 # the exact types of JSON values; any other type is checked for being a
 # container subclass, which only json.dumps renders exactly
-_PLAIN = _CONTAINERS | {str, int, float, bool, type(None)}
+_PLAIN = _CONTAINERS | _SCALARS
 
 
 @functools.lru_cache(maxsize=None)
@@ -989,6 +991,53 @@ def _level(level: int) -> tuple[Callable[[Any, int], Sequence[str]], str,
     return encode, separator[1:], separator, "\n" + "  " * level
 
 
+@functools.cache
+def _scalar_encoder() -> Callable[[Any, int], Sequence[str]]:
+    """The C encoder that writes a list of JSON scalars with a raw line
+    break between items; no encoded scalar holds one.  A separator of one
+    character keeps the text that is split short."""
+    return c_make_encoder(None, json.JSONEncoder().default,
+                          encode_basestring_ascii, None, ": ", "\n",
+                          True, False, True)
+
+
+def _row_template(rows: Sequence[dict], level: int,
+                  columns: list[list]) -> Optional[str]:
+    """The indent-2 rendering of a row of ``rows``, dicts opened at
+    indent ``level``, as a format string with one ``%s`` per scalar
+    value; the scalar columns are appended to ``columns`` in the order of
+    their ``%s``.
+
+    None unless the rows share one layout: the same non-empty set of
+    ``str`` keys, and each column holding only exact JSON scalars, or
+    only dicts that share one layout in turn."""
+    # rows of one length that all hold the keys of the first hold the same
+    # keys; empty rows have no key type, so they fail the first test
+    if (set(map(type, chain.from_iterable(rows))) != {str}
+            or len(set(map(len, rows))) != 1):
+        return None
+    inner = "\n" + "  " * (level + 1)
+    items = []
+    for k in sorted(rows[0]):
+        try:
+            column = [row[k] for row in rows]
+        except KeyError:
+            return None
+        kinds = set(map(type, column))
+        if kinds <= _SCALARS:
+            columns.append(column)
+            value = "%s"
+        elif kinds == {dict}:
+            value = _row_template(column, level + 1, columns)
+            if value is None:
+                return None
+        else:
+            return None
+        items.append(encode_basestring_ascii(k).replace("%", "%%")
+                     + ": " + value)
+    return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
+
+
 def _render(obj: Any, level: int) -> str:
     """The indent-2 rendering of obj, a non-empty dict, list or tuple
     that starts at indent level.
@@ -997,13 +1046,27 @@ def _render(obj: Any, level: int) -> str:
     in it replaced by 0; its items then sit one per line, and the walk
     puts each nested rendering in place of its 0.  Encoded strings hold
     no raw line break, so the item separator splits the items exactly,
-    and ``sorted`` orders the keys as the encoder's ``sort_keys`` does."""
+    and ``sorted`` orders the keys as the encoder's ``sort_keys`` does.
+
+    A list of two or more dicts that share one layout (a run) is written
+    from one row template instead: one C call encodes the run's scalars,
+    row by row, with a line break between them, and one ``%`` fills the
+    template repeated once per row."""
     is_dict = type(obj) is dict
     kinds = set(map(type, obj.values() if is_dict else obj))
     if not kinds <= _PLAIN and any(issubclass(k, (dict, list, tuple))
                                    for k in kinds - _PLAIN):
         raise _Fallback
     encode, opening, separator, closing = _level(level)
+    if not is_dict and kinds == {dict} and len(obj) > 1:
+        columns: list[list] = []
+        row = _row_template(obj, level + 1, columns)
+        if row is not None:
+            # the scalars row by row, one per line
+            scalars = list(chain.from_iterable(zip(*columns)))
+            cells = "".join(_scalar_encoder()(scalars, 0))[1:-1].split("\n")
+            body = separator.join([row] * len(obj)) % tuple(cells)
+            return f"[{opening}{body}{closing}]"
     if kinds.isdisjoint(_CONTAINERS):
         body = "".join(encode(obj, level))[1:-1]
     elif is_dict:
@@ -1033,8 +1096,9 @@ def _render_report(obj: Any) -> str:
     """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``.
 
     With ``indent``, ``json`` encodes in pure Python; here the C encoder
-    writes every container, and only the nesting of non-empty containers
-    is walked in Python.  Whatever the walk cannot render exactly (no C
+    writes every container, or all the scalars of a run of dicts that
+    share one layout, and only the nesting of non-empty containers is
+    walked in Python.  Whatever the walk cannot render exactly (no C
     encoder, a container subclass, a cycle) goes to ``json.dumps``
     whole."""
     if c_make_encoder is not None and type(obj) in _CONTAINERS and obj:

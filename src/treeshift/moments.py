@@ -620,7 +620,9 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     all witnesses come from one pass of the recurrence over the tree,
     and one Hankel scan tests them all.  The evidence lists at most
     MAX_LISTED_WITNESSES of them, the first failure included, and counts
-    the rest as ``witnesses_omitted``.
+    the rest as ``witnesses_omitted``.  A witness whose dual moments are
+    not finite is left untested and counted as ``witnesses_not_finite``;
+    when no witness has finite ones, DomainError.
 
     Requires left invertibility.  Shifts that fail the expansion
     identity skip the fast paths and go straight to the generic test.
@@ -725,12 +727,24 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     cols = off[depths]
     witnesses: list[dict] = []
     failed = None  # the first failing witness
+    not_finite = 0
     if len(cols):
         table = _power_norms(shift, int((depths + caps).max()),
                              int(caps.max()), dual=True)
         # one row per witness, zero past the moments it reads
         rows = table[:, cols].T
         rows[np.arange(rows.shape[1]) > caps[:, None]] = 0.0
+        # a witness whose dual moments overflow is left untested; the
+        # others still decide
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            if not finite.any():
+                raise DomainError(_NOT_FINITE)
+            not_finite = len(cols) - int(finite.sum())
+            u = tree.label(cols.item(int(np.argmin(finite))))
+            notes.append(f"{not_finite} witnesses left untested, their dual "
+                         f"moments not finite; the first is {u}")
+            rows, cols, caps = rows[finite], cols[finite], caps[finite]
         caps = caps.tolist()
         scan = _hankel_scan(rows, caps, tol)
         failed = next((k for k, f in enumerate(scan[0]) if f >= 0), None)
@@ -746,6 +760,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     evidence: dict = {"witnesses": witnesses, "notes": notes}
     if len(cols) > len(witnesses):
         evidence["witnesses_omitted"] = len(cols) - len(witnesses)
+    if not_finite:
+        evidence["witnesses_not_finite"] = not_finite
     if failed is not None:
         u = tree.label(cols.item(failed))
         return SubnormalityReport(

@@ -529,15 +529,43 @@ def test_decision_clamps_nmax_beyond_the_int64_range():
     assert huge.evidence["witnesses"] == capped.evidence["witnesses"]
 
 
-def test_zero_weight_child_adds_zero_below_an_overflow():
-    # a: weight 0 over a ray of weights 1e-100, whose dual moments
-    # overflow; b: weight 1 over a ray of 1s
+def _zero_weight_over_an_overflow():
+    """a: weight 0 over a ray of weights 1e-100, whose dual moments
+    overflow; b: weight 1 over a ray of 1s."""
     rays = {c: [f"{c}{i}" for i in range(1, 9)] for c in "ab"}
     edges = [("r", "a"), ("r", "b")] + [
         (p, v) for c, ray in rays.items() for p, v in zip([c] + ray, ray)]
     values = {"a": 0.0, "b": 1.0, **{v: 1e-100 for v in rays["a"]},
               **{v: 1.0 for v in rays["b"]}}
     tree = materialize(TreeSpec("explicit", edges=tuple(edges)))
-    shift = build_shift(WeightSpec("explicit", values=values), tree)
+    return build_shift(WeightSpec("explicit", values=values), tree)
+
+
+def test_zero_weight_child_adds_zero_below_an_overflow():
+    shift = _zero_weight_over_an_overflow()
     assert moment_sequence(shift, "r", 6, dual=True).values == (1.0,) * 7
     assert moment_sequence(shift, "r", 6).values == (1.0,) * 7
+
+
+def test_witnesses_with_overflowing_dual_moments_are_left_untested():
+    # the first vertex of generations 1..6 lies on the ray of a, whose
+    # dual moments overflow; the root's are all 1.0 and still decide
+    report = dual_subnormality(_zero_weight_over_an_overflow(), 6)
+    assert report.verdict == "consistent"
+    assert report.decision_path == "generic-moment-test"
+    assert [w["vertex"] for w in report.evidence["witnesses"]] == ["r"]
+    assert report.evidence["witnesses"][0]["stieltjes"]["is_stieltjes"]
+    assert report.evidence["witnesses_not_finite"] == 6
+    assert "witnesses_omitted" not in report.evidence
+    assert report.evidence["notes"][-1] == (
+        "6 witnesses left untested, their dual moments not finite; the "
+        "first is a")
+
+
+def test_generic_path_refuses_when_no_witness_is_finite():
+    tree = materialize(TreeSpec("path", depth=8))
+    shift = build_shift(WeightSpec("explicit", values=dict.fromkeys(
+        tree.labels[1:], 1e-100)), tree)
+    with pytest.raises(DomainError, match="moment sequence values must be "
+                                          "finite"):
+        dual_subnormality(shift, 6)

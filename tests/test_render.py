@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -59,11 +60,87 @@ def test_render_matches_json_dumps(obj):
     assert _outcome(_render_report, obj) == _outcome(_dumps, obj)
 
 
+class _Float(float):
+    """A float subclass: the C encoder takes it, a run does not."""
+
+
+class _Backwards(str):
+    """A str that sorts backwards among str keys."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):
+        return str.__lt__(self, other)
+
+
+_run_keys = st.text(max_size=4) | st.sampled_from(
+    ["%", "%s", "%%", "%(a)s", '"', "\\", "caf\u00e9", "\x00\n\x1f",
+     "\U0001f600"])
+_run_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([math.nan, math.inf, -math.inf]) | _text)
+# a run's layout: key -> None for a scalar column, or the nested layout
+_layouts = st.dictionaries(_run_keys, st.recursive(
+    st.none(), lambda inner: st.dictionaries(_run_keys, inner, min_size=1,
+                                             max_size=3),
+    max_leaves=6), min_size=1, max_size=4)
+
+
+def _rows(layout):
+    return st.fixed_dictionaries({
+        k: _run_scalars if v is None else _rows(v)
+        for k, v in layout.items()})
+
+
+@st.composite
+def _runs(draw):
+    """A list of dicts of one layout, and whether it is left so; else one
+    row changes at one key, which takes the list off the run path: an
+    extra key, an empty or a list value, a float subclass, or a cycle."""
+    layout = draw(_layouts)
+    rows = draw(st.lists(_rows(layout), min_size=2, max_size=5))
+    change = draw(st.sampled_from(
+        [None, None, "extra", "{}", "[]", "list", "float", "cycle-list",
+         "cycle-row"]))
+    row = draw(st.sampled_from(rows))
+    key = draw(st.sampled_from(sorted(layout)))
+    if change == "extra":
+        row[draw(_run_keys.filter(lambda k: k not in layout))] = 1
+    elif change is not None:
+        row[key] = {"{}": {}, "[]": [], "list": [1, [2]],
+                    "float": _Float(0.5), "cycle-list": rows,
+                    "cycle-row": row}[change]
+    return rows, change is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), st.booleans(), st.booleans())
+def test_runs_render_as_json_dumps(run, nested, no_c_encoder):
+    rows, is_run = run
+    if is_run:  # the run path is the one taken
+        assert cli._row_template(rows, 1, []) is not None
+    obj = {"a": [rows], "b": 1} if nested else rows
+    with (unittest.mock.patch.object(cli, "c_make_encoder", None)
+          if no_c_encoder else contextlib.nullcontext()):
+        assert _outcome(_render_report, obj) == _outcome(_dumps, obj)
+
+
+def test_demo_treiso_witnesses_render_as_one_run():
+    # the generic path's witness list is the run that makes long reports
+    # cheap to render; a column of another type would drop it silently
+    payload, _ = run_demo("treiso")
+    witnesses = payload["evidence"]["subnormality"]["evidence"]["witnesses"]
+    assert len(witnesses) == 30
+    assert cli._row_template(witnesses, 1, []) is not None
+
+
 @pytest.mark.parametrize("obj", [
     {"a": {1: [2], 2.5: 4, True: None}},         # non-str keys, walked
     {"a": [1], None: 2},                         # keys that cannot sort
     {"a": collections.OrderedDict(b=[1])},       # dict subclass
     [collections.UserList([1]), [2]],            # not a JSON container
+    # keys equal to a run's but sorted their own way: no run
+    [{"a": 1, "b": 2}, {_Backwards("a"): 1, _Backwards("b"): 2}],
     {"a": [], "b": {"c": [()]}},
     "text", 1.5, [], {},
 ])
