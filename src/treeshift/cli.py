@@ -182,7 +182,7 @@ def _as_vertex(value: Any, path: str) -> Any:
         return value
     if isinstance(value, list):
         for i, index in enumerate(value):
-            _as_int(index, f"{path}[{i}]")
+            _as_int(index, f"{path}[{i}]", minimum=0)
         return value
     raise SpecParseError(
         f"expected a vertex id string or a list of child indices, got "
@@ -258,6 +258,8 @@ _FIELD_TYPES: dict[str, Callable[[Any, str], Any]] = {
     "proportions": _as_proportions, "y1": _as_number, "y2": _as_number,
     "nmax": functools.partial(_as_int, minimum=0),
     "k": functools.partial(_as_int, minimum=0),
+    "verify-table1.nmax": functools.partial(_as_int, minimum=1),
+    "verify-table1.depth": functools.partial(_as_int, minimum=1),
     "dual": _as_bool, "vertex": _as_vertex, "other": _as_other,
     "expect": _as_bool, "dual-subnormality.expect": _as_verdict,
     "row": _as_string, "demo": _as_demo,
@@ -970,25 +972,9 @@ class _Fallback(Exception):
     """The report holds something only ``json.dumps`` renders exactly."""
 
 
-_CONTAINERS = frozenset((dict, list, tuple))
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-# the exact types of JSON values; any other type is checked for being a
+# the exact types of JSON scalars; any other type is checked for being a
 # container subclass, which only json.dumps renders exactly
-_PLAIN = _CONTAINERS | _SCALARS
-
-
-@functools.lru_cache(maxsize=None)
-def _level(level: int) -> tuple[Callable[[Any, int], Sequence[str]], str,
-                                 str, str]:
-    """For a container opened at indent ``level``: the C encoder that
-    writes its items one per line, the line break after its opening
-    bracket, the item separator, and the line break before its closing
-    bracket."""
-    separator = ",\n" + "  " * (level + 1)
-    encode = c_make_encoder(None, json.JSONEncoder().default,
-                            encode_basestring_ascii, None, ": ", separator,
-                            True, False, True)
-    return encode, separator[1:], separator, "\n" + "  " * level
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
@@ -1001,12 +987,20 @@ def _scalar_encoder() -> Callable[[Any, int], Sequence[str]]:
                           True, False, True)
 
 
+def _block(brackets: str, items: Sequence[str], level: int) -> str:
+    """A non-empty container opened at indent ``level``, one item per
+    line."""
+    opening, closing = brackets
+    indent = "\n" + "  " * level
+    inner = indent + "  "
+    return f"{opening}{inner}{(',' + inner).join(items)}{indent}{closing}"
+
+
 def _row_template(rows: Sequence[dict], level: int,
                   columns: list[list]) -> Optional[str]:
-    """The indent-2 rendering of a row of ``rows``, dicts opened at
-    indent ``level``, as a format string with one ``%s`` per scalar
-    value; the scalar columns are appended to ``columns`` in the order of
-    their ``%s``.
+    """The template of a row of ``rows``, dicts opened at indent
+    ``level``; the scalar columns are appended to ``columns`` in the
+    order of their ``%s``.
 
     None unless the rows share one layout: the same non-empty set of
     ``str`` keys, and each column holding only exact JSON scalars, or
@@ -1016,7 +1010,6 @@ def _row_template(rows: Sequence[dict], level: int,
     if (set(map(type, chain.from_iterable(rows))) != {str}
             or len(set(map(len, rows))) != 1):
         return None
-    inner = "\n" + "  " * (level + 1)
     items = []
     for k in sorted(rows[0]):
         try:
@@ -1035,77 +1028,75 @@ def _row_template(rows: Sequence[dict], level: int,
             return None
         items.append(encode_basestring_ascii(k).replace("%", "%%")
                      + ": " + value)
-    return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
+    return _block("{}", items, level)
 
 
-def _render(obj: Any, level: int) -> str:
-    """The indent-2 rendering of obj, a non-empty dict, list or tuple
-    that starts at indent level.
+def _template(obj: Any, level: int, scalars: list) -> str:
+    """The indent-2 rendering of obj, opened at indent ``level``, as a
+    format string with one ``%s`` per dict key and per scalar; they are
+    appended to ``scalars`` in the order of their ``%s``.  ``sorted``
+    orders the keys as ``sort_keys`` does.
 
-    The C encoder writes obj in one call with every non-empty container
-    in it replaced by 0; its items then sit one per line, and the walk
-    puts each nested rendering in place of its 0.  Encoded strings hold
-    no raw line break, so the item separator splits the items exactly,
-    and ``sorted`` orders the keys as the encoder's ``sort_keys`` does.
-
-    A list of two or more dicts that share one layout (a run) is written
-    from one row template instead: one C call encodes the run's scalars,
-    row by row, with a line break between them, and one ``%`` fills the
-    template repeated once per row."""
-    is_dict = type(obj) is dict
-    kinds = set(map(type, obj.values() if is_dict else obj))
-    if not kinds <= _PLAIN and any(issubclass(k, (dict, list, tuple))
-                                   for k in kinds - _PLAIN):
+    A list of two or more dicts that share one layout (a run) is one row
+    template repeated, its scalars added row by row.  Raises _Fallback
+    for a key that is not a ``str`` and for a container subclass."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise _Fallback
+        items = sorted(obj.items())  # unique keys: no value is compared
+        if set(map(type, obj.values())) <= _SCALARS:
+            scalars.extend(chain.from_iterable(items))
+            return _block("{}", ["%s: %s"] * len(items), level)
+        texts = []
+        for k, v in items:
+            scalars.append(k)
+            if type(v) in _SCALARS:
+                scalars.append(v)
+                texts.append("%s: %s")
+            else:
+                texts.append("%s: " + _template(v, level + 1, scalars))
+        return _block("{}", texts, level)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds <= _SCALARS:
+            scalars.extend(obj)
+            return _block("[]", ["%s"] * len(obj), level)
+        if kinds == {dict} and len(obj) > 1:
+            columns: list[list] = []
+            row = _row_template(obj, level + 1, columns)
+            if row is not None:
+                scalars.extend(chain.from_iterable(zip(*columns)))
+                return _block("[]", [row] * len(obj), level)
+        return _block("[]", [_template(v, level + 1, scalars) for v in obj],
+                      level)
+    if isinstance(obj, (dict, list, tuple)):
         raise _Fallback
-    encode, opening, separator, closing = _level(level)
-    if not is_dict and kinds == {dict} and len(obj) > 1:
-        columns: list[list] = []
-        row = _row_template(obj, level + 1, columns)
-        if row is not None:
-            # the scalars row by row, one per line
-            scalars = list(chain.from_iterable(zip(*columns)))
-            cells = "".join(_scalar_encoder()(scalars, 0))[1:-1].split("\n")
-            body = separator.join([row] * len(obj)) % tuple(cells)
-            return f"[{opening}{body}{closing}]"
-    if kinds.isdisjoint(_CONTAINERS):
-        body = "".join(encode(obj, level))[1:-1]
-    elif is_dict:
-        nested = [k for k, v in obj.items() if type(v) in _CONTAINERS and v]
-        shallow = {**obj, **dict.fromkeys(nested, 0)}
-        items = "".join(encode(shallow, level))[1:-1].split(separator)
-        keys = sorted(obj)
-        for k in nested:
-            i = keys.index(k)
-            items[i] = items[i][:-1] + _render(obj[k], level + 1)
-        body = separator.join(items)
-    else:
-        nested = [i for i, v in enumerate(obj)
-                  if type(v) in _CONTAINERS and v]
-        shallow = list(obj)
-        for i in nested:
-            shallow[i] = 0
-        items = "".join(encode(shallow, level))[1:-1].split(separator)
-        for i in nested:
-            items[i] = items[i][:-1] + _render(obj[i], level + 1)
-        body = separator.join(items)
-    brackets = "{}" if is_dict else "[]"
-    return f"{brackets[0]}{opening}{body}{closing}{brackets[1]}"
+    scalars.append(obj)
+    return "%s"
 
 
 def _render_report(obj: Any) -> str:
     """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``.
 
-    With ``indent``, ``json`` encodes in pure Python; here the C encoder
-    writes every container, or all the scalars of a run of dicts that
-    share one layout, and only the nesting of non-empty containers is
-    walked in Python.  Whatever the walk cannot render exactly (no C
-    encoder, a container subclass, a cycle) goes to ``json.dumps``
-    whole."""
-    if c_make_encoder is not None and type(obj) in _CONTAINERS and obj:
+    With ``indent``, ``json`` encodes in pure Python; here one walk
+    writes the report's layout as a template, one C encoder call writes
+    all its scalars, and one ``%`` puts them in place.  Whatever the walk
+    cannot render exactly (no C encoder, a key that is not a ``str``, a
+    container subclass, a cycle) goes to ``json.dumps`` whole."""
+    if c_make_encoder is not None:
+        scalars: list = []
         try:
-            return _render(obj, 0)
+            template = _template(obj, 0, scalars)
         except (_Fallback, RecursionError):
             pass
+        else:
+            text = "".join(_scalar_encoder()(scalars, 0))
+            return template % tuple(text[1:-1].split("\n") if scalars else ())
     return json.dumps(obj, sort_keys=True, indent=2)
 
 

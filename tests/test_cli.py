@@ -389,6 +389,12 @@ def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, tol):
     ('{"name":"dual-subnormality","expect":"normal"}',
      "$.commands[0].expect"),
     ('{"name":"verify-table1","row":5}', "$.commands[0].row"),
+    # fixed ranges, known without the run's depth
+    ('{"name":"verify-table1","row":"kernel","nmax":0}',
+     "$.commands[0].nmax"),
+    ('{"name":"verify-table1","row":"kernel","depth":0}',
+     "$.commands[0].depth"),
+    ('{"name":"moments","vertex":[0,-1]}', "$.commands[0].vertex[1]"),
     ('{"name":"demo","demo":5}', "$.commands[0].demo"),
     ('{"name":"demo","demo":"no-such-demo"}', "$.commands[0].demo"),
 ])

@@ -125,6 +125,16 @@ def test_runs_render_as_json_dumps(run, nested, no_c_encoder):
         assert _outcome(_render_report, obj) == _outcome(_dumps, obj)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_runs(), _runs(), _run_scalars, _run_scalars, _run_scalars)
+def test_runs_at_several_depths_render_as_json_dumps(run, other, a, b, c):
+    # the runs' scalars sit between scalars that sort before and after
+    # them, at three depths, in one flat list of the whole report
+    rows, _ = run
+    obj = {"a": a, "m": rows, "z": [b, other[0], {"k": rows, "y": c}, "s"]}
+    assert _outcome(_render_report, obj) == _outcome(_dumps, obj)
+
+
 def test_demo_treiso_witnesses_render_as_one_run():
     # the generic path's witness list is the run that makes long reports
     # cheap to render; a column of another type would drop it silently
@@ -135,7 +145,7 @@ def test_demo_treiso_witnesses_render_as_one_run():
 
 
 @pytest.mark.parametrize("obj", [
-    {"a": {1: [2], 2.5: 4, True: None}},         # non-str keys, walked
+    {"a": {1: [2], 2.5: 4, True: None}},         # non-str keys
     {"a": [1], None: 2},                         # keys that cannot sort
     {"a": collections.OrderedDict(b=[1])},       # dict subclass
     [collections.UserList([1]), [2]],            # not a JSON container
@@ -157,19 +167,37 @@ def test_render_falls_back_to_json_dumps(monkeypatch):
         {"a": [1, {"b": 2}]})
 
 
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """The calls of the encoder that ``_scalar_encoder`` returns."""
+    calls = []
+    encoder = cli._scalar_encoder()
+
+    def counting(*args):
+        calls.append(args)
+        return encoder(*args)
+
+    monkeypatch.setattr(cli, "_scalar_encoder", lambda: counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", DEMO_NAMES)
-def test_render_matches_json_dumps_on_demo_reports(name):
+def test_render_matches_json_dumps_on_demo_reports(name, encoder_calls):
     payload, code = run_demo(name)
     report = {"tool": "treeshift", "tolerance": 1e-9, "results": [payload],
               "exit_code": code}
     assert _render_report(report) == _dumps(report)
+    # every report holds scalars: one C call writes them all, none is made
+    # per container
+    assert len(encoder_calls) == 1
 
 
 @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")),
                          ids=lambda p: p.stem)
-def test_render_matches_json_dumps_on_spec_reports(path):
+def test_render_matches_json_dumps_on_spec_reports(path, encoder_calls):
     report, _ = run_suite(parse_spec(path.read_text(encoding="utf-8")))
     assert _render_report(report) == _dumps(report)
+    assert len(encoder_calls) == 1
 
 
 def _strip_timing(text):
