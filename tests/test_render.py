@@ -128,10 +128,10 @@ def test_runs_render_as_json_dumps(run, nested, no_c_encoder):
 @settings(max_examples=200, deadline=None)
 @given(_runs(), _runs(), _run_scalars, _run_scalars, _run_scalars)
 def test_runs_at_several_depths_render_as_json_dumps(run, other, a, b, c):
-    # the runs' scalars sit between scalars that sort before and after
-    # them, at three depths, in one flat list of the whole report
-    rows, _ = run
-    obj = {"a": a, "m": rows, "z": [b, other[0], {"k": rows, "y": c}, "s"]}
+    # two runs at three depths, among scalars that sort before and after
+    # them, all in the one flat list of the report's scalars
+    (rows, _), (other_rows, _) = run, other
+    obj = {"a": a, "m": rows, "z": [b, other_rows, {"k": rows, "y": c}, "s"]}
     assert _outcome(_render_report, obj) == _outcome(_dumps, obj)
 
 
