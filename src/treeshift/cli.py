@@ -352,7 +352,9 @@ def parse_spec(text: str, depth: Optional[int] = None) -> RunSpec:
     field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer literal past the int-string digit
+        # limit, or nesting past the decoder's recursion limit
         raise SpecParseError(f"invalid JSON: {exc}", json_path="$") from exc
     if not isinstance(doc, dict):
         raise SpecParseError("top level must be an object", json_path="$")
@@ -1189,22 +1191,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             csv_seq = payload.get("sequence")
         else:
             if args.spec == "-":
-                text = sys.stdin.read()
-                digest_src = text.encode("utf-8")
-                spec_path = "<stdin>"
+                raw, spec_path = sys.stdin.buffer.read(), "<stdin>"
             else:
                 with open(args.spec, "rb") as fh:
-                    raw = fh.read()
+                    raw, spec_path = fh.read(), args.spec
+            try:
                 text = raw.decode("utf-8")
-                digest_src = raw
-                spec_path = args.spec
+            except UnicodeDecodeError as exc:
+                raise SpecParseError(f"spec is not UTF-8: {exc}",
+                                     json_path="$") from exc
             report, code = run_suite(
                 parse_spec(text, depth=args.depth), tol=args.tol,
                 nmax=12 if args.nmax is None else args.nmax)
             report["input"] = {
                 "path": spec_path,
-                "digest": "sha256:"
-                          + hashlib.sha256(digest_src).hexdigest()}
+                "digest": "sha256:" + hashlib.sha256(raw).hexdigest()}
             csv_seq = None
             for entry in report["results"]:
                 values = entry.get("result", {}).get("values")

@@ -418,19 +418,6 @@ def _stieltjes_dicts(scan: tuple[list[int], list[float], list[float]],
             for k in picked]
 
 
-def _stieltjes_batch(seqs: Sequence[Sequence[float]],
-                     tol: float) -> list[MomentVerdict]:
-    """``stieltjes_test`` of several sequences (each of length >= 3), by
-    one ``_hankel_scan`` over a table of them."""
-    caps = [len(s) - 1 for s in seqs]
-    rows = np.zeros((len(seqs), max(caps) + 1))
-    for row, s in zip(rows, seqs):
-        row[:len(s)] = s
-    scan = _hankel_scan(rows, caps, tol)
-    return [MomentVerdict(**d)
-            for d in _stieltjes_dicts(scan, caps, range(len(seqs)))]
-
-
 def stieltjes_test(seq: _SequenceLike,
                    tol: float = DEFAULT_TOL) -> MomentVerdict:
     """Hankel positivity test for moments of a measure on [0, infinity).
@@ -446,7 +433,9 @@ def stieltjes_test(seq: _SequenceLike,
     gamma = _values(seq)
     if len(gamma) < 3:
         raise RangeError("stieltjes test needs at least 3 moments")
-    return _stieltjes_batch([gamma], tol)[0]
+    caps = [len(gamma) - 1]
+    scan = _hankel_scan(np.array([gamma]), caps, tol)
+    return MomentVerdict(**_stieltjes_dicts(scan, caps, [0])[0])
 
 
 def hausdorff_test(seq: _SequenceLike,

@@ -70,58 +70,17 @@ class DirectedTree:
     String ids (``labels``) are kept for the public API only.
     """
 
-    def __init__(self, vertices: Mapping[str, Vertex], root: str,
-                 materialized_depth: int):
-        """Tree from Vertex records keyed by id.  The children lists give
-        the edges; every record must agree with the tree they build."""
-        records = dict(vertices)
-        edges = [(vid, c) for vid, v in records.items() for c in v.children]
-        # every record is interned first, so one that no edge reaches
-        # shows up as a second root
-        ids = {vid: i for i, vid in enumerate(records)}
-        self._setup(*_edge_arrays(edges, materialized_depth, ids))
-        for vid in self.labels:
-            if records.get(vid) != self.vertex(vid):
-                raise StructureError(
-                    f"vertex {vid!r}: the records give {records.get(vid)}, "
-                    f"their children lists {self.vertex(vid)}")
-        if self.root != root:
-            raise StructureError(f"the root is {self.root!r}, not {root!r}")
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[str, str]],
-                   depth: Optional[int] = None) -> "DirectedTree":
-        """Tree from (parent, child) id pairs, in O(E).
-
-        A vertex keeps its children in the order of their first edges; a
-        repeated edge counts once.  The tree is materialized to ``depth``,
-        or, when that is None, to the depth of its deepest vertex.
-        Raises StructureError naming the vertex at fault for a second
-        parent, a cycle (a self-loop too), a second root and a vertex
-        deeper than ``depth``."""
-        tree = cls.__new__(cls)
-        tree._setup(*_edge_arrays(edges, depth, {}))
-        return tree
-
-    @classmethod
-    def from_degrees(cls, degrees: Sequence[int],
-                     generation_sizes: Sequence[int]) -> "DirectedTree":
+    def __init__(self, degrees: Sequence[int],
+                 generation_sizes: Sequence[int],
+                 labels: Optional[list[str]] = None):
         """Tree from child counts in canonical order (0 on the last
-        generation) and the generation sizes.  Vertex ids are
-        ``g<depth>:<index in generation>``."""
+        generation) and the generation sizes.  ``labels`` are the vertex
+        ids in canonical order (default ``g<depth>:<index in
+        generation>``).  Raises StructureError when the counts do not
+        build the generations, or the labels are not one distinct id per
+        vertex (duplicates are caught when ``index`` first maps ids)."""
         degrees = np.asarray(degrees, dtype=np.int64)
         sizes = np.asarray(generation_sizes, dtype=np.int64)
-        if (len(sizes) == 0 or sizes[0] != 1 or sizes.min() < 0
-                or degrees.min(initial=0) < 0 or len(degrees) != sizes.sum()):
-            raise StructureError(
-                "child counts do not match the generation sizes")
-        tree = cls.__new__(cls)
-        tree._setup(degrees, sizes, None)
-        return tree
-
-    def _setup(self, degrees: np.ndarray, sizes: np.ndarray,
-               labels: Optional[list[str]]) -> None:
-        self._depth = len(sizes) - 1
         count = len(degrees)
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
@@ -130,13 +89,19 @@ class DirectedTree:
         child_starts[1:] += 1
         # the children of generation g make up generation g + 1, and the
         # last generation has none
-        if (child_starts.item(-1) != count
+        if (len(sizes) == 0 or sizes[0] != 1 or sizes.min() < 0
+                or degrees.min(initial=0) < 0 or offsets[-1] != count
+                or child_starts.item(-1) != count
                 or np.any(child_starts[offsets[1:-1]] != offsets[2:])):
             raise StructureError(
                 "child counts do not match the generation sizes")
+        if labels is not None and len(labels) != count:
+            raise StructureError(
+                f"{len(labels)} labels for {count} vertices")
         parents = np.empty(count, dtype=np.int64)
         parents[0] = -1
         parents[1:] = np.repeat(np.arange(count, dtype=np.int64), degrees)
+        self._depth = len(sizes) - 1
         #: child count per vertex (0 on the last materialized level)
         self.degrees = _frozen(degrees)
         #: generation g is the index range gen_offsets[g]:gen_offsets[g+1]
@@ -150,6 +115,19 @@ class DirectedTree:
         self._depths: Optional[np.ndarray] = None
         self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[tuple[str, str]],
+                   depth: Optional[int] = None) -> "DirectedTree":
+        """Tree from (parent, child) id pairs, in O(E).
+
+        A vertex keeps its children in the order of their first edges; a
+        repeated edge counts once.  The tree is materialized to ``depth``,
+        or, when that is None, to the depth of its deepest vertex.
+        Raises StructureError naming the vertex at fault for a second
+        parent, a cycle (a self-loop too), a second root and a vertex
+        deeper than ``depth``."""
+        return cls(*_edge_arrays(edges, depth))
 
     @property
     def generation_sizes(self) -> tuple[int, ...]:
@@ -191,6 +169,9 @@ class DirectedTree:
             return 0
         if self._index_map is None:
             self._index_map = {v: i for i, v in enumerate(self.labels)}
+            if len(self._index_map) < self.vertex_count:
+                self._index_map = None
+                raise StructureError("the vertex labels repeat an id")
         try:
             return self._index_map[vid]
         except KeyError:
@@ -289,12 +270,11 @@ class DirectedTree:
         return self.label(i)
 
 
-def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int],
-                 ids: dict[str, int]
+def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
                  ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Degrees, generation sizes and labels, in canonical order, of the
-    tree with the given edges (see ``DirectedTree.from_edges``).  ``ids``
-    maps the ids interned so far to 0, 1, ...; it takes the others."""
+    tree with the given edges (see ``DirectedTree.from_edges``)."""
+    ids: dict[str, int] = {}
     intern = ids.setdefault
     edges = tuple(edges)
     par = np.array([intern(p, len(ids)) for p, _ in edges], dtype=np.int64)
@@ -487,7 +467,7 @@ def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray,
     ruled = count - (depth + 1 - rows) * generations.item(-1)
     degrees[:ruled] = flat[:ruled]
     degrees[count - generations.item(-1):] = 0
-    return DirectedTree.from_degrees(degrees, generations)
+    return DirectedTree(degrees, generations)
 
 
 def _comb_rule_spec(children: Mapping[str, tuple[str, ...]],
@@ -600,7 +580,7 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         degrees = np.ones(count, dtype=np.int64)
         degrees[np.cumsum([0] + sizes[:-1])] = spec.valency
         degrees[count - sizes[-1]:] = 0
-        return DirectedTree.from_degrees(degrees, sizes)
+        return DirectedTree(degrees, sizes)
     return _tree_from_rule(*spec._rule_arrays, depth)
 
 

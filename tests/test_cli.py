@@ -1,5 +1,6 @@
 """Command line: spec parsing, suite execution, demos, exit codes."""
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -290,6 +291,49 @@ def test_main_parse_error_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "y1" in err
     assert main(["--spec", str(tmp_path / "missing.json")]) == 2
+
+
+def _run_cli(spec_bytes: bytes, tmp_path, from_stdin: bool, *flags):
+    """``python -m treeshift`` on a spec given as bytes, from a file or
+    from stdin."""
+    if from_stdin:
+        where, stdin = "-", spec_bytes
+    else:
+        where, stdin = tmp_path / "run.json", b""
+        where.write_bytes(spec_bytes)
+    return subprocess.run(
+        [sys.executable, "-m", "treeshift", "--spec", str(where), *flags],
+        input=stdin, capture_output=True, timeout=60, env=dict(
+            os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p)))
+
+
+@pytest.mark.parametrize("from_stdin", [False, True],
+                         ids=["file", "stdin"])
+@pytest.mark.parametrize("spec_bytes", [
+    b'\xff{"weights": {"kind": "dirichlet"}}',       # not UTF-8
+    b"[" * 100_000,                                  # nested too deep
+    b'{"weights": {"kind": "dirichlet"}, "commands": [{"name": '
+    b'"moments", "nmax": ' + b"9" * 5000 + b"}]}",   # a 5,000-digit int
+], ids=["not-utf8", "deep-nesting", "huge-integer"])
+def test_malformed_spec_bytes_exit_two_at_the_top(tmp_path, spec_bytes,
+                                                  from_stdin):
+    out = _run_cli(spec_bytes, tmp_path, from_stdin, "--quiet")
+    err = out.stderr.decode()
+    assert out.returncode == 2
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [err.strip()]
+    assert err.startswith("error: $: ")
+    assert "Traceback" not in err
+
+
+def test_stdin_and_file_digests_agree(tmp_path):
+    spec_bytes = (VALID_MIN + "\r\n").encode()
+    reports = [json.loads(_run_cli(spec_bytes, tmp_path, from_stdin).stdout)
+               for from_stdin in (False, True)]
+    assert [r["input"]["path"] for r in reports] == [
+        str(tmp_path / "run.json"), "<stdin>"]
+    digests = {r["input"]["digest"] for r in reports}
+    assert digests == {"sha256:" + hashlib.sha256(spec_bytes).hexdigest()}
 
 
 def test_main_demo_failure_surface(capsys):

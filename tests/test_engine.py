@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeshift import (MAX_VERTICES, DirectedTree, ResourceLimitError,
                        StructureError,
-                       TreeSpec, Vertex, WeightSpec, WeightedShift,
+                       TreeSpec, WeightSpec, WeightedShift,
                        build_shift, comb_tree_spec,
                        dual_matrix, dual_subnormality, is_two_isometry,
                        materialize, moment_sequence,
@@ -157,26 +157,6 @@ def test_generic_witnesses_match_their_own_moment_sequences(shift):
                 alone.extremal_value) == (
             w["stieltjes"]["is_stieltjes"], w["stieltjes"]["failing_order"],
             w["stieltjes"]["extremal_value"])
-
-
-def test_mapping_constructor_matches_canonical_order():
-    built = materialize(comb_tree_spec(3, 5))
-    vertices = {v: built.vertex(v) for v in built.ids()}
-    rebuilt = DirectedTree(dict(reversed(list(vertices.items()))),
-                           built.root, built.materialized_depth)
-    assert rebuilt.labels == built.labels
-    assert np.array_equal(rebuilt.degrees, built.degrees)
-    assert rebuilt.vertex("g2:2") == built.vertex("g2:2") == Vertex(
-        "g2:2", 2, "g1:1", ("g3:2", "g3:3"))
-
-
-def test_from_degrees_checks_consistency():
-    tree = DirectedTree.from_degrees([2, 1, 0, 0], [1, 2, 1])
-    assert tree.generations() == (("g0:0",), ("g1:0", "g1:1"), ("g2:0",))
-    for degrees, sizes in (([2, 1, 1, 0], [1, 2, 1]), ([1, 0], [1, 2]),
-                           ([2, 0, 0], [2, 1]), ([1, 1], [1, 1])):
-        with pytest.raises(StructureError):
-            DirectedTree.from_degrees(degrees, sizes)
 
 
 @pytest.mark.parametrize("spec", [

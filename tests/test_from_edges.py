@@ -1,5 +1,5 @@
-"""The linear-time edge-list builder: DirectedTree.from_edges and the
-Vertex-record constructor built on it."""
+"""The linear-time edge-list builder DirectedTree.from_edges, and the
+array constructor it calls."""
 import random
 
 import numpy as np
@@ -116,32 +116,40 @@ def test_edges_rebuild_the_degree_tree(case):
     assert np.array_equal(tree.parents, built.parents)
 
 
-def _records():
-    tree = DirectedTree.from_edges([("r", "a"), ("r", "b"), ("a", "c")])
-    return {v: tree.vertex(v) for v in tree.ids()}
+def test_lone_root_with_labels():
+    tree = DirectedTree([0], [1], ["r"])
+    assert tree.vertex_count == 1 and tree.materialized_depth == 0
+    assert tree.vertex("r") == Vertex("r", 0, None, ())
+    assert tree.root == "r" and tree.generations() == (("r",),)
 
 
-def test_vertex_records_build_the_same_tree():
-    tree = DirectedTree(_records(), "r", 2)
-    assert tree.labels == ["r", "a", "b", "c"]
-    single = DirectedTree({"r": Vertex("r", 0, None, ())}, "r", 0)
-    assert single.vertex_count == 1 and single.materialized_depth == 0
+def test_labels_are_the_ids_in_canonical_order():
+    built = DirectedTree.from_edges([("r", "a"), ("r", "b"), ("a", "c")])
+    tree = DirectedTree([2, 1, 0, 0], [1, 2, 1], ["r", "a", "b", "c"])
+    assert tree.labels == built.labels
+    assert tree.vertex("a") == built.vertex("a") == Vertex(
+        "a", 1, "r", ("c",))
 
 
-@pytest.mark.parametrize("change,named", [
-    ({"c": Vertex("c", 3, "a", ())}, "'c'"),          # wrong depth
-    ({"c": Vertex("c", 2, "b", ())}, "'c'"),          # wrong parent
-    ({"b": Vertex("b", 1, "r", ("d",))}, "'d'"),      # child with no record
-    ({"d": Vertex("d", 1, "r", ())}, "'d'"),          # parent not listing it
-    ({"a": Vertex("a", 1, "r", ("c", "c"))}, "'a'"),  # repeated child
-])
-def test_disagreeing_vertex_records_are_rejected(change, named):
-    with pytest.raises(StructureError, match=named):
-        DirectedTree({**_records(), **change}, "r", 2)
+def test_labels_of_the_wrong_length_are_rejected():
+    for labels in (["r", "a"], ["r", "a", "b", "c", "d"], []):
+        with pytest.raises(StructureError, match="labels for 4 vertices"):
+            DirectedTree([2, 1, 0, 0], [1, 2, 1], labels)
 
 
-def test_vertex_records_need_their_root():
-    with pytest.raises(StructureError, match="'a'"):
-        DirectedTree(_records(), "a", 2)
-    with pytest.raises(StructureError, match="'x'"):
-        DirectedTree(_records(), "x", 2)
+def test_duplicate_labels_are_rejected_on_lookup():
+    tree = DirectedTree([2, 1, 0, 0], [1, 2, 1], ["r", "a", "b", "a"])
+    for _ in range(2):  # the id map is not kept half built
+        with pytest.raises(StructureError, match="repeat"):
+            tree.index("b")
+
+
+def test_constructor_checks_consistency():
+    tree = DirectedTree([2, 1, 0, 0], [1, 2, 1])
+    assert tree.generations() == (("g0:0",), ("g1:0", "g1:1"), ("g2:0",))
+    for degrees, sizes in (([2, 1, 1, 0], [1, 2, 1]), ([1, 0], [1, 2]),
+                           ([2, 0, 0], [2, 1]), ([1, 1], [1, 1]),
+                           ([0], []), ([-1, 2, 0], [1, 1, 1]),
+                           ([2, 0, 0], [1, 3, -1])):
+        with pytest.raises(StructureError):
+            DirectedTree(degrees, sizes)

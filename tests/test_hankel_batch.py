@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from treeshift import (DEFAULT_TOL, DiscreteMeasure, MomentVerdict,
                        TreeSpec, WeightSpec, build_shift, dual_subnormality,
                        materialize, moment_sequence, stieltjes_test)
-from treeshift.moments import _stieltjes_batch
+from treeshift.moments import _hankel_scan, _stieltjes_dicts
 
 TOLS = (DEFAULT_TOL, 1e-12, 1e-6)
 
@@ -44,6 +44,18 @@ def _oracle(gamma, tol):
 
 def _fields(v: MomentVerdict):
     return (v.is_stieltjes, v.failing_order, v.extremal_value, v.detail)
+
+
+def _stieltjes_batch(seqs, tol):
+    """Verdicts of one ``_hankel_scan`` over the zero-padded table of
+    several sequences."""
+    caps = [len(s) - 1 for s in seqs]
+    rows = np.zeros((len(seqs), max(caps) + 1))
+    for row, s in zip(rows, seqs):
+        row[:len(s)] = s
+    scan = _hankel_scan(rows, caps, tol)
+    return [MomentVerdict(**d)
+            for d in _stieltjes_dicts(scan, caps, range(len(seqs)))]
 
 
 def _assert_matches_oracle(seqs, tol):
