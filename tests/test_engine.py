@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift import (MAX_VERTICES, DirectedTree, ResourceLimitError,
-                       StructureError,
+from treeshift import (MAX_VERTICES, ResourceLimitError,
                        TreeSpec, WeightSpec, WeightedShift,
                        build_shift, comb_tree_spec,
                        dual_matrix, dual_subnormality, is_two_isometry,
