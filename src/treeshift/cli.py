@@ -352,10 +352,13 @@ def parse_spec(text: str, depth: Optional[int] = None) -> RunSpec:
     field."""
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an integer literal past the int-string digit
-        # limit, or nesting past the decoder's recursion limit
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # nesting past the decoder's recursion limit is a RecursionError
         raise SpecParseError(f"invalid JSON: {exc}", json_path="$") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise SpecParseError(
+            f"invalid JSON: an integer literal is longer than "
+            f"{sys.get_int_max_str_digits():,} digits", json_path="$") from exc
     if not isinstance(doc, dict):
         raise SpecParseError("top level must be an object", json_path="$")
     _reject_unknown(doc, {"tree", "weights", "commands", "tolerances"}, "$")

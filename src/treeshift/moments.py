@@ -190,34 +190,38 @@ def _verdict_dict(is_stieltjes: Optional[bool], is_hausdorff: Optional[bool],
 
 def _power_norms(shift: WeightedShift, top: int, kmax: int,
                  dual: bool = False) -> np.ndarray:
-    """Squared norms of S^k e_v for k = 0..kmax at every vertex v of
-    depth <= top, by the children-sum recurrence
-    d(v, k+1) = sum over children c of weight(c)^2 d(c, k), where S is
-    the shift or, with dual=True, its Cauchy dual.
+    """Squared norms of S^k e_v for k = 0..kmax at every class of
+    depth <= top (each vertex of a class has its class's), by the
+    children-sum recurrence d(v, k+1) = sum over children c of
+    weight(c)^2 d(c, k), where S is the shift or, with dual=True, its
+    Cauchy dual.
 
-    Row k, column v; an entry is exact when depth(v) + k <= top.  The
-    sums run over children in order, as a left-to-right loop would.  The
-    dual weights are formed for the vertices the recurrence reads only,
-    and are those of ``cauchy_dual(shift)`` bit for bit.
+    Row k, column c; an entry is exact when depth(c) + k <= top.  The
+    sums run over child edges in order, as a left-to-right loop over a
+    vertex's children would.  The dual weights are formed for the edges
+    the recurrence reads only, and are those of ``cauchy_dual(shift)``
+    bit for bit.
     """
     tree = shift.tree
-    end = int(tree.gen_offsets[top + 1])
-    parents = tree.parents[1:end]
+    end = tree.class_offsets.item(top + 1)  # classes of depth <= top
+    edges = tree.class_starts.item(tree.class_offsets.item(top))
+    parents = tree.class_parents[1:edges]
+    kids = tree.edge_classes(slice(1, edges))
     out = np.empty((kmax + 1, end))
     out[0] = 1.0
     # an overflow becomes inf (and inf times a square that underflowed
     # to 0 NaN), which the callers refuse as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         if dual:
-            w = cauchy_dual_weights(shift, end)
+            w = cauchy_dual_weights(shift, edges)
             w2 = w * w
         else:
-            w2 = shift.squared_weights[1:end]
+            w2 = shift.class_squared_weights[kids]
         # a zero-weight child adds exactly 0, even below an overflow
-        zero = (shift.weight_array[1:end] == 0.0
+        zero = (shift.class_weights[kids] == 0.0
                 if shift.has_zero_weights else None)
         for k in range(kmax):
-            terms = w2 * out[k, 1:]
+            terms = w2 * out[k, kids]
             if zero is not None:
                 terms[zero] = 0.0
             out[k + 1] = np.bincount(parents, weights=terms, minlength=end)
@@ -246,12 +250,13 @@ def moment_sequence(shift: WeightedShift, u: Optional[str] = None,
             f"materialized depth >= {d0 + nmax + (1 if dual else 0)}, "
             f"have {tree.materialized_depth}")
     table = _power_norms(shift, d0 + nmax, nmax, dual)
+    c = tree.class_of(i)
     name = shift.name
     if dual and name:
         name = f"dual({name})"  # the name cauchy_dual gives
     label = "dual " if dual else ""
     return MomentSequence(
-        tuple(table[:, i].tolist()),
+        tuple(table[:, c].tolist()),
         source=f"{label}power norm sequence at {u} "
                f"(shift {name or 'unnamed'}, nmax={nmax})")
 
@@ -320,16 +325,17 @@ def perturbed_kernel_dual_moment(shift: WeightedShift, u: Optional[str] = None,
     if du > tree.materialized_depth - 2:
         raise RangeError(
             f"closed form at {u!r} needs grandchildren; depth {du} too deep")
-    nu2 = shift.squared_norms.item(i)
+    c = tree.class_of(i)
+    nu2 = shift.class_squared_norms.item(c)
     if nu2 == 0.0:
         raise NotLeftInvertibleError(f"vertex norm is 0 at {u!r}")
-    start = tree.child_starts.item(i)
-    weighted = np.flatnonzero(
-        shift.weight_array[start:start + tree.degrees.item(i)])
+    start = tree.class_starts.item(c)
+    kids = tree.edge_classes(slice(start, start + tree.class_degrees.item(c)))
+    weighted = np.flatnonzero(shift.class_weights[kids])
     if not len(weighted):
         raise NotLeftInvertibleError(
             f"all children of {u!r} carry zero weight")
-    alpha2 = shift.squared_norms.item(start + weighted.item(0))
+    alpha2 = shift.class_squared_norms[kids].item(weighted.item(0))
     return (1.0 / nu2) / ((n - 1) * alpha2 - (n - 2))
 
 
@@ -341,13 +347,16 @@ def _root_extension_sum(shift: WeightedShift, n: int) -> Optional[float]:
     ``perturbed_kernel_dual_moment``; at n = 0 it is the integral of 1/t
     for the backward extension of the root dual tail.  None when the root
     norm is 0 or a denominator is within 1e-12 of 0."""
-    kids = slice(1, 1 + shift.tree.degrees.item(0))  # the root's children
-    root2 = shift.squared_norms.item(0)
-    den = (n - 1) * shift.squared_norms[kids] - (n - 2)
+    tree = shift.tree
+    # the root's children
+    kids = tree.edge_classes(slice(1, 1 + tree.class_degrees.item(0)))
+    root2 = shift.class_squared_norms.item(0)
+    den = (n - 1) * shift.class_squared_norms[kids] - (n - 2)
     if root2 == 0.0 or np.any(np.abs(den) < 1e-12):
         return None
-    # cumsum adds left to right, as the sums of vertex_norms do
-    return np.cumsum(shift.squared_weights[kids] / den).item(-1) / root2 ** 2
+    # cumsum adds left to right, as the sums of class_norms do
+    return (np.cumsum(shift.class_squared_weights[kids] / den).item(-1)
+            / root2 ** 2)
 
 
 def _hankel_scan(rows: np.ndarray, caps: Sequence[int], tol: float
@@ -626,9 +635,9 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     # the deepest dual moment the tree holds; clamped in Python, so that
     # any nmax reaches numpy as an int64
     cap = min(nmax, n - 1)
-    norms = shift.vertex_norms[:int(tree.gen_offsets[n])]
+    norms = shift.class_norms[:tree.class_offsets.item(n)]
     if not norms.all():
-        u = tree.label(int(np.argmin(norms != 0.0)))
+        u = tree.class_label(int(np.argmin(norms != 0.0)))
         raise NotLeftInvertibleError(
             f"vertex norm is 0 at {u!r}; dual undefined")
     notes: list[str] = []
@@ -676,8 +685,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         # smallest k >= 1 with constancy in every generation k..N-2
         k_found = kc0.details["constant_from"]
         if k_found <= n - 2:
-            first_gens = slice(1, int(tree.gen_offsets[k_found + 1]))
-            if np.all(shift.weight_array[first_gens] > 0.0):
+            first_gens = slice(1, tree.class_offsets.item(k_found + 1))
+            if np.all(shift.class_weights[first_gens] > 0.0):
                 root_seq = moment_sequence(shift, tree.root, cap, dual=True)
                 st = stieltjes_test(root_seq, tol)
                 integral = _root_extension_sum(shift, 0)
@@ -706,9 +715,10 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
             f"not a 2-isometry (witness {w}); fast paths unavailable")
 
     # generic moment test on the witnesses: the root and the first vertex
-    # of every later non-empty generation above the last; a witness needs
-    # moments 0..2 for the Hankel block of order 1
-    off = tree.gen_offsets
+    # of every later non-empty generation above the last, the first of
+    # its first class; a witness needs moments 0..2 for the Hankel block
+    # of order 1
+    off = tree.class_offsets
     depths = np.flatnonzero(off[:n] < off[1:n + 1])
     caps = np.minimum(cap, n - 1 - depths)
     tested = caps >= 2
@@ -730,7 +740,7 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
             if not finite.any():
                 raise DomainError(_NOT_FINITE)
             not_finite = len(cols) - int(finite.sum())
-            u = tree.label(cols.item(int(np.argmin(finite))))
+            u = tree.class_label(cols.item(int(np.argmin(finite))))
             notes.append(f"{not_finite} witnesses left untested, their dual "
                          f"moments not finite; the first is {u}")
             rows, cols, caps = rows[finite], cols[finite], caps[finite]
@@ -742,7 +752,8 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         listed = list(range(min(len(cols), MAX_LISTED_WITNESSES)))
         if failed is not None and failed >= len(listed):
             listed[-1] = failed
-        witnesses = [{"vertex": tree.label(cols.item(k)), "nmax": caps[k],
+        witnesses = [{"vertex": tree.class_label(cols.item(k)),
+                      "nmax": caps[k],
                       "stieltjes": d}
                      for k, d in zip(listed,
                                      _stieltjes_dicts(scan, caps, listed))]
@@ -752,7 +763,7 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
     if not_finite:
         evidence["witnesses_not_finite"] = not_finite
     if failed is not None:
-        u = tree.label(cols.item(failed))
+        u = tree.class_label(cols.item(failed))
         return SubnormalityReport(
             "not-subnormal", True, "generic-moment-test",
             f"NOT subnormal: dual moment sequence at {u} fails the "

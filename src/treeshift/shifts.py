@@ -90,18 +90,25 @@ def _two_isometry_weights(n: np.ndarray, x: float) -> np.ndarray:
 class WeightedShift:
     """A tree plus a nonnegative weight per non-root vertex.
 
-    The weights are one float array in the tree's canonical vertex
-    order (``weight_array``; its root entry is 0 and carries no
-    meaning).  ``squared_weights``, ``vertex_norms`` and
-    ``squared_norms`` are computed on first use and kept, and so are
-    ``has_zero_weights`` and ``is_adjacency``; squares are products,
-    which IEEE 754 rounds correctly.  The verdicts of
-    ``is_two_isometry`` and ``satisfies_kernel_condition`` are kept per
-    tolerance (and k), never the arrays behind them.
+    The weights are one float array in the tree's class order
+    (``class_weights``; its root entry is 0 and carries no meaning):
+    every vertex of a class has its class's weight.  ``class_norms`` and
+    the squares are computed per class on first use and kept, and so
+    are ``has_zero_weights`` and ``is_adjacency``; squares are products,
+    which IEEE 754 rounds correctly.  ``weight_array``,
+    ``squared_weights``, ``vertex_norms`` and ``squared_norms`` are the
+    same arrays per vertex in canonical order (on a full tree, where
+    every class is one vertex, the class arrays themselves).  The
+    verdicts of ``is_two_isometry`` and ``satisfies_kernel_condition``
+    are kept per tolerance (and k), never the arrays behind them.
     """
 
     def __init__(self, tree: DirectedTree, weights: Mapping[str, float],
                  name: Optional[str] = None):
+        """Shift with the weight ``weights[v]`` at every non-root vertex
+        id v; the weights name vertices, so on a class tree the shift
+        lives on ``tree.expanded()``."""
+        tree = tree.expanded()
         labels = tree.labels
         if labels[0] in weights:
             raise ConfigurationError("root must not carry a weight")
@@ -119,7 +126,12 @@ class WeightedShift:
     @classmethod
     def from_array(cls, tree: DirectedTree, weights: np.ndarray,
                    name: Optional[str] = None) -> "WeightedShift":
-        """Shift from weights in canonical order (entry 0 is ignored)."""
+        """Shift from weights in canonical order, one per class of the
+        tree (entry 0 is ignored); on a class tree, one weight per vertex
+        builds the shift on ``tree.expanded()``."""
+        if len(weights) != tree.class_count \
+                and len(weights) == tree.vertex_count:
+            tree = tree.expanded()
         shift = cls.__new__(cls)
         shift._init(tree, weights, name)
         return shift
@@ -127,51 +139,90 @@ class WeightedShift:
     def _init(self, tree: DirectedTree, weights: Sequence[float],
               name: Optional[str]) -> None:
         w = np.array(weights, dtype=float)
+        if w.shape != (tree.class_count,):
+            raise ConfigurationError(
+                f"{len(w)} weights for a tree of {tree.class_count} classes")
         w[0] = 0.0
         bad = _first(~(np.isfinite(w) & (w >= 0.0)))
         if bad is not None:
             raise ConfigurationError(
-                f"weight at {tree.label(bad)!r} must be finite and >= 0, "
-                f"got {float(w[bad])}")
+                f"weight at {tree.class_label(bad)!r} must be finite and "
+                f">= 0, got {float(w[bad])}")
         w.flags.writeable = False
         self._tree = tree
-        #: weights in canonical vertex order; entry 0 (the root) is 0
-        self.weight_array = w
+        #: weights in class order; entry 0 (the root) is 0
+        self.class_weights = w
         self.name = name
         # check verdicts by (check, k, tol); see _kept
         self._verdicts: dict[tuple, PropertyVerdict] = {}
+        self._expanded: Optional[WeightedShift] = None
 
     @property
     def tree(self) -> DirectedTree:
         return self._tree
 
+    def expanded(self) -> "WeightedShift":
+        """This shift on ``tree.expanded()``, one weight per vertex:
+        built on first use and kept.  A shift on a full tree is its
+        own."""
+        if self._tree.multiplicities is None:
+            return self
+        if self._expanded is None:
+            self._expanded = WeightedShift.from_array(
+                self._tree.expanded(), self.weight_array, self.name)
+        return self._expanded
+
+    def _per_vertex(self, values: np.ndarray) -> np.ndarray:
+        """A per-class array read per vertex, in canonical order."""
+        if self._tree.multiplicities is None:
+            return values
+        return _frozen(values[self._tree.vertex_classes])
+
     @cached_property
-    def squared_weights(self) -> np.ndarray:
-        w = self.weight_array
+    def class_squared_weights(self) -> np.ndarray:
+        w = self.class_weights
         with np.errstate(over="ignore"):  # the checks fail on inf
             squares = w * w
-        squares.flags.writeable = False
-        return squares
+        return _frozen(squares)
+
+    @cached_property
+    def class_norms(self) -> np.ndarray:
+        """sqrt of the children's squared-weight sum, per class, summed
+        left to right over its child edges, as every vertex of the class
+        sums its children; 0 on the last materialized level."""
+        tree = self._tree
+        return _frozen(np.sqrt(np.bincount(
+            tree.class_parents[1:],
+            weights=self.class_squared_weights[tree.edge_classes(
+                slice(1, None))],
+            minlength=tree.class_count)))
+
+    @cached_property
+    def class_squared_norms(self) -> np.ndarray:
+        """``class_norms`` times itself, entry by entry: the square of
+        the rounded norm, not the children's squared-weight sum."""
+        norms = self.class_norms
+        with np.errstate(over="ignore"):  # the checks fail on inf
+            squares = norms * norms
+        return _frozen(squares)
+
+    @cached_property
+    def weight_array(self) -> np.ndarray:
+        """Weights in canonical vertex order; entry 0 (the root) is 0."""
+        return self._per_vertex(self.class_weights)
+
+    @cached_property
+    def squared_weights(self) -> np.ndarray:
+        return self._per_vertex(self.class_squared_weights)
 
     @cached_property
     def vertex_norms(self) -> np.ndarray:
-        """sqrt of the children's squared-weight sum, per vertex, summed
-        left to right in child order; 0 on the last materialized level."""
-        norms = np.sqrt(np.bincount(self._tree.parents[1:],
-                                    weights=self.squared_weights[1:],
-                                    minlength=self._tree.vertex_count))
-        norms.flags.writeable = False
-        return norms
+        """``class_norms`` per vertex."""
+        return self._per_vertex(self.class_norms)
 
     @cached_property
     def squared_norms(self) -> np.ndarray:
-        """``vertex_norms`` times itself, entry by entry: the square of
-        the rounded norm, not the children's squared-weight sum."""
-        norms = self.vertex_norms
-        with np.errstate(over="ignore"):  # the checks fail on inf
-            squares = norms * norms
-        squares.flags.writeable = False
-        return squares
+        return self._per_vertex(self.class_squared_norms)
 
     def weight(self, vid: str) -> float:
         try:
@@ -180,7 +231,7 @@ class WeightedShift:
             i = 0
         if i == 0:
             raise RangeError(f"no weight for vertex {vid!r}")
-        return self.weight_array.item(i)
+        return self.class_weights.item(self._tree.class_of(i))
 
     def weights(self) -> dict[str, float]:
         return dict(zip(self._tree.labels[1:],
@@ -188,11 +239,16 @@ class WeightedShift:
 
     @cached_property
     def has_zero_weights(self) -> bool:
-        return bool(np.any(self.weight_array[1:] == 0.0))
+        return bool(np.any(self.class_weights[1:] == 0.0))
 
     @cached_property
     def is_adjacency(self) -> bool:
-        return bool(np.all(self.weight_array[1:] == 1.0))
+        return bool(np.all(self.class_weights[1:] == 1.0))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -266,88 +322,99 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 
 def _require_path(tree: DirectedTree, kind: str) -> None:
-    deg = tree.degrees[:int(tree.gen_offsets[tree.materialized_depth])]
+    deg = tree.class_degrees[:tree.class_offsets.item(tree.materialized_depth)]
     bad = _first(deg != 1)
     if bad is not None:
         raise ConfigurationError(
             f"weight kind {kind!r} requires a path; vertex "
-            f"{tree.label(bad)!r} has degree {int(deg[bad])}")
+            f"{tree.class_label(bad)!r} has degree {int(deg[bad])}")
 
 
 def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
-    """Assign weights per the spec; the tree must be compatible."""
-    n = tree.materialized_depth
-    count = tree.vertex_count
+    """Assign weights per the spec; the tree must be compatible.
+
+    Adjacency, ``kernel_condition`` without proportions and the path
+    kinds follow from the tree's shape: one weight per child edge, and
+    the shift lives on the tree's classes when all the edges into each
+    class agree, else on ``tree.expanded()``.  Explicit weights,
+    proportions and glowny weights name vertices or branches, so they
+    always use ``tree.expanded()``."""
     if spec.kind == "explicit":
         assert spec.values is not None
         return WeightedShift(tree, spec.values, name="explicit")
+    if spec.kind == "glowny" or spec.proportions is not None:
+        tree = tree.expanded()
+    n = tree.materialized_depth
+    count = tree.class_count
+    edges = len(tree.class_parents)  # the root's entry and the E edges
     if spec.kind == "adjacency":
-        return WeightedShift.from_array(tree, np.ones(count),
-                                        name="adjacency")
+        return _on_classes(spec, tree, np.ones(edges), "adjacency")
     if spec.kind in ("dirichlet", "bergman_dual", "treiso"):
         _require_path(tree, spec.kind)
-        d = np.arange(1, count)  # on a path the index is the depth
+        d = np.arange(1, edges)  # on a path the edge index is the depth
         if spec.kind == "dirichlet":
             w = _two_isometry_weights(d - 1, _SQRT2)
         elif spec.kind == "bergman_dual":
             w = np.sqrt(d / (d + 1.0))
         else:  # treiso: sqrt(phi(d) / phi(d - 1)), phi(k) = k^2 + 1
             w = np.sqrt((d * d + 1.0) / ((d - 1) * (d - 1) + 1.0))
-        return WeightedShift.from_array(tree, np.concatenate([[0.0], w]),
-                                        name=spec.kind)
-    parents = tree.parents[1:]
+        return _on_classes(spec, tree, np.concatenate([[0.0], w]), spec.kind)
+    parents = tree.class_parents[1:]
     if spec.kind == "kernel_condition":
         assert spec.x is not None
-        inner = int(tree.gen_offsets[n])  # vertices of depth <= N-1
-        deg = tree.degrees[:inner]
+        inner = tree.class_offsets.item(n)  # classes of depth <= N-1
+        deg = tree.class_degrees[:inner]
         leaf = _first(deg == 0)
         ladder = _two_isometry_weights(np.arange(n), spec.x)
         targets = ladder * ladder
         # squared norm target of every parent, by depth
-        target = np.repeat(targets, np.diff(tree.gen_offsets[:n + 1]))
+        target = np.repeat(targets, np.diff(tree.class_offsets[:n + 1]))
+        name = f"kernel_condition(x={spec.x})"
         if spec.proportions is None:
             if leaf is not None:
                 _leaf_error(tree, leaf)
-            w = np.sqrt(target[parents] / deg[parents])
-        else:
-            props = np.ones(count - 1)
-            for vid, p in spec.proportions.items():
-                if vid not in tree or tree.index(vid) == 0:
-                    raise ConfigurationError(
-                        f"proportions key {vid!r} names no non-root vertex")
-                props[tree.index(vid) - 1] = float(p)
-            nonpositive = np.bincount(parents, weights=props <= 0,
-                                      minlength=inner)
-            bad = _first(nonpositive > 0)
-            if leaf is not None and (bad is None or leaf < bad):
-                _leaf_error(tree, leaf)
-            if bad is not None:
+            # the weight of every child edge of each parent class
+            w = np.zeros(edges)
+            w[1:] = np.sqrt(target / deg)[parents]
+            return _on_classes(spec, tree, w, name)
+        props = np.ones(count - 1)
+        for vid, p in spec.proportions.items():
+            if vid not in tree or tree.index(vid) == 0:
                 raise ConfigurationError(
-                    f"proportions must be > 0 (children of "
-                    f"{tree.label(bad)!r})")
-            # a sum of squares that overflows, underflows to 0 or leaves
-            # target / sum infinite describes no operator in floats
-            with np.errstate(over="ignore", divide="ignore"):
-                s = np.bincount(parents, weights=props * props,
-                                minlength=inner)
-                ratio = target / s
-            bad = _first(~(np.isfinite(s) & np.isfinite(ratio)))
-            if bad is not None:
-                raise ConfigurationError(
-                    f"proportions at the children of {tree.label(bad)!r} "
-                    f"are out of range: their sum of squares is "
-                    f"{float(s[bad])!r}")
-            w = np.sqrt(ratio[parents]) * props
+                    f"proportions key {vid!r} names no non-root vertex")
+            props[tree.index(vid) - 1] = float(p)
+        nonpositive = np.bincount(parents, weights=props <= 0,
+                                  minlength=inner)
+        bad = _first(nonpositive > 0)
+        if leaf is not None and (bad is None or leaf < bad):
+            _leaf_error(tree, leaf)
+        if bad is not None:
+            raise ConfigurationError(
+                f"proportions must be > 0 (children of "
+                f"{tree.label(bad)!r})")
+        # a sum of squares that overflows, underflows to 0 or leaves
+        # target / sum infinite describes no operator in floats
+        with np.errstate(over="ignore", divide="ignore"):
+            s = np.bincount(parents, weights=props * props,
+                            minlength=inner)
+            ratio = target / s
+        bad = _first(~(np.isfinite(s) & np.isfinite(ratio)))
+        if bad is not None:
+            raise ConfigurationError(
+                f"proportions at the children of {tree.label(bad)!r} "
+                f"are out of range: their sum of squares is "
+                f"{float(s[bad])!r}")
+        w = np.sqrt(ratio[parents]) * props
         return WeightedShift.from_array(tree, np.concatenate([[0.0], w]),
-                                        name=f"kernel_condition(x={spec.x})")
+                                        name=name)
     # glowny
     assert spec.y1 is not None and spec.y2 is not None
-    root_degree = int(tree.degrees[0])
+    root_degree = int(tree.class_degrees[0])
     if root_degree != 2:
         raise ConfigurationError(
             f"glowny weights require a degree-2 root, got degree "
             f"{root_degree}")
-    deg = tree.degrees[1:int(tree.gen_offsets[n])]
+    deg = tree.class_degrees[1:tree.class_offsets.item(n)]
     bad = _first(deg != 1)
     if bad is not None:
         raise ConfigurationError(
@@ -363,35 +430,53 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
                                     name=f"glowny(y1={spec.y1}, y2={spec.y2})")
 
 
-def _leaf_error(tree: DirectedTree, i: int) -> None:
+def _on_classes(spec: WeightSpec, tree: DirectedTree, weights: np.ndarray,
+                name: str) -> WeightedShift:
+    """The shift whose child edge e has weight ``weights[e]`` (entry 0,
+    the root's, is 0): on the tree's classes when all the edges into
+    each class agree, else ``build_shift`` on ``tree.expanded()``."""
+    if tree.multiplicities is not None:
+        # the edges into a class are consecutive, since the edge classes
+        # never decrease; the first gives the class its weight
+        kids = tree.children
+        per_class = weights[np.searchsorted(kids,
+                                            np.arange(tree.class_count))]
+        if not np.array_equal(per_class[kids], weights):
+            return build_shift(spec, tree.expanded())
+        weights = per_class
+    return WeightedShift.from_array(tree, weights, name=name)
+
+
+def _leaf_error(tree: DirectedTree, c: int) -> None:
     raise ConfigurationError(
         f"kernel_condition weights need a leafless tree; vertex "
-        f"{tree.label(i)!r} at depth {tree.depth_at(i)} has no children")
+        f"{tree.class_label(c)!r} at depth {tree.class_depth(c)} has no "
+        f"children")
 
 
 def _checked_index(shift: WeightedShift, u: str) -> int:
-    """Index of u, which must have materialized children."""
+    """Class of u, which must have materialized children."""
     tree = shift.tree
     i = tree.index(u)
     depth = tree.depth_at(i)
     if depth > tree.materialized_depth - 1:
         raise RangeError(
             f"children of {u!r} at depth {depth} are not materialized")
-    return i
+    return tree.class_of(i)
 
 
 def vertex_norm(shift: WeightedShift, u: str) -> float:
     """Norm of the image of the basis vector at u: sqrt(sum of squared
     child weights).  Requires depth(u) <= N-1."""
-    return shift.vertex_norms.item(_checked_index(shift, u))
+    return shift.class_norms.item(_checked_index(shift, u))
 
 
 def operator_norm(shift: WeightedShift) -> float:
     """Largest vertex norm over the materialized range (the operator norm
     for shifts whose vertex norms are monotone along rays)."""
     tree = shift.tree
-    inner = int(tree.gen_offsets[tree.materialized_depth])
-    return float(shift.vertex_norms[:inner].max()) if inner else 0.0
+    inner = tree.class_offsets.item(tree.materialized_depth)
+    return float(shift.class_norms[:inner].max()) if inner else 0.0
 
 
 @dataclass(frozen=True)
@@ -450,24 +535,26 @@ def _expansion_check(shift: WeightedShift, tol: float) -> PropertyVerdict:
     """The array pass behind ``is_two_isometry``."""
     tree = shift.tree
     n = tree.materialized_depth
-    off = tree.gen_offsets
-    norms = shift.vertex_norms
-    min_norm = float(norms[:off[n]].min())
+    inner = tree.class_offsets.item(n - 1)  # classes of depth <= N-2
+    min_norm = float(shift.class_norms[:tree.class_offsets.item(n)].min())
     note = f"min vertex norm = {min_norm:.12g}"
     if shift.has_zero_weights:
         note += "; zero weights present"
-    kids = slice(1, int(off[n]))
+    edges = tree.class_starts.item(inner)  # their child edges: 1..edges-1
+    top = tree.class_offsets.item(n)  # the classes those edges lead to
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (shift.squared_weights[kids]
-                 * (2.0 - shift.squared_norms[kids]))
-        lhs = np.bincount(tree.parents[kids], weights=terms,
-                          minlength=int(off[n - 1]))[:off[n - 1]]
+        terms = (shift.class_squared_weights[:top]
+                 * (2.0 - shift.class_squared_norms[:top]))
+        lhs = np.bincount(tree.class_parents[1:edges],
+                          weights=terms[tree.edge_classes(slice(1, edges))],
+                          minlength=inner)[:inner]
         res = np.abs(lhs - 1.0) / (1.0 + np.abs(lhs))
     # an overflow leaves lhs infinite and res NaN: a failure, not a pass
     bad = _first(~(res <= tol))
     if bad is not None:
         return PropertyVerdict(False, n - 2,
-                               (tree.label(bad), float(res[bad])), tol, note,
+                               (tree.class_label(bad), float(res[bad])), tol,
+                               note,
                                {"min_vertex_norm": min_norm})
     return PropertyVerdict(True, n - 2, None, tol, note,
                            {"min_vertex_norm": min_norm})
@@ -475,27 +562,29 @@ def _expansion_check(shift: WeightedShift, tol: float) -> PropertyVerdict:
 
 def _child_segments(tree: DirectedTree, parents: np.ndarray
                     ) -> tuple[slice | np.ndarray, np.ndarray]:
-    """The children of ``parents`` (increasing indices, each with a
-    child), in order: one slice when no other vertex's child lies
-    between them, else an index array; and where each parent's segment
-    of them starts."""
-    counts = tree.degrees[parents]
-    first = tree.child_starts[parents]
+    """The classes the child edges of ``parents`` (increasing classes,
+    each with a child) lead to, in order, as ``edge_classes`` gives them
+    for one slice of edges when no other class's edge lies between them,
+    else for an index array; and where each parent's segment of them
+    starts."""
+    counts = tree.class_degrees[parents]
+    first = tree.class_starts[parents]
     if first.item(-1) - first.item(0) == counts[:-1].sum():
-        return (slice(first.item(0), first.item(-1) + counts.item(-1)),
+        return (tree.edge_classes(slice(first.item(0),
+                                        first.item(-1) + counts.item(-1))),
                 first - first.item(0))
     segments = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=segments[1:])
-    kids = np.repeat(first - segments, counts)
-    kids += np.arange(len(kids))
-    return kids, segments
+    edges = np.repeat(first - segments, counts)
+    edges += np.arange(len(edges))
+    return tree.edge_classes(edges), segments
 
 
 def _sibling_spread(shift: WeightedShift, tol: float
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices of depth <= N-2 that break sibling constancy, in
+    """The classes of depth <= N-2 that break sibling constancy, in
     increasing order, and the spread (max - min) of the norms of each
-    one's nonzero-weight children.  A vertex breaks it with two or more
+    one's nonzero-weight children.  A class breaks it with two or more
     such children and a spread above tol * (1 + max), or an infinite
     norm among them (an overflow).
 
@@ -504,12 +593,12 @@ def _sibling_spread(shift: WeightedShift, tol: float
     need no test, since any subset of equal norms agrees.  The
     reductions run over the suspects' children alone."""
     tree = shift.tree
-    parents_end = tree.gen_offsets.item(tree.materialized_depth - 1)
+    parents_end = tree.class_offsets.item(tree.materialized_depth - 1)
     none = np.zeros(0, dtype=np.int64), np.zeros(0)
-    branching = np.flatnonzero(tree.degrees[:parents_end] >= 2)
+    branching = np.flatnonzero(tree.class_degrees[:parents_end] >= 2)
     if not len(branching):
         return none
-    norms, w = shift.vertex_norms, shift.weight_array
+    norms, w = shift.class_norms, shift.class_weights
     kids, segments = _child_segments(tree, branching)
     kid_norms = norms[kids]
     with np.errstate(invalid="ignore"):
@@ -569,14 +658,16 @@ def _constancy_check(shift: WeightedShift, k: int,
     if shift.has_zero_weights:
         note = "zero-weight children excluded from constancy groups"
     failing, spreads = _sibling_spread(shift, tol)
-    i = int(np.searchsorted(failing, tree.gen_offsets[k]))
+    i = int(np.searchsorted(failing, tree.class_offsets[k]))
     if i == len(failing):
         return PropertyVerdict(True, n - 2, None, tol, note,
                                {"constant_from": k})
     # constancy holds from the generation after the last failure
-    after = np.searchsorted(tree.gen_offsets, failing.item(-1), side="right")
+    after = np.searchsorted(tree.class_offsets, failing.item(-1),
+                            side="right")
     return PropertyVerdict(False, n - 2,
-                           (tree.label(failing.item(i)), spreads.item(i)),
+                           (tree.class_label(failing.item(i)),
+                            spreads.item(i)),
                            tol, note, {"constant_from": int(after)})
 
 
@@ -609,39 +700,44 @@ def sibling_constancy_by_generation(shift: WeightedShift,
     if n < 2:
         raise RangeError("need materialized depth >= 2")
     failing, _ = _sibling_spread(shift, tol)
-    generations = np.searchsorted(tree.gen_offsets, failing, side="right") - 1
+    generations = np.searchsorted(tree.class_offsets, failing,
+                                  side="right") - 1
     return np.bincount(generations, minlength=n - 1) == 0
 
 
 def cauchy_dual_weights(shift: WeightedShift,
                         end: Optional[int] = None) -> np.ndarray:
-    """Weights of the Cauchy dual at the vertices 1..end-1 (default:
-    every non-root vertex), weight(v) / norm(parent(v))^2; entry i holds
-    vertex i + 1.
+    """Weights of the Cauchy dual at the child edges 1..end-1 (default:
+    every edge), weight(v) / norm(parent(v))^2 for the vertex v an edge
+    leads to; entry i holds edge i + 1, which on a full tree leads to
+    vertex i + 1.  The edges into one class may differ, as their parents
+    do.
 
     Requires every vertex norm on the materialized part to be positive,
     whatever ``end`` is."""
     tree = shift.tree
-    norms = shift.vertex_norms
-    zero = _first(norms[:int(tree.gen_offsets[tree.materialized_depth])]
+    norms = shift.class_norms
+    zero = _first(norms[:tree.class_offsets.item(tree.materialized_depth)]
                   == 0.0)
     if zero is not None:
         raise NotLeftInvertibleError(
-            f"vertex norm is 0 at {tree.label(zero)!r}; the shift is not "
-            f"left invertible")
+            f"vertex norm is 0 at {tree.class_label(zero)!r}; the shift "
+            f"is not left invertible")
     if end is None:
-        end = tree.vertex_count
-    return (shift.weight_array[1:end]
-            / shift.squared_norms[tree.parents[1:end]])
+        end = len(tree.class_parents)
+    return (shift.class_weights[tree.edge_classes(slice(1, end))]
+            / shift.class_squared_norms[tree.class_parents[1:end]])
 
 
 def cauchy_dual(shift: WeightedShift) -> WeightedShift:
     """Dual shift: weight(v) divided by the squared norm at parent(v).
 
     Requires every vertex norm to be positive (left invertibility on the
-    materialized part).  The result lives on the same tree; treat its
-    deepest level as one step less reliable than the original's.
+    materialized part).  The result lives on the full tree,
+    ``shift.tree.expanded()``; treat its deepest level as one step less
+    reliable than the original's.
     """
+    shift = shift.expanded()
     w = np.zeros(shift.tree.vertex_count)
     w[1:] = cauchy_dual_weights(shift)
     return WeightedShift.from_array(
@@ -683,21 +779,21 @@ def classify_adjacency(tree: DirectedTree,
         return PropertyVerdict(holds, vd,
                                None if holds else (witness, res), tol, note)
 
-    inner = int(tree.gen_offsets[n - 1])  # vertices of depth <= N-2
-    deg = tree.degrees
+    inner = tree.class_offsets.item(n - 1)  # classes of depth <= N-2
+    deg = tree.class_degrees
 
-    grandchildren, target = tree.adjacency_expansion()
+    grandchildren, target = tree.class_adjacency_expansion()
     bad = _first(grandchildren != target)
     two_iso = verdict(True)
     if bad is not None:
         lhs, rhs = grandchildren.item(bad), target.item(bad)
-        two_iso = verdict(False, tree.label(bad),
+        two_iso = verdict(False, tree.class_label(bad),
                           _scaled(abs(lhs - rhs), lhs),
                           note=f"degree sum {lhs} != {rhs}")
 
     # all degrees one (isometry; on rooted leafless trees: a path)
     branch = _first(deg[:inner] != 1)
-    path_witness = None if branch is None else tree.label(branch)
+    path_witness = None if branch is None else tree.class_label(branch)
     iso = verdict(path_witness is None, path_witness,
                   0.0 if branch is None else float(deg[branch] - 1))
 
@@ -755,7 +851,7 @@ def shift_invariants(shift: WeightedShift,
     tree = shift.tree
     # branching_degree(tree, k), k = 1..N, from the generation offsets
     return ShiftInvariants(
-        float(shift.vertex_norms[0]),
+        float(shift.class_norms[0]),
         tuple(np.diff(tree.gen_offsets, 2).tolist()),
         verified_depth=tree.materialized_depth)
 

@@ -7,7 +7,8 @@ materialized part only and carry the depth to which they were verified.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -55,8 +56,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _int_array(values: Sequence[int], what: str) -> np.ndarray:
+    """``values`` as a one-dimensional int64 array, or StructureError
+    unless they are integers.  One look at the dtype numpy infers
+    refuses floats and bools; numpy reads a list that mixes bools with
+    ints as int64, so the entry types of a sequence that is not already
+    an array are looked at too."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 \
+            and values.ndim == 1:
+        return values
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and (
+            a.dtype.kind not in "iu" or (not isinstance(values, np.ndarray)
+                                         and bool in set(map(type, values))))):
+        raise StructureError(f"{what} must be a list of integers")
+    return a.astype(np.int64, copy=False)
+
+
 class DirectedTree:
-    """Immutable rooted directed tree truncated at ``materialized_depth``.
+    """Immutable rooted directed tree truncated at ``materialized_depth``,
+    held as subtree classes.
 
     Every non-root vertex has exactly one parent; depth(child) equals
     depth(parent) + 1; the depth-n slice equals the n-th generation of
@@ -64,57 +83,99 @@ class DirectedTree:
 
     Vertices are numbered 0..V-1 in canonical order: generation by
     generation, and within a generation by parent order, then by child
-    index.  The children of vertex i are therefore the contiguous range
-    ``child_starts[i] : child_starts[i] + degrees[i]``, and the arrays
-    ``degrees``, ``parents`` and ``gen_offsets`` describe the whole tree.
-    String ids (``labels``) are kept for the public API only.
+    index.  A class stands for ``multiplicities[c]`` consecutive vertices
+    with the same subtree; classes are numbered in the order of their
+    vertices, and generation g holds the classes
+    ``class_offsets[g]:class_offsets[g+1]``.  Every vertex of class c has
+    ``class_degrees[c]`` children, and its j-th child lies in class
+    ``children[class_starts[c] + j]``.  The child edges are numbered
+    1..E class by class, and ``class_parents[e]`` is the class edge e
+    leaves; entry 0 of both stands for the root (class 0, parent -1).
+
+    A full tree is the case where every class is one vertex:
+    ``multiplicities`` is None, edge e leads to vertex e, ``children`` is
+    the identity, held as ``slice(None)`` so that indexing with it is a
+    view, and the class arrays are the vertex arrays.  The per-vertex
+    arrays ``degrees``, ``parents`` and ``child_starts``, and the lookups
+    that read them, come from ``expanded()``; ``gen_offsets``,
+    ``generation_sizes``, ``vertex_count``, the labels and ``index`` need
+    no expansion.  String ids (``labels``) are kept for the public API
+    only.
     """
 
     def __init__(self, degrees: Sequence[int],
                  generation_sizes: Sequence[int],
-                 labels: Optional[list[str]] = None):
+                 labels: Optional[list[str]] = None,
+                 children: Optional[Sequence[int]] = None,
+                 multiplicities: Optional[Sequence[int]] = None):
         """Tree from child counts in canonical order (0 on the last
-        generation) and the generation sizes.  ``labels`` are the vertex
-        ids in canonical order (default ``g<depth>:<index in
-        generation>``).  Raises StructureError when the counts do not
-        build the generations, or the labels are not one distinct id per
+        generation) and the generation sizes, in vertices.  With
+        ``children`` and ``multiplicities`` the counts are per class,
+        ``children`` holds the class of every child edge, class by class,
+        and ``multiplicities`` the vertices of every class; without them
+        every class is one vertex.  ``labels`` are the vertex ids in
+        canonical order (default ``g<depth>:<index in generation>``).
+        Raises StructureError when an array is not integers, the counts
+        do not build the generations, the classes do not stand for
+        consecutive vertices, or the labels are not one distinct id per
         vertex (duplicates are caught when ``index`` first maps ids)."""
-        degrees = np.asarray(degrees, dtype=np.int64)
-        sizes = np.asarray(generation_sizes, dtype=np.int64)
+        degrees = _int_array(degrees, "child counts")
+        sizes = _int_array(generation_sizes, "generation sizes")
         count = len(degrees)
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         child_starts = np.ones(count + 1, dtype=np.int64)
         np.cumsum(degrees, out=child_starts[1:])
         child_starts[1:] += 1
-        # the children of generation g make up generation g + 1, and the
-        # last generation has none
-        if (len(sizes) == 0 or sizes[0] != 1 or sizes.min() < 0
-                or degrees.min(initial=0) < 0 or offsets[-1] != count
-                or child_starts.item(-1) != count
-                or np.any(child_starts[offsets[1:-1]] != offsets[2:])):
+        if (children is None) != (multiplicities is None):
+            raise StructureError(
+                "a class tree needs both children and multiplicities")
+        if len(sizes) == 0 or sizes[0] != 1 or sizes.min() < 0 \
+                or degrees.min(initial=0) < 0:
+            layout = None
+        elif children is None:
+            # the children of generation g make up generation g + 1, and
+            # the last generation has none
+            layout = None
+            if (offsets[-1] == count and child_starts.item(-1) == count
+                    and np.all(child_starts[offsets[1:-1]] == offsets[2:])):
+                layout = (offsets, slice(None), None, None)
+        else:
+            layout = _class_layout(
+                degrees, offsets, child_starts,
+                _int_array(children, "children"),
+                _int_array(multiplicities, "multiplicities"))
+        if layout is None:
             raise StructureError(
                 "child counts do not match the generation sizes")
-        if labels is not None and len(labels) != count:
+        class_offsets, kids, mult, first = layout
+        if labels is not None and len(labels) != offsets[-1]:
             raise StructureError(
-                f"{len(labels)} labels for {count} vertices")
-        parents = np.empty(count, dtype=np.int64)
-        parents[0] = -1
-        parents[1:] = np.repeat(np.arange(count, dtype=np.int64), degrees)
+                f"{len(labels)} labels for {offsets[-1]} vertices")
         self._depth = len(sizes) - 1
-        #: child count per vertex (0 on the last materialized level)
-        self.degrees = _frozen(degrees)
-        #: generation g is the index range gen_offsets[g]:gen_offsets[g+1]
+        #: child edges per class (0 on the last materialized level)
+        self.class_degrees = _frozen(degrees)
+        #: generation g holds the classes class_offsets[g]:class_offsets[g+1]
+        self.class_offsets = _frozen(class_offsets)
+        #: first child edge per class; length C + 1, edges are 1..E
+        self.class_starts = _frozen(child_starts)
+        #: class each child edge leads to, 0 at entry 0 (the root);
+        #: slice(None) on a full tree
+        self.children = kids if mult is None else _frozen(kids)
+        #: vertices per class; None on a full tree
+        self.multiplicities = mult if mult is None else _frozen(mult)
+        #: generation g is the vertex range gen_offsets[g]:gen_offsets[g+1]
         self.gen_offsets = _frozen(offsets)
-        #: index of the first child per vertex; length V + 1
-        self.child_starts = _frozen(child_starts)
-        #: parent index per vertex; -1 for the root
-        self.parents = _frozen(parents)
+        self._sizes = _frozen(sizes)
+        self._first = first  # first vertex per class of a class tree
         self._labels = labels
         self._index_map: Optional[dict[str, int]] = None
         self._depths: Optional[np.ndarray] = None
         self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._vertex_expansion: Optional[tuple[np.ndarray, ...]] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
+        self._expanded: Optional[DirectedTree] = None
+        self._vertex_classes: Optional[np.ndarray] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]],
@@ -129,9 +190,85 @@ class DirectedTree:
         deeper than ``depth``."""
         return cls(*_edge_arrays(edges, depth))
 
+    # -- classes ----------------------------------------------------------
+    @property
+    def class_count(self) -> int:
+        return len(self.class_degrees)
+
+    @cached_property
+    def class_parents(self) -> np.ndarray:
+        """The class each child edge leaves; -1 at entry 0 (the
+        root)."""
+        parents = np.empty(self.class_starts.item(-1), dtype=np.int64)
+        parents[0] = -1
+        parents[1:] = np.repeat(np.arange(self.class_count, dtype=np.int64),
+                                self.class_degrees)
+        return _frozen(parents)
+
+    def expanded(self) -> "DirectedTree":
+        """The full tree, every class replaced by its vertices: built on
+        first use and kept.  A full tree is its own."""
+        if self.multiplicities is None:
+            return self
+        if self._expanded is None:
+            self._expanded = DirectedTree(
+                self.class_degrees[self.vertex_classes], self._sizes,
+                self._labels)
+        return self._expanded
+
+    @property
+    def vertex_classes(self) -> np.ndarray:
+        """Class of every vertex, in canonical order (built on first
+        use); the identity on a full tree."""
+        if self._vertex_classes is None:
+            classes = np.arange(self.class_count)
+            if self.multiplicities is not None:
+                classes = np.repeat(classes, self.multiplicities)
+            self._vertex_classes = _frozen(classes)
+        return self._vertex_classes
+
+    def edge_classes(self, edges: slice | np.ndarray) -> slice | np.ndarray:
+        """Classes the child edges ``edges`` (a slice or an index array)
+        lead to, as an index into per-class arrays.  On a full tree that
+        is ``edges`` itself, so that indexing with a slice stays a
+        view."""
+        return edges if self.multiplicities is None else self.children[edges]
+
+    def class_of(self, index: int) -> int:
+        """Class of vertex ``index``."""
+        if self.multiplicities is None:
+            return index
+        return int(np.searchsorted(self._first, index, side="right")) - 1
+
+    def class_depth(self, c: int) -> int:
+        return int(np.searchsorted(self.class_offsets, c, side="right")) - 1
+
+    def class_label(self, c: int) -> str:
+        """Id of the first vertex of class c."""
+        if self.multiplicities is None:
+            return self.label(c)
+        i = self._first.item(c)
+        return self._label_range(i, i + 1, self.class_depth(c))[0]
+
+    # -- vertices ---------------------------------------------------------
+    @property
+    def degrees(self) -> np.ndarray:
+        """Child count per vertex (0 on the last materialized level)."""
+        return self.expanded().class_degrees
+
+    @property
+    def child_starts(self) -> np.ndarray:
+        """Index of the first child per vertex; length V + 1."""
+        return self.expanded().class_starts
+
+    @property
+    def parents(self) -> np.ndarray:
+        """Parent index per vertex; -1 for the root."""
+        return self.expanded().class_parents
+
     @property
     def generation_sizes(self) -> tuple[int, ...]:
-        return tuple(np.diff(self.gen_offsets).tolist())
+        return tuple(self._sizes.tolist())
 
     @property
     def labels(self) -> list[str]:
@@ -145,21 +282,22 @@ class DirectedTree:
     def label(self, index: int) -> str:
         return self._label_range(index, index + 1)[0]
 
-    def _label_range(self, start: int, stop: int) -> list[str]:
+    def _label_range(self, start: int, stop: int,
+                     depth: Optional[int] = None) -> list[str]:
         """Ids of the vertices start..stop-1, which lie in one generation
-        unless the labels are already built."""
+        (``depth``, default that of ``start``) unless the labels are
+        already built."""
         if self._labels is not None:
             return self._labels[start:stop]
         if start >= stop:
             return []
-        d = self.depth_at(start)
+        d = self.depth_at(start) if depth is None else depth
         first = start - self.gen_offsets.item(d)
         return [f"g{d}:{i}" for i in range(first, first + stop - start)]
 
     def depth_at(self, index: int) -> int:
         if self._depths is None:
-            self._depths = np.repeat(np.arange(self._depth + 1),
-                                     np.diff(self.gen_offsets))
+            self._depths = np.repeat(np.arange(self._depth + 1), self._sizes)
         return self._depths.item(index)
 
     def index(self, vid: str) -> int:
@@ -178,8 +316,9 @@ class DirectedTree:
             raise RangeError(f"unknown vertex {vid!r}") from None
 
     def _children(self, i: int) -> range:
-        start = self.child_starts.item(i)
-        return range(start, start + self.degrees.item(i))
+        tree = self.expanded()
+        start = tree.class_starts.item(i)
+        return range(start, start + tree.class_degrees.item(i))
 
     def _child_labels(self, i: int) -> tuple[str, ...]:
         kids = self._children(i)
@@ -196,7 +335,7 @@ class DirectedTree:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.degrees)
+        return self.gen_offsets.item(-1)
 
     def ids(self) -> Iterable[str]:
         return iter(self.labels)
@@ -231,24 +370,39 @@ class DirectedTree:
             raise RangeError(
                 f"degree of {vid!r} at depth {depth} is unknown: children "
                 f"beyond depth {self._depth} are not materialized")
-        return self.degrees.item(i)
+        return self.class_degrees.item(self.class_of(i))
 
-    def adjacency_expansion(self) -> tuple[np.ndarray, np.ndarray]:
+    def class_adjacency_expansion(self) -> tuple[np.ndarray, np.ndarray]:
         """Both sides of the adjacency shift's expansion identity at every
-        vertex u of depth <= N-2, in canonical order: the sum of the
-        degrees of u's children (its grandchild count), and 2*deg(u) - 1.
+        class of depth <= N-2, in class order: the sum of the degrees of
+        a vertex's children (its grandchild count), and 2*deg - 1.
         Computed on first use and kept (read-only).
         """
         if self._expansion is None:
-            inner = self.gen_offsets.item(max(self._depth - 1, 0))
-            starts = self.child_starts
-            # the grandchildren of u are the range starts[starts[u]] :
-            # starts[starts[u + 1]]
-            grandchildren = (starts[starts[1:inner + 1]]
-                             - starts[starts[:inner]])
+            inner = self.class_offsets.item(max(self._depth - 1, 0))
+            starts = self.class_starts[:inner + 1]
+            # running sums of the child degrees, edge by edge: those of
+            # class c's edges are the difference over its edge range
+            edges = starts.item(-1)
+            running = np.cumsum(
+                self.class_degrees[self.edge_classes(slice(0, edges))])
+            grandchildren = running[starts[1:] - 1] - running[starts[:-1] - 1]
             self._expansion = (_frozen(grandchildren),
-                               _frozen(2 * self.degrees[:inner] - 1))
+                               _frozen(2 * self.class_degrees[:inner] - 1))
         return self._expansion
+
+    def adjacency_expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """``class_adjacency_expansion`` at every vertex of depth <= N-2,
+        in canonical order.  Kept (read-only)."""
+        sides = self.class_adjacency_expansion()
+        if self.multiplicities is None:
+            return sides
+        if self._vertex_expansion is None:
+            classes = self.vertex_classes[
+                :self.gen_offsets.item(max(self._depth - 1, 0))]
+            self._vertex_expansion = tuple(_frozen(side[classes])
+                                           for side in sides)
+        return self._vertex_expansion
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
@@ -268,6 +422,56 @@ class DirectedTree:
                     f"{self.label(i)!r} (degree {len(ch)})")
             i = ch[k]
         return self.label(i)
+
+
+def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
+                  starts: np.ndarray, children: np.ndarray,
+                  mult: np.ndarray) -> Optional[tuple]:
+    """Class offsets, child-edge classes (0 first, for the root), the
+    multiplicities and the first vertex of every class, or None when the
+    classes do not stand for consecutive vertices.
+
+    They do when the multiplicities cut the generations (vertex offsets
+    ``offsets``) at class boundaries, the edge classes never decrease,
+    and, counting the vertices the edges lead to in edge order (class
+    p's edges lead to mult[p] each), the first edge into each class
+    leads to its first vertex, the first edge out of each generation g
+    to the first vertex of generation g + 1, and all edges to the V - 1
+    non-root vertices; a first edge into a class must moreover be the
+    first edge of its own class unless that class is one vertex.  Then
+    the children of a generation, vertex by vertex, are every class of
+    the next one, each in one run and in class order.  Past the
+    ordering, every check reads the class arrays and the ends of runs of
+    edges only."""
+    count, edges = len(degrees), len(children)
+    if (len(mult) != count or edges != starts.item(-1) - 1
+            or mult.min(initial=1) < 1):
+        return None
+    first = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(mult, out=first[1:])
+    class_offsets = first.searchsorted(offsets)
+    kids = np.zeros(edges + 1, dtype=np.int64)
+    kids[1:] = children
+    if (first.item(-1) != offsets.item(-1)
+            or (first[class_offsets] != offsets).any()
+            or (edges and (kids.item(1) < 1 or kids.item(-1) >= count
+                           or (kids[1:] < kids[:-1]).any()))):
+        return None
+    # the edges numbered e: the first into each class, the first out of
+    # each generation g >= 1, and one past the last
+    e = np.concatenate((kids.searchsorted(np.arange(1, count)),
+                        starts[class_offsets[1:-1]], [edges + 1]))
+    need = np.concatenate((first[1:-1], offsets[2:], offsets[-1:]))
+    # edge e is edge e - starts[p] of class p, and the edges before
+    # class p's lead to reach[p] vertices
+    reach = np.zeros(count, dtype=np.int64)
+    np.cumsum(degrees[:-1] * mult[:-1], out=reach[1:])
+    p = starts[:-1].searchsorted(e, side="right") - 1
+    within, each = e - starts[p], mult[p]
+    if ((reach[p] + within * each + 1 != need).any()
+            or ((within > 0) & (each > 1)).any()):
+        return None
+    return class_offsets, kids, mult, first[:-1]
 
 
 def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
@@ -572,16 +776,48 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         assert spec.edges is not None
         return DirectedTree.from_edges(spec.edges, depth)
     assert depth is not None
+    if spec.kind == "t_eta_kappa":
+        return _star_classes(spec.eta, depth)
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
-        # the first vertex of each generation has degree valency, the
-        # others are rays
-        sizes = [1 + n * (spec.valency - 1) for n in range(depth + 1)]
-        degrees = np.ones(count, dtype=np.int64)
-        degrees[np.cumsum([0] + sizes[:-1])] = spec.valency
-        degrees[count - sizes[-1]:] = 0
-        return DirectedTree(degrees, sizes)
+        return _quasi_brownian_classes(spec.valency, depth)
     return _tree_from_rule(*spec._rule_arrays, depth)
+
+
+def _star_classes(eta: int, depth: int) -> DirectedTree:
+    """The t_eta_kappa tree (kappa = 0) as its root and one ray class per
+    generation: the root's eta edges all lead to the first ray class."""
+    mult = np.full(depth + 1, eta, dtype=np.int64)
+    mult[0] = 1
+    degrees = np.ones(depth + 1, dtype=np.int64)
+    degrees[0] = eta
+    degrees[-1] = 0
+    children = np.concatenate([np.ones(eta if depth else 0, dtype=np.int64),
+                               np.arange(2, depth + 1)])
+    return DirectedTree(degrees, mult, children=children,
+                        multiplicities=mult)
+
+
+def _quasi_brownian_classes(valency: int, depth: int) -> DirectedTree:
+    """The quasi-Brownian tree as a spine class and a ray class per
+    generation n >= 1 (classes 2n - 1 and 2n; the root is class 0).  The
+    spine vertex, first in its generation, has degree valency: its first
+    child is the next spine vertex and the others start rays; a ray
+    vertex has one child."""
+    n = np.arange(depth, dtype=np.int64)
+    # generation n's edges: the spine's, then the ray's (none at n = 0)
+    edges = np.empty((depth, valency + 1), dtype=np.int64)
+    edges[:, 0] = 2 * n + 1
+    edges[:, 1:] = (2 * n + 2)[:, None]
+    children = np.delete(edges.ravel(), valency) if depth else n
+    mult = np.ones(2 * depth + 1, dtype=np.int64)
+    mult[2::2] = (n + 1) * (valency - 1)
+    degrees = np.ones(2 * depth + 1, dtype=np.int64)
+    degrees[0] = degrees[1::2] = valency  # the spine classes
+    degrees[-2:] = 0
+    sizes = 1 + np.arange(depth + 1) * (valency - 1)
+    return DirectedTree(degrees, sizes, children=children,
+                        multiplicities=mult)
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
@@ -627,7 +863,16 @@ class TreeStructureReport:
     def to_dict(self) -> dict:
         """Report form of the classification: every field, the verdict as
         a dict of its fields (tuples render as JSON arrays)."""
-        return asdict(self)
+        verdict = self.quasi_brownian
+        return {"leafless_to_depth": self.leafless_to_depth,
+                "max_degree": self.max_degree,
+                "degree_multiset_per_generation":
+                    self.degree_multiset_per_generation,
+                "quasi_brownian": {"holds": verdict.holds,
+                                   "verified_depth": verdict.verified_depth,
+                                   "witness": verdict.witness,
+                                   "note": verdict.note},
+                "valency": self.valency}
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -643,12 +888,14 @@ def _either(degrees: np.ndarray, a: int, b: int) -> np.ndarray:
 
 def _child_degree_checks(tree: DirectedTree, a: int, b: int
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """For every vertex of depth <= N-2: whether the adjacency expansion
+    """For every class of depth <= N-2: whether the adjacency expansion
     identity holds, and whether every child degree is a or b."""
-    grandchildren, target = tree.adjacency_expansion()
-    kids = slice(1, tree.gen_offsets.item(tree.materialized_depth))
-    stray = np.bincount(tree.parents[kids],
-                        weights=~_either(tree.degrees[kids], a, b),
+    grandchildren, target = tree.class_adjacency_expansion()
+    # the child edges of the classes of depth <= N-2
+    edges = tree.class_starts.item(len(target))
+    kids = tree.edge_classes(slice(1, edges))
+    stray = np.bincount(tree.class_parents[1:edges],
+                        weights=~_either(tree.class_degrees[kids], a, b),
                         minlength=len(target))
     return grandchildren == target, stray == 0
 
@@ -665,29 +912,37 @@ def quasi_brownian(tree: DirectedTree) -> StructureVerdict:
             note="materialized depth < 2: quasi-Brownian condition "
                  "unverifiable")
     # the last level has degree 0, so this is the maximum over depth < N
-    max_deg = int(tree.degrees.max())
+    max_deg = int(tree.class_degrees.max())
     if max_deg < 2:
         return StructureVerdict(False, n - 2,
                                 note="no vertex of degree >= 2")
     sums_ok, kids_ok = _child_degree_checks(tree, 1, max_deg)
-    own_ok = _either(tree.degrees[:len(sums_ok)], 1, max_deg)
+    own_ok = _either(tree.class_degrees[:len(sums_ok)], 1, max_deg)
     bad = _first(~(own_ok & kids_ok & sums_ok))
     return StructureVerdict(bad is None, n - 2,
-                            None if bad is None else tree.label(bad),
+                            None if bad is None else tree.class_label(bad),
                             note="verified to depth N-2")
 
 
 def classify_tree(tree: DirectedTree) -> TreeStructureReport:
     """Structural classification of the materialized tree, with the
     ``quasi_brownian`` verdict; the valency is the maximum degree when
-    that verdict holds."""
+    that verdict holds.  The degree multisets are the class degrees,
+    each repeated by its multiplicity."""
     n = tree.materialized_depth
-    off = tree.gen_offsets.tolist()
-    known = tree.degrees[:off[n]]
+    off = tree.class_offsets.tolist()
+    deg, mult = tree.class_degrees, tree.multiplicities
+    known = deg[:off[n]]
     leafless = bool(np.all(known >= 1))
     max_deg = int(known.max()) if len(known) else 0
-    multisets = tuple(tuple(np.sort(tree.degrees[off[g]:off[g + 1]]).tolist())
-                      for g in range(n))
+
+    def multiset(a: int, b: int) -> tuple[int, ...]:
+        if mult is None:
+            return tuple(np.sort(deg[a:b]).tolist())
+        order = np.argsort(deg[a:b])
+        return tuple(np.repeat(deg[a:b][order], mult[a:b][order]).tolist())
+
+    multisets = tuple(multiset(off[g], off[g + 1]) for g in range(n))
     verdict = quasi_brownian(tree)
     return TreeStructureReport(leafless, max_deg, multisets, verdict,
                                max_deg if verdict.holds else None)
@@ -706,11 +961,11 @@ def comb_pattern_valency(tree: DirectedTree) -> Optional[int]:
     n = tree.materialized_depth
     if n < 3:
         return None
-    l = int(tree.degrees[0])
+    l = int(tree.class_degrees[0])
     if l < 2:
         return None
     sums_ok, kids_ok = _child_degree_checks(tree, 1, 2)
-    own_ok = _either(tree.degrees[1:len(sums_ok)], 1, 2)
+    own_ok = _either(tree.class_degrees[1:len(sums_ok)], 1, 2)
     if not (sums_ok.all() and kids_ok.all() and own_ok.all()):
         return None
     return l

@@ -1,0 +1,305 @@
+"""Trees held as subtree classes: ``t_eta_kappa`` and ``quasi_brownian``
+trees are materialized as a few classes per generation, the engine runs
+on the classes, and every command reports on them exactly what it
+reports on the full tree, ``tree.expanded()``."""
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treeshift import (DirectedTree, StructureError, TreeSpec, WeightSpec,
+                       build_shift, classify_tree, materialize)
+from treeshift.cli import CommandRecord, RunSpec, run_suite
+
+
+def _commands(tree, weights):
+    """The run's commands: every one that reads a tree or a shift, at
+    the root and at a deep vertex, in the last branch of the root;
+    dual-subnormality first, since a failed check-2iso skips it."""
+    n = tree.materialized_depth
+    cmds = [("dual-subnormality", {"nmax": nmax}) for nmax in (2, 6, 12)]
+    cmds += [("materialize", {}), ("classify-tree", {}), ("check-2iso", {}),
+            *(("check-kernel", {"k": k}) for k in range(3)),
+            ("cauchy-dual", {}), ("classify-adjacency", {}),
+            ("invariants", {})]
+    deep = [tree.degree(tree.root) - 1] + [0] * (n // 2 - 1)
+    for dual in (False, True):
+        cmds += [("moments", {"nmax": n - 1, "dual": dual}),
+                 ("moments", {"vertex": deep, "nmax": n - n // 2 - 1,
+                              "dual": dual})]
+    row = {"adjacency": "quasi_brownian", "kernel_condition": "kernel",
+           "dirichlet": "kernel"}.get(weights.kind)
+    if row is not None:
+        cmds.append(("verify-table1", {"row": row, "nmax": min(4, n - 1)}))
+    return tuple(CommandRecord(name, params) for name, params in cmds)
+
+
+def _results(spec, weights, shift, commands):
+    """The result and status of every command, as JSON text: floats are
+    written by repr, so equal text is equal bits."""
+    report, _ = run_suite(RunSpec(spec, weights, commands, shift))
+    return [json.dumps([r["status"], r["result"]], sort_keys=True)
+            for r in report["results"]]
+
+
+def _assert_classes_report_as_full_tree(spec, weights):
+    tree = materialize(spec)
+    full = tree.expanded()
+    assert full.multiplicities is None
+    commands = _commands(tree, weights)
+    assert _results(spec, weights, build_shift(weights, tree), commands) \
+        == _results(spec, weights, build_shift(weights, full), commands)
+
+
+@st.composite
+def class_tree_runs(draw):
+    """A tree spec of a family with classes, or a path, and weights that
+    fit it."""
+    depth = draw(st.integers(min_value=2, max_value=12))
+    kind = draw(st.sampled_from(["path", "t_eta_kappa", "quasi_brownian"]))
+    if kind == "path":
+        spec = TreeSpec("path", depth=depth)
+    elif kind == "t_eta_kappa":
+        spec = TreeSpec("t_eta_kappa",
+                        eta=draw(st.integers(min_value=2, max_value=6)),
+                        depth=depth)
+    else:
+        spec = TreeSpec("quasi_brownian",
+                        valency=draw(st.integers(min_value=2, max_value=5)),
+                        depth=depth)
+    x = draw(st.floats(min_value=1.0, max_value=1.6))
+    choices = [WeightSpec("adjacency"), WeightSpec("kernel_condition", x=x)]
+    labels = materialize(spec).labels[1:]
+    picked = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4,
+                           unique=True))
+    choices.append(WeightSpec("kernel_condition", x=x, proportions={
+        v: draw(st.floats(min_value=0.25, max_value=4.0)) for v in picked}))
+    if kind == "path":
+        choices += [WeightSpec(k) for k in ("dirichlet", "bergman_dual",
+                                            "treiso")]
+    if spec.eta == 2:
+        y = st.floats(min_value=1.01, max_value=1.41)
+        choices.append(WeightSpec("glowny", y1=draw(y), y2=draw(y)))
+    return spec, draw(st.sampled_from(choices))
+
+
+@settings(max_examples=120, deadline=None)
+@given(class_tree_runs())
+def test_every_command_reports_on_classes_as_on_the_full_tree(run):
+    _assert_classes_report_as_full_tree(*run)
+
+
+@pytest.mark.parametrize("spec", [
+    TreeSpec("t_eta_kappa", eta=2, depth=12),
+    TreeSpec("t_eta_kappa", eta=5, depth=7),
+    TreeSpec("quasi_brownian", valency=3, depth=9),
+    TreeSpec("quasi_brownian", valency=2, depth=12),
+], ids=str)
+@pytest.mark.parametrize("weights", [
+    WeightSpec("adjacency"), WeightSpec("kernel_condition", x=1.3),
+    WeightSpec("kernel_condition", x=1.0)], ids=str)
+def test_family_runs_report_on_classes_as_on_the_full_tree(spec, weights):
+    _assert_classes_report_as_full_tree(spec, weights)
+
+
+def test_family_trees_hold_few_classes_and_their_shifts_stay_on_them():
+    qb = materialize(TreeSpec("quasi_brownian", valency=3, depth=200))
+    assert qb.vertex_count == 40_401
+    assert np.diff(qb.class_offsets).max() <= 2
+    assert qb.class_count == 401 and len(qb.class_parents) - 1 == 799
+    star = materialize(TreeSpec("t_eta_kappa", eta=20_000, depth=3))
+    assert star.vertex_count == 60_001
+    assert star.class_count == 4 and len(star.class_parents) - 1 == 20_002
+    # a fall-back to the full tree would build a shift on tree.expanded()
+    for tree, weights in ((qb, WeightSpec("adjacency")),
+                          (star, WeightSpec("adjacency")),
+                          (star, WeightSpec("kernel_condition", x=1.3))):
+        shift = build_shift(weights, tree)
+        assert shift.tree is tree
+        assert len(shift.class_weights) == tree.class_count
+    assert qb._expanded is None and star._expanded is None
+
+
+def test_kernel_condition_on_a_quasi_brownian_tree_uses_the_full_tree():
+    # rays born at the spine get t/3 and continuing rays t/1: the edges
+    # into a ray class disagree
+    spec = TreeSpec("quasi_brownian", valency=3, depth=8)
+    weights = WeightSpec("kernel_condition", x=1.2)
+    tree = materialize(spec)
+    shift = build_shift(weights, tree)
+    assert shift.tree is tree.expanded()
+    assert shift.tree.multiplicities is None
+    full = build_shift(weights, tree.expanded())
+    assert shift.weight_array.tobytes() == full.weight_array.tobytes()
+    _assert_classes_report_as_full_tree(spec, weights)
+
+
+def test_per_vertex_attributes_keep_their_meaning():
+    tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=5))
+    full = tree.expanded()
+    assert tree.expanded() is full
+    for name in ("degrees", "parents", "gen_offsets", "child_starts"):
+        assert np.array_equal(getattr(tree, name), getattr(full, name))
+    assert tree.labels == full.labels
+    assert tree.generation_sizes == full.generation_sizes == (1, 3, 5, 7,
+                                                              9, 11)
+    assert tree.vertex_count == full.vertex_count == 36
+    for vid in ("g0:0", "g2:0", "g3:4", "g5:10"):
+        assert tree.index(vid) == full.index(vid)
+        assert tree.vertex(vid) == full.vertex(vid)
+        assert tree.class_label(tree.class_of(tree.index(vid))) == \
+            f"g{vid[1]}:{0 if vid.endswith(':0') else 1}"
+    assert np.array_equal(tree.adjacency_expansion()[0],
+                          full.adjacency_expansion()[0])
+    shift = build_shift(WeightSpec("adjacency"), tree)
+    for name in ("weight_array", "squared_weights", "vertex_norms",
+                 "squared_norms"):
+        assert getattr(shift, name).tobytes() == \
+            getattr(shift.expanded(), name).tobytes()
+    assert shift.weights() == shift.expanded().weights()
+
+
+def test_a_binary_tree_as_one_class_per_generation():
+    # every class sends both its edges to the next one
+    depth = 6
+    classes = DirectedTree([2] * depth + [0], 2 ** np.arange(depth + 1),
+                           children=np.repeat(np.arange(1, depth + 1), 2),
+                           multiplicities=2 ** np.arange(depth + 1))
+    rule = TreeSpec("generation_rule",
+                    rule=tuple((2,) * 2 ** g for g in range(depth)),
+                    depth=depth)
+    full = materialize(rule)
+    assert np.array_equal(classes.expanded().degrees, full.degrees)
+    weights = WeightSpec("kernel_condition", x=1.4)
+    commands = _commands(full, weights)
+    assert _results(rule, weights, build_shift(weights, classes), commands) \
+        == _results(rule, weights, build_shift(weights, full), commands)
+
+
+@pytest.mark.parametrize("degrees,sizes", [
+    ([2.7, 1, 0, 0], [1, 2, 1]),      # a float count
+    ([True, 0], [1, 1]),              # a bool mixed with ints
+    ([True, False], [1, 1]),          # bools only
+    ([1, 0], [1.0, 1]),               # a float size
+    (np.array([1.0, 0.0]), [1, 1]),   # a float array
+    ([[1, 0]], [1, 1]),               # not one-dimensional
+])
+def test_constructor_refuses_non_integer_arrays(degrees, sizes):
+    with pytest.raises(StructureError, match="must be a list of integers"):
+        DirectedTree(degrees, sizes)
+
+
+@pytest.mark.parametrize("degrees,sizes,children,mult", [
+    # children given without multiplicities, and floats among classes
+    ([2, 0], [1, 2], [1, 1], None),
+    ([2, 0], [1, 2], [1.0, 1.0], [1, 2]),
+    ([2, 0], [1, 2], [1, 1], [1, 2.0]),
+    # a class of two vertices with edges to two classes: its vertices'
+    # children interleave
+    ([2, 2, 0, 0], [1, 2, 4], [1, 1, 2, 3], [1, 2, 2, 2]),
+    # an edge that skips a generation
+    ([2, 0, 0], [1, 1, 1], [1, 2], [1, 1, 1]),
+    # multiplicities that the edges do not make up
+    ([2, 0], [1, 3], [1, 1], [1, 3]),
+    ([2, 0, 0], [1, 2], [1, 1], [1, 1, 1]),
+    # edge classes that decrease, or name the root or no class
+    ([2, 0, 0], [1, 2], [2, 1], [1, 1, 1]),
+    ([1, 0], [1, 1], [0], [1, 1]),
+    ([1, 0], [1, 1], [2], [1, 1]),
+    # a class of no vertex, and edges out of the last generation
+    ([1, 0, 0], [1, 1], [1], [1, 1, 0]),
+    ([1, 1], [1, 1], [1, 1], [1, 1]),
+])
+def test_constructor_refuses_inconsistent_classes(degrees, sizes, children,
+                                                  mult):
+    with pytest.raises(StructureError):
+        DirectedTree(degrees, sizes, children=children, multiplicities=mult)
+
+
+@st.composite
+def class_arrays(draw):
+    """Class arrays built generation by generation, often consistent,
+    then perhaps one entry moved."""
+    degrees, children, mult, sizes, gen = [], [], [1], [1], [0]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        first = len(mult)
+        width = draw(st.integers(min_value=1, max_value=3))
+        reached = {}
+        for c in gen:
+            one = mult[c] > 1
+            d = draw(st.integers(min_value=0, max_value=3))
+            targets = sorted(draw(st.lists(
+                st.integers(min_value=first, max_value=first + width - 1),
+                min_size=1 if one else d, max_size=1 if one else d)))
+            kids = targets * d if one else targets
+            degrees.append(len(kids))
+            children += kids
+            for k in kids:
+                reached[k] = reached.get(k, 0) + mult[c]
+        if not reached:
+            break
+        gen = list(range(first, first + len(reached)))
+        renumber = dict(zip(sorted(reached), gen))
+        children = [renumber.get(k, k) for k in children]
+        mult += [reached[k] for k in sorted(reached)]
+        sizes.append(sum(reached.values()))
+    degrees += [0] * (len(mult) - len(degrees))
+    arrays = [degrees, sizes, children, mult]
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([a for a in arrays if a]))
+        target[draw(st.integers(0, len(target) - 1))] += draw(
+            st.sampled_from([-1, 1, 2]))
+    return arrays
+
+
+def _expands_to_consecutive_classes(degrees, sizes, children, mult):
+    """The layout rule read vertex by vertex: the children of each
+    generation, vertex after vertex, are every class of the next one in
+    one run of its multiplicity, in class order."""
+    count = len(degrees)
+    if (len(mult) != count or sum(degrees) != len(children)
+            or min(degrees + sizes) < 0 or min(mult) < 1
+            or sizes[:1] != [1] or mult[:1] != [1]
+            or not all(0 <= c < count for c in children)):
+        return False
+    starts = np.cumsum([0] + degrees).tolist()
+    flat, gen, widths = [0], [0], [1]
+    for _ in sizes[1:]:
+        gen = [k for c in gen for k in children[starts[c]:starts[c + 1]]]
+        flat += gen
+        widths.append(len(gen))
+    return (not any(degrees[c] for c in gen) and widths == sizes
+            and flat == [c for c in range(count) for _ in range(mult[c])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(class_arrays())
+def test_constructor_accepts_exactly_the_consecutive_classes(arrays):
+    degrees, sizes, children, mult = arrays
+    expected = _expands_to_consecutive_classes(*arrays)
+    try:
+        tree = DirectedTree(degrees, sizes, children=children,
+                            multiplicities=mult)
+    except StructureError:
+        assert not expected
+        return
+    assert expected
+    full = tree.expanded()
+    assert full.degrees.tolist() == [degrees[c] for c in range(len(mult))
+                                     for _ in range(mult[c])]
+    assert classify_tree(tree).to_dict() == classify_tree(full).to_dict()
+
+
+@pytest.mark.parametrize("spec", [
+    TreeSpec("t_eta_kappa", eta=4, depth=5),
+    TreeSpec("quasi_brownian", valency=3, depth=10),
+    TreeSpec("path", depth=1),
+    TreeSpec("generation_rule", rule=((2,), (0, 3)), depth=4),
+], ids=str)
+def test_structure_report_is_the_dataclass_as_a_dict(spec):
+    report = classify_tree(materialize(spec))
+    assert report.to_dict() == dataclasses.asdict(report)
+    assert json.dumps(report.to_dict(), sort_keys=True) == \
+        json.dumps(dataclasses.asdict(report), sort_keys=True)
