@@ -123,9 +123,9 @@ class DirectedTree:
         sizes = _int_array(generation_sizes, "generation sizes")
         count = len(degrees)
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        np.add.accumulate(sizes, out=offsets[1:])
         child_starts = np.ones(count + 1, dtype=np.int64)
-        np.cumsum(degrees, out=child_starts[1:])
+        np.add.accumulate(degrees, out=child_starts[1:])
         child_starts[1:] += 1
         if (children is None) != (multiplicities is None):
             raise StructureError(
@@ -138,7 +138,7 @@ class DirectedTree:
             # the last generation has none
             layout = None
             if (offsets[-1] == count and child_starts.item(-1) == count
-                    and np.all(child_starts[offsets[1:-1]] == offsets[2:])):
+                    and (child_starts[offsets[1:-1]] == offsets[2:]).all()):
                 layout = (offsets, slice(None), None, None)
         else:
             layout = _class_layout(
@@ -201,8 +201,8 @@ class DirectedTree:
         root)."""
         parents = np.empty(self.class_starts.item(-1), dtype=np.int64)
         parents[0] = -1
-        parents[1:] = np.repeat(np.arange(self.class_count, dtype=np.int64),
-                                self.class_degrees)
+        parents[1:] = np.arange(self.class_count,
+                                dtype=np.int64).repeat(self.class_degrees)
         return _frozen(parents)
 
     def expanded(self) -> "DirectedTree":
@@ -212,7 +212,7 @@ class DirectedTree:
             return self
         if self._expanded is None:
             self._expanded = DirectedTree(
-                self.class_degrees[self.vertex_classes], self._sizes,
+                self.class_degrees.repeat(self.multiplicities), self._sizes,
                 self._labels)
         return self._expanded
 
@@ -223,7 +223,7 @@ class DirectedTree:
         if self._vertex_classes is None:
             classes = np.arange(self.class_count)
             if self.multiplicities is not None:
-                classes = np.repeat(classes, self.multiplicities)
+                classes = classes.repeat(self.multiplicities)
             self._vertex_classes = _frozen(classes)
         return self._vertex_classes
 
@@ -238,10 +238,10 @@ class DirectedTree:
         """Class of vertex ``index``."""
         if self.multiplicities is None:
             return index
-        return int(np.searchsorted(self._first, index, side="right")) - 1
+        return int(self._first.searchsorted(index, side="right")) - 1
 
     def class_depth(self, c: int) -> int:
-        return int(np.searchsorted(self.class_offsets, c, side="right")) - 1
+        return int(self.class_offsets.searchsorted(c, side="right")) - 1
 
     def class_label(self, c: int) -> str:
         """Id of the first vertex of class c."""
@@ -296,15 +296,20 @@ class DirectedTree:
         return [f"g{d}:{i}" for i in range(first, first + stop - start)]
 
     def depth_at(self, index: int) -> int:
+        if self.multiplicities is not None:  # no per-vertex array
+            return int(self.gen_offsets.searchsorted(index, side="right")) - 1
         if self._depths is None:
-            self._depths = np.repeat(np.arange(self._depth + 1), self._sizes)
+            self._depths = np.arange(self._depth + 1).repeat(self._sizes)
         return self._depths.item(index)
 
     def index(self, vid: str) -> int:
         """Canonical index of a vertex id.  The root needs no lookup
-        table; any other id builds one on first use."""
+        table; any other id builds one on first use, on
+        ``expanded()``."""
         if self._labels is None and vid == "g0:0":
             return 0
+        if self.multiplicities is not None:
+            return self.expanded().index(vid)
         if self._index_map is None:
             self._index_map = {v: i for i, v in enumerate(self.labels)}
             if len(self._index_map) < self.vertex_count:
@@ -315,19 +320,22 @@ class DirectedTree:
         except KeyError:
             raise RangeError(f"unknown vertex {vid!r}") from None
 
+    # the lookups of a full tree, on which the vertex methods below read
     def _children(self, i: int) -> range:
-        tree = self.expanded()
-        start = tree.class_starts.item(i)
-        return range(start, start + tree.class_degrees.item(i))
+        start = self.class_starts.item(i)
+        return range(start, start + self.class_degrees.item(i))
 
     def _child_labels(self, i: int) -> tuple[str, ...]:
         kids = self._children(i)
         return tuple(self._label_range(kids.start, kids.stop))
 
+    def _parent_label(self, i: int) -> Optional[str]:
+        return None if i == 0 else self.label(self.class_parents.item(i))
+
     # -- read API ---------------------------------------------------------
     @property
     def root(self) -> str:
-        return self.label(0)
+        return self._label_range(0, 1, 0)[0]
 
     @property
     def materialized_depth(self) -> int:
@@ -348,19 +356,21 @@ class DirectedTree:
         return True
 
     def vertex(self, vid: str) -> Vertex:
-        i = self.index(vid)
-        parent = None if i == 0 else self.label(self.parents.item(i))
-        return Vertex(vid, self.depth_at(i), parent, self._child_labels(i))
+        full = self.expanded()
+        i = full.index(vid)
+        return Vertex(vid, full.depth_at(i), full._parent_label(i),
+                      full._child_labels(i))
 
     def depth_of(self, vid: str) -> int:
         return self.depth_at(self.index(vid))
 
     def parent_of(self, vid: str) -> Optional[str]:
-        i = self.index(vid)
-        return None if i == 0 else self.label(self.parents.item(i))
+        full = self.expanded()
+        return full._parent_label(full.index(vid))
 
     def children_of(self, vid: str) -> tuple[str, ...]:
-        return self._child_labels(self.index(vid))
+        full = self.expanded()
+        return full._child_labels(full.index(vid))
 
     def degree(self, vid: str) -> int:
         """Number of children.  Meaningful for depth <= N-1 only."""
@@ -384,7 +394,7 @@ class DirectedTree:
             # running sums of the child degrees, edge by edge: those of
             # class c's edges are the difference over its edge range
             edges = starts.item(-1)
-            running = np.cumsum(
+            running = np.add.accumulate(
                 self.class_degrees[self.edge_classes(slice(0, edges))])
             grandchildren = running[starts[1:] - 1] - running[starts[:-1] - 1]
             self._expansion = (_frozen(grandchildren),
@@ -413,15 +423,16 @@ class DirectedTree:
 
     def resolve_path(self, indices: Sequence[int]) -> str:
         """Vertex reached from the root by successive child indices."""
+        full = self.expanded()
         i = 0
         for k in indices:
-            ch = self._children(i)
+            ch = full._children(i)
             if not 0 <= k < len(ch):
                 raise RangeError(
                     f"child index {k} out of range at vertex "
-                    f"{self.label(i)!r} (degree {len(ch)})")
+                    f"{full.label(i)!r} (degree {len(ch)})")
             i = ch[k]
-        return self.label(i)
+        return full.label(i)
 
 
 def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
@@ -448,7 +459,7 @@ def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
             or mult.min(initial=1) < 1):
         return None
     first = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(mult, out=first[1:])
+    np.add.accumulate(mult, out=first[1:])
     class_offsets = first.searchsorted(offsets)
     kids = np.zeros(edges + 1, dtype=np.int64)
     kids[1:] = children
@@ -465,11 +476,11 @@ def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
     # edge e is edge e - starts[p] of class p, and the edges before
     # class p's lead to reach[p] vertices
     reach = np.zeros(count, dtype=np.int64)
-    np.cumsum(degrees[:-1] * mult[:-1], out=reach[1:])
+    np.add.accumulate(degrees[:-1] * mult[:-1], out=reach[1:])
     p = starts[:-1].searchsorted(e, side="right") - 1
     within, each = e - starts[p], mult[p]
-    if ((reach[p] + within * each + 1 != need).any()
-            or ((within > 0) & (each > 1)).any()):
+    if ((reach[p] + within * each + 1 != need)
+            | (within * (each - 1) != 0)).any():
         return None
     return class_offsets, kids, mult, first[:-1]
 
@@ -579,8 +590,8 @@ class TreeSpec:
             raise ConfigurationError(
                 f"unknown tree kind {self.kind!r}; expected one of "
                 f"{list(self.KIND_FIELDS)}")
-        # a path is the rule () and a t_eta_kappa tree the rule ((eta,),);
-        # spec_vertex_count and materialize read each rule's arrays
+        # a path is the rule (); spec_vertex_count and materialize read
+        # each rule's arrays
         arrays = _PATH_ARRAYS if self.kind == "path" else None
         if self.kind == "t_eta_kappa":
             if self.eta is None or self.eta < 2:
@@ -588,10 +599,6 @@ class TreeSpec:
             if self.kappa != 0:
                 raise ConfigurationError(
                     "only kappa = 0 trees are generated")
-            # held as _rule_arrays holds the entries of a rule
-            dtype = np.int64 if self.eta <= _RULE_ENTRY_MAX else object
-            arrays = (np.array([self.eta], dtype),
-                      np.array([1, self.eta], dtype))
         if self.kind == "quasi_brownian":
             if self.valency is None or self.valency < 2:
                 raise ConfigurationError(
@@ -739,6 +746,9 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
         return len(set(chain.from_iterable(spec.edges)))
     if depth is None:
         raise ConfigurationError("no materialization depth given")
+    if spec.kind == "t_eta_kappa":
+        assert spec.eta is not None
+        return 1 + spec.eta * depth
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         # generation n has 1 + n(valency - 1) vertices
@@ -787,12 +797,13 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
 def _star_classes(eta: int, depth: int) -> DirectedTree:
     """The t_eta_kappa tree (kappa = 0) as its root and one ray class per
     generation: the root's eta edges all lead to the first ray class."""
-    mult = np.full(depth + 1, eta, dtype=np.int64)
+    rays = eta if depth else 0  # the vertex budget bounds eta only then
+    mult = np.full(depth + 1, rays, dtype=np.int64)
     mult[0] = 1
     degrees = np.ones(depth + 1, dtype=np.int64)
-    degrees[0] = eta
+    degrees[0] = rays
     degrees[-1] = 0
-    children = np.concatenate([np.ones(eta if depth else 0, dtype=np.int64),
+    children = np.concatenate([np.ones(rays, dtype=np.int64),
                                np.arange(2, depth + 1)])
     return DirectedTree(degrees, mult, children=children,
                         multiplicities=mult)
@@ -809,7 +820,8 @@ def _quasi_brownian_classes(valency: int, depth: int) -> DirectedTree:
     edges = np.empty((depth, valency + 1), dtype=np.int64)
     edges[:, 0] = 2 * n + 1
     edges[:, 1:] = (2 * n + 2)[:, None]
-    children = np.delete(edges.ravel(), valency) if depth else n
+    children = np.concatenate((edges[:1, :valency].ravel(),
+                               edges[1:].ravel()))
     mult = np.ones(2 * depth + 1, dtype=np.int64)
     mult[2::2] = (n + 1) * (valency - 1)
     degrees = np.ones(2 * depth + 1, dtype=np.int64)
@@ -826,7 +838,7 @@ def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")
     off = tree.gen_offsets
-    return tuple(tree._label_range(off.item(n), off.item(n + 1)))
+    return tuple(tree._label_range(off.item(n), off.item(n + 1), n))
 
 
 def branching_degree(tree: DirectedTree, k: int) -> int:
