@@ -390,13 +390,11 @@ class DirectedTree:
         """
         if self._expansion is None:
             inner = self.class_offsets.item(max(self._depth - 1, 0))
-            starts = self.class_starts[:inner + 1]
-            # running sums of the child degrees, edge by edge: those of
-            # class c's edges are the difference over its edge range
-            edges = starts.item(-1)
-            running = np.add.accumulate(
-                self.class_degrees[self.edge_classes(slice(0, edges))])
-            grandchildren = running[starts[1:] - 1] - running[starts[:-1] - 1]
+            edges = self.class_starts.item(inner)  # their edges: 1..edges-1
+            grandchildren = np.bincount(
+                self.class_parents[1:edges],
+                weights=self.class_degrees[self.edge_classes(slice(1, edges))],
+                minlength=inner).astype(np.int64)
             self._expansion = (_frozen(grandchildren),
                                _frozen(2 * self.class_degrees[:inner] - 1))
         return self._expansion
