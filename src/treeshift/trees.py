@@ -946,13 +946,15 @@ def classify_tree(tree: DirectedTree) -> TreeStructureReport:
     leafless = bool(np.all(known >= 1))
     max_deg = int(known.max()) if len(known) else 0
 
-    def multiset(a: int, b: int) -> tuple[int, ...]:
-        if mult is None:
-            return tuple(np.sort(deg[a:b]).tolist())
-        order = np.argsort(deg[a:b])
-        return tuple(np.repeat(deg[a:b][order], mult[a:b][order]).tolist())
-
-    multisets = tuple(multiset(off[g], off[g + 1]) for g in range(n))
+    if mult is None:
+        multisets = tuple(tuple(np.sort(deg[off[g]:off[g + 1]]).tolist())
+                          for g in range(n))
+    else:
+        # a few classes per generation: sorted in Python, then repeated
+        pairs = list(zip(deg[:off[n]].tolist(), mult[:off[n]].tolist()))
+        multisets = tuple(tuple(chain.from_iterable(
+            [d] * m for d, m in sorted(pairs[off[g]:off[g + 1]])))
+            for g in range(n))
     verdict = quasi_brownian(tree)
     return TreeStructureReport(leafless, max_deg, multisets, verdict,
                                max_deg if verdict.holds else None)
