@@ -320,7 +320,7 @@ class DirectedTree:
         except KeyError:
             raise RangeError(f"unknown vertex {vid!r}") from None
 
-    # the lookups of a full tree, on which the vertex methods below read
+    # lookups on a full tree; the vertex methods below call them on expanded()
     def _children(self, i: int) -> range:
         start = self.class_starts.item(i)
         return range(start, start + self.class_degrees.item(i))
@@ -803,6 +803,7 @@ def _star_classes(eta: int, depth: int) -> DirectedTree:
     degrees[-1] = 0
     children = np.concatenate([np.ones(rays, dtype=np.int64),
                                np.arange(2, depth + 1)])
+    # one class per generation: the generation sizes are the multiplicities
     return DirectedTree(degrees, mult, children=children,
                         multiplicities=mult)
 
