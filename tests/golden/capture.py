@@ -29,10 +29,10 @@ HERE = Path(__file__).resolve().parent
 # case name -> argv; "specs/..." entries are resolved against HERE
 CASES: dict[str, list[str]] = {
     **{name: ["--spec", f"specs/{name}.json"] for name in (
-        "binary-8", "quasi-brownian-20", "star-50", "comb-2-14",
-        "comb-3-12", "glowny", "dirichlet", "bergman-dual", "treiso",
-        "explicit-random", "path-constant", "zero-weight", "split-given",
-        "command-errors")},
+        "binary-8", "binary-12", "quasi-brownian-20", "star-50",
+        "comb-2-14", "comb-3-12", "glowny", "dirichlet", "bergman-dual",
+        "treiso", "explicit-random", "path-constant", "zero-weight",
+        "split-given", "command-errors")},
     "glowny-overrides": ["--spec", "specs/glowny.json", "--depth", "12",
                          "--nmax", "8", "--tol", "1e-10"],
     "comb-3-depth-override": ["--spec", "specs/comb-3-12.json", "--depth",
