@@ -6,7 +6,9 @@ materialized part only and carry the depth to which they were verified.
 """
 from __future__ import annotations
 
+import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -24,6 +26,7 @@ __all__ = [
     "TreeStructureReport",
     "StructureVerdict",
     "MAX_VERTICES",
+    "MIN_VERTICES_PER_CLASS",
     "spec_vertex_count",
     "materialize",
     "generation",
@@ -39,6 +42,18 @@ __all__ = [
 #: Largest tree ``materialize`` builds, in vertices and in generations.
 #: Checked from the spec alone, before anything is allocated.
 MAX_VERTICES = 2_000_000
+
+#: ``materialize`` holds a ``generation_rule`` tree as subtree classes
+#: when it has at least this many vertices per class, and as a full tree
+#: otherwise.  Hashing a rule loops in Python over its runs of equal
+#: child counts and over the classes it finds, and stops as soon as
+#: they pass vertex_count / MIN_VERTICES_PER_CLASS, so the loop stays
+#: short beside the per-vertex cost of reading the rule.
+MIN_VERTICES_PER_CLASS = 64
+
+# a default vertex id: generation and position, decimal without sign,
+# underscore or leading zero; more digits than any tree has never match
+_DEFAULT_ID = re.compile(r"g(0|[1-9][0-9]{0,17}):(0|[1-9][0-9]{0,17})")
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,14 @@ class DirectedTree:
         and ``multiplicities`` the vertices of every class; without them
         every class is one vertex.  ``labels`` are the vertex ids in
         canonical order (default ``g<depth>:<index in generation>``).
+
+        The tree takes the arrays it is given: a one-dimensional int64
+        array is kept without a copy and made read-only, so that writes
+        through it raise from then on; anything else is converted, and
+        the caller's object is left as it was.  A caller that still
+        writes to an int64 array, or to the array it is a view of,
+        passes a copy.
+
         Raises StructureError when an array is not integers, the counts
         do not build the generations, the classes do not stand for
         consecutive vertices, or the labels are not one distinct id per
@@ -169,6 +192,7 @@ class DirectedTree:
         self._sizes = _frozen(sizes)
         self._first = first  # first vertex per class of a class tree
         self._labels = labels
+        self._named = labels is not None  # else the default ids
         self._index_map: Optional[dict[str, int]] = None
         self._depths: Optional[np.ndarray] = None
         self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -213,7 +237,7 @@ class DirectedTree:
         if self._expanded is None:
             self._expanded = DirectedTree(
                 self.class_degrees.repeat(self.multiplicities), self._sizes,
-                self._labels)
+                self._labels if self._named else None)
         return self._expanded
 
     @property
@@ -303,15 +327,20 @@ class DirectedTree:
         return self._depths.item(index)
 
     def index(self, vid: str) -> int:
-        """Canonical index of a vertex id.  The root needs no lookup
-        table; any other id builds one on first use, on
-        ``expanded()``."""
-        if self._labels is None and vid == "g0:0":
-            return 0
-        if self.multiplicities is not None:
-            return self.expanded().index(vid)
+        """Canonical index of a vertex id.  A default id
+        ``g<depth>:<index in generation>`` is read from the generation
+        offsets; explicit labels are looked up in a map of every label,
+        built on first use."""
+        if not self._named:
+            match = _DEFAULT_ID.fullmatch(vid) if isinstance(vid, str) \
+                else None
+            if match:
+                d, i = int(match[1]), int(match[2])
+                if d <= self._depth and i < self._sizes.item(d):
+                    return self.gen_offsets.item(d) + i
+            raise RangeError(f"unknown vertex {vid!r}")
         if self._index_map is None:
-            self._index_map = {v: i for i, v in enumerate(self.labels)}
+            self._index_map = {v: i for i, v in enumerate(self._labels)}
             if len(self._index_map) < self.vertex_count:
                 self._index_map = None
                 raise StructureError("the vertex labels repeat an id")
@@ -662,14 +691,23 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
     return flat, sizes
 
 
+def _rule_generations(sizes: np.ndarray, depth: int) -> np.ndarray:
+    """Generation sizes of the rule tree to ``depth``: the rule's, then
+    that of its last generation, which continues with one child per
+    vertex."""
+    rows = min(depth, len(sizes) - 1)
+    generations = np.full(depth + 1, sizes[rows], dtype=np.int64)
+    generations[:rows] = sizes[:rows]
+    return generations
+
+
 def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray,
                     depth: int) -> DirectedTree:
     """Tree whose generation g < len(sizes) - 1 has the child counts of
     rule row g (``_rule_arrays``); later generations continue with one
     child each."""
     rows = min(depth, len(sizes) - 1)
-    generations = np.full(depth + 1, sizes[rows], dtype=np.int64)
-    generations[:rows] = sizes[:rows]
+    generations = _rule_generations(sizes, depth)
     count = int(generations.sum())
     degrees = np.ones(count, dtype=np.int64)
     # generations rows..depth all have sizes[rows] vertices
@@ -677,6 +715,95 @@ def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray,
     degrees[:ruled] = flat[:ruled]
     degrees[count - generations.item(-1):] = 0
     return DirectedTree(degrees, generations)
+
+
+def _rule_classes(flat: np.ndarray, sizes: np.ndarray,
+                  depth: int) -> Optional[DirectedTree]:
+    """The tree of ``_tree_from_rule`` as run classes, or None when it
+    has fewer than MIN_VERTICES_PER_CLASS vertices per class.
+
+    The classes are hashed bottom-up from the rule's runs of equal
+    child counts, without building the tree: a vertex joins the class
+    of the vertex before it in its generation when both have the same
+    child count and all their children lie in one class (leaves
+    included).  So a class of several vertices sends all its edges to
+    one class, which is the layout ``DirectedTree`` checks, and its
+    vertices have one cone type.  A class starts where a run starts,
+    at the parent of the first vertex of a class of the next
+    generation, and after a parent whose children start a class past
+    its first child.  The one-child tail past the rule, and the last
+    generation, are one class each."""
+    rows = min(depth, len(sizes) - 1)
+    generations = _rule_generations(sizes, depth)
+    offsets = np.zeros(depth + 2, dtype=np.int64)
+    np.add.accumulate(generations, out=offsets[1:])
+    count = offsets.item(-1)
+    budget = count // MIN_VERTICES_PER_CLASS
+    tail = depth - rows + 1 if generations.item(-1) else 0
+    if np.count_nonzero(generations) > budget:  # a class per generation
+        return None
+    ruled = offsets.item(rows)
+    counts = flat[:ruled].astype(np.int64, copy=False)
+    # runs of equal counts within a row
+    new = np.empty(ruled, dtype=bool)
+    new[:1] = True
+    np.not_equal(counts[1:], counts[:-1], out=new[1:])
+    new[offsets[:rows][generations[:rows] > 0]] = True
+    starts = np.flatnonzero(new)
+    if len(starts) + tail > budget:
+        return None
+    degrees = counts[starts]
+    # vertex v's first child is vertex 1 + (the child counts before v)
+    kids = np.ones(len(starts), dtype=np.int64)
+    np.add.accumulate((np.diff(starts, append=ruled) * degrees)[:-1],
+                      out=kids[1:])
+    kids[1:] += 1
+    run_at = starts.searchsorted(offsets[:rows + 1]).tolist()
+    run_starts, run_degrees = starts.tolist(), degrees.tolist()
+    run_kids, off = kids.tolist(), offsets.tolist()
+    found = tail
+    below: list[int] = []  # class starts of generation g + 1 past its first
+    firsts = []
+    for g in range(rows - 1, -1, -1):
+        a, b = run_at[g], run_at[g + 1]
+        if below:
+            cut = set(run_starts[a:b])
+            end = off[g + 1]
+            for c in below:
+                j = bisect_right(run_kids, c, a, b) - 1
+                q, r = divmod(c - run_kids[j], run_degrees[j])
+                p = run_starts[j] + q
+                cut.add(p)
+                if r and p + 1 < end:
+                    cut.add(p + 1)
+            cut = sorted(cut)
+        else:
+            cut = run_starts[a:b]
+        found += len(cut)
+        if found > budget:
+            return None
+        firsts.append(cut)
+        below = cut[1:]
+    ruled_firsts = np.fromiter(chain.from_iterable(reversed(firsts)),
+                               np.int64, found - tail)
+    run = starts.searchsorted(ruled_firsts, side="right") - 1
+    run_degree = degrees[run]
+    first = np.concatenate((ruled_firsts, offsets[rows:rows + tail]))
+    class_degrees = np.ones(found, dtype=np.int64)
+    class_degrees[:len(run)] = run_degree
+    if tail:
+        class_degrees[-1] = 0
+    # the first child of each class's first vertex
+    first_kid = np.concatenate((
+        kids[run] + (ruled_firsts - starts[run]) * run_degree,
+        offsets[rows + 1:rows + tail + 1]))
+    edges = np.zeros(found, dtype=np.int64)
+    np.add.accumulate(class_degrees[:-1], out=edges[1:])
+    children = first.searchsorted(
+        np.arange(class_degrees.sum())
+        + (first_kid - edges).repeat(class_degrees), side="right") - 1
+    return DirectedTree(class_degrees, generations, children=children,
+                        multiplicities=np.diff(first, append=count))
 
 
 def _comb_rule_spec(children: Mapping[str, tuple[str, ...]],
@@ -789,7 +916,9 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         return _quasi_brownian_classes(spec.valency, depth)
-    return _tree_from_rule(*spec._rule_arrays, depth)
+    tree = _rule_classes(*spec._rule_arrays, depth)
+    return tree if tree is not None else _tree_from_rule(*spec._rule_arrays,
+                                                         depth)
 
 
 def _star_classes(eta: int, depth: int) -> DirectedTree:

@@ -1,16 +1,20 @@
 """Trees held as subtree classes: ``t_eta_kappa`` and ``quasi_brownian``
-trees are materialized as a few classes per generation, the engine runs
-on the classes, and every command reports on them exactly what it
-reports on the full tree, ``tree.expanded()``."""
+trees are materialized as a few classes per generation, and
+``generation_rule`` trees are hashed into run classes when they have at
+least MIN_VERTICES_PER_CLASS vertices per class; the engine runs on the
+classes, and every command reports on them exactly what it reports on
+the full tree, ``tree.expanded()``."""
 import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from treeshift import (DirectedTree, StructureError, TreeSpec, WeightSpec,
-                       build_shift, classify_tree, materialize)
+from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree, RangeError,
+                       StructureError, TreeSpec, WeightSpec, build_shift,
+                       classify_tree, comb_tree_spec, materialize,
+                       quasi_brownian, two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
 
 
@@ -25,10 +29,12 @@ def _commands(tree, weights):
             ("cauchy-dual", {}), ("classify-adjacency", {}),
             ("invariants", {})]
     deep = [tree.degree(tree.root) - 1] + [0] * (n // 2 - 1)
+    # the last vertex of generation n // 2, by its id
+    last = f"g{n // 2}:{tree.generation_sizes[n // 2] - 1}"
     for dual in (False, True):
         cmds += [("moments", {"nmax": n - 1, "dual": dual}),
-                 ("moments", {"vertex": deep, "nmax": n - n // 2 - 1,
-                              "dual": dual})]
+                 *(("moments", {"vertex": vertex, "nmax": n - n // 2 - 1,
+                                "dual": dual}) for vertex in (deep, last))]
     row = {"adjacency": "quasi_brownian", "kernel_condition": "kernel",
            "dirichlet": "kernel"}.get(weights.kind)
     if row is not None:
@@ -53,29 +59,71 @@ def _assert_classes_report_as_full_tree(spec, weights):
         == _results(spec, weights, build_shift(weights, full), commands)
 
 
+def _leafless(tree):
+    known = tree.class_degrees[:tree.class_offsets.item(
+        tree.materialized_depth)]
+    return bool((known > 0).all())
+
+
+@st.composite
+def hashed_rules(draw, depth):
+    """A generation rule whose tree is hashed into run classes: a root of
+    192 to 320 children, then up to depth + 1 rows (so the depth falls
+    below and above the rule's length), each a run or two of equal
+    counts cut at any vertex, perhaps with one vertex of its own count,
+    whose children then fall in two classes; with leaves allowed, a row
+    may be all 0, and the rows after it are empty."""
+    leafless = draw(st.booleans())
+    counts = st.sampled_from([1, 1, 2] if leafless else [0, 1, 2])
+    width = draw(st.integers(min_value=192, max_value=320))
+    rule = [(width,)]
+    for _ in range(draw(st.integers(min_value=0, max_value=depth))):
+        if not width or not leafless and draw(st.integers(0, 9)) == 0:
+            row = [0] * width
+        else:
+            cut = draw(st.integers(min_value=0, max_value=width))
+            row = [draw(counts)] * cut + [draw(counts)] * (width - cut)
+            if draw(st.booleans()):
+                row[draw(st.integers(0, width - 1))] = draw(
+                    st.sampled_from([1, 2, 3] if leafless else [0, 2, 3]))
+            if sum(row) > 640:
+                row = [1] * width
+        rule.append(tuple(row))
+        width = sum(row)
+    spec = TreeSpec("generation_rule", rule=tuple(rule), depth=depth)
+    assume(materialize(spec).multiplicities is not None)
+    return spec
+
+
 @st.composite
 def class_tree_runs(draw):
-    """A tree spec of a family with classes, or a path, and weights that
-    fit it."""
+    """A tree spec of a family with classes, a hashed generation rule, or
+    a path, and weights that fit it."""
     depth = draw(st.integers(min_value=2, max_value=12))
-    kind = draw(st.sampled_from(["path", "t_eta_kappa", "quasi_brownian"]))
+    kind = draw(st.sampled_from(["path", "t_eta_kappa", "quasi_brownian",
+                                 "generation_rule"]))
     if kind == "path":
         spec = TreeSpec("path", depth=depth)
     elif kind == "t_eta_kappa":
         spec = TreeSpec("t_eta_kappa",
                         eta=draw(st.integers(min_value=2, max_value=6)),
                         depth=depth)
-    else:
+    elif kind == "quasi_brownian":
         spec = TreeSpec("quasi_brownian",
                         valency=draw(st.integers(min_value=2, max_value=5)),
                         depth=depth)
+    else:
+        spec = draw(hashed_rules(min(depth, 7)))
+    tree = materialize(spec)
     x = draw(st.floats(min_value=1.0, max_value=1.6))
-    choices = [WeightSpec("adjacency"), WeightSpec("kernel_condition", x=x)]
-    labels = materialize(spec).labels[1:]
-    picked = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4,
-                           unique=True))
-    choices.append(WeightSpec("kernel_condition", x=x, proportions={
-        v: draw(st.floats(min_value=0.25, max_value=4.0)) for v in picked}))
+    choices = [WeightSpec("adjacency")]
+    if _leafless(tree):
+        picked = draw(st.lists(st.sampled_from(tree.labels[1:]), min_size=1,
+                               max_size=4, unique=True))
+        choices += [WeightSpec("kernel_condition", x=x),
+                    WeightSpec("kernel_condition", x=x, proportions={
+                        v: draw(st.floats(min_value=0.25, max_value=4.0))
+                        for v in picked})]
     if kind == "path":
         choices += [WeightSpec(k) for k in ("dirichlet", "bergman_dual",
                                             "treiso")]
@@ -120,6 +168,155 @@ def test_family_trees_hold_few_classes_and_their_shifts_stay_on_them():
         assert shift.tree is tree
         assert len(shift.class_weights) == tree.class_count
     assert qb._expanded is None and star._expanded is None
+
+
+def _rule_degrees(rule, depth):
+    """Child count of every vertex of a rule tree, read off the rule row
+    by row: one child past the rule, none on the last generation."""
+    degrees, width = [], 1
+    for g in range(depth):
+        row = list(rule[g]) if g < len(rule) else [1] * width
+        degrees += row
+        width = sum(row)
+    return degrees + [0] * width
+
+
+RULE_TREES = {
+    "constant-rows": (((200,), (1,) * 200, (2,) * 200), 5),
+    # runs cut inside the children of one vertex
+    "mixed-runs": (((256,), (1,) * 100 + (2,) * 156,
+                    (2,) * 151 + (1,) * 261), 6),
+    # the last vertex of generation 1 has children in two classes
+    "two-child-classes": (((200,), (1,) * 199 + (3,), (1,) * 199 + (2, 1, 1)),
+                          5),
+    # a 0 row: the generations after it are empty
+    "zero-row": (((300,), (1,) * 150 + (0,) * 150, (0,) * 150), 6),
+    "depth-below-rule": (((200,), (1,) * 100 + (2,) * 100,
+                          (3,) * 100 + (1,) * 200, (1,) * 500), 2),
+    "depth-above-rule": (((200,), (2,) * 50 + (1,) * 150), 9),
+}
+
+
+@pytest.mark.parametrize("rule,depth", RULE_TREES.values(), ids=RULE_TREES)
+def test_hashed_rule_trees_report_on_classes_as_on_the_full_tree(rule,
+                                                                 depth):
+    spec = TreeSpec("generation_rule", rule=rule, depth=depth)
+    tree = materialize(spec)
+    assert tree.multiplicities is not None
+    assert tree.class_count * MIN_VERTICES_PER_CLASS <= tree.vertex_count
+    assert tree.expanded().degrees.tolist() == _rule_degrees(rule, depth)
+    weights = [WeightSpec("adjacency")]
+    if _leafless(tree):
+        weights.append(WeightSpec("kernel_condition", x=1.3))
+    for w in weights:
+        _assert_classes_report_as_full_tree(spec, w)
+
+
+def test_a_vertex_with_children_in_two_classes_is_a_class_of_its_own():
+    rule, depth = RULE_TREES["two-child-classes"]
+    tree = materialize(TreeSpec("generation_rule", rule=rule, depth=depth))
+    c = tree.class_of(tree.index("g1:199"))
+    assert tree.multiplicities[c] == 1 and tree.class_degrees[c] == 3
+    start = tree.class_starts[c]
+    kids = tree.children[start:start + 3].tolist()
+    assert kids[0] != kids[1] == kids[2]
+    # generation 2: the rays, the vertex of degree 2, and its two
+    # siblings, which follow the rays but are not in their class
+    assert np.diff(tree.class_offsets)[:3].tolist() == [1, 2, 3]
+
+
+def test_binary_15_is_one_class_per_generation():
+    spec = TreeSpec("generation_rule",
+                    rule=tuple((2,) * 2 ** g for g in range(15)), depth=15)
+    tree = materialize(spec)
+    assert tree.vertex_count == 65_535 and tree.class_count == 16
+    shift = build_shift(WeightSpec("kernel_condition", x=1.3), tree)
+    assert shift.tree is tree and tree._expanded is None
+
+
+def test_the_quasi_brownian_rule_hashes_to_no_more_classes_than_its_family():
+    depth = 1413
+    family = materialize(TreeSpec("quasi_brownian", valency=3, depth=depth))
+    rule = materialize(TreeSpec(
+        "generation_rule", rule=tuple((3,) + (1,) * (2 * n)
+                                      for n in range(depth)), depth=depth))
+    assert rule.vertex_count == family.vertex_count == 1_999_396
+    assert rule.generation_sizes == family.generation_sizes
+    # the family tree splits its last generation into the spine's and
+    # the rays' leaves; every leaf of the rule tree is in one class
+    assert rule.class_count == 2_826 <= family.class_count == 2_827
+    assert quasi_brownian(rule) == quasi_brownian(family)
+    assert rule._expanded is None
+
+
+@pytest.mark.parametrize("spec", [
+    comb_tree_spec(2, 40),
+    TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(8)),
+             depth=8),
+    two_plus_three_tree_spec("a", 30),
+    TreeSpec("path", depth=500),
+], ids=["comb-2-depth-40", "binary-8", "two-plus-three-a", "path-500"])
+def test_rule_trees_under_the_hashing_bound_stay_full(spec):
+    tree = materialize(spec)
+    assert tree.multiplicities is None
+    assert tree.children == slice(None)
+
+
+def test_moments_at_a_default_id_do_not_expand_a_class_tree():
+    spec = TreeSpec("quasi_brownian", valency=3, depth=1413)
+    weights = WeightSpec("adjacency")
+    tree = materialize(spec)
+    commands = (CommandRecord("moments", {"vertex": "g5:0", "nmax": 12,
+                                          "dual": True}),)
+    report, _ = run_suite(RunSpec(spec, weights, commands,
+                                  build_shift(weights, tree)))
+    assert report["results"][0]["status"] == "passed"
+    assert tree._expanded is None
+
+
+def test_a_default_id_is_read_from_the_generation_offsets():
+    tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=5))
+    full = tree.expanded()
+    for d, size in enumerate(tree.generation_sizes):
+        for i in (0, size - 1):
+            assert tree.index(f"g{d}:{i}") == full.labels.index(f"g{d}:{i}")
+    assert tree._expanded is full and full._index_map is None
+
+
+@pytest.mark.parametrize("vid", [
+    "g05:0", "g5:+1", "g5: 1", "g5:1_0", "g5:01", "g5:1 ", "g5:1\n",
+    "G5:1", "g5:1.0", "g-1:0", "g5:-1", "g6:0", "g5:11", "g\u0665:0",
+    "g5:" + "9" * 5000, "", "g5", 5,
+])
+def test_ids_outside_the_default_form_are_unknown(vid):
+    tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=5))
+    for t in (tree, tree.expanded()):
+        with pytest.raises(RangeError, match="unknown vertex"):
+            t.index(vid)
+        assert vid not in t
+
+
+def test_explicit_labels_are_looked_up_by_label():
+    # a label that reads as a default id names the vertex it labels
+    tree = DirectedTree.from_edges([("r", "a"), ("a", "g1:0")])
+    assert tree.index("g1:0") == 2 and tree.index("a") == 1
+    with pytest.raises(RangeError):
+        tree.index("g2:0")
+
+
+def test_the_constructor_takes_and_freezes_int64_arrays():
+    degrees = np.array([2, 0, 0], dtype=np.int64)
+    sizes = np.array([1, 2], dtype=np.int64)
+    tree = DirectedTree(degrees, sizes)
+    assert np.shares_memory(tree.class_degrees, degrees)
+    assert not degrees.flags.writeable and not sizes.flags.writeable
+    with pytest.raises(ValueError):
+        degrees[0] = 3
+    # anything else is converted, and the caller's object is left alone
+    degrees32, listed = np.array([2, 0, 0], dtype=np.int32), [1, 2]
+    tree = DirectedTree(degrees32, listed)
+    assert degrees32.flags.writeable and listed == [1, 2]
+    assert not np.shares_memory(tree.class_degrees, degrees32)
 
 
 def test_kernel_condition_on_a_quasi_brownian_tree_uses_the_full_tree():
@@ -170,7 +367,8 @@ def test_a_binary_tree_as_one_class_per_generation():
     rule = TreeSpec("generation_rule",
                     rule=tuple((2,) * 2 ** g for g in range(depth)),
                     depth=depth)
-    full = materialize(rule)
+    full = materialize(rule)  # under the hashing bound: a full tree
+    assert full.multiplicities is None
     assert np.array_equal(classes.expanded().degrees, full.degrees)
     weights = WeightSpec("kernel_condition", x=1.4)
     commands = _commands(full, weights)
