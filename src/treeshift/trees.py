@@ -192,7 +192,6 @@ class DirectedTree:
         self._sizes = _frozen(sizes)
         self._first = first  # first vertex per class of a class tree
         self._labels = labels
-        self._named = labels is not None  # else the default ids
         self._index_map: Optional[dict[str, int]] = None
         self._depths: Optional[np.ndarray] = None
         self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -237,7 +236,7 @@ class DirectedTree:
         if self._expanded is None:
             self._expanded = DirectedTree(
                 self.class_degrees.repeat(self.multiplicities), self._sizes,
-                self._labels if self._named else None)
+                self._labels)
         return self._expanded
 
     @property
@@ -327,11 +326,12 @@ class DirectedTree:
         return self._depths.item(index)
 
     def index(self, vid: str) -> int:
-        """Canonical index of a vertex id.  A default id
-        ``g<depth>:<index in generation>`` is read from the generation
-        offsets; explicit labels are looked up in a map of every label,
-        built on first use."""
-        if not self._named:
+        """Canonical index of a vertex id.  Until the labels are built, a
+        default id ``g<depth>:<index in generation>`` is read from the
+        generation offsets; explicit labels, and default ones once
+        built, are looked up in a map of every label, built on first
+        use."""
+        if self._labels is None:
             match = _DEFAULT_ID.fullmatch(vid) if isinstance(vid, str) \
                 else None
             if match:
@@ -349,17 +349,19 @@ class DirectedTree:
         except KeyError:
             raise RangeError(f"unknown vertex {vid!r}") from None
 
-    # lookups on a full tree; the vertex methods below call them on expanded()
+    # lookups on a full tree; the vertex methods below call them on
+    # expanded(), which is built vertex by vertex, so they read the list of
+    # every label, built as cheaply, and a walk formats no id twice
     def _children(self, i: int) -> range:
         start = self.class_starts.item(i)
         return range(start, start + self.class_degrees.item(i))
 
     def _child_labels(self, i: int) -> tuple[str, ...]:
         kids = self._children(i)
-        return tuple(self._label_range(kids.start, kids.stop))
+        return tuple(self.labels[kids.start:kids.stop])
 
     def _parent_label(self, i: int) -> Optional[str]:
-        return None if i == 0 else self.label(self.class_parents.item(i))
+        return None if i == 0 else self.labels[self.class_parents.item(i)]
 
     # -- read API ---------------------------------------------------------
     @property
@@ -717,10 +719,11 @@ def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray,
     return DirectedTree(degrees, generations)
 
 
-def _rule_classes(flat: np.ndarray, sizes: np.ndarray,
-                  depth: int) -> Optional[DirectedTree]:
-    """The tree of ``_tree_from_rule`` as run classes, or None when it
-    has fewer than MIN_VERTICES_PER_CLASS vertices per class.
+def _rule_classes(flat: np.ndarray, sizes: np.ndarray, depth: int,
+                  count: int) -> Optional[DirectedTree]:
+    """The tree of ``_tree_from_rule``, of ``count`` vertices, as run
+    classes, or None when it has fewer than MIN_VERTICES_PER_CLASS
+    vertices per class.
 
     The classes are hashed bottom-up from the rule's runs of equal
     child counts, without building the tree: a vertex joins the class
@@ -734,14 +737,17 @@ def _rule_classes(flat: np.ndarray, sizes: np.ndarray,
     its first child.  The one-child tail past the rule, and the last
     generation, are one class each."""
     rows = min(depth, len(sizes) - 1)
+    budget = count // MIN_VERTICES_PER_CLASS
+    # each generation up to the first empty one holds a class, and after
+    # an empty generation every one is empty
+    if budget <= depth and sizes.item(rows):
+        return None
     generations = _rule_generations(sizes, depth)
+    if np.count_nonzero(generations) > budget:
+        return None
     offsets = np.zeros(depth + 2, dtype=np.int64)
     np.add.accumulate(generations, out=offsets[1:])
-    count = offsets.item(-1)
-    budget = count // MIN_VERTICES_PER_CLASS
     tail = depth - rows + 1 if generations.item(-1) else 0
-    if np.count_nonzero(generations) > budget:  # a class per generation
-        return None
     ruled = offsets.item(rows)
     counts = flat[:ruled].astype(np.int64, copy=False)
     # runs of equal counts within a row
@@ -753,14 +759,15 @@ def _rule_classes(flat: np.ndarray, sizes: np.ndarray,
     if len(starts) + tail > budget:
         return None
     degrees = counts[starts]
-    # vertex v's first child is vertex 1 + (the child counts before v)
-    kids = np.ones(len(starts), dtype=np.int64)
+    # the first child of each run's first vertex v: vertex 1 + (the child
+    # counts before v)
+    first_child = np.ones(len(starts), dtype=np.int64)
     np.add.accumulate((np.diff(starts, append=ruled) * degrees)[:-1],
-                      out=kids[1:])
-    kids[1:] += 1
+                      out=first_child[1:])
+    first_child[1:] += 1
     run_at = starts.searchsorted(offsets[:rows + 1]).tolist()
     run_starts, run_degrees = starts.tolist(), degrees.tolist()
-    run_kids, off = kids.tolist(), offsets.tolist()
+    run_child, off = first_child.tolist(), offsets.tolist()
     found = tail
     below: list[int] = []  # class starts of generation g + 1 past its first
     firsts = []
@@ -770,8 +777,8 @@ def _rule_classes(flat: np.ndarray, sizes: np.ndarray,
             cut = set(run_starts[a:b])
             end = off[g + 1]
             for c in below:
-                j = bisect_right(run_kids, c, a, b) - 1
-                q, r = divmod(c - run_kids[j], run_degrees[j])
+                j = bisect_right(run_child, c, a, b) - 1
+                q, r = divmod(c - run_child[j], run_degrees[j])
                 p = run_starts[j] + q
                 cut.add(p)
                 if r and p + 1 < end:
@@ -794,14 +801,14 @@ def _rule_classes(flat: np.ndarray, sizes: np.ndarray,
     if tail:
         class_degrees[-1] = 0
     # the first child of each class's first vertex
-    first_kid = np.concatenate((
-        kids[run] + (ruled_firsts - starts[run]) * run_degree,
+    class_child = np.concatenate((
+        first_child[run] + (ruled_firsts - starts[run]) * run_degree,
         offsets[rows + 1:rows + tail + 1]))
     edges = np.zeros(found, dtype=np.int64)
     np.add.accumulate(class_degrees[:-1], out=edges[1:])
     children = first.searchsorted(
         np.arange(class_degrees.sum())
-        + (first_kid - edges).repeat(class_degrees), side="right") - 1
+        + (class_child - edges).repeat(class_degrees), side="right") - 1
     return DirectedTree(class_degrees, generations, children=children,
                         multiplicities=np.diff(first, append=count))
 
@@ -916,7 +923,9 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         return _quasi_brownian_classes(spec.valency, depth)
-    tree = _rule_classes(*spec._rule_arrays, depth)
+    # a path is a class per vertex
+    tree = None if spec.kind == "path" else _rule_classes(*spec._rule_arrays,
+                                                          depth, count)
     return tree if tree is not None else _tree_from_rule(*spec._rule_arrays,
                                                          depth)
 

@@ -228,10 +228,18 @@ def test_a_vertex_with_children_in_two_classes_is_a_class_of_its_own():
 def test_binary_15_is_one_class_per_generation():
     spec = TreeSpec("generation_rule",
                     rule=tuple((2,) * 2 ** g for g in range(15)), depth=15)
+    weights = WeightSpec("kernel_condition", x=1.3)
     tree = materialize(spec)
     assert tree.vertex_count == 65_535 and tree.class_count == 16
-    shift = build_shift(WeightSpec("kernel_condition", x=1.3), tree)
-    assert shift.tree is tree and tree._expanded is None
+    shift = build_shift(weights, tree)
+    assert shift.tree is tree
+    # the commands of the deep-trees benchmark's binary-15 operation
+    commands = tuple(CommandRecord(name, params) for name, params in (
+        ("materialize", {}), ("check-2iso", {}), ("check-kernel", {}),
+        ("moments", {"dual": True, "nmax": 12}), ("dual-subnormality", {})))
+    report, _ = run_suite(RunSpec(spec, weights, commands, shift))
+    assert [r["status"] for r in report["results"]] == ["passed"] * 5
+    assert tree._expanded is None
 
 
 def test_the_quasi_brownian_rule_hashes_to_no_more_classes_than_its_family():
