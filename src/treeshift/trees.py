@@ -743,8 +743,6 @@ def _rule_classes(flat: np.ndarray, sizes: np.ndarray, depth: int,
     if budget <= depth and sizes.item(rows):
         return None
     generations = _rule_generations(sizes, depth)
-    if np.count_nonzero(generations) > budget:
-        return None
     offsets = np.zeros(depth + 2, dtype=np.int64)
     np.add.accumulate(generations, out=offsets[1:])
     tail = depth - rows + 1 if generations.item(-1) else 0
