@@ -270,6 +270,16 @@ def test_rule_trees_under_the_hashing_bound_stay_full(spec):
     assert tree.children == slice(None)
 
 
+def test_a_deep_comb_is_a_ray_class_and_a_spine_class_per_generation():
+    # a valency-2 comb's generation is its rays, then its spine vertex:
+    # two runs, and from depth 300 at least 64 vertices per class
+    spec = comb_tree_spec(2, 300)
+    tree = materialize(spec)
+    assert tree.vertex_count == 45_451 and tree.class_count == 600
+    assert np.diff(tree.class_offsets).max() == 2
+    _assert_classes_report_as_full_tree(spec, WeightSpec("adjacency"))
+
+
 def test_moments_at_a_default_id_do_not_expand_a_class_tree():
     spec = TreeSpec("quasi_brownian", valency=3, depth=1413)
     weights = WeightSpec("adjacency")
