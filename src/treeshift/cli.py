@@ -200,14 +200,15 @@ def _as_edges(value: Any, path: str) -> tuple[tuple[str, str], ...]:
     return tuple(map(tuple, value))
 
 
-def _as_rule(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
-    """The rows of a rule; TreeSpec checks and converts their entries."""
+def _as_rule(value: Any, path: str) -> tuple[list[int], ...]:
+    """The rows of a rule, kept as the decoded lists; TreeSpec checks
+    and converts their entries."""
     if not isinstance(value, list) or not all(isinstance(r, list)
                                               for r in value):
         raise SpecParseError(
             "rule must be a list of per-generation child-count lists",
             json_path=path)
-    return tuple(map(tuple, value))
+    return tuple(value)
 
 
 def _as_values(value: Any, path: str) -> dict[str, float]:

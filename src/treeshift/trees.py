@@ -6,6 +6,7 @@ materialized part only and carry the depth to which they were verified.
 """
 from __future__ import annotations
 
+import operator
 import re
 from array import array
 from bisect import bisect_right
@@ -332,6 +333,8 @@ class DirectedTree:
         built, are looked up in a map of every label, built on first
         use."""
         if self._labels is None:
+            if vid == "g0:0":  # the root, the id most often looked up
+                return 0
             match = _DEFAULT_ID.fullmatch(vid) if isinstance(vid, str) \
                 else None
             if match:
@@ -451,17 +454,31 @@ class DirectedTree:
         return self._generations
 
     def resolve_path(self, indices: Sequence[int]) -> str:
-        """Vertex reached from the root by successive child indices."""
-        full = self.expanded()
+        """Vertex reached from the root by successive child indices,
+        walked on the class arrays: the children of the r-th vertex of
+        class c start r * class_degrees[c] vertices after those of the
+        class's first vertex."""
+        starts, first = self.class_starts, None
+        if self.multiplicities is not None:
+            # the first child of each class's first vertex: 1 + the
+            # children of the vertices before it
+            starts = np.ones(self.class_count, dtype=np.int64)
+            np.add.accumulate(
+                (self.class_degrees * self.multiplicities)[:-1],
+                out=starts[1:])
+            starts[1:] += 1
+            first = self._first
         i = 0
-        for k in indices:
-            ch = full._children(i)
-            if not 0 <= k < len(ch):
+        for k in map(operator.index, indices):
+            c = self.class_of(i)
+            degree = self.class_degrees.item(c)
+            if not 0 <= k < degree:
                 raise RangeError(
                     f"child index {k} out of range at vertex "
-                    f"{full.label(i)!r} (degree {len(ch)})")
-            i = ch[k]
-        return full.label(i)
+                    f"{self.label(i)!r} (degree {degree})")
+            r = 0 if first is None else i - first.item(c)
+            i = starts.item(c) + r * degree + k
+        return self.label(i)
 
 
 def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
@@ -592,8 +609,8 @@ class TreeSpec:
         has 1 + n(l-1) vertices.
       - "explicit": ``edges`` is a (parent, child) list over opaque ids.
       - "generation_rule": ``rule[g][i]`` is the child count of the i-th
-        vertex of generation g; generations beyond the rule continue with
-        one child each.
+        vertex of generation g (a row is a tuple or a list); generations
+        beyond the rule continue with one child each.
     """
 
     kind: str
@@ -601,7 +618,7 @@ class TreeSpec:
     kappa: int = 0
     valency: Optional[int] = None
     edges: Optional[tuple[tuple[str, str], ...]] = None
-    rule: Optional[tuple[tuple[int, ...], ...]] = None
+    rule: Optional[tuple[Sequence[int], ...]] = None
     depth: Optional[int] = None
 
     # kind -> (required fields, optional fields), in the order a run
@@ -656,11 +673,57 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The rule's child counts in one array, generation after
     generation, and the generation sizes: 1, then the sum of each row.
-    Raises StructureError when an entry is not an int (a bool is not),
-    or naming the first row that is not one count >= 0 per vertex of
-    its generation."""
-    entries = list(chain.from_iterable(rule))
+    Raises StructureError when the rule is not rows of ints (a bool is
+    not one), or naming the first row that is not one count >= 0 per
+    vertex of its generation.
+
+    Rows that are tuples or lists of counts 0..255 are packed into
+    bytes in one C pass and widened once; any other rule takes the
+    general conversion, which also holds every error."""
     try:
+        # bytes() refuses every entry but an int 0..255 (or a bool);
+        # bytes(n) of an int row would be n zero bytes
+        rows = (list(map(bytes, rule))
+                if set(map(type, rule)) <= {tuple, list} else None)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None:
+        flat = _rule_entries(rule)
+        rows = rule
+    else:
+        # bytes() reads a bool as 0 or 1, so the rows that hold one of
+        # those have their entry types looked at
+        if bool in set(map(type, chain.from_iterable(
+                row for row, packed in zip(rule, rows)
+                if b"\0" in packed or b"\1" in packed))):
+            raise StructureError(_RULE_SHAPE)
+        flat = np.frombuffer(b"".join(rows), np.uint8).astype(np.int64)
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    summed = np.concatenate([[0], np.cumsum(flat)])
+    sizes = np.concatenate([[1], summed[ends] - summed[starts]])
+    # the row of the first negative count
+    negative = ends.searchsorted(np.flatnonzero(flat < 0), side="right")
+    bad = np.flatnonzero(lengths != sizes[:-1])
+    g = min(bad[:1].tolist() + negative[:1].tolist(), default=None)
+    if g is not None:
+        raise StructureError(
+            f"generation rule row {g} has length {lengths.item(g)}; it "
+            f"needs {sizes[g]} child counts >= 0, one per vertex of "
+            f"generation {g}")
+    return flat, sizes
+
+
+_RULE_SHAPE = "rule must be a list of per-generation child-count lists"
+
+
+def _rule_entries(rule: Sequence[Sequence[int]]) -> np.ndarray:
+    """The rule's entries in one int64 array, or an object array of
+    Python ints when one passes _RULE_ENTRY_MAX; StructureError unless
+    the rule is rows of ints."""
+    try:
+        entries = list(chain.from_iterable(rule))
         # one pass converts every entry and refuses all but ints and
         # bools; a bool lands on 0 or 1, so only those entries' types
         # are looked at
@@ -673,24 +736,8 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
     except OverflowError:
         exact, typed = False, set(map(type, entries)) <= {int}
     if not typed:
-        raise StructureError(
-            "rule must be a list of per-generation child-count lists")
-    if not exact:
-        flat = np.array(entries, dtype=object)
-    lengths = np.fromiter(map(len, rule), np.int64, len(rule))
-    ends = np.cumsum(lengths)
-    summed = np.concatenate([[0], np.cumsum(flat)])
-    sizes = np.concatenate([[1], summed[ends] - summed[ends - lengths]])
-    # the row of the first negative count
-    negative = np.searchsorted(ends, np.flatnonzero(flat < 0), side="right")
-    bad = np.flatnonzero(lengths != sizes[:-1])
-    g = min(bad[:1].tolist() + negative[:1].tolist(), default=None)
-    if g is not None:
-        raise StructureError(
-            f"generation rule row {g} has length {lengths.item(g)}; it "
-            f"needs {sizes[g]} child counts >= 0, one per vertex of "
-            f"generation {g}")
-    return flat, sizes
+        raise StructureError(_RULE_SHAPE)
+    return flat if exact else np.array(entries, dtype=object)
 
 
 def _rule_generations(sizes: np.ndarray, depth: int) -> np.ndarray:
@@ -968,12 +1015,17 @@ def _quasi_brownian_classes(valency: int, depth: int) -> DirectedTree:
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
-    """Vertices of depth n, in canonical order."""
+    """Vertices of depth n, in canonical order.  A full tree reads them
+    from its label list, built once, so that a walk over them looks
+    each id up in the label map rather than parsing it; a class tree
+    formats them and builds no labels."""
     if not 0 <= n <= tree.materialized_depth:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")
-    off = tree.gen_offsets
-    return tuple(tree._label_range(off.item(n), off.item(n + 1), n))
+    start, stop = tree.gen_offsets.item(n), tree.gen_offsets.item(n + 1)
+    if tree.multiplicities is None:
+        return tuple(tree.labels[start:stop])
+    return tuple(tree._label_range(start, stop, n))
 
 
 def branching_degree(tree: DirectedTree, k: int) -> int:
