@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree, RangeError,
                        StructureError, TreeSpec, WeightSpec, build_shift,
-                       classify_tree, comb_tree_spec, materialize,
-                       quasi_brownian, two_plus_three_tree_spec)
+                       classify_tree, comb_tree_spec, generation,
+                       materialize, quasi_brownian,
+                       two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
 
 
@@ -290,6 +291,69 @@ def test_moments_at_a_default_id_do_not_expand_a_class_tree():
                                   build_shift(weights, tree)))
     assert report["results"][0]["status"] == "passed"
     assert tree._expanded is None
+
+
+def test_moments_at_a_child_index_path_do_not_expand_a_class_tree():
+    spec = TreeSpec("quasi_brownian", valency=3, depth=1413)
+    weights = WeightSpec("adjacency")
+    tree = materialize(spec)
+    commands = (CommandRecord("moments", {"vertex": [1, 0, 0], "nmax": 12,
+                                          "dual": True}),)
+    report, _ = run_suite(RunSpec(spec, weights, commands,
+                                  build_shift(weights, tree)))
+    assert tree._expanded is None
+    full, _ = run_suite(RunSpec(spec, weights, commands,
+                                build_shift(weights, tree.expanded())))
+    result = report["results"][0]["result"]
+    assert result["vertex"] == "g3:5"
+    assert result == full["results"][0]["result"]
+
+
+@pytest.mark.parametrize("spec", [
+    TreeSpec("quasi_brownian", valency=4, depth=7),
+    TreeSpec("t_eta_kappa", eta=5, depth=6),
+    TreeSpec("generation_rule", rule=((200,), (1,) * 100 + (2,) * 100),
+             depth=5),
+    comb_tree_spec(3, 7),
+])
+def test_child_index_paths_walk_the_class_arrays(spec):
+    tree = materialize(spec)
+    full = materialize(spec).expanded()
+    # every path of up to three steps, and each one step past the last
+    # child of its end
+    paths = [[]]
+    for path in paths:
+        if len(path) < 3:
+            degree = len(full.children_of(full.resolve_path(path)))
+            paths += [path + [k] for k in range(degree)]
+    paths += [path + [len(full.children_of(full.resolve_path(path)))]
+              for path in paths]
+    for path in paths:
+        try:
+            expected = full.resolve_path(path)
+        except RangeError as exc:
+            with pytest.raises(RangeError) as raised:
+                tree.resolve_path(path)
+            assert str(raised.value) == str(exc)
+        else:
+            assert tree.resolve_path(path) == expected
+            walked = full.root
+            for k in path:
+                walked = full.children_of(walked)[k]
+            assert walked == expected
+    assert tree._expanded is None
+
+
+def test_generation_reads_the_label_list_of_a_full_tree_only():
+    tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=50))
+    assert generation(tree, 5) == tuple(f"g5:{i}" for i in range(11))
+    assert tree._labels is None and tree._expanded is None
+    # a walk over a full tree's generations looks its ids up in the map
+    # of every label, as the vertex walks do
+    path = materialize(TreeSpec("path", depth=64))
+    (vid,) = generation(path, 3)
+    assert vid == "g3:0" and path._labels is not None
+    assert path.index(vid) == 3 and path._index_map is not None
 
 
 def test_a_default_id_is_read_from_the_generation_offsets():

@@ -513,7 +513,8 @@ def test_package_exports_each_module_all_once():
 
 
 def test_generation_rule_entries_must_be_integers():
-    for row in ("[2, true]", "[2, 1.0]", "[\"2\"]"):
+    for row in ("[2, true]", "[2, 1.0]", "[\"2\"]", "[false, 2]",
+                "[true, 300]", "[256, -255]", "2", "\"11\""):
         with pytest.raises(SpecParseError) as err:
             parse_spec('{"weights":{"kind":"adjacency"},"tree":{"kind":'
                        '"generation_rule","depth":3,"rule":[[2],' + row

@@ -251,18 +251,20 @@ def _vertex_count_by_loop(rule, depth):
 
 @st.composite
 def rules(draw):
-    """Rule tables, mostly well formed: each row usually has one count
-    per vertex of its generation; counts are small, now and then
-    negative or far beyond the vertex budget."""
+    """Rule tables, mostly well formed: each row, a tuple or a list,
+    usually has one count per vertex of its generation; counts are
+    small, now and then at the edge of a byte (254..257), negative or
+    far beyond the vertex budget."""
     count = st.one_of(st.integers(min_value=0, max_value=3),
+                      st.integers(min_value=254, max_value=257),
                       st.integers(min_value=-2, max_value=-1),
                       st.sampled_from((2 ** 31, 2 ** 40, 10 ** 30)))
     rule, width = [], 1
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         length = draw(st.one_of(st.just(max(0, min(width, 40))),
                                 st.integers(min_value=0, max_value=4)))
-        row = tuple(draw(st.lists(count, min_size=length,
-                                  max_size=length)))
+        row = draw(st.sampled_from((tuple, list)))(draw(st.lists(
+            count, min_size=length, max_size=length)))
         rule.append(row)
         width = sum(row)
     return tuple(rule)

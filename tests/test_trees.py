@@ -1,12 +1,13 @@
 """Structural layer: materialization, generations, classification."""
 import math
 
+import numpy as np
 import pytest
 
 from treeshift import (DirectedTree, RangeError, StructureError, TreeSpec,
                        branching_degree, classify_tree, comb_tree_spec,
                        generation, hub_comb_tree_spec, materialize,
-                       two_plus_three_tree_spec)
+                       spec_vertex_count, two_plus_three_tree_spec)
 from treeshift.errors import ConfigurationError, DomainError
 
 
@@ -80,13 +81,45 @@ def test_generation_rule_padding_and_validation():
         materialize(TreeSpec("generation_rule", rule=((2,), (3,)), depth=4))
 
 
-# (2 ** 70, 1.0): a float after an int beyond int64
+# (2 ** 70, 1.0): a float after an int beyond int64; a bool next to a
+# count that fits a byte, and one next to a count that does not; a str
+# and an int in place of a row (bytes(2) would be two zero counts)
 @pytest.mark.parametrize("row", [(1.5, 1), (True, 1), ("2", 1),
-                                 (2 ** 70, 1.0), (None, 1)])
+                                 (2 ** 70, 1.0), (None, 1), (2, True),
+                                 (False, 2), [1, True], (True, 300),
+                                 (np.True_, 1), (np.float64(1.0), 1),
+                                 "11", 2])
 def test_generation_rule_entries_are_ints(row):
     # a float was truncated to an int, and a bool read as 0 or 1
     with pytest.raises(StructureError, match="child-count lists"):
         TreeSpec("generation_rule", rule=((2,), row), depth=3)
+
+
+# rows that are not tuples or lists of ints 0..255 take the general
+# conversion: a count past a byte, numpy ints (also past a byte), and
+# rows of other types, bytes among them
+@pytest.mark.parametrize("row", [(256, 0), [255, 1], (np.int64(2), 2),
+                                 (np.uint8(1), np.int64(300)),
+                                 np.array([2, 2]), b"\x02\x02",
+                                 range(1, 3)])
+def test_generation_rule_rows_read_as_their_ints(row):
+    ints = tuple(map(int, row))
+    spec = TreeSpec("generation_rule", rule=((2,), row), depth=3)
+    plain = TreeSpec("generation_rule", rule=((2,), ints), depth=3)
+    assert spec_vertex_count(spec) == spec_vertex_count(plain)
+    assert (materialize(spec).expanded().degrees.tolist()
+            == materialize(plain).expanded().degrees.tolist()
+            == [2, *ints, *[1] * sum(ints), *[0] * sum(ints)])
+
+
+@pytest.mark.parametrize("row, length", [((256, -255), 2), ((3, -2), 2),
+                                         ((255,), 1), ((2, 0, 0), 3)])
+def test_generation_rule_rows_that_miss_their_generation(row, length):
+    with pytest.raises(StructureError) as raised:
+        TreeSpec("generation_rule", rule=((2,), row), depth=3)
+    assert str(raised.value) == (
+        f"generation rule row 1 has length {length}; it needs 2 child "
+        f"counts >= 0, one per vertex of generation 1")
 
 
 def test_resolve_path_and_vertex_access():
