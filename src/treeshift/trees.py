@@ -664,6 +664,8 @@ class TreeSpec:
 #: Python ints, whose sums are exact (its tree is never materialized).
 _RULE_ENTRY_MAX = 2 ** 31
 
+_RULE_SHAPE = "rule must be a list of per-generation child-count lists"
+
 #: ``_rule_arrays`` of the empty rule: every generation has one vertex
 _PATH_ARRAYS = (_frozen(np.zeros(0, dtype=np.int64)),
                 _frozen(np.ones(1, dtype=np.int64)))
@@ -683,22 +685,21 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
     try:
         # bytes() refuses every entry but an int 0..255 (or a bool);
         # bytes(n) of an int row would be n zero bytes
-        rows = (list(map(bytes, rule))
-                if set(map(type, rule)) <= {tuple, list} else None)
+        packed = (list(map(bytes, rule))
+                  if set(map(type, rule)) <= {tuple, list} else None)
     except (TypeError, ValueError):
-        rows = None
-    if rows is None:
+        packed = None
+    if packed is None:
         flat = _rule_entries(rule)
-        rows = rule
     else:
         # bytes() reads a bool as 0 or 1, so the rows that hold one of
         # those have their entry types looked at
         if bool in set(map(type, chain.from_iterable(
-                row for row, packed in zip(rule, rows)
-                if b"\0" in packed or b"\1" in packed))):
+                row for row, data in zip(rule, packed)
+                if b"\0" in data or b"\1" in data))):
             raise StructureError(_RULE_SHAPE)
-        flat = np.frombuffer(b"".join(rows), np.uint8).astype(np.int64)
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        flat = np.frombuffer(b"".join(packed), np.uint8).astype(np.int64)
+    lengths = np.fromiter(map(len, rule), np.int64, len(rule))
     ends = np.cumsum(lengths)
     starts = ends - lengths
     summed = np.concatenate([[0], np.cumsum(flat)])
@@ -713,9 +714,6 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
             f"needs {sizes[g]} child counts >= 0, one per vertex of "
             f"generation {g}")
     return flat, sizes
-
-
-_RULE_SHAPE = "rule must be a list of per-generation child-count lists"
 
 
 def _rule_entries(rule: Sequence[Sequence[int]]) -> np.ndarray:
