@@ -163,7 +163,7 @@ class DirectedTree:
             layout = None
             if (offsets[-1] == count and child_starts.item(-1) == count
                     and (child_starts[offsets[1:-1]] == offsets[2:]).all()):
-                layout = (offsets, slice(None), None, None)
+                layout = (offsets, slice(None), None, None, None)
         else:
             layout = _class_layout(
                 degrees, offsets, child_starts,
@@ -172,7 +172,7 @@ class DirectedTree:
         if layout is None:
             raise StructureError(
                 "child counts do not match the generation sizes")
-        class_offsets, kids, mult, first = layout
+        class_offsets, kids, mult, first, first_child = layout
         if labels is not None and len(labels) != offsets[-1]:
             raise StructureError(
                 f"{len(labels)} labels for {offsets[-1]} vertices")
@@ -192,6 +192,8 @@ class DirectedTree:
         self.gen_offsets = _frozen(offsets)
         self._sizes = _frozen(sizes)
         self._first = first  # first vertex per class of a class tree
+        # first child of each class's first vertex, on a class tree
+        self._first_child = first_child
         self._labels = labels
         self._index_map: Optional[dict[str, int]] = None
         self._depths: Optional[np.ndarray] = None
@@ -333,8 +335,6 @@ class DirectedTree:
         built, are looked up in a map of every label, built on first
         use."""
         if self._labels is None:
-            if vid == "g0:0":  # the root, the id most often looked up
-                return 0
             match = _DEFAULT_ID.fullmatch(vid) if isinstance(vid, str) \
                 else None
             if match:
@@ -458,16 +458,9 @@ class DirectedTree:
         walked on the class arrays: the children of the r-th vertex of
         class c start r * class_degrees[c] vertices after those of the
         class's first vertex."""
-        starts, first = self.class_starts, None
-        if self.multiplicities is not None:
-            # the first child of each class's first vertex: 1 + the
-            # children of the vertices before it
-            starts = np.ones(self.class_count, dtype=np.int64)
-            np.add.accumulate(
-                (self.class_degrees * self.multiplicities)[:-1],
-                out=starts[1:])
-            starts[1:] += 1
-            first = self._first
+        first, starts = self._first, self._first_child
+        if first is None:  # a full tree: each class is one vertex
+            starts = self.class_starts
         i = 0
         for k in map(operator.index, indices):
             c = self.class_of(i)
@@ -485,8 +478,9 @@ def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
                   starts: np.ndarray, children: np.ndarray,
                   mult: np.ndarray) -> Optional[tuple]:
     """Class offsets, child-edge classes (0 first, for the root), the
-    multiplicities and the first vertex of every class, or None when the
-    classes do not stand for consecutive vertices.
+    multiplicities, and the first vertex of every class and the first
+    child of that vertex, or None when the classes do not stand for
+    consecutive vertices.
 
     They do when the multiplicities cut the generations (vertex offsets
     ``offsets``) at class boundaries, the edge classes never decrease,
@@ -528,7 +522,7 @@ def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
     if ((reach[p] + within * each + 1 != need)
             | (within * (each - 1) != 0)).any():
         return None
-    return class_offsets, kids, mult, first[:-1]
+    return class_offsets, kids, mult, first[:-1], reach + 1
 
 
 def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
@@ -611,6 +605,11 @@ class TreeSpec:
       - "generation_rule": ``rule[g][i]`` is the child count of the i-th
         vertex of generation g (a row is a tuple or a list); generations
         beyond the rule continue with one child each.
+
+    The rule is read once, when the spec is built; do not change its
+    rows afterwards.  A spec parsed from JSON keeps the decoded lists
+    as rows, so it cannot be hashed and compares unequal to the same
+    spec with tuple rows.
     """
 
     kind: str
@@ -1012,16 +1011,24 @@ def _quasi_brownian_classes(valency: int, depth: int) -> DirectedTree:
                         multiplicities=mult)
 
 
+#: Largest full tree whose label list ``generation`` builds, so that a
+#: walk over its ids looks them up in the label map (0.07 us an id)
+#: rather than parsing each (0.8 us); a larger tree formats the one
+#: generation asked for, at the cost of that generation alone.
+_GENERATION_LABELS_MAX = 1 << 12
+
+
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
-    """Vertices of depth n, in canonical order.  A full tree reads them
-    from its label list, built once, so that a walk over them looks
-    each id up in the label map rather than parsing it; a class tree
-    formats them and builds no labels."""
+    """Vertices of depth n, in canonical order.  A full tree of at most
+    ``_GENERATION_LABELS_MAX`` vertices reads them from its label list,
+    built once; any other tree reads the list only if it is built, and
+    otherwise formats the generation's ids."""
     if not 0 <= n <= tree.materialized_depth:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")
     start, stop = tree.gen_offsets.item(n), tree.gen_offsets.item(n + 1)
-    if tree.multiplicities is None:
+    if (tree.multiplicities is None
+            and tree.vertex_count <= _GENERATION_LABELS_MAX):
         return tuple(tree.labels[start:stop])
     return tuple(tree._label_range(start, stop, n))
 

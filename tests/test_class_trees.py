@@ -17,6 +17,7 @@ from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree, RangeError,
                        materialize, quasi_brownian,
                        two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
+from treeshift.trees import _GENERATION_LABELS_MAX
 
 
 def _commands(tree, weights):
@@ -354,6 +355,11 @@ def test_generation_reads_the_label_list_of_a_full_tree_only():
     (vid,) = generation(path, 3)
     assert vid == "g3:0" and path._labels is not None
     assert path.index(vid) == 3 and path._index_map is not None
+    # past the bound a full tree formats the one generation asked for
+    long = materialize(TreeSpec("path", depth=_GENERATION_LABELS_MAX))
+    assert long.multiplicities is None
+    assert generation(long, 7) == ("g7:0",) and long._labels is None
+    assert long.index("g7:0") == 7 and long._index_map is None
 
 
 def test_a_default_id_is_read_from_the_generation_offsets():
