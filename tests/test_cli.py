@@ -522,6 +522,20 @@ def test_generation_rule_entries_must_be_integers():
         assert err.value.json_path == "$.tree.rule"
 
 
+def test_a_parsed_rule_keeps_its_decoded_list_rows():
+    # the rows are not copied into tuples, so a parsed generation_rule
+    # spec cannot be hashed and differs from the spec with tuple rows
+    spec = parse_spec('{"weights":{"kind":"adjacency"},"tree":{"kind":'
+                      '"generation_rule","depth":3,"rule":[[2],[1,3]]}}')
+    tree = spec.tree
+    assert tree.rule == ([2], [1, 3])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(tree)
+    tupled = TreeSpec("generation_rule", depth=3, rule=((2,), (1, 3)))
+    assert tree != tupled
+    assert materialize(tree).labels == materialize(tupled).labels
+
+
 # ---------------------------------------------------------------------------
 # the spec schema: TreeSpec/WeightSpec.KIND_FIELDS and the command table
 # ---------------------------------------------------------------------------
