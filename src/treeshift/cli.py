@@ -45,8 +45,7 @@ from .shifts import (DEFAULT_TOL, WeightedShift, WeightSpec, build_shift,
                      are_unitarily_equivalent,
                      are_unitarily_equivalent_multiset)
 from .trees import (DirectedTree, TreeSpec, classify_tree, comb_tree_spec,
-                    generation, hub_comb_tree_spec, materialize,
-                    two_plus_three_tree_spec)
+                    hub_comb_tree_spec, materialize, two_plus_three_tree_spec)
 
 __all__ = ["RunSpec", "CommandRecord", "parse_spec", "run_suite", "run_demo",
            "main", "DEMO_NAMES"]
@@ -625,10 +624,9 @@ def _demo_bergman_dual(tol: float) -> _DemoOutcome:
     two_d = is_two_isometry(dual, tol)
     kc_d = satisfies_kernel_condition(dual, 0, tol)
     dev_w = 0.0
-    for d in range(1, 33):
-        (vid,) = generation(tree, d)
-        dev_w = max(dev_w, abs(dual.weight(vid)
-                               - two_isometry_weight(d - 1, math.sqrt(2))))
+    # vertex d of the path has depth d
+    for d, w in enumerate(dual.class_weights[1:33].tolist(), start=1):
+        dev_w = max(dev_w, abs(w - two_isometry_weight(d - 1, math.sqrt(2))))
     ok = (dev < 1e-12 and haus.is_hausdorff and dev_mu < 1e-12
           and two_d.holds and kc_d.holds and dev_w < 1e-12)
     statement = (f"subnormal contraction: power moments equal 1/(n+1) "
@@ -892,24 +890,25 @@ def _demo_sl_chm(tol: float) -> _DemoOutcome:
     norms = []
     residual_max = 0.0
     for eta in (4, 8, 16):
-        tree = materialize(TreeSpec("t_eta_kappa", eta=eta, depth=depth))
-        w: dict[str, float] = {}
-        for i, first in enumerate(tree.children_of(tree.root), start=1):
-            w[first] = 2.0 ** (-i)
-            second = math.sqrt(i / 2.0 + 1.0) if i % 2 == 0 else 1.0
-            u, j = first, 2
-            while tree.children_of(u):
-                (v,) = tree.children_of(u)
-                w[v] = two_isometry_weight(j - 2, second)
-                u, j = v, j + 1
-        shift = WeightedShift(tree, w, name=f"sl-chm(eta={eta})")
+        tree = materialize(TreeSpec("t_eta_kappa", eta=eta,
+                                    depth=depth)).expanded()
+        # ray i starts with weight 2^-i, then takes the two-isometry
+        # weights of first weight second[i]; in canonical order,
+        # generation g >= 1 holds vertex g of every ray, in ray order
+        second = [math.sqrt(i / 2.0 + 1.0) if i % 2 == 0 else 1.0
+                  for i in range(1, eta + 1)]
+        w = [0.0] + [2.0 ** (-i) for i in range(1, eta + 1)]
+        for g in range(2, depth + 1):
+            w += [two_isometry_weight(g - 2, x) for x in second]
+        shift = WeightedShift.from_array(tree, np.array(w),
+                                         name=f"sl-chm(eta={eta})")
         norms.append(operator_norm(shift))
-        for g in range(1, depth - 1):
-            for u in generation(tree, g):
-                lhs = sum(shift.weight(v) ** 2
-                          * (2.0 - vertex_norm(shift, v) ** 2)
-                          for v in tree.children_of(u))
-                residual_max = max(residual_max, abs(lhs - 1.0))
+        weights = shift.class_weights.tolist()
+        vertex_norms = shift.class_norms.tolist()
+        # the one child v of every vertex of generations 1..depth-2
+        for v in range(1 + eta, 1 + (depth - 1) * eta):
+            lhs = weights[v] ** 2 * (2.0 - vertex_norms[v] ** 2)
+            residual_max = max(residual_max, abs(lhs - 1.0))
     growing = all(a < b for a, b in zip(norms, norms[1:]))
     ok = growing and residual_max < 1e-12
     statement = (f"unbounded family: the expansion identity holds exactly "

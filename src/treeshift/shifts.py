@@ -97,8 +97,8 @@ class WeightedShift:
     are ``has_zero_weights`` and ``is_adjacency``; squares are products,
     which IEEE 754 rounds correctly.  ``weight_array``,
     ``squared_weights``, ``vertex_norms`` and ``squared_norms`` are the
-    same arrays per vertex in canonical order (on a full tree, where
-    every class is one vertex, the class arrays themselves).  The
+    same arrays per vertex in canonical order: the class arrays of
+    ``expanded()``, which on a full tree is the shift itself.  The
     verdicts of ``is_two_isometry`` and ``satisfies_kernel_condition``
     are kept per tolerance (and k), never the arrays behind them.
     """
@@ -165,18 +165,14 @@ class WeightedShift:
         """This shift on ``tree.expanded()``, one weight per vertex:
         built on first use and kept.  A shift on a full tree is its
         own."""
-        if self._tree.multiplicities is None:
+        tree = self._tree
+        if tree.class_count == tree.vertex_count:
             return self
         if self._expanded is None:
             self._expanded = WeightedShift.from_array(
-                self._tree.expanded(), self.weight_array, self.name)
+                tree.expanded(), self.class_weights[tree.vertex_classes],
+                self.name)
         return self._expanded
-
-    def _per_vertex(self, values: np.ndarray) -> np.ndarray:
-        """A per-class array read per vertex, in canonical order."""
-        if self._tree.multiplicities is None:
-            return values
-        return _frozen(values[self._tree.vertex_classes])
 
     @cached_property
     def class_squared_weights(self) -> np.ndarray:
@@ -206,23 +202,24 @@ class WeightedShift:
             squares = norms * norms
         return _frozen(squares)
 
-    @cached_property
+    # per vertex, in canonical order: the class arrays of expanded()
+    @property
     def weight_array(self) -> np.ndarray:
         """Weights in canonical vertex order; entry 0 (the root) is 0."""
-        return self._per_vertex(self.class_weights)
+        return self.expanded().class_weights
 
-    @cached_property
+    @property
     def squared_weights(self) -> np.ndarray:
-        return self._per_vertex(self.class_squared_weights)
+        return self.expanded().class_squared_weights
 
-    @cached_property
+    @property
     def vertex_norms(self) -> np.ndarray:
         """``class_norms`` per vertex."""
-        return self._per_vertex(self.class_norms)
+        return self.expanded().class_norms
 
-    @cached_property
+    @property
     def squared_norms(self) -> np.ndarray:
-        return self._per_vertex(self.class_squared_norms)
+        return self.expanded().class_squared_norms
 
     def weight(self, vid: str) -> float:
         try:
@@ -434,17 +431,18 @@ def _on_classes(spec: WeightSpec, tree: DirectedTree, weights: np.ndarray,
                 name: str) -> WeightedShift:
     """The shift whose child edge e has weight ``weights[e]`` (entry 0,
     the root's, is 0): on the tree's classes when all the edges into
-    each class agree, else ``build_shift`` on ``tree.expanded()``."""
-    if tree.multiplicities is not None:
-        # the edges into a class are consecutive, since the edge classes
-        # never decrease; the first gives the class its weight
-        kids = tree.children
-        per_class = weights[np.searchsorted(kids,
-                                            np.arange(tree.class_count))]
-        if not np.array_equal(per_class[kids], weights):
-            return build_shift(spec, tree.expanded())
-        weights = per_class
-    return WeightedShift.from_array(tree, weights, name=name)
+    each class agree, else ``build_shift`` on ``tree.expanded()``.  On a
+    full tree every class has one edge, so they do."""
+    # the edges into a class are consecutive, since the edge classes
+    # never decrease; the first gives the class its weight, and every
+    # later one must have the weight of the edge before it
+    kids = tree.children
+    first = np.empty(len(kids), dtype=bool)
+    first[0] = True
+    np.not_equal(kids[1:], kids[:-1], out=first[1:])
+    if not (first[1:] | (weights[1:] == weights[:-1])).all():
+        return build_shift(spec, tree.expanded())
+    return WeightedShift.from_array(tree, weights[first], name=name)
 
 
 def _leaf_error(tree: DirectedTree, c: int) -> None:

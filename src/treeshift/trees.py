@@ -108,15 +108,15 @@ class DirectedTree:
     1..E class by class, and ``class_parents[e]`` is the class edge e
     leaves; entry 0 of both stands for the root (class 0, parent -1).
 
-    A full tree is the case where every class is one vertex:
-    ``multiplicities`` is None, edge e leads to vertex e, ``children`` is
-    the identity, held as ``slice(None)`` so that indexing with it is a
-    view, and the class arrays are the vertex arrays.  The per-vertex
-    arrays ``degrees``, ``parents`` and ``child_starts``, and the lookups
-    that read them, come from ``expanded()``; ``gen_offsets``,
-    ``generation_sizes``, ``vertex_count``, the labels and ``index`` need
-    no expansion.  String ids (``labels``) are kept for the public API
-    only.
+    A full tree is the case ``class_count == vertex_count``: every class
+    is one vertex, edge e leads to vertex e, and the class arrays are the
+    vertex arrays.  Its ``children`` and first vertex per class are one
+    shared ``arange(V)``, and its ``multiplicities`` a read-only view of
+    a single 1.  The per-vertex arrays ``degrees``, ``parents`` and
+    ``child_starts``, and the lookups that read them, come from
+    ``expanded()``; ``gen_offsets``, ``generation_sizes``,
+    ``vertex_count``, the labels and ``index`` need no expansion.  String
+    ids (``labels``) are kept for the public API only.
     """
 
     def __init__(self, degrees: Sequence[int],
@@ -163,7 +163,11 @@ class DirectedTree:
             layout = None
             if (offsets[-1] == count and child_starts.item(-1) == count
                     and (child_starts[offsets[1:-1]] == offsets[2:]).all()):
-                layout = (offsets, slice(None), None, None, None)
+                # every class one vertex: edge e leads to vertex e
+                ident = np.arange(count, dtype=np.int64)
+                layout = (offsets, ident,
+                          np.broadcast_to(np.int64(1), (count,)), ident,
+                          child_starts[:-1])
         else:
             layout = _class_layout(
                 degrees, offsets, child_starts,
@@ -183,25 +187,22 @@ class DirectedTree:
         self.class_offsets = _frozen(class_offsets)
         #: first child edge per class; length C + 1, edges are 1..E
         self.class_starts = _frozen(child_starts)
-        #: class each child edge leads to, 0 at entry 0 (the root);
-        #: slice(None) on a full tree
-        self.children = kids if mult is None else _frozen(kids)
-        #: vertices per class; None on a full tree
-        self.multiplicities = mult if mult is None else _frozen(mult)
+        #: class each child edge leads to, 0 at entry 0 (the root)
+        self.children = _frozen(kids)
+        #: vertices per class
+        self.multiplicities = _frozen(mult)
         #: generation g is the vertex range gen_offsets[g]:gen_offsets[g+1]
         self.gen_offsets = _frozen(offsets)
         self._sizes = _frozen(sizes)
-        self._first = first  # first vertex per class of a class tree
-        # first child of each class's first vertex, on a class tree
-        self._first_child = first_child
+        self._first = _frozen(first)  # first vertex per class
+        # first child of each class's first vertex
+        self._first_child = _frozen(first_child)
         self._labels = labels
         self._index_map: Optional[dict[str, int]] = None
         self._depths: Optional[np.ndarray] = None
         self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._vertex_expansion: Optional[tuple[np.ndarray, ...]] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
         self._expanded: Optional[DirectedTree] = None
-        self._vertex_classes: Optional[np.ndarray] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]],
@@ -234,7 +235,7 @@ class DirectedTree:
     def expanded(self) -> "DirectedTree":
         """The full tree, every class replaced by its vertices: built on
         first use and kept.  A full tree is its own."""
-        if self.multiplicities is None:
+        if self.class_count == self.vertex_count:
             return self
         if self._expanded is None:
             self._expanded = DirectedTree(
@@ -242,27 +243,25 @@ class DirectedTree:
                 self._labels)
         return self._expanded
 
-    @property
+    @cached_property
     def vertex_classes(self) -> np.ndarray:
         """Class of every vertex, in canonical order (built on first
-        use); the identity on a full tree."""
-        if self._vertex_classes is None:
-            classes = np.arange(self.class_count)
-            if self.multiplicities is not None:
-                classes = classes.repeat(self.multiplicities)
-            self._vertex_classes = _frozen(classes)
-        return self._vertex_classes
+        use)."""
+        return _frozen(np.arange(self.class_count).repeat(
+            self.multiplicities))
 
     def edge_classes(self, edges: slice | np.ndarray) -> slice | np.ndarray:
         """Classes the child edges ``edges`` (a slice or an index array)
         lead to, as an index into per-class arrays.  On a full tree that
         is ``edges`` itself, so that indexing with a slice stays a
         view."""
-        return edges if self.multiplicities is None else self.children[edges]
+        if self.class_count == self.vertex_count:
+            return edges
+        return self.children[edges]
 
     def class_of(self, index: int) -> int:
         """Class of vertex ``index``."""
-        if self.multiplicities is None:
+        if self.class_count == self.vertex_count:
             return index
         return int(self._first.searchsorted(index, side="right")) - 1
 
@@ -271,10 +270,7 @@ class DirectedTree:
 
     def class_label(self, c: int) -> str:
         """Id of the first vertex of class c."""
-        if self.multiplicities is None:
-            return self.label(c)
-        i = self._first.item(c)
-        return self._label_range(i, i + 1, self.class_depth(c))[0]
+        return self.label(self._first.item(c))
 
     # -- vertices ---------------------------------------------------------
     @property
@@ -306,27 +302,30 @@ class DirectedTree:
         return self._labels
 
     def label(self, index: int) -> str:
-        return self._label_range(index, index + 1)[0]
+        """Id of vertex ``index``; RangeError outside 0..V-1."""
+        if self._labels is not None and 0 <= index < len(self._labels):
+            return self._labels[index]
+        depth = self.depth_at(index)  # RangeError outside 0..V-1
+        return f"g{depth}:{index - self.gen_offsets.item(depth)}"
 
-    def _label_range(self, start: int, stop: int,
-                     depth: Optional[int] = None) -> list[str]:
-        """Ids of the vertices start..stop-1, which lie in one generation
-        (``depth``, default that of ``start``) unless the labels are
-        already built."""
+    def _label_range(self, start: int, stop: int, depth: int) -> list[str]:
+        """Ids of the vertices start..stop-1 of generation ``depth``."""
         if self._labels is not None:
             return self._labels[start:stop]
-        if start >= stop:
-            return []
-        d = self.depth_at(start) if depth is None else depth
-        first = start - self.gen_offsets.item(d)
-        return [f"g{d}:{i}" for i in range(first, first + stop - start)]
+        first = start - self.gen_offsets.item(depth)
+        return [f"g{depth}:{i}" for i in range(first, first + stop - start)]
 
     def depth_at(self, index: int) -> int:
-        if self.multiplicities is not None:  # no per-vertex array
-            return int(self.gen_offsets.searchsorted(index, side="right")) - 1
-        if self._depths is None:
-            self._depths = np.arange(self._depth + 1).repeat(self._sizes)
-        return self._depths.item(index)
+        """Depth of vertex ``index``; RangeError outside 0..V-1."""
+        count = self.gen_offsets.item(-1)
+        if not 0 <= index < count:
+            raise RangeError(f"vertex index {index} out of range "
+                             f"[0, {count})")
+        if len(self.class_degrees) == count:  # a full tree: O(1)
+            if self._depths is None:
+                self._depths = np.arange(self._depth + 1).repeat(self._sizes)
+            return self._depths.item(index)
+        return int(self.gen_offsets.searchsorted(index, side="right")) - 1
 
     def index(self, vid: str) -> int:
         """Canonical index of a vertex id.  Until the labels are built, a
@@ -435,16 +434,8 @@ class DirectedTree:
 
     def adjacency_expansion(self) -> tuple[np.ndarray, np.ndarray]:
         """``class_adjacency_expansion`` at every vertex of depth <= N-2,
-        in canonical order.  Kept (read-only)."""
-        sides = self.class_adjacency_expansion()
-        if self.multiplicities is None:
-            return sides
-        if self._vertex_expansion is None:
-            classes = self.vertex_classes[
-                :self.gen_offsets.item(max(self._depth - 1, 0))]
-            self._vertex_expansion = tuple(_frozen(side[classes])
-                                           for side in sides)
-        return self._vertex_expansion
+        in canonical order: that of ``expanded()``.  Kept (read-only)."""
+        return self.expanded().class_adjacency_expansion()
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
@@ -459,8 +450,6 @@ class DirectedTree:
         class c start r * class_degrees[c] vertices after those of the
         class's first vertex."""
         first, starts = self._first, self._first_child
-        if first is None:  # a full tree: each class is one vertex
-            starts = self.class_starts
         i = 0
         for k in map(operator.index, indices):
             c = self.class_of(i)
@@ -469,8 +458,7 @@ class DirectedTree:
                 raise RangeError(
                     f"child index {k} out of range at vertex "
                     f"{self.label(i)!r} (degree {degree})")
-            r = 0 if first is None else i - first.item(c)
-            i = starts.item(c) + r * degree + k
+            i = starts.item(c) + (i - first.item(c)) * degree + k
         return self.label(i)
 
 
@@ -965,9 +953,7 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         return _quasi_brownian_classes(spec.valency, depth)
-    # a path is a class per vertex
-    tree = None if spec.kind == "path" else _rule_classes(*spec._rule_arrays,
-                                                          depth, count)
+    tree = _rule_classes(*spec._rule_arrays, depth, count)
     return tree if tree is not None else _tree_from_rule(*spec._rule_arrays,
                                                          depth)
 
@@ -1011,25 +997,14 @@ def _quasi_brownian_classes(valency: int, depth: int) -> DirectedTree:
                         multiplicities=mult)
 
 
-#: Largest full tree whose label list ``generation`` builds, so that a
-#: walk over its ids looks them up in the label map (0.07 us an id)
-#: rather than parsing each (0.8 us); a larger tree formats the one
-#: generation asked for, at the cost of that generation alone.
-_GENERATION_LABELS_MAX = 1 << 12
-
-
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
-    """Vertices of depth n, in canonical order.  A full tree of at most
-    ``_GENERATION_LABELS_MAX`` vertices reads them from its label list,
-    built once; any other tree reads the list only if it is built, and
-    otherwise formats the generation's ids."""
+    """Vertices of depth n, in canonical order: read from the label list
+    if it is built, and otherwise formatted, at the cost of the
+    generation alone."""
     if not 0 <= n <= tree.materialized_depth:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")
     start, stop = tree.gen_offsets.item(n), tree.gen_offsets.item(n + 1)
-    if (tree.multiplicities is None
-            and tree.vertex_count <= _GENERATION_LABELS_MAX):
-        return tuple(tree.labels[start:stop])
     return tuple(tree._label_range(start, stop, n))
 
 
@@ -1134,21 +1109,17 @@ def classify_tree(tree: DirectedTree) -> TreeStructureReport:
     that verdict holds.  The degree multisets are the class degrees,
     each repeated by its multiplicity."""
     n = tree.materialized_depth
-    off = tree.class_offsets.tolist()
-    deg, mult = tree.class_degrees, tree.multiplicities
-    known = deg[:off[n]]
+    inner = tree.class_offsets.item(n)  # classes of depth <= N-1
+    known = tree.class_degrees[:inner]
     leafless = bool(np.all(known >= 1))
     max_deg = int(known.max()) if len(known) else 0
-
-    if mult is None:
-        multisets = tuple(tuple(np.sort(deg[off[g]:off[g + 1]]).tolist())
-                          for g in range(n))
-    else:
-        # a few classes per generation: sorted in Python, then repeated
-        pairs = list(zip(deg[:off[n]].tolist(), mult[:off[n]].tolist()))
-        multisets = tuple(tuple(chain.from_iterable(
-            [d] * m for d, m in sorted(pairs[off[g]:off[g + 1]])))
-            for g in range(n))
+    # the classes sorted by generation, then degree, each repeated by
+    # its multiplicity: every generation's sorted degrees in a row
+    order = np.lexsort((known, np.arange(n).repeat(
+        np.diff(tree.class_offsets[:n + 1]))))
+    degrees = known[order].repeat(tree.multiplicities[:inner][order]).tolist()
+    off = tree.gen_offsets.tolist()
+    multisets = tuple(tuple(degrees[off[g]:off[g + 1]]) for g in range(n))
     verdict = quasi_brownian(tree)
     return TreeStructureReport(leafless, max_deg, multisets, verdict,
                                max_deg if verdict.holds else None)

@@ -10,16 +10,20 @@ directory), the exit code and the JSON report minus its
 they were captured from; recapture only when a change of a report is
 intended, and say which keys changed and why.  With ``--check`` the
 reports are captured into a temporary directory instead, and the exit
-code is 1 when any of them differs from ``reports/`` by a byte.
+code is 1 when any of them differs from ``reports/`` by a byte; the
+first 40 lines of a unified diff of each such report are printed, so
+that the keys that moved are named.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 from treeshift.cli import DEMO_NAMES
@@ -85,13 +89,22 @@ def main(argv: list[str] | None = None) -> int:
         (HERE / "reports").mkdir(exist_ok=True)
         capture(HERE / "reports")
         return 0
+    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         capture(Path(tmp))
-        differ = [name for name in CASES
-                  if (Path(tmp) / f"{name}.json").read_bytes()
-                  != (HERE / "reports" / f"{name}.json").read_bytes()]
-    for name in differ:
-        print(f"{name}: differs from reports/{name}.json")
+        for name in CASES:
+            old = HERE / "reports" / f"{name}.json"
+            new = Path(tmp) / f"{name}.json"
+            if new.read_bytes() == old.read_bytes():
+                continue
+            differ += 1
+            print(f"{name}: differs from reports/{name}.json")
+            diff = difflib.unified_diff(
+                old.read_text(encoding="utf-8").splitlines(),
+                new.read_text(encoding="utf-8").splitlines(),
+                f"reports/{name}.json", "captured", lineterm="")
+            for line in islice(diff, 40):
+                print(line)
     return 1 if differ else 0
 
 

@@ -17,7 +17,6 @@ from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree, RangeError,
                        materialize, quasi_brownian,
                        two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
-from treeshift.trees import _GENERATION_LABELS_MAX
 
 
 def _commands(tree, weights):
@@ -55,7 +54,7 @@ def _results(spec, weights, shift, commands):
 def _assert_classes_report_as_full_tree(spec, weights):
     tree = materialize(spec)
     full = tree.expanded()
-    assert full.multiplicities is None
+    assert full.class_count == full.vertex_count
     commands = _commands(tree, weights)
     assert _results(spec, weights, build_shift(weights, tree), commands) \
         == _results(spec, weights, build_shift(weights, full), commands)
@@ -93,7 +92,8 @@ def hashed_rules(draw, depth):
         rule.append(tuple(row))
         width = sum(row)
     spec = TreeSpec("generation_rule", rule=tuple(rule), depth=depth)
-    assume(materialize(spec).multiplicities is not None)
+    tree = materialize(spec)
+    assume(tree.class_count < tree.vertex_count)
     return spec
 
 
@@ -204,7 +204,7 @@ def test_hashed_rule_trees_report_on_classes_as_on_the_full_tree(rule,
                                                                  depth):
     spec = TreeSpec("generation_rule", rule=rule, depth=depth)
     tree = materialize(spec)
-    assert tree.multiplicities is not None
+    assert tree.class_count < tree.vertex_count
     assert tree.class_count * MIN_VERTICES_PER_CLASS <= tree.vertex_count
     assert tree.expanded().degrees.tolist() == _rule_degrees(rule, depth)
     weights = [WeightSpec("adjacency")]
@@ -268,8 +268,7 @@ def test_the_quasi_brownian_rule_hashes_to_no_more_classes_than_its_family():
 ], ids=["comb-2-depth-40", "binary-8", "two-plus-three-a", "path-500"])
 def test_rule_trees_under_the_hashing_bound_stay_full(spec):
     tree = materialize(spec)
-    assert tree.multiplicities is None
-    assert tree.children == slice(None)
+    assert tree.class_count == tree.vertex_count
 
 
 def test_a_deep_comb_is_a_ray_class_and_a_spine_class_per_generation():
@@ -345,21 +344,19 @@ def test_child_index_paths_walk_the_class_arrays(spec):
     assert tree._expanded is None
 
 
-def test_generation_reads_the_label_list_of_a_full_tree_only():
-    tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=50))
-    assert generation(tree, 5) == tuple(f"g5:{i}" for i in range(11))
-    assert tree._labels is None and tree._expanded is None
-    # a walk over a full tree's generations looks its ids up in the map
-    # of every label, as the vertex walks do
-    path = materialize(TreeSpec("path", depth=64))
-    (vid,) = generation(path, 3)
-    assert vid == "g3:0" and path._labels is not None
-    assert path.index(vid) == 3 and path._index_map is not None
-    # past the bound a full tree formats the one generation asked for
-    long = materialize(TreeSpec("path", depth=_GENERATION_LABELS_MAX))
-    assert long.multiplicities is None
-    assert generation(long, 7) == ("g7:0",) and long._labels is None
-    assert long.index("g7:0") == 7 and long._index_map is None
+def test_generation_never_builds_the_label_list():
+    trees = [materialize(TreeSpec("quasi_brownian", valency=3, depth=50)),
+             materialize(TreeSpec("path", depth=64)),
+             materialize(TreeSpec("generation_rule",
+                                  rule=((2,), (1, 2)), depth=6))]
+    for tree in trees:
+        for n in range(tree.materialized_depth + 1):
+            generation(tree, n)
+        assert tree._labels is None and tree._expanded is None
+        off = tree.gen_offsets.tolist()
+        assert [generation(tree, n)
+                for n in range(tree.materialized_depth + 1)] \
+            == [tuple(tree.labels[a:b]) for a, b in zip(off, off[1:])]
 
 
 def test_a_default_id_is_read_from_the_generation_offsets():
@@ -382,6 +379,24 @@ def test_ids_outside_the_default_form_are_unknown(vid):
         with pytest.raises(RangeError, match="unknown vertex"):
             t.index(vid)
         assert vid not in t
+
+
+@pytest.mark.parametrize("labelled", (False, True),
+                         ids=("formatted", "labelled"))
+@pytest.mark.parametrize("spec", [
+    TreeSpec("quasi_brownian", valency=3, depth=4), TreeSpec("path", depth=4),
+], ids=["quasi-brownian-classes", "path"])
+def test_vertex_indices_outside_the_tree_are_out_of_range(spec, labelled):
+    tree = materialize(spec)
+    if labelled:
+        assert len(tree.labels) == tree.vertex_count
+    last = tree.vertex_count - 1
+    assert tree.depth_at(last) == 4
+    assert tree.label(last) == f"g4:{tree.generation_sizes[4] - 1}"
+    for i in (last + 1, -1):
+        for lookup in (tree.label, tree.depth_at):
+            with pytest.raises(RangeError, match="out of range"):
+                lookup(i)
 
 
 def test_explicit_labels_are_looked_up_by_label():
@@ -415,7 +430,7 @@ def test_kernel_condition_on_a_quasi_brownian_tree_uses_the_full_tree():
     tree = materialize(spec)
     shift = build_shift(weights, tree)
     assert shift.tree is tree.expanded()
-    assert shift.tree.multiplicities is None
+    assert shift.tree.class_count == shift.tree.vertex_count
     full = build_shift(weights, tree.expanded())
     assert shift.weight_array.tobytes() == full.weight_array.tobytes()
     _assert_classes_report_as_full_tree(spec, weights)
@@ -456,7 +471,7 @@ def test_a_binary_tree_as_one_class_per_generation():
                     rule=tuple((2,) * 2 ** g for g in range(depth)),
                     depth=depth)
     full = materialize(rule)  # under the hashing bound: a full tree
-    assert full.multiplicities is None
+    assert full.class_count == full.vertex_count
     assert np.array_equal(classes.expanded().degrees, full.degrees)
     weights = WeightSpec("kernel_condition", x=1.4)
     commands = _commands(full, weights)
