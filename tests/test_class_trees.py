@@ -350,13 +350,11 @@ def test_generation_never_builds_the_label_list():
              materialize(TreeSpec("generation_rule",
                                   rule=((2,), (1, 2)), depth=6))]
     for tree in trees:
-        for n in range(tree.materialized_depth + 1):
-            generation(tree, n)
+        ids = [generation(tree, n)
+               for n in range(tree.materialized_depth + 1)]
         assert tree._labels is None and tree._expanded is None
         off = tree.gen_offsets.tolist()
-        assert [generation(tree, n)
-                for n in range(tree.materialized_depth + 1)] \
-            == [tuple(tree.labels[a:b]) for a, b in zip(off, off[1:])]
+        assert ids == [tuple(tree.labels[a:b]) for a, b in zip(off, off[1:])]
 
 
 def test_a_default_id_is_read_from_the_generation_offsets():
