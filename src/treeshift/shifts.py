@@ -136,9 +136,18 @@ class WeightedShift:
         shift._init(tree, weights, name)
         return shift
 
+    @classmethod
+    def _keeping(cls, tree: DirectedTree, weights: np.ndarray,
+                 name: Optional[str]) -> "WeightedShift":
+        """Shift that keeps ``weights``, a fresh float array of one
+        weight per class, as its ``class_weights``, without a copy."""
+        shift = cls.__new__(cls)
+        shift._init(tree, weights, name, copy=False)
+        return shift
+
     def _init(self, tree: DirectedTree, weights: Sequence[float],
-              name: Optional[str]) -> None:
-        w = np.array(weights, dtype=float)
+              name: Optional[str], copy: bool = True) -> None:
+        w = (np.array if copy else np.asarray)(weights, dtype=float)
         if w.shape != (tree.class_count,):
             raise ConfigurationError(
                 f"{len(w)} weights for a tree of {tree.class_count} classes")
@@ -165,12 +174,12 @@ class WeightedShift:
         """This shift on ``tree.expanded()``, one weight per vertex:
         built on first use and kept.  A shift on a full tree is its
         own."""
-        tree = self._tree
-        if tree.class_count == tree.vertex_count:
+        full = self._tree.expanded()
+        if full is self._tree:
             return self
         if self._expanded is None:
-            self._expanded = WeightedShift.from_array(
-                tree.expanded(), self.class_weights[tree.vertex_classes],
+            self._expanded = WeightedShift._keeping(
+                full, self.class_weights[self._tree.vertex_classes],
                 self.name)
         return self._expanded
 
@@ -442,7 +451,7 @@ def _on_classes(spec: WeightSpec, tree: DirectedTree, weights: np.ndarray,
     np.not_equal(kids[1:], kids[:-1], out=first[1:])
     if not (first[1:] | (weights[1:] == weights[:-1])).all():
         return build_shift(spec, tree.expanded())
-    return WeightedShift.from_array(tree, weights[first], name=name)
+    return WeightedShift._keeping(tree, weights[first], name)
 
 
 def _leaf_error(tree: DirectedTree, c: int) -> None:

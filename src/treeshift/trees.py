@@ -199,7 +199,6 @@ class DirectedTree:
         self._first_child = _frozen(first_child)
         self._labels = labels
         self._index_map: Optional[dict[str, int]] = None
-        self._depths: Optional[np.ndarray] = None
         self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
         self._expanded: Optional[DirectedTree] = None
@@ -222,6 +221,11 @@ class DirectedTree:
     def class_count(self) -> int:
         return len(self.class_degrees)
 
+    @property
+    def _is_full(self) -> bool:
+        """Whether every class is one vertex: the full-tree data test."""
+        return self.class_count == self.vertex_count
+
     @cached_property
     def class_parents(self) -> np.ndarray:
         """The class each child edge leaves; -1 at entry 0 (the
@@ -235,7 +239,7 @@ class DirectedTree:
     def expanded(self) -> "DirectedTree":
         """The full tree, every class replaced by its vertices: built on
         first use and kept.  A full tree is its own."""
-        if self.class_count == self.vertex_count:
+        if self._is_full:
             return self
         if self._expanded is None:
             self._expanded = DirectedTree(
@@ -255,14 +259,10 @@ class DirectedTree:
         lead to, as an index into per-class arrays.  On a full tree that
         is ``edges`` itself, so that indexing with a slice stays a
         view."""
-        if self.class_count == self.vertex_count:
-            return edges
-        return self.children[edges]
+        return edges if self._is_full else self.children[edges]
 
     def class_of(self, index: int) -> int:
         """Class of vertex ``index``."""
-        if self.class_count == self.vertex_count:
-            return index
         return int(self._first.searchsorted(index, side="right")) - 1
 
     def class_depth(self, c: int) -> int:
@@ -321,10 +321,6 @@ class DirectedTree:
         if not 0 <= index < count:
             raise RangeError(f"vertex index {index} out of range "
                              f"[0, {count})")
-        if len(self.class_degrees) == count:  # a full tree: O(1)
-            if self._depths is None:
-                self._depths = np.arange(self._depth + 1).repeat(self._sizes)
-            return self._depths.item(index)
         return int(self.gen_offsets.searchsorted(index, side="right")) - 1
 
     def index(self, vid: str) -> int:

@@ -449,14 +449,26 @@ def test_per_vertex_attributes_keep_their_meaning():
         assert tree.vertex(vid) == full.vertex(vid)
         assert tree.class_label(tree.class_of(tree.index(vid))) == \
             f"g{vid[1]}:{0 if vid.endswith(':0') else 1}"
+    # the same tree built on its own as a full tree, so that nothing
+    # below reads what the class tree keeps
+    other = DirectedTree(full.degrees.copy(), full.generation_sizes)
+    assert other.class_count == other.vertex_count
     assert np.array_equal(tree.adjacency_expansion()[0],
-                          full.adjacency_expansion()[0])
+                          other.adjacency_expansion()[0])
     shift = build_shift(WeightSpec("adjacency"), tree)
-    for name in ("weight_array", "squared_weights", "vertex_norms",
-                 "squared_norms"):
-        assert getattr(shift, name).tobytes() == \
-            getattr(shift.expanded(), name).tobytes()
-    assert shift.weights() == shift.expanded().weights()
+    assert shift.tree is tree
+    full_shift = build_shift(WeightSpec("adjacency"), other)
+    for name, class_name in (("weight_array", "class_weights"),
+                             ("squared_weights", "class_squared_weights"),
+                             ("vertex_norms", "class_norms"),
+                             ("squared_norms", "class_squared_norms")):
+        per_vertex = getattr(full_shift, name).tobytes()
+        assert getattr(shift, name).tobytes() == per_vertex
+        # the class arrays, read per vertex, are the full tree's bit for
+        # bit: every vertex of a class sums its children in class order
+        assert getattr(shift, class_name)[tree.vertex_classes].tobytes() \
+            == per_vertex
+    assert shift.weights() == full_shift.weights()
 
 
 def test_a_binary_tree_as_one_class_per_generation():
