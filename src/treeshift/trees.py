@@ -113,10 +113,10 @@ class DirectedTree:
     vertex arrays.  Its ``children`` and first vertex per class are one
     shared ``arange(V)``, and its ``multiplicities`` a read-only view of
     a single 1.  The per-vertex arrays ``degrees``, ``parents`` and
-    ``child_starts``, and the lookups that read them, come from
-    ``expanded()``; ``gen_offsets``, ``generation_sizes``,
-    ``vertex_count``, the labels and ``index`` need no expansion.  String
-    ids (``labels``) are kept for the public API only.
+    ``child_starts`` come from ``expanded()``; the lookups of one vertex
+    (``index``, ``vertex``, ``parent_of``, ``children_of``,
+    ``resolve_path``) read the class arrays and format only the ids they
+    return.  String ids (``labels``) are kept for the public API only.
     """
 
     def __init__(self, degrees: Sequence[int],
@@ -292,21 +292,20 @@ class DirectedTree:
     def generation_sizes(self) -> tuple[int, ...]:
         return tuple(self._sizes.tolist())
 
-    @property
+    @cached_property
     def labels(self) -> list[str]:
-        """Vertex ids in canonical order (built on first use)."""
-        if self._labels is None:
-            self._labels = [f"g{d}:{i}"
-                            for d, size in enumerate(self.generation_sizes)
-                            for i in range(size)]
-        return self._labels
+        """Vertex ids in canonical order: those given to the constructor,
+        or the default ones, formatted on first use."""
+        if self._labels is not None:
+            return self._labels
+        return [f"g{d}:{i}" for d, size in enumerate(self.generation_sizes)
+                for i in range(size)]
 
     def label(self, index: int) -> str:
         """Id of vertex ``index``; RangeError outside 0..V-1."""
-        if self._labels is not None and 0 <= index < len(self._labels):
-            return self._labels[index]
+        index = operator.index(index)
         depth = self.depth_at(index)  # RangeError outside 0..V-1
-        return f"g{depth}:{index - self.gen_offsets.item(depth)}"
+        return self._label_range(index, index + 1, depth)[0]
 
     def _label_range(self, start: int, stop: int, depth: int) -> list[str]:
         """Ids of the vertices start..stop-1 of generation ``depth``."""
@@ -317,6 +316,7 @@ class DirectedTree:
 
     def depth_at(self, index: int) -> int:
         """Depth of vertex ``index``; RangeError outside 0..V-1."""
+        index = operator.index(index)
         count = self.gen_offsets.item(-1)
         if not 0 <= index < count:
             raise RangeError(f"vertex index {index} out of range "
@@ -324,14 +324,14 @@ class DirectedTree:
         return int(self.gen_offsets.searchsorted(index, side="right")) - 1
 
     def index(self, vid: str) -> int:
-        """Canonical index of a vertex id.  Until the labels are built, a
-        default id ``g<depth>:<index in generation>`` is read from the
-        generation offsets; explicit labels, and default ones once
-        built, are looked up in a map of every label, built on first
-        use."""
+        """Canonical index of a vertex id.  A default id
+        ``g<depth>:<index in generation>`` is read from the generation
+        offsets; ids given to the constructor are looked up in a map of
+        them, built on first use."""
+        if not isinstance(vid, str):
+            raise RangeError(f"unknown vertex {vid!r}")
         if self._labels is None:
-            match = _DEFAULT_ID.fullmatch(vid) if isinstance(vid, str) \
-                else None
+            match = _DEFAULT_ID.fullmatch(vid)
             if match:
                 d, i = int(match[1]), int(match[2])
                 if d <= self._depth and i < self._sizes.item(d):
@@ -347,19 +347,22 @@ class DirectedTree:
         except KeyError:
             raise RangeError(f"unknown vertex {vid!r}") from None
 
-    # lookups on a full tree; the vertex methods below call them on
-    # expanded(), which is built vertex by vertex, so they read the list of
-    # every label, built as cheaply, and a walk formats no id twice
     def _children(self, i: int) -> range:
-        start = self.class_starts.item(i)
-        return range(start, start + self.class_degrees.item(i))
+        """Children of vertex i, read on the class arrays: those of the
+        r-th vertex of class c start r * class_degrees[c] vertices after
+        those of the class's first vertex."""
+        c = self.class_of(i)
+        degree = self.class_degrees.item(c)
+        start = self._first_child.item(c) + (i - self._first.item(c)) * degree
+        return range(start, start + degree)
 
-    def _child_labels(self, i: int) -> tuple[str, ...]:
-        kids = self._children(i)
-        return tuple(self.labels[kids.start:kids.stop])
-
-    def _parent_label(self, i: int) -> Optional[str]:
-        return None if i == 0 else self.labels[self.class_parents.item(i)]
+    def _parent(self, i: int) -> int:
+        """Parent of vertex i >= 1, the inverse of ``_children``: the
+        children of class c's vertices are the vertices from
+        ``_first_child[c]`` on, class_degrees[c] to a vertex."""
+        c = int(self._first_child.searchsorted(i, side="right")) - 1
+        return self._first.item(c) + ((i - self._first_child.item(c))
+                                      // self.class_degrees.item(c))
 
     # -- read API ---------------------------------------------------------
     @property
@@ -385,21 +388,21 @@ class DirectedTree:
         return True
 
     def vertex(self, vid: str) -> Vertex:
-        full = self.expanded()
-        i = full.index(vid)
-        return Vertex(vid, full.depth_at(i), full._parent_label(i),
-                      full._child_labels(i))
+        return Vertex(vid, self.depth_of(vid), self.parent_of(vid),
+                      self.children_of(vid))
 
     def depth_of(self, vid: str) -> int:
         return self.depth_at(self.index(vid))
 
     def parent_of(self, vid: str) -> Optional[str]:
-        full = self.expanded()
-        return full._parent_label(full.index(vid))
+        i = self.index(vid)
+        return None if i == 0 else self.label(self._parent(i))
 
     def children_of(self, vid: str) -> tuple[str, ...]:
-        full = self.expanded()
-        return full._child_labels(full.index(vid))
+        i = self.index(vid)
+        kids = self._children(i)
+        return tuple(self._label_range(kids.start, kids.stop,
+                                       self.depth_at(i) + 1))
 
     def degree(self, vid: str) -> int:
         """Number of children.  Meaningful for depth <= N-1 only."""
@@ -435,26 +438,21 @@ class DirectedTree:
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
-            labels, off = self.labels, self.gen_offsets.tolist()
-            self._generations = tuple(tuple(labels[a:b])
-                                      for a, b in zip(off, off[1:]))
+            self._generations = tuple(generation(self, n)
+                                      for n in range(self._depth + 1))
         return self._generations
 
     def resolve_path(self, indices: Sequence[int]) -> str:
         """Vertex reached from the root by successive child indices,
-        walked on the class arrays: the children of the r-th vertex of
-        class c start r * class_degrees[c] vertices after those of the
-        class's first vertex."""
-        first, starts = self._first, self._first_child
+        walked on the class arrays."""
         i = 0
         for k in map(operator.index, indices):
-            c = self.class_of(i)
-            degree = self.class_degrees.item(c)
-            if not 0 <= k < degree:
+            kids = self._children(i)
+            if not 0 <= k < len(kids):
                 raise RangeError(
                     f"child index {k} out of range at vertex "
-                    f"{self.label(i)!r} (degree {degree})")
-            i = starts.item(c) + (i - first.item(c)) * degree + k
+                    f"{self.label(i)!r} (degree {len(kids)})")
+            i = kids[k]
         return self.label(i)
 
 
@@ -994,9 +992,9 @@ def _quasi_brownian_classes(valency: int, depth: int) -> DirectedTree:
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
-    """Vertices of depth n, in canonical order: read from the label list
-    if it is built, and otherwise formatted, at the cost of the
-    generation alone."""
+    """Vertices of depth n, in canonical order: the ids given to the
+    tree, or the default ones formatted at the cost of the generation
+    alone."""
     if not 0 <= n <= tree.materialized_depth:
         raise RangeError(
             f"generation {n} out of range [0, {tree.materialized_depth}]")

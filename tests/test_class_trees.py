@@ -6,15 +6,16 @@ classes, and every command reports on them exactly what it reports on
 the full tree, ``tree.expanded()``."""
 import dataclasses
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree, RangeError,
-                       StructureError, TreeSpec, WeightSpec, build_shift,
-                       classify_tree, comb_tree_spec, generation,
-                       materialize, quasi_brownian,
+                       StructureError, TreeSpec, Vertex, WeightSpec,
+                       build_shift, classify_tree, comb_tree_spec,
+                       generation, materialize, quasi_brownian,
                        two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
 
@@ -344,6 +345,91 @@ def test_child_index_paths_walk_the_class_arrays(spec):
     assert tree._expanded is None
 
 
+LOOKUP_TREES = {
+    "quasi-brownian-3": TreeSpec("quasi_brownian", valency=3, depth=40),
+    "quasi-brownian-4": TreeSpec("quasi_brownian", valency=4, depth=30),
+    "t-eta-kappa": TreeSpec("t_eta_kappa", eta=5, depth=40),
+    "binary-15": TreeSpec("generation_rule",
+                          rule=tuple((2,) * 2 ** g for g in range(15)),
+                          depth=15),
+    "comb-2-depth-300": comb_tree_spec(2, 300),
+    "rule-with-leaves": TreeSpec("generation_rule",
+                                 rule=RULE_TREES["zero-row"][0],
+                                 depth=RULE_TREES["zero-row"][1]),
+}
+
+
+@pytest.mark.parametrize("spec", LOOKUP_TREES.values(), ids=LOOKUP_TREES)
+def test_vertex_lookups_on_class_trees_match_an_independent_full_tree(spec):
+    tree = materialize(spec)
+    assert tree.class_count < tree.vertex_count
+    full = DirectedTree(tree.class_degrees.repeat(tree.multiplicities),
+                        tree.generation_sizes)
+    starts, degrees, parents = (full.child_starts.tolist(),
+                                full.degrees.tolist(), full.parents.tolist())
+    depths = np.arange(len(tree.generation_sizes)).repeat(
+        tree.generation_sizes).tolist()
+    offsets = full.gen_offsets.tolist()
+
+    def vid(i):
+        return f"g{depths[i]}:{i - offsets[depths[i]]}"
+
+    # every vertex of the first four generations and a sample of the rest
+    head = offsets[min(4, len(offsets) - 1)]
+    rng = np.random.default_rng(20170205)
+    sample = range(head) if head == tree.vertex_count else chain(
+        range(head), rng.integers(head, tree.vertex_count, 200).tolist())
+    for i in sample:
+        v, depth = vid(i), depths[i]
+        parent = None if i == 0 else vid(parents[i])
+        kids = tuple(map(vid, range(starts[i], starts[i + 1])))
+        assert tree.vertex(v) == Vertex(v, depth, parent, kids)
+        assert tree.parent_of(v) == parent and tree.children_of(v) == kids
+        assert tree.depth_of(v) == depth
+        if depth < tree.materialized_depth:
+            assert tree.degree(v) == degrees[i] == len(kids)
+        else:
+            with pytest.raises(RangeError, match="not materialized"):
+                tree.degree(v)
+        path, j = [], i
+        while j:
+            path.append(j - starts[parents[j]])
+            j = parents[j]
+        assert tree.resolve_path(path[::-1]) == v
+    assert tree._expanded is None
+    assert "labels" not in vars(tree) and tree._index_map is None
+
+
+@pytest.mark.parametrize("labelled", (False, True),
+                         ids=("formatted", "labelled"))
+@pytest.mark.parametrize("tree", [
+    DirectedTree.from_edges([("r", "a")]), DirectedTree([1, 0], [1, 1]),
+], ids=["explicit", "default"])
+def test_ids_that_are_not_strings_are_not_in_any_tree(tree, labelled):
+    if labelled:
+        assert len(tree.labels) == 2
+    for vid in (["a"], ["g1:0"], ("a",), None, 1):
+        assert vid not in tree
+        with pytest.raises(RangeError, match="unknown vertex"):
+            tree.index(vid)
+    if tree.labels[1] == "g1:0":
+        # a default id is read by arithmetic after the labels too
+        assert tree.index("g1:0") == 1 and tree._index_map is None
+
+
+@pytest.mark.parametrize("tree", [
+    DirectedTree.from_edges([("r", "a"), ("r", "b"), ("a", "c")]),
+    DirectedTree([2, 1, 0, 0], [1, 2, 1]),
+], ids=["explicit", "default"])
+def test_vertex_indices_must_be_integers(tree):
+    for i in (1.5, 2.0, "1", None):
+        for lookup in (tree.label, tree.depth_at):
+            with pytest.raises(TypeError):
+                lookup(i)
+    assert tree.label(np.int64(2)) == tree.label(2) == tree.labels[2]
+    assert tree.depth_at(np.int32(3)) == tree.depth_at(3) == 2
+
+
 def test_generation_never_builds_the_label_list():
     trees = [materialize(TreeSpec("quasi_brownian", valency=3, depth=50)),
              materialize(TreeSpec("path", depth=64)),
@@ -352,7 +438,7 @@ def test_generation_never_builds_the_label_list():
     for tree in trees:
         ids = [generation(tree, n)
                for n in range(tree.materialized_depth + 1)]
-        assert tree._labels is None and tree._expanded is None
+        assert "labels" not in vars(tree) and tree._expanded is None
         off = tree.gen_offsets.tolist()
         assert ids == [tuple(tree.labels[a:b]) for a, b in zip(off, off[1:])]
 
