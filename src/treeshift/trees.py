@@ -302,7 +302,8 @@ class DirectedTree:
                 for i in range(size)]
 
     def label(self, index: int) -> str:
-        """Id of vertex ``index``; RangeError outside 0..V-1."""
+        """Id of vertex ``index``; RangeError outside 0..V-1,
+        TypeError unless ``index`` is an integer."""
         index = operator.index(index)
         depth = self.depth_at(index)  # RangeError outside 0..V-1
         return self._label_range(index, index + 1, depth)[0]
@@ -315,7 +316,8 @@ class DirectedTree:
         return [f"g{depth}:{i}" for i in range(first, first + stop - start)]
 
     def depth_at(self, index: int) -> int:
-        """Depth of vertex ``index``; RangeError outside 0..V-1."""
+        """Depth of vertex ``index``; RangeError outside 0..V-1,
+        TypeError unless ``index`` is an integer."""
         index = operator.index(index)
         count = self.gen_offsets.item(-1)
         if not 0 <= index < count:
