@@ -96,9 +96,8 @@ def truncate(shift: WeightedShift,
 
     Columns of cut-depth vertices are zero (their children fall outside
     the basis), so the interior depth is depth - 1.  The basis is the
-    vertices of ``shift.tree.expanded()``.
+    vertices of the tree, in canonical order.
     """
-    shift = shift.expanded()
     cut, size, depths = _cut(shift, depth)
     m = np.zeros((size, size))
     kids = np.arange(1, size)  # their parents lie above the cut
@@ -344,9 +343,7 @@ def _shift_orders(shift: WeightedShift, row: str, nmax: int,
     """Interior depth and per-order generator of ``truncate(shift,
     depth)``, read as index arrays: row i holds weight_array[i] in column
     parents[i], or 0 in column 0 for the root and zero weights, as
-    ``_row_entries`` reads the matrix, on ``shift.tree.expanded()``.  No
-    V x V matrix is built."""
-    shift = shift.expanded()
+    ``_row_entries`` reads the matrix.  No V x V matrix is built."""
     cut, size, depths = _cut(shift, depth)
     if nmax > cut - 1:
         raise RangeError(f"nmax {nmax} exceeds interior depth {cut - 1}")

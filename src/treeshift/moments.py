@@ -165,12 +165,6 @@ class MomentVerdict:
     extremal_value: float = 0.0
     detail: str = ""
 
-    @property
-    def passed(self) -> bool:
-        flags = [f for f in (self.is_stieltjes, self.is_hausdorff)
-                 if f is not None]
-        return bool(flags) and all(flags)
-
     def to_dict(self) -> dict:
         """Report form of the verdict."""
         return _verdict_dict(self.is_stieltjes, self.is_hausdorff,

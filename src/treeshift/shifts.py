@@ -97,10 +97,11 @@ class WeightedShift:
     are ``has_zero_weights`` and ``is_adjacency``; squares are products,
     which IEEE 754 rounds correctly.  ``weight_array``,
     ``squared_weights``, ``vertex_norms`` and ``squared_norms`` are the
-    same arrays per vertex in canonical order: the class arrays of
-    ``expanded()``, which on a full tree is the shift itself.  The
-    verdicts of ``is_two_isometry`` and ``satisfies_kernel_condition``
-    are kept per tolerance (and k), never the arrays behind them.
+    same arrays per vertex in canonical order, read-only gathers by
+    ``tree.per_vertex`` that are not kept; on a full tree they are the
+    class arrays.  The verdicts of ``is_two_isometry`` and
+    ``satisfies_kernel_condition`` are kept per tolerance (and k), never
+    the arrays behind them.
     """
 
     def __init__(self, tree: DirectedTree, weights: Mapping[str, float],
@@ -164,24 +165,10 @@ class WeightedShift:
         self.name = name
         # check verdicts by (check, k, tol); see _kept
         self._verdicts: dict[tuple, PropertyVerdict] = {}
-        self._expanded: Optional[WeightedShift] = None
 
     @property
     def tree(self) -> DirectedTree:
         return self._tree
-
-    def expanded(self) -> "WeightedShift":
-        """This shift on ``tree.expanded()``, one weight per vertex:
-        built on first use and kept.  A shift on a full tree is its
-        own."""
-        full = self._tree.expanded()
-        if full is self._tree:
-            return self
-        if self._expanded is None:
-            self._expanded = WeightedShift._keeping(
-                full, self.class_weights[self._tree.vertex_classes],
-                self.name)
-        return self._expanded
 
     @cached_property
     def class_squared_weights(self) -> np.ndarray:
@@ -211,24 +198,24 @@ class WeightedShift:
             squares = norms * norms
         return _frozen(squares)
 
-    # per vertex, in canonical order: the class arrays of expanded()
+    # per vertex, in canonical order: the class arrays, gathered
     @property
     def weight_array(self) -> np.ndarray:
         """Weights in canonical vertex order; entry 0 (the root) is 0."""
-        return self.expanded().class_weights
+        return self._tree.per_vertex(self.class_weights)
 
     @property
     def squared_weights(self) -> np.ndarray:
-        return self.expanded().class_squared_weights
+        return self._tree.per_vertex(self.class_squared_weights)
 
     @property
     def vertex_norms(self) -> np.ndarray:
         """``class_norms`` per vertex."""
-        return self.expanded().class_norms
+        return self._tree.per_vertex(self.class_norms)
 
     @property
     def squared_norms(self) -> np.ndarray:
-        return self.expanded().class_squared_norms
+        return self._tree.per_vertex(self.class_squared_norms)
 
     def weight(self, vid: str) -> float:
         try:
@@ -723,6 +710,17 @@ def cauchy_dual_weights(shift: WeightedShift,
     Requires every vertex norm on the materialized part to be positive,
     whatever ``end`` is."""
     tree = shift.tree
+    _require_left_invertible(shift)
+    if end is None:
+        end = len(tree.class_parents)
+    return (shift.class_weights[tree.edge_classes(slice(1, end))]
+            / shift.class_squared_norms[tree.class_parents[1:end]])
+
+
+def _require_left_invertible(shift: WeightedShift) -> None:
+    """NotLeftInvertibleError at the first vertex of the materialized
+    part whose norm is 0."""
+    tree = shift.tree
     norms = shift.class_norms
     zero = _first(norms[:tree.class_offsets.item(tree.materialized_depth)]
                   == 0.0)
@@ -730,10 +728,6 @@ def cauchy_dual_weights(shift: WeightedShift,
         raise NotLeftInvertibleError(
             f"vertex norm is 0 at {tree.class_label(zero)!r}; the shift "
             f"is not left invertible")
-    if end is None:
-        end = len(tree.class_parents)
-    return (shift.class_weights[tree.edge_classes(slice(1, end))]
-            / shift.class_squared_norms[tree.class_parents[1:end]])
 
 
 def cauchy_dual(shift: WeightedShift) -> WeightedShift:
@@ -744,11 +738,12 @@ def cauchy_dual(shift: WeightedShift) -> WeightedShift:
     ``shift.tree.expanded()``; treat its deepest level as one step less
     reliable than the original's.
     """
-    shift = shift.expanded()
-    w = np.zeros(shift.tree.vertex_count)
-    w[1:] = cauchy_dual_weights(shift)
-    return WeightedShift.from_array(
-        shift.tree, w, name=f"dual({shift.name})" if shift.name else None)
+    _require_left_invertible(shift)
+    full = shift.tree.expanded()
+    w = np.zeros(full.vertex_count)
+    w[1:] = shift.weight_array[1:] / shift.squared_norms[full.parents[1:]]
+    return WeightedShift._keeping(
+        full, w, name=f"dual({shift.name})" if shift.name else None)
 
 
 @dataclass(frozen=True)

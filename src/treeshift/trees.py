@@ -112,7 +112,8 @@ class DirectedTree:
     is one vertex, edge e leads to vertex e, and the class arrays are the
     vertex arrays.  Its ``children`` and first vertex per class are one
     shared ``arange(V)``, and its ``multiplicities`` a read-only view of
-    a single 1.  The per-vertex arrays ``degrees``, ``parents`` and
+    a single 1.  ``per_vertex`` gathers a per-class array to one entry
+    per vertex, ``degrees`` among them; ``parents`` and
     ``child_starts`` come from ``expanded()``; the lookups of one vertex
     (``index``, ``vertex``, ``parent_of``, ``children_of``,
     ``resolve_path``) read the class arrays and format only the ids they
@@ -254,6 +255,13 @@ class DirectedTree:
         return _frozen(np.arange(self.class_count).repeat(
             self.multiplicities))
 
+    def per_vertex(self, values: np.ndarray) -> np.ndarray:
+        """The per-class array ``values`` with one entry per vertex, in
+        canonical order: ``values`` itself on a full tree, else a
+        read-only gather, which is not kept."""
+        return values if self._is_full else _frozen(
+            values[self.vertex_classes])
+
     def edge_classes(self, edges: slice | np.ndarray) -> slice | np.ndarray:
         """Classes the child edges ``edges`` (a slice or an index array)
         lead to, as an index into per-class arrays.  On a full tree that
@@ -276,7 +284,7 @@ class DirectedTree:
     @property
     def degrees(self) -> np.ndarray:
         """Child count per vertex (0 on the last materialized level)."""
-        return self.expanded().class_degrees
+        return self.per_vertex(self.class_degrees)
 
     @property
     def child_starts(self) -> np.ndarray:

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree, RangeError,
                        StructureError, TreeSpec, Vertex, WeightSpec,
-                       build_shift, classify_tree, comb_tree_spec,
-                       generation, materialize, quasi_brownian,
-                       two_plus_three_tree_spec)
+                       build_shift, cauchy_dual, classify_tree,
+                       comb_tree_spec, generation, materialize,
+                       quasi_brownian, two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
 
 
@@ -535,15 +535,35 @@ def test_per_vertex_attributes_keep_their_meaning():
         assert tree.vertex(vid) == full.vertex(vid)
         assert tree.class_label(tree.class_of(tree.index(vid))) == \
             f"g{vid[1]}:{0 if vid.endswith(':0') else 1}"
-    # the same tree built on its own as a full tree, so that nothing
-    # below reads what the class tree keeps
-    other = DirectedTree(full.degrees.copy(), full.generation_sizes)
-    assert other.class_count == other.vertex_count
+    other = _independent_full_tree(tree)
     assert np.array_equal(tree.adjacency_expansion()[0],
                           other.adjacency_expansion()[0])
-    shift = build_shift(WeightSpec("adjacency"), tree)
+    _assert_per_vertex_arrays_as_full_tree(tree, WeightSpec("adjacency"))
+    # weights whose norms are not square roots of integers
+    for spec in (TreeSpec("t_eta_kappa", eta=300, depth=4),
+                 TreeSpec("generation_rule",
+                          rule=tuple((2,) * 2 ** g for g in range(12)),
+                          depth=12)):
+        tree = materialize(spec)
+        assert tree.class_count < tree.vertex_count
+        _assert_per_vertex_arrays_as_full_tree(
+            tree, WeightSpec("kernel_condition", x=1.3))
+
+
+def _independent_full_tree(tree):
+    """The full tree of a class tree, built from its class arrays
+    without ``tree.expanded()``, so that nothing read from it is what
+    the class tree keeps."""
+    other = DirectedTree(tree.class_degrees.repeat(tree.multiplicities),
+                         tree.generation_sizes)
+    assert other.class_count == other.vertex_count
+    return other
+
+
+def _assert_per_vertex_arrays_as_full_tree(tree, weights):
+    shift = build_shift(weights, tree)
     assert shift.tree is tree
-    full_shift = build_shift(WeightSpec("adjacency"), other)
+    full_shift = build_shift(weights, _independent_full_tree(tree))
     for name, class_name in (("weight_array", "class_weights"),
                              ("squared_weights", "class_squared_weights"),
                              ("vertex_norms", "class_norms"),
@@ -555,6 +575,33 @@ def test_per_vertex_attributes_keep_their_meaning():
         assert getattr(shift, class_name)[tree.vertex_classes].tobytes() \
             == per_vertex
     assert shift.weights() == full_shift.weights()
+    assert cauchy_dual(shift).class_weights.tobytes() \
+        == cauchy_dual(full_shift).class_weights.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    TreeSpec("quasi_brownian", valency=3, depth=30),
+    TreeSpec("t_eta_kappa", eta=300, depth=4),
+    TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(12)),
+             depth=12),
+], ids=["quasi-brownian", "t-eta-kappa", "binary-12"])
+def test_per_vertex_reads_stay_on_the_classes(spec):
+    tree = materialize(spec)
+    assert tree.class_count < tree.vertex_count
+    shift = build_shift(WeightSpec("adjacency"), tree)
+    arrays = [tree.degrees, shift.weight_array, shift.squared_weights,
+              shift.vertex_norms, shift.squared_norms]
+    weights = shift.weights()
+    assert tree._expanded is None
+    for a in arrays:
+        assert a.shape == (tree.vertex_count,) and not a.flags.writeable
+    assert len(weights) == tree.vertex_count - 1
+    # each read is a fresh gather, not kept by the tree or the shift
+    assert shift.weight_array is not shift.weight_array
+    full = _independent_full_tree(tree)
+    assert tree.degrees.tobytes() == full.degrees.tobytes()
+    # on a full tree the class array is its own per-vertex array
+    assert full.per_vertex(full.class_degrees) is full.class_degrees
 
 
 def test_a_binary_tree_as_one_class_per_generation():

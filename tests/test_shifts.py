@@ -4,7 +4,7 @@ import math
 import pytest
 
 from treeshift import (ClassificationError, ComparisonError,
-                       ConfigurationError, DomainError,
+                       ConfigurationError, DirectedTree, DomainError,
                        NotLeftInvertibleError, RangeError, TreeSpec,
                        WeightSpec, WeightedShift, are_unitarily_equivalent,
                        are_unitarily_equivalent_multiset, build_shift,
@@ -109,6 +109,45 @@ def test_kernel_condition_proportional_split():
     # defining properties
     assert is_two_isometry(shift).holds
     assert satisfies_kernel_condition(shift, 0).holds
+
+
+# a leaf at depth 1 (b) and a parent below it (c); no other leaf
+LEAFY_EDGES = [("r", "a"), ("r", "b"), ("a", "c"), ("c", "e")]
+# a hashed rule tree whose first leaf is g2:100, at depth 2
+LEAFY_RULE = TreeSpec("generation_rule",
+                      rule=((200,), (1,) * 200, (1,) * 100 + (0,) * 100),
+                      depth=4)
+
+
+@pytest.mark.parametrize("proportions", [None, {"g1:0": 2.0}])
+def test_kernel_condition_names_the_first_leaf_of_a_rule_tree(proportions):
+    tree = materialize(LEAFY_RULE)
+    assert tree.class_count < tree.vertex_count
+    with pytest.raises(ConfigurationError,
+                       match=r"need a leafless tree; vertex 'g2:100' at "
+                             r"depth 2 has no children"):
+        build_shift(WeightSpec("kernel_condition", x=1.2,
+                               proportions=proportions), tree)
+
+
+@pytest.mark.parametrize("proportions", [None, {"a": 2.0},
+                                         # nonpositive below the leaf
+                                         {"e": -1.0}])
+def test_kernel_condition_names_the_first_leaf_of_a_full_tree(proportions):
+    tree = DirectedTree.from_edges(LEAFY_EDGES)
+    with pytest.raises(ConfigurationError,
+                       match=r"need a leafless tree; vertex 'b' at depth 1 "
+                             r"has no children"):
+        build_shift(WeightSpec("kernel_condition", x=1.2,
+                               proportions=proportions), tree)
+
+
+def test_a_nonpositive_proportion_above_the_first_leaf_is_named_first():
+    tree = DirectedTree.from_edges(LEAFY_EDGES)
+    with pytest.raises(ConfigurationError,
+                       match=r"proportions must be > 0 \(children of 'r'\)"):
+        build_shift(WeightSpec("kernel_condition", x=1.2,
+                               proportions={"a": 0.0}), tree)
 
 
 def test_glowny_weights():

@@ -155,6 +155,25 @@ def test_branching_degree():
     assert branching_degree(path, 1) == 0
 
 
+@pytest.mark.parametrize("spec", [
+    TreeSpec("path", depth=6),
+    TreeSpec("t_eta_kappa", eta=5, depth=4),
+    TreeSpec("quasi_brownian", valency=3, depth=9),
+    TreeSpec("generation_rule", rule=((3,), (2, 0, 1), (1, 1, 4)), depth=5),
+    TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(9)),
+             depth=9),
+])
+def test_branching_degree_is_the_second_difference_of_the_offsets(spec):
+    tree = materialize(spec)
+    n = tree.materialized_depth
+    # what shift_invariants reports as the branching sequence
+    expected = np.diff(tree.gen_offsets, 2).tolist()
+    assert [branching_degree(tree, k) for k in range(1, n + 1)] == expected
+    for k in (0, n + 1):
+        with pytest.raises(RangeError):
+            branching_degree(tree, k)
+
+
 def test_comb_tree_structure():
     tree = materialize(comb_tree_spec(3, 8))
     assert tree.degree(tree.root) == 3
