@@ -900,8 +900,7 @@ def _demo_sl_chm(tol: float) -> _DemoOutcome:
         w = [0.0] + [2.0 ** (-i) for i in range(1, eta + 1)]
         for g in range(2, depth + 1):
             w += [two_isometry_weight(g - 2, x) for x in second]
-        shift = WeightedShift.from_array(tree, np.array(w),
-                                         name=f"sl-chm(eta={eta})")
+        shift = WeightedShift(tree, w, name=f"sl-chm(eta={eta})")
         norms.append(operator_norm(shift))
         weights = shift.class_weights.tolist()
         vertex_norms = shift.class_norms.tolist()

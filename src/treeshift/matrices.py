@@ -33,7 +33,6 @@ __all__ = [
     "verify_table1",
     "build_brownian_shift",
     "block_shift_from_atoms",
-    "dump_matrix",
 ]
 
 
@@ -471,8 +470,3 @@ def block_shift_from_atoms(atoms: Sequence[tuple[float, int]], size: int
                               name=f"block sum of {len(weights)} "
                                    f"expansive shifts")
     return trunc, tuple(decomposition)
-
-
-def dump_matrix(trunc: TruncatedOperator, path: str) -> None:
-    """Write the matrix row-major, space-separated, one row per line."""
-    np.savetxt(path, trunc.matrix, fmt="%.17g", delimiter=" ")

@@ -36,7 +36,6 @@ __all__ = [
     "is_two_isometry",
     "satisfies_kernel_condition",
     "require_kernel_class",
-    "sibling_constancy_by_generation",
     "cauchy_dual",
     "cauchy_dual_weights",
     "classify_adjacency",
@@ -104,54 +103,16 @@ class WeightedShift:
     the arrays behind them.
     """
 
-    def __init__(self, tree: DirectedTree, weights: Mapping[str, float],
+    def __init__(self, tree: DirectedTree, class_weights: Sequence[float],
                  name: Optional[str] = None):
-        """Shift with the weight ``weights[v]`` at every non-root vertex
-        id v; the weights name vertices, so on a class tree the shift
-        lives on ``tree.expanded()``."""
-        tree = tree.expanded()
-        labels = tree.labels
-        if labels[0] in weights:
-            raise ConfigurationError("root must not carry a weight")
-        try:
-            w = [0.0] + [weights[v] for v in labels[1:]]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"missing weight for vertex {exc.args[0]!r}") from None
-        if len(weights) != len(labels) - 1:
-            extra = set(weights) - set(labels)
-            raise ConfigurationError(
-                f"weights given for unknown vertices: {sorted(extra)[:3]}")
-        self._init(tree, w, name)
-
-    @classmethod
-    def from_array(cls, tree: DirectedTree, weights: np.ndarray,
-                   name: Optional[str] = None) -> "WeightedShift":
-        """Shift from weights in canonical order, one per class of the
-        tree (entry 0 is ignored); on a class tree, one weight per vertex
-        builds the shift on ``tree.expanded()``."""
-        if len(weights) != tree.class_count \
-                and len(weights) == tree.vertex_count:
-            tree = tree.expanded()
-        shift = cls.__new__(cls)
-        shift._init(tree, weights, name)
-        return shift
-
-    @classmethod
-    def _keeping(cls, tree: DirectedTree, weights: np.ndarray,
-                 name: Optional[str]) -> "WeightedShift":
-        """Shift that keeps ``weights``, a fresh float array of one
-        weight per class, as its ``class_weights``, without a copy."""
-        shift = cls.__new__(cls)
-        shift._init(tree, weights, name, copy=False)
-        return shift
-
-    def _init(self, tree: DirectedTree, weights: Sequence[float],
-              name: Optional[str], copy: bool = True) -> None:
-        w = (np.array if copy else np.asarray)(weights, dtype=float)
+        """Shift with the weight ``class_weights[c]`` at every vertex of
+        class c of ``tree`` (entry 0 is ignored), copied and frozen.  The
+        tree is never expanded: one weight per vertex of a class tree
+        goes with ``tree.expanded()``."""
+        w = np.array(class_weights, dtype=float)
         if w.shape != (tree.class_count,):
             raise ConfigurationError(
-                f"{len(w)} weights for a tree of {tree.class_count} classes")
+                f"{w.size} weights for a tree of {tree.class_count} classes")
         w[0] = 0.0
         bad = _first(~(np.isfinite(w) & (w >= 0.0)))
         if bad is not None:
@@ -175,7 +136,8 @@ class WeightedShift:
         w = self.class_weights
         with np.errstate(over="ignore"):  # the checks fail on inf
             squares = w * w
-        return _frozen(squares)
+        squares.flags.writeable = False
+        return squares
 
     @cached_property
     def class_norms(self) -> np.ndarray:
@@ -183,11 +145,13 @@ class WeightedShift:
         left to right over its child edges, as every vertex of the class
         sums its children; 0 on the last materialized level."""
         tree = self._tree
-        return _frozen(np.sqrt(np.bincount(
+        norms = np.sqrt(np.bincount(
             tree.class_parents[1:],
             weights=self.class_squared_weights[tree.edge_classes(
                 slice(1, None))],
-            minlength=tree.class_count)))
+            minlength=tree.class_count))
+        norms.flags.writeable = False
+        return norms
 
     @cached_property
     def class_squared_norms(self) -> np.ndarray:
@@ -196,7 +160,8 @@ class WeightedShift:
         norms = self.class_norms
         with np.errstate(over="ignore"):  # the checks fail on inf
             squares = norms * norms
-        return _frozen(squares)
+        squares.flags.writeable = False
+        return squares
 
     # per vertex, in canonical order: the class arrays, gathered
     @property
@@ -237,11 +202,6 @@ class WeightedShift:
     @cached_property
     def is_adjacency(self) -> bool:
         return bool(np.all(self.class_weights[1:] == 1.0))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -332,11 +292,24 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
     class agree, else on ``tree.expanded()``.  Explicit weights,
     proportions and glowny weights name vertices or branches, so they
     always use ``tree.expanded()``."""
-    if spec.kind == "explicit":
-        assert spec.values is not None
-        return WeightedShift(tree, spec.values, name="explicit")
-    if spec.kind == "glowny" or spec.proportions is not None:
+    if spec.kind in ("explicit", "glowny") or spec.proportions is not None:
         tree = tree.expanded()
+    if spec.kind == "explicit":
+        values = spec.values
+        assert values is not None
+        labels = tree.labels
+        if labels[0] in values:
+            raise ConfigurationError("root must not carry a weight")
+        try:
+            w = [0.0] + [values[v] for v in labels[1:]]
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"missing weight for vertex {exc.args[0]!r}") from None
+        if len(values) != len(labels) - 1:
+            extra = set(values) - set(labels)
+            raise ConfigurationError(
+                f"weights given for unknown vertices: {sorted(extra)[:3]}")
+        return WeightedShift(tree, w, name="explicit")
     n = tree.materialized_depth
     count = tree.class_count
     edges = len(tree.class_parents)  # the root's entry and the E edges
@@ -398,8 +371,7 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
                 f"are out of range: their sum of squares is "
                 f"{float(s[bad])!r}")
         w = np.sqrt(ratio[parents]) * props
-        return WeightedShift.from_array(tree, np.concatenate([[0.0], w]),
-                                        name=name)
+        return WeightedShift(tree, np.concatenate([[0.0], w]), name)
     # glowny
     assert spec.y1 is not None and spec.y2 is not None
     root_degree = int(tree.class_degrees[0])
@@ -419,8 +391,7 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
     for i, y in enumerate((spec.y1, spec.y2)):
         w[1 + i] = 1.0 / math.sqrt(2.0 * (2.0 - y * y))
         w[3 + i::2] = _two_isometry_weights(steps, y)
-    return WeightedShift.from_array(tree, w,
-                                    name=f"glowny(y1={spec.y1}, y2={spec.y2})")
+    return WeightedShift(tree, w, f"glowny(y1={spec.y1}, y2={spec.y2})")
 
 
 def _on_classes(spec: WeightSpec, tree: DirectedTree, weights: np.ndarray,
@@ -438,7 +409,7 @@ def _on_classes(spec: WeightSpec, tree: DirectedTree, weights: np.ndarray,
     np.not_equal(kids[1:], kids[:-1], out=first[1:])
     if not (first[1:] | (weights[1:] == weights[:-1])).all():
         return build_shift(spec, tree.expanded())
-    return WeightedShift._keeping(tree, weights[first], name)
+    return WeightedShift(tree, weights[first], name)
 
 
 def _leaf_error(tree: DirectedTree, c: int) -> None:
@@ -683,22 +654,6 @@ def require_kernel_class(shift: WeightedShift, k: int, tol: float,
             f"{constancy.witness}")
 
 
-def sibling_constancy_by_generation(shift: WeightedShift,
-                                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Entry g is True when every vertex of depth g (g <= N-2) passes the
-    sibling constancy check of ``satisfies_kernel_condition``; the
-    condition from generation k on is ``all(result[k:])``."""
-    tol = check_tolerance(tol)
-    tree = shift.tree
-    n = tree.materialized_depth
-    if n < 2:
-        raise RangeError("need materialized depth >= 2")
-    failing, _ = _sibling_spread(shift, tol)
-    generations = np.searchsorted(tree.class_offsets, failing,
-                                  side="right") - 1
-    return np.bincount(generations, minlength=n - 1) == 0
-
-
 def cauchy_dual_weights(shift: WeightedShift,
                         end: Optional[int] = None) -> np.ndarray:
     """Weights of the Cauchy dual at the child edges 1..end-1 (default:
@@ -742,8 +697,8 @@ def cauchy_dual(shift: WeightedShift) -> WeightedShift:
     full = shift.tree.expanded()
     w = np.zeros(full.vertex_count)
     w[1:] = shift.weight_array[1:] / shift.squared_norms[full.parents[1:]]
-    return WeightedShift._keeping(
-        full, w, name=f"dual({shift.name})" if shift.name else None)
+    return WeightedShift(full, w,
+                         f"dual({shift.name})" if shift.name else None)
 
 
 @dataclass(frozen=True)
@@ -851,7 +806,7 @@ def shift_invariants(shift: WeightedShift,
     """
     require_kernel_class(shift, 0, tol, "invariants require")
     tree = shift.tree
-    # branching_degree(tree, k), k = 1..N, from the generation offsets
+    # generation k - 1's sum of (degree - 1), k = 1..N
     return ShiftInvariants(
         float(shift.class_norms[0]),
         tuple(np.diff(tree.gen_offsets, 2).tolist()),

@@ -31,7 +31,6 @@ __all__ = [
     "spec_vertex_count",
     "materialize",
     "generation",
-    "branching_degree",
     "classify_tree",
     "quasi_brownian",
     "comb_pattern_valency",
@@ -532,8 +531,9 @@ def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
         raise StructureError("edge list is empty")
     parent = np.full(count, -1, dtype=np.int64)
     parent[kid] = par
-    clash = _first(parent[kid] != par)
-    if clash is not None:
+    clashes = np.flatnonzero(parent[kid] != par)
+    if len(clashes):
+        clash = clashes.item(0)
         c = kid.item(clash)
         raise StructureError(
             f"vertex {names[c]!r} has two parents ({names[parent.item(c)]!r} "
@@ -1012,16 +1012,6 @@ def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
     return tuple(tree._label_range(start, stop, n))
 
 
-def branching_degree(tree: DirectedTree, k: int) -> int:
-    """Sum over generation k-1 of (degree - 1)."""
-    if not 1 <= k <= tree.materialized_depth:
-        raise RangeError(
-            f"branching degree index {k} out of range "
-            f"[1, {tree.materialized_depth}]")
-    off = tree.gen_offsets
-    return off.item(k + 1) - 2 * off.item(k) + off.item(k - 1)
-
-
 @dataclass(frozen=True)
 class StructureVerdict:
     """Outcome of a structural check, bounded by the verified depth."""
@@ -1056,12 +1046,6 @@ class TreeStructureReport:
                                    "witness": verdict.witness,
                                    "note": verdict.note},
                 "valency": self.valency}
-
-
-def _first(mask: np.ndarray) -> Optional[int]:
-    """Index of the first True entry, or None."""
-    i = int(np.argmax(mask)) if len(mask) else 0
-    return i if len(mask) and mask[i] else None
 
 
 def _either(degrees: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -1101,9 +1085,9 @@ def quasi_brownian(tree: DirectedTree) -> StructureVerdict:
                                 note="no vertex of degree >= 2")
     sums_ok, kids_ok = _child_degree_checks(tree, 1, max_deg)
     own_ok = _either(tree.class_degrees[:len(sums_ok)], 1, max_deg)
-    bad = _first(~(own_ok & kids_ok & sums_ok))
-    return StructureVerdict(bad is None, n - 2,
-                            None if bad is None else tree.class_label(bad),
+    bad = np.flatnonzero(~(own_ok & kids_ok & sums_ok))
+    witness = tree.class_label(bad.item(0)) if len(bad) else None
+    return StructureVerdict(witness is None, n - 2, witness,
                             note="verified to depth N-2")
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from treeshift import (DiscreteMeasure, TreeSpec, WeightSpec, WeightedShift,
+from treeshift import (DiscreteMeasure, TreeSpec, WeightSpec,
                        backward_extension, block_shift_from_atoms,
                        build_brownian_shift, build_shift,
                        are_unitarily_equivalent,
@@ -318,7 +318,9 @@ def _catalog():
             (v,) = tree.children_of(u)
             w[v] = two_isometry_weight(j - 2, second)
             u, j = v, j + 1
-    yield WeightedShift(tree, w, name="many-branch")
+    shift = build_shift(WeightSpec("explicit", values=w), tree)
+    shift.name = "many-branch"
+    yield shift
 
 
 def test_10_cross_layer_consistency():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import treeshift
 from treeshift import (ClassificationError, ConfigurationError,
                        DirectedTree, DomainError, TreeSpec, WeightSpec,
-                       WeightedShift, build_shift, classify_adjacency,
+                       build_shift, classify_adjacency,
                        classify_tree, cli, comb_tree_spec,
                        dual_subnormality, hub_comb_tree_spec,
                        is_two_isometry, materialize,
@@ -129,7 +129,7 @@ def _shifts():
     for d in range(3, 11):
         for i, y in enumerate(ys):
             w[f"g{d}:{i}"] = two_isometry_weight(d - 3, y)
-    split = WeightedShift(tree, w)
+    split = build_shift(WeightSpec("explicit", values=w), tree)
     return bergman, glowny, split
 
 
@@ -196,10 +196,11 @@ def test_root_extension_sum_matches_the_per_vertex_loop(n):
 def test_root_extension_sum_guards():
     path = materialize(TreeSpec("path", depth=3))
     # the child norm is sqrt(2): the n = 0 denominator vanishes
-    at_sqrt2 = WeightedShift(path, {"g1:0": 1.0, "g2:0": math.sqrt(2.0),
-                                    "g3:0": 1.0})
+    at_sqrt2 = build_shift(WeightSpec("explicit", values={
+        "g1:0": 1.0, "g2:0": math.sqrt(2.0), "g3:0": 1.0}), path)
     assert _root_extension_sum(at_sqrt2, 0) is None
-    zero = WeightedShift(path, {"g1:0": 0.0, "g2:0": 1.0, "g3:0": 1.0})
+    zero = build_shift(WeightSpec("explicit", values={
+        "g1:0": 0.0, "g2:0": 1.0, "g3:0": 1.0}), path)
     assert _root_extension_sum(zero, 1) is None
 
 

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeshift import (MAX_VERTICES, ResourceLimitError,
-                       TreeSpec, WeightSpec, WeightedShift,
+                       TreeSpec, WeightSpec,
                        build_shift, comb_tree_spec,
                        dual_matrix, dual_subnormality, is_two_isometry,
                        materialize, moment_sequence,
-                       satisfies_kernel_condition,
-                       sibling_constancy_by_generation, spec_vertex_count,
+                       satisfies_kernel_condition, spec_vertex_count,
                        stieltjes_test, truncate, verify_table1)
 from treeshift import trees
 from treeshift.matrices import TruncatedOperator
@@ -40,7 +39,7 @@ def random_shifts(draw):
                            min_size=3, max_size=3))
     weights = {v: values[draw(st.integers(0, 2))] for v in tree.ids()
                if v != tree.root}
-    return WeightedShift(tree, weights)
+    return build_shift(WeightSpec("explicit", values=weights), tree)
 
 
 def _sq(x):
@@ -60,6 +59,24 @@ def _sum(values):
 def _scalar_norm(shift, u):
     return math.sqrt(_sum(_sq(shift.weight(c))
                           for c in shift.tree.children_of(u)))
+
+
+def _scalar_constancy_profile(shift, tol=1e-9):
+    """Whether every vertex of generation g (g <= N-2) has nonzero-weight
+    children whose norms spread by at most tol * (1 + max), one parent
+    at a time."""
+    tree = shift.tree
+    profile = []
+    for g in range(tree.materialized_depth - 1):
+        constant = True
+        for u in tree.generations()[g]:
+            kept = [_scalar_norm(shift, v) for v in tree.children_of(u)
+                    if shift.weight(v) != 0.0]
+            if len(kept) >= 2 and max(kept) - min(kept) > \
+                    tol * (1.0 + max(kept)):
+                constant = False
+        profile.append(constant)
+    return np.array(profile)
 
 
 def _scalar_moments(shift, u, nmax):
@@ -132,7 +149,7 @@ def test_expansion_witness_matches_scalar_scan(shift):
 @given(random_shifts())
 def test_constancy_profile_agrees_with_every_k(shift):
     n = shift.tree.materialized_depth
-    profile = sibling_constancy_by_generation(shift)
+    profile = _scalar_constancy_profile(shift)
     for k in range(n - 1):
         verdict = satisfies_kernel_condition(shift, k)
         assert verdict.holds == bool(profile[k:].all())

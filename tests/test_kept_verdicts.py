@@ -140,8 +140,8 @@ TREE_FAMILIES = {
 def test_squares_are_products_on_every_tree_family(family):
     tree = materialize(TREE_FAMILIES[family])
     rng = np.random.default_rng(len(family))
-    cases = [WeightedShift.from_array(
-        tree, rng.uniform(0.1, 3.0, tree.vertex_count))]
+    cases = [WeightedShift(tree.expanded(),
+                           rng.uniform(0.1, 3.0, tree.vertex_count))]
     cases.append(build_shift(WeightSpec("adjacency"), tree))
     if family == "path":
         cases += [build_shift(WeightSpec(kind), tree)
@@ -158,7 +158,7 @@ def test_squares_are_correctly_rounded():
     # about one value in a thousand
     tree = materialize(TreeSpec("path", depth=20_000))
     w = np.random.default_rng(3).uniform(0.1, 3.0, tree.vertex_count)
-    shift = WeightedShift.from_array(tree, w)
+    shift = WeightedShift(tree, w)
     exact = [float(Fraction(x) ** 2) for x in shift.weight_array.tolist()]
     assert shift.squared_weights.tolist() == exact
     exact = [float(Fraction(x) ** 2) for x in shift.vertex_norms.tolist()]

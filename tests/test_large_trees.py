@@ -20,8 +20,7 @@ from treeshift import (ClassificationError, NotLeftInvertibleError,
                        RangeError, StructureError, TreeSpec, WeightSpec,
                        WeightedShift, build_shift, cli, comb_tree_spec,
                        dual_matrix, hub_comb_tree_spec, materialize,
-                       satisfies_kernel_condition,
-                       sibling_constancy_by_generation, spec_vertex_count,
+                       satisfies_kernel_condition, spec_vertex_count,
                        truncate, verify_table1)
 from treeshift.cli import main
 from treeshift.moments import TABLE1_ROWS
@@ -35,7 +34,7 @@ def _zero_weight_shift():
                                              depth=7)))
     w = shift.weight_array.copy()
     w[1], w[2:4] = 0.0, w[2:4] * np.sqrt(1.5)
-    return WeightedShift.from_array(shift.tree, w, name="zero-weight")
+    return WeightedShift(shift.tree.expanded(), w, name="zero-weight")
 
 
 def _shift(tree, weights):
@@ -120,7 +119,7 @@ def test_table1_singular_gram_names_the_first_interior_vector():
     squares = {1: 4 / 15, 2: 3 / 4, 3: 2 / 3, 4: 1 / 2, 5: 0.0}
     w = np.sqrt([0.0] + [squares[tree.depth_at(i)]
                          for i in range(1, tree.vertex_count)])
-    shift = WeightedShift.from_array(tree, w)
+    shift = WeightedShift(tree.expanded(), w)
     message = r"singular on the interior \(basis vector 'g4:0'\)"
     with pytest.raises(NotLeftInvertibleError, match=message):
         verify_table1(shift, "kernel", nmax=2)
@@ -182,7 +181,7 @@ def rule_shifts(draw):
                        st.floats(min_value=0.0, max_value=2.0))
     weights = draw(st.lists(weight, min_size=tree.vertex_count - 1,
                             max_size=tree.vertex_count - 1))
-    return WeightedShift.from_array(tree, np.array([0.0] + weights))
+    return WeightedShift(tree.expanded(), [0.0] + weights)
 
 
 def _failures_by_loop(shift, tol):
@@ -221,10 +220,6 @@ def test_sibling_constancy_matches_a_per_parent_loop(shift, tol):
         else:
             assert verdict.witness is None
             assert verdict.details["constant_from"] == k
-    by_generation = sibling_constancy_by_generation(shift, tol)
-    assert by_generation.tolist() == [
-        all(tree.depth_at(u) != g for u, _ in failures)
-        for g in range(n - 1)]
 
 
 # -- generation rules flattened once ---------------------------------------

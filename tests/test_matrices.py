@@ -6,10 +6,10 @@ import pytest
 
 from treeshift import (ClassificationError, DomainError,
                        NotLeftInvertibleError, RangeError, TreeSpec,
-                       WeightSpec, WeightedShift, block_shift_from_atoms,
+                       WeightSpec, block_shift_from_atoms,
                        build_brownian_shift, build_shift, cauchy_dual,
                        closed_form_table1, comb_tree_spec, defect,
-                       dual_matrix, dump_matrix, generation, gram_diag,
+                       dual_matrix, generation, gram_diag,
                        materialize, moment_sequence, truncate, verify_table1)
 
 SQRT2 = math.sqrt(2.0)
@@ -116,7 +116,7 @@ def test_dual_matrix_rejects_interior_kernel():
     ids = list(tree.ids())
     w = {v: 1.0 for v in ids[1:]}
     w[ids[2]] = 0.0
-    trunc = truncate(WeightedShift(tree, w))
+    trunc = truncate(build_shift(WeightSpec("explicit", values=w), tree))
     with pytest.raises(NotLeftInvertibleError):
         dual_matrix(trunc)
 
@@ -325,14 +325,3 @@ def test_block_shift_from_atoms():
         block_shift_from_atoms([(1.2, 1), (1.2, 1)], 8)
     with pytest.raises(RangeError):
         block_shift_from_atoms([(1.2, 1)], 1)
-
-
-def test_dump_matrix(tmp_path):
-    shift = build_shift(WeightSpec("dirichlet"),
-                        materialize(TreeSpec("path", depth=4)))
-    trunc = truncate(shift)
-    out = tmp_path / "m.txt"
-    dump_matrix(trunc, str(out))
-    loaded = np.loadtxt(out)
-    assert loaded.shape == (5, 5)
-    assert np.allclose(loaded, trunc.matrix, atol=0)

@@ -6,7 +6,7 @@ import pytest
 from treeshift import (ClassificationError, ConfigurationError,
                        DiscreteMeasure, DomainError,
                        MomentSequence, NotLeftInvertibleError, RangeError,
-                       TreeSpec, WeightSpec, WeightedShift,
+                       TreeSpec, WeightSpec,
                        backward_extension, build_shift, cauchy_dual,
                        closed_form_table1, comb_tree_spec, dual_subnormality,
                        generation, hausdorff_test, hub_comb_tree_spec,
@@ -15,7 +15,7 @@ from treeshift import (ClassificationError, ConfigurationError,
                        reciprocal_linear_moments, stieltjes_test,
                        vertex_norm, check_tolerance, classify_adjacency,
                        is_two_isometry, satisfies_kernel_condition,
-                       sibling_constancy_by_generation, verify_table1)
+                       verify_table1)
 from treeshift.moments import MAX_LISTED_WITNESSES
 
 SQRT2 = math.sqrt(2.0)
@@ -415,7 +415,8 @@ def test_decision_generic_inconclusive_pass():
     # "consistent" without claiming a proof
     path = materialize(TreeSpec("path", depth=16))
     ids = list(path.ids())
-    shift = WeightedShift(path, {v: 0.5 for v in ids[1:]})
+    shift = build_shift(
+        WeightSpec("explicit", values={v: 0.5 for v in ids[1:]}), path)
     rep = dual_subnormality(shift)
     assert rep.verdict == "consistent"
     assert not rep.conclusive
@@ -442,7 +443,7 @@ def test_decision_requires_left_invertibility():
     w = {v: 1.0 for v in ids[1:]}
     w[ids[3]] = 0.0
     with pytest.raises(NotLeftInvertibleError):
-        dual_subnormality(WeightedShift(tree, w))
+        dual_subnormality(build_shift(WeightSpec("explicit", values=w), tree))
 
 
 
@@ -453,7 +454,8 @@ def test_generic_report_is_bounded_and_keeps_the_first_failure():
     # constant dual weights and pass, the later ones fail
     weights = {v: 1.0 if tree.depth_of(v) <= 100 else w
                for v, w in bergman.weights().items()}
-    report = dual_subnormality(WeightedShift(tree, weights), 12)
+    report = dual_subnormality(
+        build_shift(WeightSpec("explicit", values=weights), tree), 12)
     assert report.verdict == "not-subnormal"
     listed = report.evidence["witnesses"]
     assert len(listed) == MAX_LISTED_WITNESSES
@@ -477,8 +479,8 @@ def test_generic_report_is_bounded_and_keeps_the_first_failure():
 def test_generic_path_rejects_moments_that_overflow():
     tree = materialize(TreeSpec("path", depth=8))
     # dual weights 1e100: the second dual moment at the root is inf
-    shift = WeightedShift(tree, {v: 1e-100 for v in tree.ids()
-                                 if v != tree.root})
+    shift = build_shift(WeightSpec("explicit", values={
+        v: 1e-100 for v in tree.ids() if v != tree.root}), tree)
     with pytest.raises(DomainError, match="finite"):
         dual_subnormality(shift, 6)
 
@@ -501,7 +503,6 @@ def test_every_tol_parameter_is_checked(tol):
     calls = [
         lambda: is_two_isometry(dirichlet, tol),
         lambda: satisfies_kernel_condition(dirichlet, 0, tol),
-        lambda: sibling_constancy_by_generation(dirichlet, tol),
         lambda: classify_adjacency(dirichlet.tree, tol),
         lambda: stieltjes_test([1.0, 0.5, 0.5], tol),
         lambda: hausdorff_test([1.0, 0.5, 0.5], tol),

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift import (DiscreteMeasure, TreeSpec, WeightSpec, WeightedShift,
+from treeshift import (DiscreteMeasure, TreeSpec, WeightSpec,
                        backward_extension, build_shift, cauchy_dual,
                        closed_form_table1, generation, is_two_isometry,
                        materialize, moment_sequence,
@@ -77,7 +77,7 @@ def _random_tree_and_weights(draw):
 @given(st.data())
 def test_dual_is_an_involution(data):
     tree, weights = _random_tree_and_weights(data.draw)
-    shift = WeightedShift(tree, weights)
+    shift = build_shift(WeightSpec("explicit", values=weights), tree)
     double = cauchy_dual(cauchy_dual(shift))
     for v, lam in shift.weights().items():
         assert double.weight(v) == pytest.approx(lam, rel=1e-10)
@@ -87,7 +87,7 @@ def test_dual_is_an_involution(data):
 @given(st.data())
 def test_dual_inverts_vertex_norms(data):
     tree, weights = _random_tree_and_weights(data.draw)
-    shift = WeightedShift(tree, weights)
+    shift = build_shift(WeightSpec("explicit", values=weights), tree)
     dual = cauchy_dual(shift)
     for g in range(tree.materialized_depth):
         for u in generation(tree, g):
@@ -122,7 +122,7 @@ def test_forced_spread_breaks_constancy_on_both_sides(data):
     # push one grandchild norm away from its sibling group
     (g1,) = tree.children_of(k1)
     weights[g1] = base + spread
-    shift = WeightedShift(tree, weights)
+    shift = build_shift(WeightSpec("explicit", values=weights), tree)
     dual = cauchy_dual(shift)
     assert not satisfies_kernel_condition(shift, 0, 1e-9).holds
     assert not satisfies_kernel_condition(dual, 0, 1e-9).holds
@@ -146,7 +146,7 @@ def test_kernel_family_is_expansive_with_unit_floor(x, eta):
 @given(st.data())
 def test_moment_recurrence_equals_path_products(data):
     tree, weights = _random_tree_and_weights(data.draw)
-    shift = WeightedShift(tree, weights)
+    shift = build_shift(WeightSpec("explicit", values=weights), tree)
     u = tree.root
     prod = {u: 1.0}
     nmax = tree.materialized_depth

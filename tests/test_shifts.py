@@ -1,6 +1,7 @@
 """Shift layer: weights, expansion identity, constancy, duals, invariants."""
 import math
 
+import numpy as np
 import pytest
 
 from treeshift import (ClassificationError, ComparisonError,
@@ -45,17 +46,108 @@ def test_weighted_shift_validation():
     tree = materialize(TreeSpec("path", depth=3))
     ids = list(tree.ids())
     good = {v: 1.0 for v in ids[1:]}
-    s = WeightedShift(tree, good)
+    s = build_shift(WeightSpec("explicit", values=good), tree)
     assert s.is_adjacency and not s.has_zero_weights
 
     with pytest.raises(ConfigurationError):
-        WeightedShift(tree, {**good, ids[0]: 1.0})  # root weight
+        build_shift(WeightSpec("explicit", values={**good, ids[0]: 1.0}),
+                    tree)  # root weight
     with pytest.raises(ConfigurationError):
-        WeightedShift(tree, {k: good[k] for k in ids[2:]})  # missing
+        build_shift(WeightSpec("explicit",
+                               values={k: good[k] for k in ids[2:]}),
+                    tree)  # missing
     with pytest.raises(ConfigurationError):
-        WeightedShift(tree, {**good, ids[1]: -0.5})  # negative
+        build_shift(WeightSpec("explicit", values={**good, ids[1]: -0.5}),
+                    tree)  # negative
     with pytest.raises(ConfigurationError):
-        WeightedShift(tree, {**good, "nope": 1.0})  # unknown vertex
+        build_shift(WeightSpec("explicit", values={**good, "nope": 1.0}),
+                    tree)  # unknown vertex
+
+
+def _hashed_binary_tree():
+    """The binary rule tree of depth 12, held as one class per
+    generation."""
+    tree = materialize(TreeSpec(
+        "generation_rule", rule=tuple((2,) * 2 ** g for g in range(12)),
+        depth=12))
+    assert (tree.class_count, tree.vertex_count) == (13, 8191)
+    return tree
+
+
+def test_the_constructor_takes_one_weight_per_class_and_never_expands():
+    tree = _hashed_binary_tree()
+    per_vertex = np.random.default_rng(5).uniform(0.5, 1.5,
+                                                  tree.vertex_count)
+    with pytest.raises(ConfigurationError,
+                       match="^8191 weights for a tree of 13 classes$"):
+        WeightedShift(tree, per_vertex)
+    assert tree._expanded is None
+    # the same weights on the full tree: the copy of the array, root
+    # entry 0, and the per-vertex arrays of the full tree
+    full = tree.expanded()
+    shift = WeightedShift(full, per_vertex, name="per-vertex")
+    assert shift.tree is full and shift.name == "per-vertex"
+    expected = per_vertex.copy()
+    expected[0] = 0.0
+    assert np.array_equal(shift.class_weights, expected)
+    assert np.array_equal(shift.weight_array, expected)
+    squares = expected * expected
+    assert np.array_equal(shift.squared_weights, squares)
+    assert np.array_equal(shift.vertex_norms, np.sqrt(np.bincount(
+        full.parents[1:], weights=squares[1:], minlength=full.vertex_count)))
+    # one weight per class stays on the classes; the per-vertex arrays
+    # are those of the same weights spread over the full tree
+    class_weights = np.linspace(0.5, 1.5, tree.class_count)
+    on_classes = WeightedShift(tree, class_weights)
+    depths = np.repeat(np.arange(13), np.diff(full.gen_offsets))
+    spread = WeightedShift(full, class_weights[depths])
+    assert on_classes.tree is tree
+    for name in ("weight_array", "squared_weights", "vertex_norms",
+                 "squared_norms"):
+        assert np.array_equal(getattr(on_classes, name),
+                              getattr(spread, name)), name
+
+
+def test_the_constructor_copies_and_freezes_the_weights():
+    tree = materialize(TreeSpec("path", depth=4))
+    w = np.full(5, 2.0)
+    shift = WeightedShift(tree, w)
+    w[1] = 7.0
+    assert shift.class_weights.tolist() == [0.0, 2.0, 2.0, 2.0, 2.0]
+    assert not shift.class_weights.flags.writeable
+    assert w.flags.writeable and w[0] == 2.0
+    with pytest.raises(ConfigurationError,
+                       match=r"^weight at 'g2:0' must be finite and >= 0, "
+                             r"got -1\.0$"):
+        WeightedShift(tree, [0.0, 1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(ConfigurationError,
+                       match="^1 weights for a tree of 5 classes$"):
+        WeightedShift(tree, 1.0)
+
+
+@pytest.mark.parametrize("values,message", [
+    (lambda ids: {v: 1.0 for v in ids}, "root must not carry a weight"),
+    (lambda ids: {v: 1.0 for v in ids[1:] if v != "g5:3"},
+     "missing weight for vertex 'g5:3'"),
+    (lambda ids: {**{v: 1.0 for v in ids[1:]}, "nope": 1.0, "g13:0": 1.0},
+     "weights given for unknown vertices: ['g13:0', 'nope']"),
+])
+def test_explicit_weights_keep_their_messages_on_a_class_tree(values,
+                                                              message):
+    tree = _hashed_binary_tree()
+    ids = list(tree.expanded().ids())
+    with pytest.raises(ConfigurationError) as err:
+        build_shift(WeightSpec("explicit", values=values(ids)), tree)
+    assert str(err.value) == message
+
+
+def test_explicit_weights_name_the_vertices_of_the_full_tree():
+    tree = _hashed_binary_tree()
+    ids = list(tree.expanded().ids())
+    shift = build_shift(WeightSpec("explicit", values={
+        v: 1.0 + i / 8192 for i, v in enumerate(ids) if i}), tree)
+    assert shift.tree is tree.expanded() and shift.name == "explicit"
+    assert shift.weight("g12:4095") == 1.0 + 8190 / 8192
 
 
 def test_build_shift_families():
@@ -230,7 +322,7 @@ def test_kernel_condition_ignores_zero_weight_children():
             break
         w[ch[0]] = 1.3  # differing norms on the dead branch are invisible
         u = ch[0]
-    shift = WeightedShift(tree, w)
+    shift = build_shift(WeightSpec("explicit", values=w), tree)
     verdict = satisfies_kernel_condition(shift, 0)
     assert verdict.holds
     assert "zero-weight" in verdict.note
@@ -259,7 +351,7 @@ def test_cauchy_dual_requires_left_invertibility():
     ids = list(tree.ids())
     w = {v: 1.0 for v in ids[1:]}
     w[ids[2]] = 0.0
-    shift = WeightedShift(tree, w)
+    shift = build_shift(WeightSpec("explicit", values=w), tree)
     with pytest.raises(NotLeftInvertibleError) as err:
         cauchy_dual(shift)
     assert ids[1] in str(err.value)  # names the offending vertex

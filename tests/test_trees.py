@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treeshift import (DirectedTree, RangeError, StructureError, TreeSpec,
-                       branching_degree, classify_tree, comb_tree_spec,
+                       classify_tree, comb_tree_spec,
                        generation, hub_comb_tree_spec, materialize,
                        spec_vertex_count, two_plus_three_tree_spec)
 from treeshift.errors import ConfigurationError, DomainError
@@ -144,34 +144,6 @@ def test_degree_range_error_at_materialization_boundary():
     # one above is fine
     (v,) = generation(tree, 3)
     assert tree.degree(v) == 1
-
-
-def test_branching_degree():
-    tree = materialize(TreeSpec("t_eta_kappa", eta=3, depth=4))
-    # generation 1 gains 2 extra vertices relative to generation 0
-    assert branching_degree(tree, 1) == 2
-    assert branching_degree(tree, 2) == 0
-    path = materialize(TreeSpec("path", depth=4))
-    assert branching_degree(path, 1) == 0
-
-
-@pytest.mark.parametrize("spec", [
-    TreeSpec("path", depth=6),
-    TreeSpec("t_eta_kappa", eta=5, depth=4),
-    TreeSpec("quasi_brownian", valency=3, depth=9),
-    TreeSpec("generation_rule", rule=((3,), (2, 0, 1), (1, 1, 4)), depth=5),
-    TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(9)),
-             depth=9),
-])
-def test_branching_degree_is_the_second_difference_of_the_offsets(spec):
-    tree = materialize(spec)
-    n = tree.materialized_depth
-    # what shift_invariants reports as the branching sequence
-    expected = np.diff(tree.gen_offsets, 2).tolist()
-    assert [branching_degree(tree, k) for k in range(1, n + 1)] == expected
-    for k in (0, n + 1):
-        with pytest.raises(RangeError):
-            branching_degree(tree, k)
 
 
 def test_comb_tree_structure():
