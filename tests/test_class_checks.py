@@ -16,7 +16,7 @@ import treeshift
 from treeshift import (ClassificationError, ConfigurationError,
                        DirectedTree, DomainError, TreeSpec, WeightSpec,
                        build_shift, classify_adjacency,
-                       classify_tree, cli, comb_tree_spec,
+                       classify_tree, comb_tree_spec,
                        dual_subnormality, hub_comb_tree_spec,
                        is_two_isometry, materialize,
                        perturbed_kernel_dual_moment, quasi_brownian,

@@ -8,7 +8,7 @@ from treeshift import (ClassificationError, DomainError,
                        NotLeftInvertibleError, RangeError, TreeSpec,
                        WeightSpec, block_shift_from_atoms,
                        build_brownian_shift, build_shift, cauchy_dual,
-                       closed_form_table1, comb_tree_spec, defect,
+                       comb_tree_spec, defect,
                        dual_matrix, generation, gram_diag,
                        materialize, moment_sequence, truncate, verify_table1)
 

@@ -7,7 +7,7 @@ from treeshift import (ClassificationError, ConfigurationError,
                        DiscreteMeasure, DomainError,
                        MomentSequence, NotLeftInvertibleError, RangeError,
                        TreeSpec, WeightSpec,
-                       backward_extension, build_shift, cauchy_dual,
+                       backward_extension, build_shift,
                        closed_form_table1, comb_tree_spec, dual_subnormality,
                        generation, hausdorff_test, hub_comb_tree_spec,
                        materialize, moment_sequence, operator_norm,

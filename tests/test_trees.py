@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from treeshift import (DirectedTree, RangeError, StructureError, TreeSpec,
-                       classify_tree, comb_tree_spec,
-                       generation, hub_comb_tree_spec, materialize,
-                       spec_vertex_count, two_plus_three_tree_spec)
-from treeshift.errors import ConfigurationError, DomainError
+from treeshift import (RangeError, StructureError, TreeSpec, classify_tree,
+                       comb_tree_spec, generation, hub_comb_tree_spec,
+                       materialize, spec_vertex_count,
+                       two_plus_three_tree_spec)
+from treeshift.errors import ConfigurationError
 
 
 def test_path_materialization():
