@@ -623,10 +623,9 @@ def _demo_bergman_dual(tol: float) -> _DemoOutcome:
     dual = cauchy_dual(shift)
     two_d = is_two_isometry(dual, tol)
     kc_d = satisfies_kernel_condition(dual, 0, tol)
-    dev_w = 0.0
     # vertex d of the path has depth d
-    for d, w in enumerate(dual.class_weights[1:33].tolist(), start=1):
-        dev_w = max(dev_w, abs(w - two_isometry_weight(d - 1, math.sqrt(2))))
+    dev_w = max(abs(w - two_isometry_weight(d - 1, math.sqrt(2)))
+                for d, w in enumerate(dual.edge_weights[1:33].tolist(), 1))
     ok = (dev < 1e-12 and haus.is_hausdorff and dev_mu < 1e-12
           and two_d.holds and kc_d.holds and dev_w < 1e-12)
     statement = (f"subnormal contraction: power moments equal 1/(n+1) "
@@ -902,7 +901,7 @@ def _demo_sl_chm(tol: float) -> _DemoOutcome:
             w += [two_isometry_weight(g - 2, x) for x in second]
         shift = WeightedShift(tree, w, name=f"sl-chm(eta={eta})")
         norms.append(operator_norm(shift))
-        weights = shift.class_weights.tolist()
+        weights = shift.edge_weights.tolist()
         vertex_norms = shift.class_norms.tolist()
         # the one child v of every vertex of generations 1..depth-2
         for v in range(1 + eta, 1 + (depth - 1) * eta):

@@ -10,6 +10,7 @@ by one depth level per operator application.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -21,7 +22,7 @@ from .moments import TABLE1_ROWS, table1_value
 from .shifts import (DEFAULT_TOL, WeightedShift, check_tolerance,
                      classify_adjacency, require_kernel_class,
                      two_isometry_weight)
-from .trees import comb_pattern_valency
+from .trees import comb_pattern_valency, generation
 
 __all__ = [
     "TruncatedOperator",
@@ -77,16 +78,18 @@ class TruncatedOperator:
 
 
 def _cut(shift: WeightedShift, depth: Optional[int]
-         ) -> tuple[int, int, np.ndarray]:
-    """Cut depth (default: materialized), basis size, basis depths."""
+         ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut depth (default: materialized), and the depth, parent and
+    weight of every basis vertex (-1 and 0 for the root)."""
     tree = shift.tree
     cut = tree.materialized_depth if depth is None else depth
     if cut < 1 or cut > tree.materialized_depth:
         raise RangeError(
             f"cut depth must be in [1, {tree.materialized_depth}], "
             f"got {cut}")
-    return cut, tree.gen_offsets.item(cut + 1), np.repeat(
-        np.arange(cut + 1), np.diff(tree.gen_offsets[:cut + 2]))
+    depths = np.arange(cut + 1).repeat(np.diff(tree.gen_offsets[:cut + 2]))
+    parents, edges = tree.links(cut)
+    return cut, depths, parents, shift.edge_weights[edges]
 
 
 def truncate(shift: WeightedShift,
@@ -97,12 +100,12 @@ def truncate(shift: WeightedShift,
     the basis), so the interior depth is depth - 1.  The basis is the
     vertices of the tree, in canonical order.
     """
-    cut, size, depths = _cut(shift, depth)
-    m = np.zeros((size, size))
-    kids = np.arange(1, size)  # their parents lie above the cut
-    m[kids, shift.tree.parents[kids]] = shift.weight_array[kids]
-    return TruncatedOperator(m, tuple(shift.tree.labels[:size]),
-                             tuple(depths.tolist()), cut - 1,
+    cut, depths, parents, weights = _cut(shift, depth)
+    m = np.zeros((len(depths), len(depths)))
+    m[np.arange(1, len(depths)), parents[1:]] = weights[1:]
+    basis = chain.from_iterable(generation(shift.tree, g)
+                                for g in range(cut + 1))
+    return TruncatedOperator(m, tuple(basis), tuple(depths.tolist()), cut - 1,
                              name=f"truncate({shift.name or 'shift'}, "
                                   f"{cut})")
 
@@ -343,11 +346,10 @@ def _shift_orders(shift: WeightedShift, row: str, nmax: int,
     depth)``, read as index arrays: row i holds weight_array[i] in column
     parents[i], or 0 in column 0 for the root and zero weights, as
     ``_row_entries`` reads the matrix.  No V x V matrix is built."""
-    cut, size, depths = _cut(shift, depth)
+    cut, depths, parents, val = _cut(shift, depth)
     if nmax > cut - 1:
         raise RangeError(f"nmax {nmax} exceeds interior depth {cut - 1}")
-    val = shift.weight_array[:size]
-    col = np.where(val != 0.0, shift.tree.parents[:size], 0)
+    col = np.where(val != 0.0, parents, 0)
     return cut - 1, _table1_orders_diagonal(row, nmax, col, val, depths,
                                             cut - 1, shift.tree.label)
 

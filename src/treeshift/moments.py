@@ -210,9 +210,9 @@ def _power_norms(shift: WeightedShift, top: int, kmax: int,
             w = cauchy_dual_weights(shift, edges)
             w2 = w * w
         else:
-            w2 = shift.class_squared_weights[kids]
+            w2 = shift.edge_squared_weights[1:edges]
         # a zero-weight child adds exactly 0, even below an overflow
-        zero = (shift.class_weights[kids] == 0.0
+        zero = (shift.edge_weights[1:edges] == 0.0
                 if shift.has_zero_weights else None)
         for k in range(kmax):
             terms = w2 * out[k, kids]
@@ -324,12 +324,13 @@ def perturbed_kernel_dual_moment(shift: WeightedShift, u: Optional[str] = None,
     if nu2 == 0.0:
         raise NotLeftInvertibleError(f"vertex norm is 0 at {u!r}")
     start = tree.class_starts.item(c)
-    kids = tree.edge_classes(slice(start, start + tree.class_degrees.item(c)))
-    weighted = np.flatnonzero(shift.class_weights[kids])
+    edges = slice(start, start + tree.class_degrees.item(c))
+    weighted = np.flatnonzero(shift.edge_weights[edges])
     if not len(weighted):
         raise NotLeftInvertibleError(
             f"all children of {u!r} carry zero weight")
-    alpha2 = shift.class_squared_norms[kids].item(weighted.item(0))
+    alpha2 = shift.class_squared_norms[tree.edge_classes(edges)].item(
+        weighted.item(0))
     return (1.0 / nu2) / ((n - 1) * alpha2 - (n - 2))
 
 
@@ -342,14 +343,14 @@ def _root_extension_sum(shift: WeightedShift, n: int) -> Optional[float]:
     for the backward extension of the root dual tail.  None when the root
     norm is 0 or a denominator is within 1e-12 of 0."""
     tree = shift.tree
-    # the root's children
-    kids = tree.edge_classes(slice(1, 1 + tree.class_degrees.item(0)))
-    root2 = shift.class_squared_norms.item(0)
-    den = (n - 1) * shift.class_squared_norms[kids] - (n - 2)
+    edges = slice(1, 1 + tree.class_degrees.item(0))  # the root's
+    norms2 = shift.class_squared_norms
+    root2 = norms2.item(0)
+    den = (n - 1) * norms2[tree.edge_classes(edges)] - (n - 2)
     if root2 == 0.0 or np.any(np.abs(den) < 1e-12):
         return None
     # cumsum adds left to right, as the sums of class_norms do
-    return (np.cumsum(shift.class_squared_weights[kids] / den).item(-1)
+    return (np.cumsum(shift.edge_squared_weights[edges] / den).item(-1)
             / root2 ** 2)
 
 
@@ -679,8 +680,9 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         # smallest k >= 1 with constancy in every generation k..N-2
         k_found = kc0.details["constant_from"]
         if k_found <= n - 2:
-            first_gens = slice(1, tree.class_offsets.item(k_found + 1))
-            if np.all(shift.class_weights[first_gens] > 0.0):
+            # the edges into generations 1..k_found
+            into = slice(1, tree.class_starts[tree.class_offsets[k_found]])
+            if np.all(shift.edge_weights[into] > 0.0):
                 root_seq = moment_sequence(shift, tree.root, cap, dual=True)
                 st = stieltjes_test(root_seq, tol)
                 integral = _root_extension_sum(shift, 0)

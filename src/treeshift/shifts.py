@@ -89,40 +89,40 @@ def _two_isometry_weights(n: np.ndarray, x: float) -> np.ndarray:
 class WeightedShift:
     """A tree plus a nonnegative weight per non-root vertex.
 
-    The weights are one float array in the tree's class order
-    (``class_weights``; its root entry is 0 and carries no meaning):
-    every vertex of a class has its class's weight.  ``class_norms`` and
-    the squares are computed per class on first use and kept, and so
-    are ``has_zero_weights`` and ``is_adjacency``; squares are products,
-    which IEEE 754 rounds correctly.  ``weight_array``,
-    ``squared_weights``, ``vertex_norms`` and ``squared_norms`` are the
-    same arrays per vertex in canonical order, read-only gathers by
-    ``tree.per_vertex`` that are not kept; on a full tree they are the
-    class arrays.  The verdicts of ``is_two_isometry`` and
-    ``satisfies_kernel_condition`` are kept per tolerance (and k), never
-    the arrays behind them.
+    The weights are one float array over the tree's child edges
+    (``edge_weights``; its root entry is 0 and carries no meaning): a
+    vertex has the weight of the class edge into it, and its children
+    are its class's edges, so ``class_norms`` holds one norm per class.
+    Both, and the squares, ``has_zero_weights`` and ``is_adjacency``,
+    are computed on first use and kept; squares are products, which
+    IEEE 754 rounds correctly.  ``weight_array``, ``squared_weights``,
+    ``vertex_norms`` and ``squared_norms`` are the same arrays per
+    vertex in canonical order, read-only gathers that are not kept (on
+    a full tree, the arrays themselves).  The verdicts of
+    ``is_two_isometry`` and ``satisfies_kernel_condition`` are kept per
+    tolerance (and k), never the arrays behind them.
     """
 
-    def __init__(self, tree: DirectedTree, class_weights: Sequence[float],
+    def __init__(self, tree: DirectedTree, edge_weights: Sequence[float],
                  name: Optional[str] = None):
-        """Shift with the weight ``class_weights[c]`` at every vertex of
-        class c of ``tree`` (entry 0 is ignored), copied and frozen.  The
-        tree is never expanded: one weight per vertex of a class tree
-        goes with ``tree.expanded()``."""
-        w = np.array(class_weights, dtype=float)
-        if w.shape != (tree.class_count,):
+        """Shift with the weight ``edge_weights[e]`` at every vertex
+        child edge e of ``tree`` leads to (entry 0, the root's, is
+        ignored), copied and frozen.  The tree is never expanded."""
+        w = np.array(edge_weights, dtype=float)
+        edges = len(tree.children)
+        if w.shape != (edges,):
             raise ConfigurationError(
-                f"{w.size} weights for a tree of {tree.class_count} classes")
+                f"{w.size} weights for the root and {edges - 1} child edges")
         w[0] = 0.0
         bad = _first(~(np.isfinite(w) & (w >= 0.0)))
         if bad is not None:
             raise ConfigurationError(
-                f"weight at {tree.class_label(bad)!r} must be finite and "
+                f"weight at {tree.edge_label(bad)!r} must be finite and "
                 f">= 0, got {float(w[bad])}")
         w.flags.writeable = False
         self._tree = tree
-        #: weights in class order; entry 0 (the root) is 0
-        self.class_weights = w
+        #: weights by child edge; entry 0 (the root) is 0
+        self.edge_weights = w
         self.name = name
         # check verdicts by (check, k, tol); see _kept
         self._verdicts: dict[tuple, PropertyVerdict] = {}
@@ -132,8 +132,8 @@ class WeightedShift:
         return self._tree
 
     @cached_property
-    def class_squared_weights(self) -> np.ndarray:
-        w = self.class_weights
+    def edge_squared_weights(self) -> np.ndarray:
+        w = self.edge_weights
         with np.errstate(over="ignore"):  # the checks fail on inf
             squares = w * w
         squares.flags.writeable = False
@@ -146,9 +146,7 @@ class WeightedShift:
         sums its children; 0 on the last materialized level."""
         tree = self._tree
         norms = np.sqrt(np.bincount(
-            tree.class_parents[1:],
-            weights=self.class_squared_weights[tree.edge_classes(
-                slice(1, None))],
+            tree.class_parents[1:], weights=self.edge_squared_weights[1:],
             minlength=tree.class_count))
         norms.flags.writeable = False
         return norms
@@ -163,15 +161,15 @@ class WeightedShift:
         squares.flags.writeable = False
         return squares
 
-    # per vertex, in canonical order: the class arrays, gathered
+    # per vertex, in canonical order: the edge and class arrays, gathered
     @property
     def weight_array(self) -> np.ndarray:
         """Weights in canonical vertex order; entry 0 (the root) is 0."""
-        return self._tree.per_vertex(self.class_weights)
+        return self._tree.per_vertex_edge(self.edge_weights)
 
     @property
     def squared_weights(self) -> np.ndarray:
-        return self._tree.per_vertex(self.class_squared_weights)
+        return self._tree.per_vertex_edge(self.edge_squared_weights)
 
     @property
     def vertex_norms(self) -> np.ndarray:
@@ -189,7 +187,7 @@ class WeightedShift:
             i = 0
         if i == 0:
             raise RangeError(f"no weight for vertex {vid!r}")
-        return self.class_weights.item(self._tree.class_of(i))
+        return self.edge_weights.item(self._tree.link(i)[1])
 
     def weights(self) -> dict[str, float]:
         return dict(zip(self._tree.labels[1:],
@@ -197,11 +195,11 @@ class WeightedShift:
 
     @cached_property
     def has_zero_weights(self) -> bool:
-        return bool(np.any(self.class_weights[1:] == 0.0))
+        return bool(np.any(self.edge_weights[1:] == 0.0))
 
     @cached_property
     def is_adjacency(self) -> bool:
-        return bool(np.all(self.class_weights[1:] == 1.0))
+        return bool(np.all(self.edge_weights[1:] == 1.0))
 
 
 @dataclass(frozen=True)
@@ -288,8 +286,7 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
 
     Adjacency, ``kernel_condition`` without proportions and the path
     kinds follow from the tree's shape: one weight per child edge, and
-    the shift lives on the tree's classes when all the edges into each
-    class agree, else on ``tree.expanded()``.  Explicit weights,
+    the shift lives on the tree's classes.  Explicit weights,
     proportions and glowny weights name vertices or branches, so they
     always use ``tree.expanded()``."""
     if spec.kind in ("explicit", "glowny") or spec.proportions is not None:
@@ -311,10 +308,9 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
                 f"weights given for unknown vertices: {sorted(extra)[:3]}")
         return WeightedShift(tree, w, name="explicit")
     n = tree.materialized_depth
-    count = tree.class_count
     edges = len(tree.class_parents)  # the root's entry and the E edges
     if spec.kind == "adjacency":
-        return _on_classes(spec, tree, np.ones(edges), "adjacency")
+        return WeightedShift(tree, np.ones(edges), "adjacency")
     if spec.kind in ("dirichlet", "bergman_dual", "treiso"):
         _require_path(tree, spec.kind)
         d = np.arange(1, edges)  # on a path the edge index is the depth
@@ -324,7 +320,7 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
             w = np.sqrt(d / (d + 1.0))
         else:  # treiso: sqrt(phi(d) / phi(d - 1)), phi(k) = k^2 + 1
             w = np.sqrt((d * d + 1.0) / ((d - 1) * (d - 1) + 1.0))
-        return _on_classes(spec, tree, np.concatenate([[0.0], w]), spec.kind)
+        return WeightedShift(tree, np.concatenate([[0.0], w]), spec.kind)
     parents = tree.class_parents[1:]
     if spec.kind == "kernel_condition":
         assert spec.x is not None
@@ -340,10 +336,9 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
             if leaf is not None:
                 _leaf_error(tree, leaf)
             # the weight of every child edge of each parent class
-            w = np.zeros(edges)
-            w[1:] = np.sqrt(target / deg)[parents]
-            return _on_classes(spec, tree, w, name)
-        props = np.ones(count - 1)
+            return WeightedShift(tree, np.concatenate(
+                [[0.0], np.sqrt(target / deg)[parents]]), name)
+        props = np.ones(edges - 1)
         for vid, p in spec.proportions.items():
             if vid not in tree or tree.index(vid) == 0:
                 raise ConfigurationError(
@@ -386,30 +381,12 @@ def build_shift(spec: WeightSpec, tree: DirectedTree) -> WeightedShift:
             f"glowny weights require two infinite rays; vertex "
             f"{tree.label(bad + 1)!r} has degree {int(deg[bad])}")
     # two rays: generation g holds vertices 2g - 1 (first ray), 2g
-    w = np.zeros(count)
+    w = np.zeros(edges)
     steps = np.arange(n - 1)
     for i, y in enumerate((spec.y1, spec.y2)):
         w[1 + i] = 1.0 / math.sqrt(2.0 * (2.0 - y * y))
         w[3 + i::2] = _two_isometry_weights(steps, y)
     return WeightedShift(tree, w, f"glowny(y1={spec.y1}, y2={spec.y2})")
-
-
-def _on_classes(spec: WeightSpec, tree: DirectedTree, weights: np.ndarray,
-                name: str) -> WeightedShift:
-    """The shift whose child edge e has weight ``weights[e]`` (entry 0,
-    the root's, is 0): on the tree's classes when all the edges into
-    each class agree, else ``build_shift`` on ``tree.expanded()``.  On a
-    full tree every class has one edge, so they do."""
-    # the edges into a class are consecutive, since the edge classes
-    # never decrease; the first gives the class its weight, and every
-    # later one must have the weight of the edge before it
-    kids = tree.children
-    first = np.empty(len(kids), dtype=bool)
-    first[0] = True
-    np.not_equal(kids[1:], kids[:-1], out=first[1:])
-    if not (first[1:] | (weights[1:] == weights[:-1])).all():
-        return build_shift(spec, tree.expanded())
-    return WeightedShift(tree, weights[first], name)
 
 
 def _leaf_error(tree: DirectedTree, c: int) -> None:
@@ -505,13 +482,11 @@ def _expansion_check(shift: WeightedShift, tol: float) -> PropertyVerdict:
     note = f"min vertex norm = {min_norm:.12g}"
     if shift.has_zero_weights:
         note += "; zero weights present"
-    edges = tree.class_starts.item(inner)  # their child edges: 1..edges-1
-    top = tree.class_offsets.item(n)  # the classes those edges lead to
+    kids = slice(1, tree.class_starts.item(inner))  # their child edges
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (shift.class_squared_weights[:top]
-                 * (2.0 - shift.class_squared_norms[:top]))
-        lhs = np.bincount(tree.class_parents[1:edges],
-                          weights=terms[tree.edge_classes(slice(1, edges))],
+        terms = shift.edge_squared_weights[kids] * (
+            2.0 - shift.class_squared_norms[tree.edge_classes(kids)])
+        lhs = np.bincount(tree.class_parents[kids], weights=terms,
                           minlength=inner)[:inner]
         res = np.abs(lhs - 1.0) / (1.0 + np.abs(lhs))
     # an overflow leaves lhs infinite and res NaN: a failure, not a pass
@@ -527,22 +502,20 @@ def _expansion_check(shift: WeightedShift, tol: float) -> PropertyVerdict:
 
 def _child_segments(tree: DirectedTree, parents: np.ndarray
                     ) -> tuple[slice | np.ndarray, np.ndarray]:
-    """The classes the child edges of ``parents`` (increasing classes,
-    each with a child) lead to, in order, as ``edge_classes`` gives them
-    for one slice of edges when no other class's edge lies between them,
-    else for an index array; and where each parent's segment of them
-    starts."""
+    """The child edges of ``parents`` (increasing classes, each with a
+    child), in order, as one slice when no other class's edge lies
+    between them, else as an index array; and where each parent's
+    segment of them starts."""
     counts = tree.class_degrees[parents]
     first = tree.class_starts[parents]
     if first.item(-1) - first.item(0) == counts[:-1].sum():
-        return (tree.edge_classes(slice(first.item(0),
-                                        first.item(-1) + counts.item(-1))),
+        return (slice(first.item(0), first.item(-1) + counts.item(-1)),
                 first - first.item(0))
     segments = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=segments[1:])
     edges = np.repeat(first - segments, counts)
     edges += np.arange(len(edges))
-    return tree.edge_classes(edges), segments
+    return edges, segments
 
 
 def _sibling_spread(shift: WeightedShift, tol: float
@@ -563,9 +536,8 @@ def _sibling_spread(shift: WeightedShift, tol: float
     branching = np.flatnonzero(tree.class_degrees[:parents_end] >= 2)
     if not len(branching):
         return none
-    norms, w = shift.class_norms, shift.class_weights
-    kids, segments = _child_segments(tree, branching)
-    kid_norms = norms[kids]
+    edges, segments = _child_segments(tree, branching)
+    kid_norms = shift.class_norms[tree.edge_classes(edges)]
     with np.errstate(invalid="ignore"):
         # a difference, not !=, so that inf - inf (NaN) differs too
         differs = kid_norms[1:] - kid_norms[:-1] != 0.0
@@ -579,9 +551,9 @@ def _sibling_spread(shift: WeightedShift, tol: float
     suspects = branching
     if not suspect.all():
         suspects = branching[suspect]
-        kids, segments = _child_segments(tree, suspects)
-        kid_norms = norms[kids]
-    nonzero = w[kids] != 0.0
+        edges, segments = _child_segments(tree, suspects)
+        kid_norms = shift.class_norms[tree.edge_classes(edges)]
+    nonzero = shift.edge_weights[edges] != 0.0
     high = np.maximum.reduceat(np.where(nonzero, kid_norms, -np.inf),
                                segments)
     low = np.minimum.reduceat(np.where(nonzero, kid_norms, np.inf), segments)
@@ -659,45 +631,31 @@ def cauchy_dual_weights(shift: WeightedShift,
     """Weights of the Cauchy dual at the child edges 1..end-1 (default:
     every edge), weight(v) / norm(parent(v))^2 for the vertex v an edge
     leads to; entry i holds edge i + 1, which on a full tree leads to
-    vertex i + 1.  The edges into one class may differ, as their parents
-    do.
+    vertex i + 1.
 
-    Requires every vertex norm on the materialized part to be positive,
-    whatever ``end`` is."""
+    Raises NotLeftInvertibleError at the first vertex of the
+    materialized part whose norm is 0, whatever ``end`` is."""
     tree = shift.tree
-    _require_left_invertible(shift)
-    if end is None:
-        end = len(tree.class_parents)
-    return (shift.class_weights[tree.edge_classes(slice(1, end))]
-            / shift.class_squared_norms[tree.class_parents[1:end]])
-
-
-def _require_left_invertible(shift: WeightedShift) -> None:
-    """NotLeftInvertibleError at the first vertex of the materialized
-    part whose norm is 0."""
-    tree = shift.tree
-    norms = shift.class_norms
-    zero = _first(norms[:tree.class_offsets.item(tree.materialized_depth)]
-                  == 0.0)
+    inner = tree.class_offsets.item(tree.materialized_depth)
+    zero = _first(shift.class_norms[:inner] == 0.0)
     if zero is not None:
         raise NotLeftInvertibleError(
             f"vertex norm is 0 at {tree.class_label(zero)!r}; the shift "
             f"is not left invertible")
+    return (shift.edge_weights[1:end]
+            / shift.class_squared_norms[tree.class_parents[1:end]])
 
 
 def cauchy_dual(shift: WeightedShift) -> WeightedShift:
-    """Dual shift: weight(v) divided by the squared norm at parent(v).
+    """Dual shift: weight(v) divided by the squared norm at parent(v),
+    one weight per child edge (``cauchy_dual_weights``).
 
     Requires every vertex norm to be positive (left invertibility on the
-    materialized part).  The result lives on the full tree,
-    ``shift.tree.expanded()``; treat its deepest level as one step less
-    reliable than the original's.
+    materialized part).  The result lives on ``shift.tree``; treat its
+    deepest level as one step less reliable than the original's.
     """
-    _require_left_invertible(shift)
-    full = shift.tree.expanded()
-    w = np.zeros(full.vertex_count)
-    w[1:] = shift.weight_array[1:] / shift.squared_norms[full.parents[1:]]
-    return WeightedShift(full, w,
+    return WeightedShift(shift.tree,
+                         np.concatenate(([0.0], cauchy_dual_weights(shift))),
                          f"dual({shift.name})" if shift.name else None)
 
 

@@ -111,12 +111,14 @@ class DirectedTree:
     is one vertex, edge e leads to vertex e, and the class arrays are the
     vertex arrays.  Its ``children`` and first vertex per class are one
     shared ``arange(V)``, and its ``multiplicities`` a read-only view of
-    a single 1.  ``per_vertex`` gathers a per-class array to one entry
-    per vertex, ``degrees`` among them; ``parents`` and
-    ``child_starts`` come from ``expanded()``; the lookups of one vertex
-    (``index``, ``vertex``, ``parent_of``, ``children_of``,
-    ``resolve_path``) read the class arrays and format only the ids they
-    return.  String ids (``labels``) are kept for the public API only.
+    a single 1.  ``per_vertex`` and ``per_vertex_edge`` gather per-class
+    and per-edge arrays, ``degrees`` among them, through
+    ``vertex_edges``, the edge into every vertex; ``parents``,
+    ``child_starts`` and ``adjacency_expansion`` come from
+    ``expanded()``; the lookups of one vertex (``index``, ``vertex``,
+    ``parent_of``, ``children_of``, ``resolve_path``) read the class
+    arrays and format only the ids they return.  String ids
+    (``labels``) are kept for the public API only.
     """
 
     def __init__(self, degrees: Sequence[int],
@@ -248,18 +250,47 @@ class DirectedTree:
         return self._expanded
 
     @cached_property
-    def vertex_classes(self) -> np.ndarray:
-        """Class of every vertex, in canonical order (built on first
-        use)."""
-        return _frozen(np.arange(self.class_count).repeat(
-            self.multiplicities))
+    def vertex_edges(self) -> np.ndarray:
+        """The edge into every vertex, 0 for the root; built on first use."""
+        return _frozen(self._links(self._depth, parents=False))
 
     def per_vertex(self, values: np.ndarray) -> np.ndarray:
         """The per-class array ``values`` with one entry per vertex, in
         canonical order: ``values`` itself on a full tree, else a
         read-only gather, which is not kept."""
         return values if self._is_full else _frozen(
-            values[self.vertex_classes])
+            values[self.children][self.vertex_edges])
+
+    def per_vertex_edge(self, values: np.ndarray) -> np.ndarray:
+        """``per_vertex`` of a per-edge array: the entry of the edge into
+        each vertex (entry 0 for the root)."""
+        return values if self._is_full else _frozen(
+            values[self.vertex_edges])
+
+    def links(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """``link`` of every vertex of depth <= ``depth``, as two arrays
+        in canonical order (-1 and 0 for the root)."""
+        return self._links(depth, True), self._links(depth, False)
+
+    def _links(self, depth: int, parents: bool) -> np.ndarray:
+        """Parent (-1 for the root) or, unless ``parents``, edge into (0
+        for the root) each vertex of depth <= ``depth``, in canonical
+        order, built in place from the classes above it: child j of the
+        r-th vertex of class c is vertex ``_first_child[c] + r *
+        class_degrees[c] + j``, on edge ``class_starts[c] + j``."""
+        size = self.gen_offsets.item(depth + 1)
+        if self._is_full:
+            return (self.class_parents if parents else self.children)[:size]
+        top = self.class_offsets.item(depth)  # the classes of the parents
+        span = self.class_degrees[:top] * self.multiplicities[:top]
+        step, base, root = ((np.floor_divide, self._first, -1) if parents
+                            else (np.remainder, self.class_starts, 0))
+        out = np.arange(size, dtype=np.int64)
+        out[1:] -= self._first_child[:top].repeat(span)  # r * degree + j
+        step(out[1:], self.class_degrees[:top].repeat(span), out=out[1:])
+        out[1:] += base[:top].repeat(span)
+        out[0] = root
+        return out
 
     def edge_classes(self, edges: slice | np.ndarray) -> slice | np.ndarray:
         """Classes the child edges ``edges`` (a slice or an index array)
@@ -278,6 +309,12 @@ class DirectedTree:
     def class_label(self, c: int) -> str:
         """Id of the first vertex of class c."""
         return self.label(self._first.item(c))
+
+    def edge_label(self, e: int) -> str:
+        """Id of the first vertex that child edge e >= 1 leads to."""
+        c = int(self.class_starts.searchsorted(e, side="right")) - 1
+        return self.label(self._first_child.item(c) + e
+                          - self.class_starts.item(c))
 
     # -- vertices ---------------------------------------------------------
     @property
@@ -365,13 +402,15 @@ class DirectedTree:
         start = self._first_child.item(c) + (i - self._first.item(c)) * degree
         return range(start, start + degree)
 
-    def _parent(self, i: int) -> int:
-        """Parent of vertex i >= 1, the inverse of ``_children``: the
-        children of class c's vertices are the vertices from
-        ``_first_child[c]`` on, class_degrees[c] to a vertex."""
-        c = int(self._first_child.searchsorted(i, side="right")) - 1
-        return self._first.item(c) + ((i - self._first_child.item(c))
-                                      // self.class_degrees.item(c))
+    def link(self, index: int) -> tuple[int, int]:
+        """Parent of vertex ``index`` >= 1 and the edge into it, the
+        inverse of ``_children``: class c's vertices have the children
+        from ``_first_child[c]`` on, child j of each on edge
+        ``class_starts[c] + j``."""
+        c = int(self._first_child.searchsorted(index, side="right")) - 1
+        r, j = divmod(index - self._first_child.item(c),
+                      self.class_degrees.item(c))
+        return self._first.item(c) + r, self.class_starts.item(c) + j
 
     # -- read API ---------------------------------------------------------
     @property
@@ -405,7 +444,7 @@ class DirectedTree:
 
     def parent_of(self, vid: str) -> Optional[str]:
         i = self.index(vid)
-        return None if i == 0 else self.label(self._parent(i))
+        return None if i == 0 else self.label(self.link(i)[0])
 
     def children_of(self, vid: str) -> tuple[str, ...]:
         i = self.index(vid)

@@ -240,17 +240,23 @@ def truncate_at_budget() -> dict:
 def cauchy_dual_at_budget() -> dict:
     from treeshift import WeightSpec, build_shift, cauchy_dual
 
-    dual = cauchy_dual(build_shift(WeightSpec("adjacency"), _qb_tree()))
-    return {"vertex_count": dual.tree.vertex_count}
+    tree = _qb_tree()
+    dual = cauchy_dual(build_shift(WeightSpec("adjacency"), tree))
+    return {"vertex_count": dual.tree.vertex_count,
+            "class_count": dual.tree.class_count,
+            "expanded": tree._expanded is not None}
 
 
 def kernel_condition_at_budget() -> dict:
     from treeshift import WeightSpec, build_shift, dual_subnormality
 
-    shift = build_shift(WeightSpec("kernel_condition", x=1.3), _qb_tree())
+    tree = _qb_tree()
+    shift = build_shift(WeightSpec("kernel_condition", x=1.3), tree)
     report = dual_subnormality(shift)
     return {"verdict": report.verdict,
-            "decision_path": report.decision_path}
+            "decision_path": report.decision_path,
+            "class_count": shift.tree.class_count,
+            "expanded": tree._expanded is not None}
 
 
 def classify_tree_at_budget() -> dict:
@@ -338,16 +344,19 @@ GATES: tuple[Gate, ...] = (
           "results.0.decision_path": "generic-moment-test",
           "results.0.evidence.witnesses_omitted": 2934}),
     # costs on the 1,999,396-vertex quasi-Brownian tree that no command
-    # bounds yet, each bounded at about 1.25 times today's peak (244, 167,
-    # 215 and 75 MB on a 2-CPU VM); a form of the call that stays on the
-    # classes should lower its bound
+    # bounds yet: the truncation reads the classes above its cut, and the
+    # Cauchy dual and kernel_condition weights stay on the 2,827 classes,
+    # one weight per class edge (each peak about 38 MB; 244, 167 and
+    # 215 MB when they expanded the tree); classify-tree peaks at 75 MB
     Gate("truncate-at-budget", truncate_at_budget,
          {"shape": [16, 16], "basis": ["g0:0", "g1:0", "g1:1"]},
-         bound_mb=300),
+         bound_mb=60),
     Gate("cauchy-dual-at-budget", cauchy_dual_at_budget,
-         {"vertex_count": 1_999_396}, bound_mb=205),
+         {"vertex_count": 1_999_396, "class_count": 2_827,
+          "expanded": False}, bound_mb=60),
     Gate("kernel-condition-at-budget", kernel_condition_at_budget,
-         {"verdict": "subnormal", "decision_path": "cdsubn"}, bound_mb=265),
+         {"verdict": "subnormal", "decision_path": "cdsubn",
+          "class_count": 2_827, "expanded": False}, bound_mb=60),
     Gate("classify-tree-at-budget", classify_tree_at_budget,
          {"quasi_brownian": True, "valency": 3}, bound_mb=90),
 )

@@ -3,7 +3,7 @@ trees are materialized as a few classes per generation, and
 ``generation_rule`` trees are hashed into run classes when they have at
 least MIN_VERTICES_PER_CLASS vertices per class; the engine runs on the
 classes, and every command reports on them exactly what it reports on
-the full tree, ``tree.expanded()``."""
+the full tree built vertex by vertex."""
 import dataclasses
 import json
 from itertools import chain
@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree, RangeError,
-                       StructureError, TreeSpec, Vertex, WeightSpec,
-                       build_shift, cauchy_dual, classify_tree,
-                       comb_tree_spec, generation, materialize,
-                       quasi_brownian, two_plus_three_tree_spec)
+from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree,
+                       NotLeftInvertibleError, RangeError, StructureError,
+                       TreeSpec, Vertex, WeightSpec, build_shift,
+                       cauchy_dual, classify_tree, comb_tree_spec,
+                       generation, hub_comb_tree_spec, materialize,
+                       quasi_brownian, truncate, two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
 
 
@@ -53,12 +54,17 @@ def _results(spec, weights, shift, commands):
 
 
 def _assert_classes_report_as_full_tree(spec, weights):
+    """Every command, the cauchy-dual command's weights among them,
+    reports on the classes byte for byte what it reports on the full
+    tree; weights that follow from the tree's shape never expand it."""
     tree = materialize(spec)
-    full = tree.expanded()
-    assert full.class_count == full.vertex_count
+    full = _independent_full_tree(tree)
     commands = _commands(tree, weights)
     assert _results(spec, weights, build_shift(weights, tree), commands) \
         == _results(spec, weights, build_shift(weights, full), commands)
+    if weights.kind not in ("explicit", "glowny") \
+            and weights.proportions is None:
+        assert tree._expanded is None
 
 
 def _leafless(tree):
@@ -146,6 +152,7 @@ def test_every_command_reports_on_classes_as_on_the_full_tree(run):
     TreeSpec("t_eta_kappa", eta=2, depth=12),
     TreeSpec("t_eta_kappa", eta=5, depth=7),
     TreeSpec("quasi_brownian", valency=3, depth=9),
+    TreeSpec("quasi_brownian", valency=4, depth=8),
     TreeSpec("quasi_brownian", valency=2, depth=12),
 ], ids=str)
 @pytest.mark.parametrize("weights", [
@@ -169,7 +176,7 @@ def test_family_trees_hold_few_classes_and_their_shifts_stay_on_them():
                           (star, WeightSpec("kernel_condition", x=1.3))):
         shift = build_shift(weights, tree)
         assert shift.tree is tree
-        assert len(shift.class_weights) == tree.class_count
+        assert len(shift.edge_weights) == len(tree.children)
     assert qb._expanded is None and star._expanded is None
 
 
@@ -506,17 +513,33 @@ def test_the_constructor_takes_and_freezes_int64_arrays():
     assert not np.shares_memory(tree.class_degrees, degrees32)
 
 
-def test_kernel_condition_on_a_quasi_brownian_tree_uses_the_full_tree():
+def test_kernel_condition_on_a_quasi_brownian_tree_stays_on_classes():
     # rays born at the spine get t/3 and continuing rays t/1: the edges
-    # into a ray class disagree
+    # into a ray class disagree, and each keeps its own weight
     spec = TreeSpec("quasi_brownian", valency=3, depth=8)
     weights = WeightSpec("kernel_condition", x=1.2)
     tree = materialize(spec)
     shift = build_shift(weights, tree)
-    assert shift.tree is tree.expanded()
-    assert shift.tree.class_count == shift.tree.vertex_count
-    full = build_shift(weights, tree.expanded())
+    assert shift.tree is tree and tree._expanded is None
+    rays = tree.class_of(tree.index("g2:1"))
+    assert len(set(shift.edge_weights[tree.children == rays].tolist())) == 2
+    full = build_shift(weights, _independent_full_tree(tree))
     assert shift.weight_array.tobytes() == full.weight_array.tobytes()
+    _assert_classes_report_as_full_tree(spec, weights)
+
+
+@pytest.mark.parametrize("spec", [
+    TreeSpec("quasi_brownian", valency=3, depth=30),
+    TreeSpec("quasi_brownian", valency=4, depth=20),
+    hub_comb_tree_spec(2, 300),
+], ids=["quasi-brownian-3", "quasi-brownian-4", "hub-comb-2-depth-300"])
+def test_kernel_condition_with_disagreeing_in_edges_stays_on_classes(spec):
+    # a ray class is entered from a branching class and from a ray class
+    tree = materialize(spec)
+    assert tree.class_count < tree.vertex_count
+    weights = WeightSpec("kernel_condition", x=1.3)
+    _assert_per_vertex_arrays_as_full_tree(tree, weights)
+    assert tree._expanded is None
     _assert_classes_report_as_full_tree(spec, weights)
 
 
@@ -564,19 +587,70 @@ def _assert_per_vertex_arrays_as_full_tree(tree, weights):
     shift = build_shift(weights, tree)
     assert shift.tree is tree
     full_shift = build_shift(weights, _independent_full_tree(tree))
-    for name, class_name in (("weight_array", "class_weights"),
-                             ("squared_weights", "class_squared_weights"),
-                             ("vertex_norms", "class_norms"),
-                             ("squared_norms", "class_squared_norms")):
+    # vertex v, the j-th child of its parent u, enters on edge j of u's
+    # class
+    full = full_shift.tree
+    classes = np.arange(tree.class_count).repeat(tree.multiplicities)
+    parents = full.parents[1:]
+    edges = (tree.class_starts[classes[parents]]
+             + np.arange(1, full.vertex_count) - full.child_starts[parents])
+    assert tree.vertex_edges[1:].tolist() == edges.tolist()
+    for name, array, index in (
+            ("weight_array", "edge_weights", tree.vertex_edges),
+            ("squared_weights", "edge_squared_weights", tree.vertex_edges),
+            ("vertex_norms", "class_norms", classes),
+            ("squared_norms", "class_squared_norms", classes)):
         per_vertex = getattr(full_shift, name).tobytes()
         assert getattr(shift, name).tobytes() == per_vertex
-        # the class arrays, read per vertex, are the full tree's bit for
-        # bit: every vertex of a class sums its children in class order
-        assert getattr(shift, class_name)[tree.vertex_classes].tobytes() \
-            == per_vertex
+        # the edge and class arrays, read per vertex, are the full
+        # tree's bit for bit: every vertex of a class sums its children
+        # in class order
+        assert getattr(shift, array)[index].tobytes() == per_vertex
     assert shift.weights() == full_shift.weights()
-    assert cauchy_dual(shift).class_weights.tobytes() \
-        == cauchy_dual(full_shift).class_weights.tobytes()
+    try:
+        full_dual = cauchy_dual(full_shift)
+    except NotLeftInvertibleError as exc:
+        with pytest.raises(NotLeftInvertibleError) as err:
+            cauchy_dual(shift)
+        assert str(err.value) == str(exc)
+    else:
+        dual = cauchy_dual(shift)
+        assert dual.tree is tree
+        assert dual.weight_array.tobytes() \
+            == full_dual.weight_array.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    TreeSpec("quasi_brownian", valency=3, depth=12),
+    TreeSpec("quasi_brownian", valency=4, depth=9),
+    TreeSpec("t_eta_kappa", eta=70, depth=4),
+    TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(8)),
+             depth=10),
+], ids=["quasi-brownian-3", "quasi-brownian-4", "t-eta-kappa", "binary"])
+def test_truncate_reads_only_the_cut_of_a_class_tree(spec):
+    tree = materialize(spec)
+    assert tree.class_count < tree.vertex_count
+    full = _independent_full_tree(tree)
+    for weights in (WeightSpec("adjacency"),
+                    WeightSpec("kernel_condition", x=1.3)):
+        shift, full_shift = build_shift(weights, tree), build_shift(weights,
+                                                                    full)
+        for cut in (1, 2, 4):
+            op, expected = truncate(shift, cut), truncate(full_shift, cut)
+            assert op.matrix.tobytes() == expected.matrix.tobytes()
+            assert (op.basis, op.depths, op.interior_depth) == (
+                expected.basis, expected.depths, expected.interior_depth)
+    assert tree._expanded is None and "labels" not in vars(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hashed_rules(7), st.floats(min_value=1.0, max_value=1.6))
+def test_per_vertex_arrays_on_hashed_rule_trees_are_the_full_trees(spec, x):
+    tree = materialize(spec)
+    weights = (WeightSpec("kernel_condition", x=x) if _leafless(tree)
+               else WeightSpec("adjacency"))
+    _assert_per_vertex_arrays_as_full_tree(tree, weights)
+    assert tree._expanded is None
 
 
 @pytest.mark.parametrize("spec", [

@@ -74,12 +74,14 @@ def _hashed_binary_tree():
     return tree
 
 
-def test_the_constructor_takes_one_weight_per_class_and_never_expands():
+def test_the_constructor_takes_one_weight_per_edge_and_never_expands():
     tree = _hashed_binary_tree()
+    assert len(tree.children) == 25  # the root and 24 child edges
     per_vertex = np.random.default_rng(5).uniform(0.5, 1.5,
                                                   tree.vertex_count)
     with pytest.raises(ConfigurationError,
-                       match="^8191 weights for a tree of 13 classes$"):
+                       match="^8191 weights for the root and 24 child "
+                             "edges$"):
         WeightedShift(tree, per_vertex)
     assert tree._expanded is None
     # the same weights on the full tree: the copy of the array, root
@@ -89,18 +91,21 @@ def test_the_constructor_takes_one_weight_per_class_and_never_expands():
     assert shift.tree is full and shift.name == "per-vertex"
     expected = per_vertex.copy()
     expected[0] = 0.0
-    assert np.array_equal(shift.class_weights, expected)
+    assert np.array_equal(shift.edge_weights, expected)
     assert np.array_equal(shift.weight_array, expected)
     squares = expected * expected
     assert np.array_equal(shift.squared_weights, squares)
     assert np.array_equal(shift.vertex_norms, np.sqrt(np.bincount(
         full.parents[1:], weights=squares[1:], minlength=full.vertex_count)))
-    # one weight per class stays on the classes; the per-vertex arrays
-    # are those of the same weights spread over the full tree
-    class_weights = np.linspace(0.5, 1.5, tree.class_count)
-    on_classes = WeightedShift(tree, class_weights)
+    # one weight per edge stays on the classes; the per-vertex arrays
+    # are those of the same weights spread over the full tree, where
+    # the first and second child of a vertex enter on its class's first
+    # and second edge
+    edge_weights = np.linspace(0.5, 1.5, len(tree.children))
+    on_classes = WeightedShift(tree, edge_weights)
     depths = np.repeat(np.arange(13), np.diff(full.gen_offsets))
-    spread = WeightedShift(full, class_weights[depths])
+    second = np.arange(full.vertex_count) % 2 == 0
+    spread = WeightedShift(full, edge_weights[2 * depths - 1 + second])
     assert on_classes.tree is tree
     for name in ("weight_array", "squared_weights", "vertex_norms",
                  "squared_norms"):
@@ -113,16 +118,47 @@ def test_the_constructor_copies_and_freezes_the_weights():
     w = np.full(5, 2.0)
     shift = WeightedShift(tree, w)
     w[1] = 7.0
-    assert shift.class_weights.tolist() == [0.0, 2.0, 2.0, 2.0, 2.0]
-    assert not shift.class_weights.flags.writeable
+    assert shift.edge_weights.tolist() == [0.0, 2.0, 2.0, 2.0, 2.0]
+    assert not shift.edge_weights.flags.writeable
     assert w.flags.writeable and w[0] == 2.0
     with pytest.raises(ConfigurationError,
                        match=r"^weight at 'g2:0' must be finite and >= 0, "
                              r"got -1\.0$"):
         WeightedShift(tree, [0.0, 1.0, -1.0, 1.0, 1.0])
     with pytest.raises(ConfigurationError,
-                       match="^1 weights for a tree of 5 classes$"):
+                       match="^1 weights for the root and 4 child edges$"):
         WeightedShift(tree, 1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    TreeSpec("quasi_brownian", valency=3, depth=5),
+    TreeSpec("t_eta_kappa", eta=4, depth=3),
+    TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(12)),
+             depth=12),
+], ids=["quasi-brownian", "t-eta-kappa", "binary-12"])
+def test_a_bad_edge_weight_on_a_class_tree_names_the_vertex_it_leads_to(spec):
+    tree = materialize(spec)
+    assert tree.class_count < tree.vertex_count
+    # the first vertex on each edge, read off a full tree built vertex by
+    # vertex: vertex v, the j-th child of its parent u, is on edge j of
+    # u's class
+    full = DirectedTree(tree.class_degrees.repeat(tree.multiplicities),
+                        tree.generation_sizes)
+    first = {}
+    for v in range(1, full.vertex_count):
+        u = full.parents[v]
+        edge = tree.class_starts[tree.class_of(u)] + v - full.child_starts[u]
+        first.setdefault(int(edge), full.labels[v])
+    assert sorted(first) == list(range(1, len(tree.children)))
+    for e, vid in first.items():
+        for bad in (-1.0, math.nan, math.inf):
+            w = np.ones(len(tree.children))
+            w[e] = bad
+            with pytest.raises(ConfigurationError) as err:
+                WeightedShift(tree, w)
+            assert str(err.value) == (f"weight at {vid!r} must be finite "
+                                      f"and >= 0, got {bad}")
+    assert tree._expanded is None
 
 
 @pytest.mark.parametrize("values,message", [
