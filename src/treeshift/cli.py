@@ -563,10 +563,13 @@ def run_suite(spec: RunSpec, tol: Optional[float] = None,
         results.append(entry)
         if status in ("failed", "error"):
             worst = max(worst, 1)
-    report = {"tool": "treeshift", "version": __version__,
-              "tolerance": effective_tol, "results": results,
-              "exit_code": worst}
-    return report, worst
+    return _envelope(effective_tol, results, worst), worst
+
+
+def _envelope(tol: float, results: list[dict], exit_code: int) -> dict:
+    """The report around the results of a spec or demo run."""
+    return {"tool": "treeshift", "version": __version__, "tolerance": tol,
+            "results": results, "exit_code": exit_code}
 
 
 # ---------------------------------------------------------------------------
@@ -1186,9 +1189,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.demo is not None:
             tol = DEFAULT_TOL if args.tol is None else args.tol
             payload, code = run_demo(args.demo, tol=tol)
-            report = {"tool": "treeshift", "version": __version__,
-                      "tolerance": tol, "results": [payload],
-                      "exit_code": code}
+            report = _envelope(tol, [payload], code)
             csv_seq = payload.get("sequence")
         else:
             if args.spec == "-":

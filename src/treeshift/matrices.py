@@ -22,7 +22,7 @@ from .moments import TABLE1_ROWS, table1_value
 from .shifts import (DEFAULT_TOL, WeightedShift, check_tolerance,
                      classify_adjacency, require_kernel_class,
                      two_isometry_weight)
-from .trees import comb_pattern_valency, generation
+from .trees import Report, comb_pattern_valency, generation
 
 __all__ = [
     "TruncatedOperator",
@@ -226,7 +226,7 @@ def gram_diag(trunc: TruncatedOperator, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Table1Report:
+class Table1Report(Report):
     """Per-order comparison of dual power norms against a closed form."""
 
     row: str
@@ -238,15 +238,6 @@ class Table1Report:
     verified_depth: int
     per_order: tuple[tuple[int, float, int], ...]
     note: str = ""
-
-    def to_dict(self) -> dict:
-        """Report form of the comparison."""
-        return {"row": self.row, "holds": self.holds,
-                "max_abs_error": self.max_abs_error, "nmax": self.nmax,
-                "tolerance": self.tolerance, "checked": self.checked,
-                "verified_depth": self.verified_depth,
-                "per_order": [list(t) for t in self.per_order],
-                "note": self.note}
 
 
 def _require_row_membership(shift: WeightedShift, row: str,

@@ -22,7 +22,7 @@ from .shifts import (DEFAULT_TOL, WeightedShift, cauchy_dual_weights,
                      check_tolerance, classify_adjacency, is_two_isometry,
                      require_kernel_class, satisfies_kernel_condition,
                      vertex_norm)
-from .trees import comb_pattern_valency
+from .trees import Report, comb_pattern_valency
 
 __all__ = [
     "MomentSequence",
@@ -156,7 +156,7 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class MomentVerdict:
+class MomentVerdict(Report):
     """Outcome of a moment-problem membership test."""
 
     is_stieltjes: Optional[bool] = None
@@ -164,22 +164,6 @@ class MomentVerdict:
     failing_order: Optional[int] = None
     extremal_value: float = 0.0
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        """Report form of the verdict."""
-        return _verdict_dict(self.is_stieltjes, self.is_hausdorff,
-                             self.failing_order, self.extremal_value,
-                             self.detail)
-
-
-def _verdict_dict(is_stieltjes: Optional[bool], is_hausdorff: Optional[bool],
-                  failing_order: Optional[int], extremal_value: float,
-                  detail: str) -> dict:
-    """Report form of a moment verdict, for ``MomentVerdict.to_dict`` and
-    for the generic path's evidence, which builds no verdict objects."""
-    return {"is_stieltjes": is_stieltjes, "is_hausdorff": is_hausdorff,
-            "failing_order": failing_order, "extremal_value": extremal_value,
-            "detail": detail}
 
 
 def _power_norms(shift: WeightedShift, top: int, kmax: int,
@@ -413,12 +397,13 @@ def _hankel_scan(rows: np.ndarray, caps: Sequence[int], tol: float
 def _stieltjes_dicts(scan: tuple[list[int], list[float], list[float]],
                      caps: Sequence[int], picked: Sequence[int]
                      ) -> list[dict]:
-    """Report form of the verdicts of ``_hankel_scan`` rows ``picked``."""
+    """``MomentVerdict.to_dict`` of ``_hankel_scan`` rows ``picked``."""
     failing, worst, thresholds = scan
-    return [_verdict_dict(failing[k] < 0, None,
-                          None if failing[k] < 0 else failing[k], worst[k],
-                          f"Hankel orders 0..{caps[k] // 2}, threshold "
-                          f"{thresholds[k]:.3e}")
+    names = MomentVerdict._reported_fields()
+    return [dict(zip(names, (
+        failing[k] < 0, None, None if failing[k] < 0 else failing[k],
+        worst[k], f"Hankel orders 0..{caps[k] // 2}, threshold "
+                  f"{thresholds[k]:.3e}")))
             for k in picked]
 
 
@@ -569,7 +554,7 @@ def backward_extension(mu: DiscreteMeasure, tol: float = 1e-12
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SubnormalityReport:
+class SubnormalityReport(Report):
     """Decision about subnormality of the Cauchy dual.
 
     verdict is "subnormal" or "not-subnormal" when conclusive, else
@@ -584,14 +569,6 @@ class SubnormalityReport:
     verified_depth: int
     nmax: int
     evidence: Mapping[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """Report form of the decision."""
-        return {"verdict": self.verdict, "conclusive": self.conclusive,
-                "decision_path": self.decision_path,
-                "statement": self.statement,
-                "verified_depth": self.verified_depth, "nmax": self.nmax,
-                "evidence": self.evidence}
 
 
 #: Most witnesses a generic-path report lists; it counts the others.

@@ -13,7 +13,7 @@ verdict records that verified depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ClassificationError, ComparisonError, ConfigurationError,
                      DomainError, NotLeftInvertibleError, RangeError)
-from .trees import DirectedTree, quasi_brownian
+from .trees import DirectedTree, Report, quasi_brownian
 
 __all__ = [
     "WeightedShift",
@@ -422,7 +422,7 @@ def operator_norm(shift: WeightedShift) -> float:
 
 
 @dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Report):
     """Outcome of a depth-bounded operator property check."""
 
     holds: bool
@@ -430,21 +430,20 @@ class PropertyVerdict:
     witness: Optional[tuple[str, float]] = None
     tolerance: float = DEFAULT_TOL
     note: str = ""
-    details: Mapping[str, float] = field(default_factory=dict)
+    details: Mapping[str, float] = field(default_factory=dict,
+                                         metadata={"report": False})
 
     def to_dict(self) -> dict:
-        """Report form of the verdict (``details`` is not reported).  A
-        witness value that overflowed is written as null, which strict
-        JSON parsers accept, and the note says so."""
-        witness, note = self.witness, self.note
+        """Report form of the verdict.  A witness value that overflowed
+        is written as null, which strict JSON parsers accept, and the
+        note says so."""
+        form, witness = super().to_dict(), self.witness
         if witness is not None and not math.isfinite(witness[1]):
-            note = "; ".join(filter(None, (
-                note, f"witness value {witness[1]!r} (an overflow) "
-                      f"written as null")))
-            witness = (witness[0], None)
-        return {"holds": self.holds, "verified_depth": self.verified_depth,
-                "witness": list(witness) if witness else None,
-                "tolerance": self.tolerance, "note": note}
+            form["witness"] = (witness[0], None)
+            form["note"] = "; ".join(filter(None, (
+                self.note, f"witness value {witness[1]!r} (an overflow) "
+                           f"written as null")))
+        return form
 
 
 def _scaled(residual: float, lhs: float) -> float:
@@ -660,7 +659,7 @@ def cauchy_dual(shift: WeightedShift) -> WeightedShift:
 
 
 @dataclass(frozen=True)
-class AdjacencyClassification:
+class AdjacencyClassification(Report):
     """Class membership of the all-weights-one shift on a tree.
 
     Flags are mutually consistent: isometry implies all others.  The
@@ -674,11 +673,6 @@ class AdjacencyClassification:
     quasi_brownian_isometry: PropertyVerdict
     brownian_isometry: PropertyVerdict
     isometry: PropertyVerdict
-
-    def to_dict(self) -> dict:
-        """Report form: each flag's verdict under its field name."""
-        return {f.name: getattr(self, f.name).to_dict()
-                for f in fields(self)}
 
 
 def classify_adjacency(tree: DirectedTree,
@@ -741,18 +735,13 @@ def classify_adjacency(tree: DirectedTree,
 
 
 @dataclass(frozen=True)
-class ShiftInvariants:
+class ShiftInvariants(Report):
     """Complete unitary invariants within the sibling-constant class:
     root norm and the per-generation branching degrees."""
 
     root_norm: float
     branching: tuple[int, ...]
-    verified_depth: int
-
-    def to_dict(self) -> dict:
-        """Report form of the pair (``verified_depth`` is not reported)."""
-        return {"root_norm": self.root_norm,
-                "branching": list(self.branching)}
+    verified_depth: int = field(metadata={"report": False})
 
 
 def shift_invariants(shift: WeightedShift,

@@ -10,8 +10,8 @@ import operator
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -24,6 +24,7 @@ __all__ = [
     "Vertex",
     "DirectedTree",
     "TreeSpec",
+    "Report",
     "TreeStructureReport",
     "StructureVerdict",
     "MAX_VERTICES",
@@ -114,11 +115,11 @@ class DirectedTree:
     a single 1.  ``per_vertex`` and ``per_vertex_edge`` gather per-class
     and per-edge arrays, ``degrees`` among them, through
     ``vertex_edges``, the edge into every vertex; ``parents``,
-    ``child_starts`` and ``adjacency_expansion`` come from
-    ``expanded()``; the lookups of one vertex (``index``, ``vertex``,
-    ``parent_of``, ``children_of``, ``resolve_path``) read the class
-    arrays and format only the ids they return.  String ids
-    (``labels``) are kept for the public API only.
+    ``child_starts``, ``adjacency_expansion`` and the lookups of one
+    vertex (``index``, ``vertex``, ``parent_of``, ``children_of``,
+    ``resolve_path``) read the class arrays, and the lookups format only
+    the ids they return.  String ids (``labels``) are kept for the
+    public API only.
     """
 
     def __init__(self, degrees: Sequence[int],
@@ -202,6 +203,7 @@ class DirectedTree:
         self._labels = labels
         self._index_map: Optional[dict[str, int]] = None
         self._expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._vertex_expansion: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._generations: Optional[tuple[tuple[str, ...], ...]] = None
         self._expanded: Optional[DirectedTree] = None
 
@@ -325,12 +327,13 @@ class DirectedTree:
     @property
     def child_starts(self) -> np.ndarray:
         """Index of the first child per vertex; length V + 1."""
-        return self.expanded().class_starts
+        return self.class_starts if self._is_full else _frozen(np.cumsum(
+            np.append(1, self.class_degrees.repeat(self.multiplicities))))
 
     @property
     def parents(self) -> np.ndarray:
         """Parent index per vertex; -1 for the root."""
-        return self.expanded().class_parents
+        return _frozen(self._links(self._depth, True))
 
     @property
     def generation_sizes(self) -> tuple[int, ...]:
@@ -481,8 +484,15 @@ class DirectedTree:
 
     def adjacency_expansion(self) -> tuple[np.ndarray, np.ndarray]:
         """``class_adjacency_expansion`` at every vertex of depth <= N-2,
-        in canonical order: that of ``expanded()``.  Kept (read-only)."""
-        return self.expanded().class_adjacency_expansion()
+        in canonical order: each class's entries repeated for its
+        vertices, which are consecutive.  Kept (read-only)."""
+        if self._is_full:
+            return self.class_adjacency_expansion()
+        if self._vertex_expansion is None:
+            self._vertex_expansion = tuple(
+                _frozen(side.repeat(self.multiplicities[:len(side)]))
+                for side in self.class_adjacency_expansion())
+        return self._vertex_expansion
 
     def generations(self) -> tuple[tuple[str, ...], ...]:
         if self._generations is None:
@@ -1051,8 +1061,28 @@ def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:
     return tuple(tree._label_range(start, stop, n))
 
 
+class Report:
+    """Base of the verdict and report dataclasses.  ``to_dict`` is the
+    report form: each field under its name, in declaration order, and a
+    field that is a Report as its own form; a field declared with
+    ``field(metadata={"report": False})`` is left out."""
+
+    @classmethod
+    @cache
+    def _reported_fields(cls) -> tuple[str, ...]:
+        """Names of the fields ``to_dict`` writes, found once per class."""
+        return tuple(f.name for f in fields(cls)
+                     if f.metadata.get("report", True))
+
+    def to_dict(self) -> dict:
+        """Report form (tuples render as JSON arrays)."""
+        return {name: value.to_dict() if isinstance(value, Report) else value
+                for name in self._reported_fields()
+                for value in (getattr(self, name),)}
+
+
 @dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(Report):
     """Outcome of a structural check, bounded by the verified depth."""
 
     holds: bool
@@ -1062,7 +1092,7 @@ class StructureVerdict:
 
 
 @dataclass(frozen=True)
-class TreeStructureReport:
+class TreeStructureReport(Report):
     """Structure report: verdicts are claims about depth <= verified_depth
     only, never about the unmaterialized tail."""
 
@@ -1071,20 +1101,6 @@ class TreeStructureReport:
     degree_multiset_per_generation: tuple[tuple[int, ...], ...]
     quasi_brownian: StructureVerdict
     valency: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        """Report form of the classification: every field, the verdict as
-        a dict of its fields (tuples render as JSON arrays)."""
-        verdict = self.quasi_brownian
-        return {"leafless_to_depth": self.leafless_to_depth,
-                "max_degree": self.max_degree,
-                "degree_multiset_per_generation":
-                    self.degree_multiset_per_generation,
-                "quasi_brownian": {"holds": verdict.holds,
-                                   "verified_depth": verdict.verified_depth,
-                                   "witness": verdict.witness,
-                                   "note": verdict.note},
-                "valency": self.valency}
 
 
 def _either(degrees: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -199,6 +199,18 @@ def per_vertex_arrays() -> dict:
             "expanded": tree._expanded is not None}
 
 
+def vertex_arrays() -> dict:
+    tree = _qb_tree()
+    # one at a time: parents and child_starts are not kept
+    parent = tree.parents.item(tree.index("g1413:7"))
+    first_child = tree.child_starts.item(tree.index("g700:3"))
+    grandchildren, target = tree.adjacency_expansion()
+    return {"parent": tree.label(parent),
+            "first_child": tree.label(first_child),
+            "expansion": [len(target), bool((grandchildren == target).all())],
+            "expanded": tree._expanded is not None}
+
+
 def constancy_classes() -> dict:
     return run_spec(_constancy_spec([[2] * 2 ** g for g in range(19)], 19))
 
@@ -314,6 +326,12 @@ GATES: tuple[Gate, ...] = (
     Gate("per-vertex-arrays", per_vertex_arrays, {
         "degree": 3, "lengths": [1_999_396] * 5, "norm": math.sqrt(3),
         "expanded": False}, bound_mb=80),
+    # parents, child_starts and the adjacency expansion per vertex, each
+    # built from the class arrays: about 64 MB, and 139 MB when they
+    # expanded the tree
+    Gate("vertex-arrays", vertex_arrays, {
+        "parent": "g1412:5", "first_child": "g701:5",
+        "expansion": [1_993_744, True], "expanded": False}, bound_mb=80),
     # read from the shift's index arrays: about 1.4 s and 345 MB; a
     # dense truncation would need 29 TiB
     Gate("table1-at-budget", {

@@ -2,6 +2,7 @@
 expansion identity and the quasi-Brownian verdict in ``trees``, the
 kernel-class precondition in ``shifts``, the root extension sum in
 ``moments``; and the input checks that ride along with them."""
+import dataclasses
 import json
 import math
 import os
@@ -9,23 +10,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import treeshift
-from treeshift import (ClassificationError, ConfigurationError,
-                       DirectedTree, DomainError, TreeSpec, WeightSpec,
+from treeshift import (DEFAULT_TOL, ClassificationError,
+                       ConfigurationError, DirectedTree, DomainError,
+                       MomentVerdict, PropertyVerdict, Report,
+                       ShiftInvariants, TreeSpec, WeightSpec,
                        build_shift, classify_adjacency,
                        classify_tree, comb_tree_spec,
                        dual_subnormality, hub_comb_tree_spec,
                        is_two_isometry, materialize,
                        perturbed_kernel_dual_moment, quasi_brownian,
                        require_kernel_class, satisfies_kernel_condition,
-                       shift_invariants, shifts, trees,
+                       shift_invariants, shifts, stieltjes_test, trees,
                        two_isometry_weight, two_plus_three_tree_spec,
                        verify_table1, vertex_norm)
 from treeshift.cli import main, parse_spec, run_suite
-from treeshift.moments import _root_extension_sum
+from treeshift.moments import (_hankel_scan, _root_extension_sum,
+                               _stieltjes_dicts)
 
 # every tree family, at several depths, and trees that break the
 # quasi-Brownian pattern in each of its three ways
@@ -326,32 +331,74 @@ def test_equivalent_other_tree_is_sized_at_parse_time(monkeypatch):
     assert err.value.json_path == "$.commands[0].other.tree.edges"
 
 
+#: the fields each verdict type leaves out of its report form
+LEFT_OUT = {PropertyVerdict: {"details"}, ShiftInvariants: {"verified_depth"}}
+
+
 def test_each_result_type_has_one_serializer():
     tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=4))
-    assert classify_tree(tree).to_dict() == {
+    structure = classify_tree(tree)
+    assert structure.to_dict() == {
         "leafless_to_depth": True, "max_degree": 3,
         "degree_multiset_per_generation": ((3,), (1, 1, 3), (1, 1, 1, 1, 3),
                                            (1, 1, 1, 1, 1, 1, 3)),
         "quasi_brownian": {"holds": True, "verified_depth": 2,
                            "witness": None, "note": "verified to depth N-2"},
         "valency": 3}
-    cls = classify_adjacency(tree)
-    assert cls.to_dict() == {
-        name: getattr(cls, name).to_dict()
-        for name in ("two_isometry", "kernel_condition",
-                     "quasi_brownian_isometry", "brownian_isometry",
-                     "isometry")}
     shift = build_shift(WeightSpec("kernel_condition", x=1.2),
                         materialize(TreeSpec("t_eta_kappa", eta=2, depth=3)))
     inv = shift_invariants(shift)
     assert inv.to_dict() == {"root_norm": inv.root_norm,
-                             "branching": [1, 0, 0]}
+                             "branching": (1, 0, 0)}
     report, _ = run_suite(parse_spec(json.dumps({
         "tree": {"kind": "t_eta_kappa", "eta": 2, "depth": 3},
         "weights": {"kind": "kernel_condition", "x": 1.2},
         "commands": [{"name": "invariants"}]})))
     assert report["results"][0]["result"] == {**inv.to_dict(),
                                               "verified_depth": 3}
+    # one verdict of each type: its form holds every field but those
+    # left out, in declaration order, and a nested verdict's own form
+    adjacency = classify_adjacency(tree)
+    verdicts = [structure.quasi_brownian, structure, is_two_isometry(shift),
+                adjacency, inv, stieltjes_test([1.0, 0.5, 0.25, 0.125]),
+                dual_subnormality(shift),
+                verify_table1(shift, "kernel", nmax=2)]
+    assert len({type(v) for v in verdicts}) == 8
+    for verdict in verdicts:
+        form = verdict.to_dict()
+        names = [f.name for f in dataclasses.fields(verdict)
+                 if f.name not in LEFT_OUT.get(type(verdict), ())]
+        assert list(form) == names
+        for name in names:
+            value = getattr(verdict, name)
+            assert form[name] == (value.to_dict()
+                                  if isinstance(value, Report) else value)
+        json.dumps(form, allow_nan=False)
+    # an overflowed witness value is null and the note says so, nested
+    # in another verdict's form too
+    overflow = PropertyVerdict(False, 2, ("g1:0", math.inf), note="spread")
+    assert overflow.to_dict() == {
+        "holds": False, "verified_depth": 2, "witness": ("g1:0", None),
+        "tolerance": DEFAULT_TOL,
+        "note": "spread; witness value inf (an overflow) written as null"}
+    assert dataclasses.replace(adjacency, isometry=overflow).to_dict() == {
+        **adjacency.to_dict(), "isometry": overflow.to_dict()}
+    # the generic path's witness rows are MomentVerdict forms
+    seqs = [[1.0, 0.5, 0.25, 0.125, 0.0625], [1.0, 2.0, 1.0, 5.0, 1.0],
+            [1.0, 0.0, 1.0]]
+    caps = [len(seq) - 1 for seq in seqs]
+    rows = np.zeros((len(seqs), max(caps) + 1))
+    for row, seq in zip(rows, seqs):
+        row[:len(seq)] = seq
+    scan = failing, worst, thresholds = _hankel_scan(rows, caps, DEFAULT_TOL)
+    expected = [MomentVerdict(
+        failing[k] < 0, None, None if failing[k] < 0 else failing[k],
+        worst[k], f"Hankel orders 0..{caps[k] // 2}, threshold "
+                  f"{thresholds[k]:.3e}").to_dict() for k in range(3)]
+    picked = _stieltjes_dicts(scan, caps, range(3))
+    assert picked == expected
+    assert [list(d) for d in picked] == [list(d) for d in expected]
+    assert [d["is_stieltjes"] for d in picked] == [True, False, True]
 
 
 def test_invariants_are_linear_in_depth(tmp_path):

@@ -650,7 +650,7 @@ def test_per_vertex_arrays_on_hashed_rule_trees_are_the_full_trees(spec, x):
     weights = (WeightSpec("kernel_condition", x=x) if _leafless(tree)
                else WeightSpec("adjacency"))
     _assert_per_vertex_arrays_as_full_tree(tree, weights)
-    assert tree._expanded is None
+    _assert_vertex_arrays_as_full_tree(tree)
 
 
 @pytest.mark.parametrize("spec", [
@@ -676,6 +676,35 @@ def test_per_vertex_reads_stay_on_the_classes(spec):
     assert tree.degrees.tobytes() == full.degrees.tobytes()
     # on a full tree the class array is its own per-vertex array
     assert full.per_vertex(full.class_degrees) is full.class_degrees
+
+
+def _assert_vertex_arrays_as_full_tree(tree):
+    """``parents``, ``child_starts`` and ``adjacency_expansion()`` of a
+    class tree are those of its full tree, read-only, and built without
+    expanding it; the expansion is kept."""
+    full = _independent_full_tree(tree)
+    pairs = [(tree.parents, full.parents),
+             (tree.child_starts, full.child_starts),
+             *zip(tree.adjacency_expansion(), full.adjacency_expansion())]
+    for array, expected in pairs:
+        assert array.dtype == expected.dtype == np.int64
+        assert array.tolist() == expected.tolist()
+        assert not array.flags.writeable
+    assert tree.adjacency_expansion() is tree.adjacency_expansion()
+    assert tree._expanded is None
+
+
+@pytest.mark.parametrize("spec", [
+    *LOOKUP_TREES.values(),
+    TreeSpec("t_eta_kappa", eta=300, depth=1),
+    TreeSpec("t_eta_kappa", eta=5, depth=2),
+    TreeSpec("quasi_brownian", valency=3, depth=3),
+], ids=[*LOOKUP_TREES, "star-depth-1", "t-eta-kappa-depth-2",
+        "quasi-brownian-depth-3"])
+def test_parents_child_starts_and_expansion_stay_on_the_classes(spec):
+    tree = materialize(spec)
+    assert tree.class_count < tree.vertex_count
+    _assert_vertex_arrays_as_full_tree(tree)
 
 
 def test_a_binary_tree_as_one_class_per_generation():
