@@ -112,14 +112,14 @@ class DirectedTree:
     is one vertex, edge e leads to vertex e, and the class arrays are the
     vertex arrays.  Its ``children`` and first vertex per class are one
     shared ``arange(V)``, and its ``multiplicities`` a read-only view of
-    a single 1.  ``per_vertex`` and ``per_vertex_edge`` gather per-class
-    and per-edge arrays, ``degrees`` among them, through
-    ``vertex_edges``, the edge into every vertex; ``parents``,
-    ``child_starts``, ``adjacency_expansion`` and the lookups of one
-    vertex (``index``, ``vertex``, ``parent_of``, ``children_of``,
-    ``resolve_path``) read the class arrays, and the lookups format only
-    the ids they return.  String ids (``labels``) are kept for the
-    public API only.
+    a single 1.  ``per_vertex`` repeats per-class arrays, ``degrees``
+    among them, over the class runs; only ``per_vertex_edge`` gathers,
+    per-edge arrays through ``vertex_edges``, the edge into every vertex;
+    ``parents``, ``child_starts``, ``adjacency_expansion`` and the
+    lookups of one vertex (``index``, ``vertex``, ``parent_of``,
+    ``children_of``, ``resolve_path``) read the class arrays, and the
+    lookups format only the ids they return.  String ids (``labels``)
+    are kept for the public API only.
     """
 
     def __init__(self, degrees: Sequence[int],
@@ -246,9 +246,8 @@ class DirectedTree:
         if self._is_full:
             return self
         if self._expanded is None:
-            self._expanded = DirectedTree(
-                self.class_degrees.repeat(self.multiplicities), self._sizes,
-                self._labels)
+            self._expanded = DirectedTree(self.degrees, self._sizes,
+                                          self._labels)
         return self._expanded
 
     @cached_property
@@ -258,10 +257,10 @@ class DirectedTree:
 
     def per_vertex(self, values: np.ndarray) -> np.ndarray:
         """The per-class array ``values`` with one entry per vertex, in
-        canonical order: ``values`` itself on a full tree, else a
-        read-only gather, which is not kept."""
+        canonical order: ``values`` itself on a full tree, else each entry
+        repeated over its class's run, read-only and not kept."""
         return values if self._is_full else _frozen(
-            values[self.children][self.vertex_edges])
+            values.repeat(self.multiplicities))
 
     def per_vertex_edge(self, values: np.ndarray) -> np.ndarray:
         """``per_vertex`` of a per-edge array: the entry of the edge into
@@ -328,7 +327,7 @@ class DirectedTree:
     def child_starts(self) -> np.ndarray:
         """Index of the first child per vertex; length V + 1."""
         return self.class_starts if self._is_full else _frozen(np.cumsum(
-            np.append(1, self.class_degrees.repeat(self.multiplicities))))
+            np.append(1, self.degrees)))
 
     @property
     def parents(self) -> np.ndarray:
@@ -644,8 +643,8 @@ class TreeSpec:
         has 1 + n(l-1) vertices.
       - "explicit": ``edges`` is a (parent, child) list over opaque ids.
       - "generation_rule": ``rule[g][i]`` is the child count of the i-th
-        vertex of generation g (a row is a tuple or a list); generations
-        beyond the rule continue with one child each.
+        vertex of generation g (the rule and its rows tuples or lists);
+        generations beyond the rule continue with one child each.
 
     The rule is read once, when the spec is built; do not change its
     rows afterwards.  A spec parsed from JSON keeps the decoded lists
@@ -715,13 +714,15 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The rule's child counts in one array, generation after
     generation, and the generation sizes: 1, then the sum of each row.
-    Raises StructureError when the rule is not rows of ints (a bool is
-    not one), or naming the first row that is not one count >= 0 per
-    vertex of its generation.
+    Raises StructureError when the rule is not a tuple or a list of rows
+    of ints (a bool is not one), or naming the first row that is not one
+    count >= 0 per vertex of its generation.
 
     Rows that are tuples or lists of counts 0..255 are packed into
     bytes in one C pass and widened once; any other rule takes the
     general conversion, which also holds every error."""
+    if not isinstance(rule, (tuple, list)):
+        raise StructureError(_RULE_SHAPE)
     try:
         # bytes() refuses every entry but an int 0..255 (or a bool);
         # bytes(n) of an int row would be n zero bytes

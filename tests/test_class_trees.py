@@ -839,6 +839,31 @@ def test_constructor_accepts_exactly_the_consecutive_classes(arrays):
     assert classify_tree(tree).to_dict() == classify_tree(full).to_dict()
 
 
+@settings(max_examples=200, deadline=None)
+@given(class_arrays(), st.randoms(use_true_random=False))
+def test_per_vertex_repeats_the_class_runs(arrays, rng):
+    degrees, sizes, children, mult = arrays
+    assume(_expands_to_consecutive_classes(*arrays))
+    tree = DirectedTree(degrees, sizes, children=children,
+                        multiplicities=mult)
+    values = np.array([rng.uniform(-1, 1) for _ in mult])
+    # oracles: the gather through the edge into every vertex, and each
+    # class's degree repeated over its run
+    gathered = values[tree.children][tree.vertex_edges]
+    runs = tree.class_degrees.repeat(tree.multiplicities)
+    per_vertex = tree.per_vertex(values)
+    assert per_vertex.tobytes() == gathered.tobytes()
+    if tree.class_count == tree.vertex_count:
+        assert per_vertex is values
+    else:
+        assert not per_vertex.flags.writeable
+    assert tree.child_starts.tolist() == np.cumsum([1, *runs]).tolist()
+    full = tree.expanded()
+    assert full.class_degrees.tolist() == runs.tolist()
+    assert full.generation_sizes == tree.generation_sizes
+    assert full.labels == tree.labels
+
+
 @pytest.mark.parametrize("spec", [
     TreeSpec("t_eta_kappa", eta=4, depth=5),
     TreeSpec("quasi_brownian", valency=3, depth=10),

@@ -808,14 +808,20 @@ def test_equivalent_builds_an_explicit_other_tree_once(tmp_path,
 # every shift of a run is built while parsing
 # ---------------------------------------------------------------------------
 
-def test_parse_spec_refuses_weights_that_do_not_fit_the_tree():
+def test_parse_spec_refuses_weights_that_do_not_fit_the_tree(tmp_path,
+                                                            capsys):
+    spec = json.dumps({
+        "tree": {"kind": "path", "depth": 3},
+        "weights": {"kind": "kernel_condition", "x": 1.2,
+                    "proportions": {"g9:0": 2}}})
     with pytest.raises(SpecParseError) as err:
-        parse_spec(json.dumps({
-            "tree": {"kind": "path", "depth": 3},
-            "weights": {"kind": "kernel_condition", "x": 1.2,
-                        "proportions": {"g9:0": 2}}}))
+        parse_spec(spec)
     assert err.value.json_path == "$.weights"
     assert "names no non-root vertex" in str(err.value)
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(spec)
+    assert main(["--spec", str(spec_file), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: $.weights: ")
 
 
 def test_other_weights_that_do_not_fit_exit_two(tmp_path, capsys):

@@ -95,6 +95,20 @@ def test_generation_rule_entries_are_ints(row):
         TreeSpec("generation_rule", rule=((2,), row), depth=3)
 
 
+# read by len() and iteration, an empty one of these would be a path and
+# a dict the rule of its keys, and a generator has no len()
+@pytest.mark.parametrize("rule", [
+    {}, "", b"", set(), range(0), {(2,): 1, (1, 1): 1},
+    ((2,) * 2 ** g for g in range(3)), np.array([[2]]),
+], ids=["dict", "str", "bytes", "set", "range", "dict-of-rows",
+        "generator", "ndarray"])
+def test_generation_rule_is_a_tuple_or_a_list(rule):
+    with pytest.raises(StructureError) as raised:
+        TreeSpec("generation_rule", rule=rule, depth=3)
+    assert str(raised.value) == (
+        "rule must be a list of per-generation child-count lists")
+
+
 # rows that are not tuples or lists of ints 0..255 take the general
 # conversion: a count past a byte, numpy ints (also past a byte), and
 # rows of other types, bytes among them
