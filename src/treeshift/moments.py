@@ -573,29 +573,162 @@ class SubnormalityReport(Report):
 
 #: Most witnesses a generic-path report lists; it counts the others.
 MAX_LISTED_WITNESSES = 64
+#: A theorem rule's outcome: (verdict, statement, evidence) when it fires;
+#: None, or a note for the generic evidence, when it declines.
+_Outcome = Union[None, str, tuple[str, str, dict]]
+
+
+def _cdsubn(shift: WeightedShift, cap: int, tol: float) -> _Outcome:
+    kc0 = satisfies_kernel_condition(shift, 0, tol)
+    if not kc0.holds:
+        return None
+    t = vertex_norm(shift, shift.tree.root) ** 2
+    measure = reciprocal_linear_moments(1.0, t - 1.0, cap)
+    return ("subnormal", "subnormal contraction: expansion identity plus "
+            "sibling norm constancy (decision path cdsubn)",
+            {"two_isometry": is_two_isometry(shift, tol).to_dict(),
+             "kernel_condition": kc0.to_dict(),
+             "representing_measure": measure.description,
+             "dual_root_moments": list(measure.moments.values)})
+
+
+def _brownian_g(shift: WeightedShift, cap: int, tol: float) -> _Outcome:
+    if not shift.is_adjacency:
+        return None
+    qb = classify_adjacency(shift.tree, tol).quasi_brownian_isometry
+    if not qb.holds:
+        return None
+    return ("subnormal", "subnormal: quasi-Brownian adjacency isometry "
+            "(decision path BrownianG)", {"quasi_brownian": qb.to_dict()})
+
+
+def _constant_t(shift: WeightedShift, cap: int, tol: float) -> _Outcome:
+    l = comb_pattern_valency(shift.tree) if shift.is_adjacency else None
+    if l is None:
+        return None
+    root_seq = moment_sequence(shift, None, cap, dual=True)
+    dev = max(abs(g - table1_value("adjacency_pattern", float(l), k))
+              for k, g in enumerate(root_seq.values))
+    return ("subnormal", f"subnormal: comb-pattern adjacency shift of "
+            f"valency {l} (decision path constant-t)",
+            {"valency": l, "root_sequence": list(root_seq.values),
+             "closed_form_max_deviation": dev})
+
+
+def _main2(shift: WeightedShift, cap: int, tol: float) -> _Outcome:
+    tree = shift.tree
+    # the smallest k with constancy in every generation k..N-2; k = 0 is
+    # the case of cdsubn
+    k = satisfies_kernel_condition(shift, 0, tol).details["constant_from"]
+    if not 1 <= k <= tree.materialized_depth - 2:
+        return None
+    # the edges into generations 1..k
+    into = slice(1, tree.class_starts[tree.class_offsets[k]])
+    if not np.all(shift.edge_weights[into] > 0.0):
+        return (f"sibling constancy holds from generation {k} but zero "
+                f"weights below it block the fast path")
+    root_seq = moment_sequence(shift, None, cap, dual=True)
+    st = stieltjes_test(root_seq, tol)
+    statement = (f"NOT subnormal: sibling constancy holds from generation "
+                 f"{k} but not from the root (decision path main2)")
+    if st.failing_order is not None:
+        statement += f"; root moment test fails at order {st.failing_order}"
+    # the root sum is the extension integral only for constancy from 1 on
+    integral = _root_extension_sum(shift, 0) if k == 1 else None
+    if integral is not None:
+        shown = f"{integral:.6g}"  # "1" would hide which side of 1
+        statement += (f"; extension integral "
+                      f"{repr(integral) if shown == '1' else shown} "
+                      f"{'>' if integral > 1.0 else '<='} 1")
+    return ("not-subnormal", statement,
+            {"perturbation_order": k, "root_sequence": list(root_seq.values),
+             "root_stieltjes": st.to_dict(), "extension_integral": integral})
+
+
+#: The theorem rules by decision path, tried in this order on a 2-isometry.
+_THEOREM_RULES = (("cdsubn", _cdsubn), ("BrownianG", _brownian_g),
+                  ("constant-t", _constant_t), ("main2", _main2))
+_UNDECIDED = ("(decision path generic-moment-test); subnormality is not "
+              "decided by finite prefixes")
+
+
+def _generic_moment_test(shift: WeightedShift, cap: int, nmax: int,
+                         tol: float, notes: list[str]
+                         ) -> tuple[str, str, dict]:
+    """The fallback rule, as (verdict, statement, evidence): the Stieltjes
+    test of the dual sequences of the root and of the first vertex of
+    every later generation (the witnesses), all from one pass of the
+    recurrence and one Hankel scan.  A failure is conclusive, a pass is
+    only "consistent to order nmax".  The evidence lists at most
+    MAX_LISTED_WITNESSES witnesses, the first failure included, counts
+    the rest as ``witnesses_omitted``, and carries ``notes``.  A witness
+    whose dual moments are not finite is left untested and counted as
+    ``witnesses_not_finite``; when no witness has finite ones,
+    DomainError.
+    """
+    tree = shift.tree
+    n = tree.materialized_depth
+    # the witnesses: the root and the first vertex of every later
+    # non-empty generation above the last, the first of its first class;
+    # a witness needs moments 0..2 for the Hankel block of order 1
+    off = tree.class_offsets
+    depths = np.flatnonzero(off[:n] < off[1:n + 1])
+    caps = np.minimum(cap, n - 1 - depths)
+    depths, caps = depths[caps >= 2], caps[caps >= 2]
+    evidence: dict = {"witnesses": [], "notes": notes}
+    if not len(depths):
+        return ("consistent", f"consistent: no dual sequence was tested, "
+                f"since no witness reaches Hankel order 1 at nmax {nmax} "
+                f"and materialized depth {n} {_UNDECIDED}", evidence)
+    # one row per witness, zero past the moments it reads
+    cols = off[depths]
+    rows = _power_norms(shift, int((depths + caps).max()), int(caps.max()),
+                        dual=True)[:, cols].T
+    rows[np.arange(rows.shape[1]) > caps[:, None]] = 0.0
+    # a witness whose dual moments overflow is left untested; the others
+    # still decide
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.any():
+        raise DomainError(_NOT_FINITE)
+    not_finite = len(cols) - int(finite.sum())
+    if not_finite:
+        u = tree.class_label(cols.item(int(np.argmin(finite))))
+        notes.append(f"{not_finite} witnesses left untested, their dual "
+                     f"moments not finite; the first is {u}")
+        rows, cols, caps = rows[finite], cols[finite], caps[finite]
+    caps = caps.tolist()
+    scan = _hankel_scan(rows, caps, tol)
+    failed = next((k for k, f in enumerate(scan[0]) if f >= 0), None)
+    # the report lists the first witnesses and the first failure
+    listed = list(range(min(len(cols), MAX_LISTED_WITNESSES)))
+    if failed is not None and failed >= len(listed):
+        listed[-1] = failed
+    evidence["witnesses"] = [
+        {"vertex": tree.class_label(cols.item(k)), "nmax": caps[k],
+         "stieltjes": d}
+        for k, d in zip(listed, _stieltjes_dicts(scan, caps, listed))]
+    if len(cols) > len(listed):
+        evidence["witnesses_omitted"] = len(cols) - len(listed)
+    if not_finite:
+        evidence["witnesses_not_finite"] = not_finite
+    if failed is None:
+        return ("consistent", f"consistent to order {nmax}: every tested "
+                f"dual sequence passes the Stieltjes test {_UNDECIDED}",
+                evidence)
+    return ("not-subnormal", f"NOT subnormal: dual moment sequence at "
+            f"{tree.class_label(cols.item(failed))} fails the Stieltjes "
+            f"test at order {scan[0][failed]} (decision path "
+            f"generic-moment-test)", evidence)
 
 
 def dual_subnormality(shift: WeightedShift, nmax: int = 12,
                       tol: float = DEFAULT_TOL) -> SubnormalityReport:
     """Decide subnormality of the Cauchy dual.
 
-    Fast analytic paths (conclusive): sibling-constant expansive shifts
-    (cdsubn), quasi-Brownian adjacency shifts (BrownianG), comb-pattern
-    adjacency shifts (constant-t), and expansive shifts whose sibling
-    constancy holds only from some generation k >= 1 on (main2, a
-    negative).  Otherwise the generic moment test runs the Stieltjes
-    check on the dual sequences of the root and of the first vertex of
-    every later generation (the witnesses); a failure is conclusive,
-    a pass is only "consistent to order nmax".  The dual sequences of
-    all witnesses come from one pass of the recurrence over the tree,
-    and one Hankel scan tests them all.  The evidence lists at most
-    MAX_LISTED_WITNESSES of them, the first failure included, and counts
-    the rest as ``witnesses_omitted``.  A witness whose dual moments are
-    not finite is left untested and counted as ``witnesses_not_finite``;
-    when no witness has finite ones, DomainError.
-
-    Requires left invertibility.  Shifts that fail the expansion
-    identity skip the fast paths and go straight to the generic test.
+    Requires left invertibility.  On a shift with the expansion identity
+    the rules of ``_THEOREM_RULES`` are tried in order, and the first
+    that fires decides, conclusively.  Otherwise ``_generic_moment_test``
+    decides, with the notes of the rules that declined with one.
     """
     tol = check_tolerance(tol)
     if nmax < 0:
@@ -612,144 +745,21 @@ def dual_subnormality(shift: WeightedShift, nmax: int = 12,
         u = tree.class_label(int(np.argmin(norms != 0.0)))
         raise NotLeftInvertibleError(
             f"vertex norm is 0 at {u!r}; dual undefined")
-    notes: list[str] = []
     two = is_two_isometry(shift, tol)
-    if two.holds:
-        kc0 = satisfies_kernel_condition(shift, 0, tol)
-        if kc0.holds:
-            t = vertex_norm(shift, tree.root) ** 2
-            measure = reciprocal_linear_moments(1.0, t - 1.0, cap)
-            return SubnormalityReport(
-                "subnormal", True, "cdsubn",
-                "subnormal contraction: expansion identity plus sibling "
-                "norm constancy (decision path cdsubn)",
-                n - 2, nmax,
-                {"two_isometry": two.to_dict(),
-                 "kernel_condition": kc0.to_dict(),
-                 "representing_measure": measure.description,
-                 "dual_root_moments": list(measure.moments.values)})
-        if shift.is_adjacency:
-            cls = classify_adjacency(tree, tol)
-            if cls.quasi_brownian_isometry.holds:
-                return SubnormalityReport(
-                    "subnormal", True, "BrownianG",
-                    "subnormal: quasi-Brownian adjacency isometry "
-                    "(decision path BrownianG)",
-                    n - 2, nmax,
-                    {"quasi_brownian":
-                        cls.quasi_brownian_isometry.to_dict()})
-            l = comb_pattern_valency(tree)
-            if l is not None:
-                root_seq = moment_sequence(shift, tree.root, cap,
-                                           dual=True)
-                dev = max(
-                    abs(root_seq[k] - table1_value("adjacency_pattern",
-                                                   float(l), k))
-                    for k in range(len(root_seq)))
-                return SubnormalityReport(
-                    "subnormal", True, "constant-t",
-                    f"subnormal: comb-pattern adjacency shift of valency "
-                    f"{l} (decision path constant-t)",
-                    n - 2, nmax,
-                    {"valency": l,
-                     "root_sequence": list(root_seq.values),
-                     "closed_form_max_deviation": dev})
-        # smallest k >= 1 with constancy in every generation k..N-2
-        k_found = kc0.details["constant_from"]
-        if k_found <= n - 2:
-            # the edges into generations 1..k_found
-            into = slice(1, tree.class_starts[tree.class_offsets[k_found]])
-            if np.all(shift.edge_weights[into] > 0.0):
-                root_seq = moment_sequence(shift, tree.root, cap, dual=True)
-                st = stieltjes_test(root_seq, tol)
-                integral = _root_extension_sum(shift, 0)
-                extra = ""
-                if st.failing_order is not None:
-                    extra = (f"; root moment test fails at order "
-                             f"{st.failing_order}")
-                if integral is not None:
-                    extra += f"; extension integral {integral:.6g} > 1"
-                return SubnormalityReport(
-                    "not-subnormal", True, "main2",
-                    f"NOT subnormal: sibling constancy holds from "
-                    f"generation {k_found} but not from the root "
-                    f"(decision path main2){extra}",
-                    n - 2, nmax,
-                    {"perturbation_order": k_found,
-                     "root_sequence": list(root_seq.values),
-                     "root_stieltjes": st.to_dict(),
-                     "extension_integral": integral})
-            notes.append(
-                f"sibling constancy holds from generation {k_found} but "
-                f"zero weights below it block the fast path")
-    else:
-        w = two.witness[0] if two.witness else "?"
-        notes.append(
-            f"not a 2-isometry (witness {w}); fast paths unavailable")
-
-    # generic moment test on the witnesses: the root and the first vertex
-    # of every later non-empty generation above the last, the first of
-    # its first class; a witness needs moments 0..2 for the Hankel block
-    # of order 1
-    off = tree.class_offsets
-    depths = np.flatnonzero(off[:n] < off[1:n + 1])
-    caps = np.minimum(cap, n - 1 - depths)
-    tested = caps >= 2
-    depths, caps = depths[tested], caps[tested]
-    cols = off[depths]
-    witnesses: list[dict] = []
-    failed = None  # the first failing witness
-    not_finite = 0
-    if len(cols):
-        table = _power_norms(shift, int((depths + caps).max()),
-                             int(caps.max()), dual=True)
-        # one row per witness, zero past the moments it reads
-        rows = table[:, cols].T
-        rows[np.arange(rows.shape[1]) > caps[:, None]] = 0.0
-        # a witness whose dual moments overflow is left untested; the
-        # others still decide
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            if not finite.any():
-                raise DomainError(_NOT_FINITE)
-            not_finite = len(cols) - int(finite.sum())
-            u = tree.class_label(cols.item(int(np.argmin(finite))))
-            notes.append(f"{not_finite} witnesses left untested, their dual "
-                         f"moments not finite; the first is {u}")
-            rows, cols, caps = rows[finite], cols[finite], caps[finite]
-        caps = caps.tolist()
-        scan = _hankel_scan(rows, caps, tol)
-        failed = next((k for k, f in enumerate(scan[0]) if f >= 0), None)
-        # every witness is tested; the report lists the first ones and
-        # the first failure
-        listed = list(range(min(len(cols), MAX_LISTED_WITNESSES)))
-        if failed is not None and failed >= len(listed):
-            listed[-1] = failed
-        witnesses = [{"vertex": tree.class_label(cols.item(k)),
-                      "nmax": caps[k],
-                      "stieltjes": d}
-                     for k, d in zip(listed,
-                                     _stieltjes_dicts(scan, caps, listed))]
-    evidence: dict = {"witnesses": witnesses, "notes": notes}
-    if len(cols) > len(witnesses):
-        evidence["witnesses_omitted"] = len(cols) - len(witnesses)
-    if not_finite:
-        evidence["witnesses_not_finite"] = not_finite
-    if failed is not None:
-        u = tree.class_label(cols.item(failed))
-        return SubnormalityReport(
-            "not-subnormal", True, "generic-moment-test",
-            f"NOT subnormal: dual moment sequence at {u} fails the "
-            f"Stieltjes test at order {scan[0][failed]} "
-            f"(decision path generic-moment-test)",
-            n - 2, nmax, evidence)
-    passed = (f"consistent to order {nmax}: every tested dual sequence "
-              f"passes the Stieltjes test" if len(cols) else
-              f"consistent: no dual sequence was tested, since no witness "
-              f"reaches Hankel order 1 at nmax {nmax} and materialized "
-              f"depth {n}")
-    return SubnormalityReport(
-        "consistent", False, "generic-moment-test",
-        f"{passed} (decision path generic-moment-test); subnormality is "
-        f"not decided by finite prefixes",
-        n - 2, nmax, evidence)
+    rules, notes = _THEOREM_RULES, []
+    if not two.holds:  # every theorem rule assumes the identity
+        rules, notes = (), [f"not a 2-isometry (witness {two.witness[0]}); "
+                            f"fast paths unavailable"]
+    for path, rule in rules:
+        outcome = rule(shift, cap, tol)
+        if isinstance(outcome, tuple):
+            verdict, statement, evidence = outcome
+            return SubnormalityReport(verdict, True, path, statement, n - 2,
+                                      nmax, evidence)
+        if outcome:
+            notes.append(outcome)
+    verdict, statement, evidence = _generic_moment_test(shift, cap, nmax,
+                                                        tol, notes)
+    return SubnormalityReport(verdict, verdict != "consistent",
+                              "generic-moment-test", statement, n - 2, nmax,
+                              evidence)

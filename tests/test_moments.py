@@ -1,9 +1,11 @@
 """Moment layer: sequences, measures, classical tests, subnormality."""
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from treeshift import (ClassificationError, ConfigurationError,
+from treeshift import (DEFAULT_TOL, ClassificationError, ConfigurationError,
                        DiscreteMeasure, DomainError,
                        MomentSequence, NotLeftInvertibleError, RangeError,
                        TreeSpec, WeightSpec,
@@ -15,8 +17,11 @@ from treeshift import (ClassificationError, ConfigurationError,
                        reciprocal_linear_moments, stieltjes_test,
                        vertex_norm, check_tolerance, classify_adjacency,
                        is_two_isometry, satisfies_kernel_condition,
-                       verify_table1)
-from treeshift.moments import MAX_LISTED_WITNESSES
+                       two_isometry_weight, verify_table1)
+from treeshift.cli import parse_spec
+from treeshift.moments import MAX_LISTED_WITNESSES, _THEOREM_RULES
+
+GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
 
 SQRT2 = math.sqrt(2.0)
 
@@ -387,6 +392,93 @@ def test_decision_main2_positive_branch_is_unreachable():
     rep = dual_subnormality(kc)
     assert rep.decision_path == "cdsubn"
     assert rep.verdict == "subnormal"
+
+
+@pytest.mark.parametrize("y2", [1.1 + 1e-8, 1.1 + 1e-3])
+def test_main2_states_the_relation_its_integral_satisfies(y2):
+    # the extension integral is 1 up to rounding: ".6g" prints 1 on either
+    # side of it, so the statement prints enough digits to show the side
+    tree = materialize(TreeSpec("t_eta_kappa", eta=2, depth=16))
+    rep = dual_subnormality(
+        build_shift(WeightSpec("glowny", y1=1.1, y2=y2), tree))
+    assert (rep.verdict, rep.decision_path) == ("not-subnormal", "main2")
+    assert rep.evidence["perturbation_order"] == 1
+    shown, relation = re.search(r"; extension integral (\S+) (>|<=) 1$",
+                                rep.statement).groups()
+    integral = rep.evidence["extension_integral"]
+    assert relation == (">" if integral > 1.0 else "<=")
+    assert (float(shown) > 1.0) == (integral > 1.0)
+
+
+def test_main2_reports_no_extension_integral_past_generation_1():
+    # r -> a -> two rays b0, b1: the expansive shifts with first weights
+    # y = 1.01 and 1.05, their first vertices weighted for the expansion
+    # identity at a.  Constancy holds from generation 2, where the root
+    # sum is no extension integral (here it is 0.9999999999999998).
+    edges, values = [("r", "a")], {}
+    for i, y in enumerate((1.01, 1.05)):
+        ray = ["a"] + [f"b{i}_{g}" for g in range(2, 25)]
+        edges += list(zip(ray, ray[1:]))
+        values[ray[1]] = math.sqrt(1.0 / (2.0 * (2.0 - y * y)))
+        values.update((v, two_isometry_weight(j, y))
+                      for j, v in enumerate(ray[2:]))
+    values["a"] = math.sqrt(1.0 / (2.0 - values["b0_2"] ** 2
+                                   - values["b1_2"] ** 2))
+    tree = materialize(TreeSpec("explicit", edges=tuple(edges)))
+    rep = dual_subnormality(build_shift(WeightSpec("explicit", values=values),
+                                        tree))
+    assert (rep.verdict, rep.decision_path) == ("not-subnormal", "main2")
+    assert rep.evidence["perturbation_order"] == 2
+    assert rep.evidence["extension_integral"] is None
+    assert "extension integral" not in rep.statement
+
+
+# shift -> (the theorem rule that fires, the rule that leaves a note); every
+# other rule declines silently
+RULE_CASES = {
+    "dirichlet path": (lambda: build_shift(
+        WeightSpec("dirichlet"), materialize(TreeSpec("path", depth=16))),
+        "cdsubn", None),
+    "quasi-Brownian": (lambda: build_shift(
+        WeightSpec("adjacency"),
+        materialize(TreeSpec("quasi_brownian", valency=3, depth=12))),
+        "BrownianG", None),
+    "comb": (lambda: build_shift(
+        WeightSpec("adjacency"), materialize(comb_tree_spec(3, 14))),
+        "constant-t", None),
+    "glowny": (lambda: build_shift(
+        WeightSpec("glowny", y1=1.1, y2=1.3),
+        materialize(TreeSpec("t_eta_kappa", eta=2, depth=16))),
+        "main2", None),
+    "zero-weight": (lambda: parse_spec(
+        (GOLDEN_SPECS / "zero-weight.json").read_text()).shift, None, "main2"),
+    "hub-comb": (lambda: build_shift(
+        WeightSpec("adjacency"), materialize(hub_comb_tree_spec(3, 14))),
+        None, None),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_each_theorem_rule_fires_declines_or_notes(case):
+    make, fires, noting = RULE_CASES[case]
+    shift = make()
+    assert is_two_isometry(shift).holds  # the rules' precondition
+    outcomes = {path: rule(shift, 12, DEFAULT_TOL)
+                for path, rule in _THEOREM_RULES}
+    kinds = {path: "fires" if isinstance(o, tuple) else "note" if o else None
+             for path, o in outcomes.items()}
+    assert kinds == {path: {fires: "fires", noting: "note"}.get(path)
+                     for path, _ in _THEOREM_RULES}
+    # dual_subnormality reports the first rule that fires, with its
+    # outcome, or else the generic test with the notes left
+    rep = dual_subnormality(shift)
+    if fires:
+        assert (rep.decision_path, rep.conclusive) == (fires, True)
+        assert (rep.verdict, rep.statement, rep.evidence) == outcomes[fires]
+    else:
+        assert rep.decision_path == "generic-moment-test"
+        assert rep.evidence["notes"] == (
+            [outcomes[noting]] if noting else [])
 
 
 def test_decision_generic_fallback():

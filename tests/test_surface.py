@@ -1,6 +1,6 @@
 """The package surface: every exported name exists, no module reaches
 into another's private names, and every function the bench harness
-traces is still there."""
+traces is still there, with one decision-path counter per rule."""
 import ast
 import importlib
 import importlib.util
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import treeshift
+from treeshift.moments import _THEOREM_RULES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "treeshift"
@@ -85,3 +86,6 @@ def test_every_traced_function_resolves():
               for name in names}
     assert set(tracer.HOOKS) <= traced
     tracer.Tracer()  # looks every traced name up, as the harness does
+    # one decision_path counter per rule, in the order they are tried
+    assert tracer.DECISION_PATHS == (
+        *(path for path, _ in _THEOREM_RULES), "generic-moment-test")
