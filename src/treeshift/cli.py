@@ -28,8 +28,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigurationError, DomainError, ResourceLimitError,
-                     SpecParseError, StructureError, TreeShiftError)
+from .errors import (ConfigurationError, DomainError, SpecParseError,
+                     TreeShiftError)
 from .matrices import (TruncatedOperator, block_shift_from_atoms,
                        build_brownian_shift, defect, dual_matrix, truncate,
                        verify_table1)
@@ -124,16 +124,6 @@ def _as_number(value: Any, path: str) -> float:
     return number
 
 
-def _as_ladder_start(value: Any, path: str) -> float:
-    """``x`` of kernel_condition weights: a finite number whose ladder
-    parameter x * x - 1 is finite too."""
-    x = _as_number(value, path)
-    if not math.isfinite(x * x - 1.0):
-        raise SpecParseError(
-            f"x * x - 1 must be finite, got x = {x!r}", json_path=path)
-    return x
-
-
 def _tolerance_arg(text: str) -> float:
     """``--tol``: argparse reports a bad value as a usage error."""
     try:
@@ -188,51 +178,25 @@ def _as_vertex(value: Any, path: str) -> Any:
         f"{value!r}", json_path=path)
 
 
-def _as_edges(value: Any, path: str) -> tuple[tuple[str, str], ...]:
-    if (not isinstance(value, list)
-            or not all(isinstance(e, list) and len(e) == 2
-                       and isinstance(e[0], str) and isinstance(e[1], str)
-                       for e in value)):
-        raise SpecParseError(
-            "edges must be a list of [parent, child] string pairs",
-            json_path=path)
-    return tuple(map(tuple, value))
-
-
-def _as_rule(value: Any, path: str) -> tuple[list[int], ...]:
-    """The rows of a rule, kept as the decoded lists; TreeSpec checks
-    and converts their entries."""
-    if not isinstance(value, list) or not all(isinstance(r, list)
-                                              for r in value):
-        raise SpecParseError(
-            "rule must be a list of per-generation child-count lists",
-            json_path=path)
-    return tuple(value)
-
-
-def _as_values(value: Any, path: str) -> dict[str, float]:
-    # JSON numbers are exactly int and float; bool is neither
-    if (not isinstance(value, dict)
-            or not set(map(type, value.values())) <= {int, float}):
-        raise SpecParseError("values must map vertex ids to numbers",
-                             json_path=path)
-    try:
-        values = dict(zip(value, map(float, value.values())))
-    except OverflowError as exc:
-        raise SpecParseError("values must be within the float range",
-                             json_path=path) from exc
-    if not all(map(math.isfinite, values.values())):
-        vid, number = next((k, v) for k, v in values.items()
-                           if not math.isfinite(v))
-        raise SpecParseError(f"expected a finite number, got {number!r}",
-                             json_path=f"{path}.{vid}")
-    return values
-
-
-def _as_proportions(value: Any, path: str) -> dict[str, float]:
+def _as_numbers(value: Any, path: str) -> dict[str, float]:
+    """An object mapping vertex ids to finite numbers.  Values out of
+    the float range fail at ``path``, any other bad value at its key."""
     if not isinstance(value, dict):
-        raise SpecParseError("proportions must be an object", json_path=path)
-    return {k: _as_number(v, f"{path}.{k}") for k, v in value.items()}
+        raise SpecParseError("expected an object mapping vertex ids to "
+                             "numbers", json_path=path)
+    # JSON numbers are exactly int and float; bool is neither
+    if not set(map(type, value.values())) <= {int, float}:
+        for vid, number in value.items():
+            _as_number(number, f"{path}.{vid}")
+    try:
+        numbers = dict(zip(value, map(float, value.values())))
+    except OverflowError as exc:
+        raise SpecParseError("expected numbers within the float range",
+                             json_path=path) from exc
+    if not all(map(math.isfinite, numbers.values())):
+        for vid, number in numbers.items():
+            _as_number(number, f"{path}.{vid}")
+    return numbers
 
 
 def _as_other(value: Any, path: str) -> WeightedShift:
@@ -245,17 +209,19 @@ def _as_other(value: Any, path: str) -> WeightedShift:
     _, tree = _parse_tree(_require(value, "tree", path), f"{path}.tree")
     weights = _parse_section(_require(value, "weights", path),
                              f"{path}.weights", WeightSpec)
-    return _build_shift(weights, tree, f"{path}.weights")
+    return _spec_call(f"{path}.weights", build_shift, weights, tree)
 
 
 # the JSON type of every tree field, weight field and command parameter,
 # checked at parse time; a "<name>.<field>" entry overrides "<field>" for
-# the kind or command of that name
+# the kind or command of that name.  A field without an entry (an
+# explicit tree's edges, a rule) is passed on as decoded, and TreeSpec
+# checks it.
 _FIELD_TYPES: dict[str, Callable[[Any, str], Any]] = {
     "depth": functools.partial(_as_int, minimum=0), "eta": _as_int,
-    "kappa": _as_int, "valency": _as_int, "edges": _as_edges,
-    "rule": _as_rule, "values": _as_values, "x": _as_ladder_start,
-    "proportions": _as_proportions, "y1": _as_number, "y2": _as_number,
+    "kappa": _as_int, "valency": _as_int, "values": _as_numbers,
+    "x": _as_number, "proportions": _as_numbers, "y1": _as_number,
+    "y2": _as_number,
     "nmax": functools.partial(_as_int, minimum=0),
     "k": functools.partial(_as_int, minimum=0),
     "verify-table1.nmax": functools.partial(_as_int, minimum=1),
@@ -285,54 +251,43 @@ def _parse_fields(obj: Any, path: str, key: str,
     values = {}
     for f in required + optional:
         if f in obj:
-            convert = _FIELD_TYPES.get(f"{name}.{f}", _FIELD_TYPES[f])
-            values[f] = convert(obj[f], f"{path}.{f}")
+            convert = _FIELD_TYPES.get(f"{name}.{f}", _FIELD_TYPES.get(f))
+            values[f] = convert(obj[f], f"{path}.{f}") if convert else obj[f]
         elif f in required:
             raise SpecParseError(f"missing required field {f!r}",
                                  json_path=f"{path}.{f}")
     return name, values
 
 
+def _spec_call(path: str, build: Callable[..., Any], *args: Any,
+               **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)`` on the spec section at ``path``; a
+    library error fails at ``<path>.<field>`` when it names a field,
+    else at ``path`` (weights that do not fit their tree, say)."""
+    try:
+        return build(*args, **kwargs)
+    except TreeShiftError as exc:
+        at = path if exc.field is None else f"{path}.{exc.field}"
+        raise SpecParseError(str(exc), json_path=at) from exc
+
+
 def _parse_section(obj: Any, path: str, cls: type) -> Any:
     """A TreeSpec or WeightSpec from its JSON object, checked against
     ``cls.KIND_FIELDS``."""
     kind, values = _parse_fields(obj, path, "kind", cls.KIND_FIELDS)
-    try:
-        return cls(kind, **values)
-    except (ConfigurationError, DomainError) as exc:
-        raise SpecParseError(str(exc), json_path=path) from exc
-    except StructureError as exc:  # only a TreeSpec's rule table
-        raise SpecParseError(str(exc), json_path=f"{path}.rule") from exc
+    return _spec_call(path, cls, kind, **values)
 
 
 def _parse_tree(obj: Any, path: str, depth: Optional[int] = None
                 ) -> tuple[TreeSpec, DirectedTree]:
     """A TreeSpec from its JSON object, and its tree at ``depth``
     (default: the spec's own); an explicit tree without a depth takes
-    that of the built tree.  ``materialize``'s errors carry JSON paths
-    under ``path``: the budget at the field it counted, a malformed edge
-    list at its edges."""
+    that of the built tree."""
     spec = _parse_section(obj, path, TreeSpec)
-    try:
-        built = materialize(spec, depth)
-    except ResourceLimitError as exc:
-        raise SpecParseError(str(exc),
-                             json_path=f"{path}.{exc.field}") from exc
-    except StructureError as exc:  # only an edge list can be malformed
-        raise SpecParseError(str(exc), json_path=f"{path}.edges") from exc
+    built = _spec_call(path, materialize, spec, depth)
     if spec.depth is None:
         spec = replace(spec, depth=built.materialized_depth)
     return spec, built
-
-
-def _build_shift(weights: WeightSpec, tree: DirectedTree,
-                 path: str) -> WeightedShift:
-    """``build_shift(weights, tree)``; weights that do not fit the tree
-    fail at ``path``, the weights section."""
-    try:
-        return build_shift(weights, tree)
-    except ConfigurationError as exc:
-        raise SpecParseError(str(exc), json_path=path) from exc
 
 
 # the tree section of a spec that has none, by weight kind
@@ -386,14 +341,11 @@ def parse_spec(text: str, depth: Optional[int] = None) -> RunSpec:
                                  json_path="$.tolerances")
         _reject_unknown(tols, {"tol"}, "$.tolerances")
         if "tol" in tols:
-            try:
-                tolerance = check_tolerance(
-                    _as_number(tols["tol"], "$.tolerances.tol"))
-            except ConfigurationError as exc:
-                raise SpecParseError(str(exc),
-                                     json_path="$.tolerances.tol") from exc
+            tolerance = _spec_call("$.tolerances", check_tolerance,
+                                   _as_number(tols["tol"], "$.tolerances.tol"))
     return RunSpec(tree, weights, tuple(commands),
-                   _build_shift(weights, built, "$.weights"), tolerance)
+                   _spec_call("$.weights", build_shift, weights, built),
+                   tolerance)
 
 
 # ---------------------------------------------------------------------------

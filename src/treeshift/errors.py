@@ -16,7 +16,18 @@ __all__ = [
 
 
 class TreeShiftError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``field`` names the spec field whose value is at fault, when the
+    error is about one: a ``TreeSpec`` or ``WeightSpec`` field refused
+    when the spec is built, the ``edges`` an explicit tree is built
+    from, the ``depth`` or ``edges`` a size budget counted, and a
+    tolerance's ``tol``.  The command line reports such an error at
+    that field's JSON path, and any other at its spec section."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 class StructureError(TreeShiftError):
@@ -38,10 +49,6 @@ class ConfigurationError(TreeShiftError):
 class ResourceLimitError(ConfigurationError):
     """The requested object would exceed a fixed size limit; ``field``
     names the spec field whose value was counted, when there is one."""
-
-    def __init__(self, message: str, field: Optional[str] = None):
-        super().__init__(message)
-        self.field = field
 
 
 class ClassificationError(TreeShiftError):

@@ -58,7 +58,7 @@ def check_tolerance(tol: object) -> float:
         value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise ConfigurationError(
-            f"tol must be a finite number > 0, got {tol!r}")
+            f"tol must be a finite number > 0, got {tol!r}", "tol")
     return value
 
 
@@ -245,25 +245,27 @@ class WeightSpec:
         if self.kind not in self.KIND_FIELDS:
             raise ConfigurationError(
                 f"unknown weight kind {self.kind!r}; expected one of "
-                f"{list(self.KIND_FIELDS)}")
+                f"{list(self.KIND_FIELDS)}", "kind")
         if self.kind == "explicit" and self.values is None:
-            raise ConfigurationError("explicit weights require values")
+            raise ConfigurationError("explicit weights require values",
+                                     "values")
         if self.kind == "kernel_condition":
             if self.x is None:
-                raise ConfigurationError("kernel_condition requires x")
+                raise ConfigurationError("kernel_condition requires x", "x")
             if self.x < 1.0:
-                raise DomainError(f"x must be >= 1, got {self.x}")
+                raise DomainError(f"x must be >= 1, got {self.x}", "x")
             if not math.isfinite(self.x * self.x - 1.0):
                 raise DomainError(f"x * x - 1 must be finite, got x = "
-                                  f"{self.x!r}")
+                                  f"{self.x!r}", "x")
         if self.kind == "glowny":
             for label, y in (("y1", self.y1), ("y2", self.y2)):
                 if y is None:
-                    raise ConfigurationError(f"glowny requires {label}")
+                    raise ConfigurationError(f"glowny requires {label}",
+                                             label)
                 if not 1.0 < y < _SQRT2:
                     raise DomainError(
                         f"{label} must lie in the open interval "
-                        f"(1, sqrt(2)), got {y}")
+                        f"(1, sqrt(2)), got {y}", label)
 
 
 def _first(mask: np.ndarray) -> Optional[int]:

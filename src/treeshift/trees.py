@@ -215,10 +215,11 @@ class DirectedTree:
         A vertex keeps its children in the order of their first edges; a
         repeated edge counts once.  The tree is materialized to ``depth``,
         or, when that is None, to the depth of its deepest vertex.
-        Raises StructureError naming the vertex at fault for a second
-        parent, a cycle (a self-loop too), a second root and a vertex
-        deeper than ``depth``."""
-        return cls(*_edge_arrays(edges, depth))
+        Raises StructureError, its ``field`` ``edges``, unless every
+        edge is a tuple or a list of two id strings, and naming the
+        vertex at fault for a second parent, a cycle (a self-loop too), a
+        second root and a vertex deeper than ``depth``."""
+        return cls(*_edge_arrays(_edge_list(edges), depth))
 
     # -- classes ----------------------------------------------------------
     @property
@@ -564,19 +565,46 @@ def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
     return class_offsets, kids, mult, first[:-1], reach + 1
 
 
-def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
+_EDGES_SHAPE = "edges must be a list of [parent, child] string pairs"
+
+
+class _EdgeList(tuple):
+    """(parent, child) string pairs that ``_edge_list`` has checked: a
+    spec keeps its edges as one, and building its tree checks them no
+    second time."""
+
+
+def _edge_list(edges: Iterable[tuple[str, str]]) -> _EdgeList:
+    """``edges`` as checked (parent, child) pairs, each kept as given;
+    StructureError (field ``edges``) unless each is a tuple or a list of
+    two strings."""
+    if type(edges) is _EdgeList:
+        return edges
+    try:
+        pairs = _EdgeList(edges)
+        typed = (set(map(type, pairs)) <= {tuple, list}
+                 and set(map(len, pairs)) <= {2})
+        if typed:  # join refuses every id that is not a str
+            "".join(chain.from_iterable(pairs))
+    except TypeError:  # not iterable, or an id that is not a str
+        typed = False
+    if not typed:
+        raise StructureError(_EDGES_SHAPE, "edges")
+    return pairs
+
+
+def _edge_arrays(edges: _EdgeList, depth: Optional[int]
                  ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Degrees, generation sizes and labels, in canonical order, of the
     tree with the given edges (see ``DirectedTree.from_edges``)."""
     ids: dict[str, int] = {}
     intern = ids.setdefault
-    edges = tuple(edges)
     par = np.array([intern(p, len(ids)) for p, _ in edges], dtype=np.int64)
     kid = np.array([intern(c, len(ids)) for _, c in edges], dtype=np.int64)
     names = list(ids)
     count = len(names)
     if not count:
-        raise StructureError("edge list is empty")
+        raise StructureError("edge list is empty", "edges")
     parent = np.full(count, -1, dtype=np.int64)
     parent[kid] = par
     clashes = np.flatnonzero(parent[kid] != par)
@@ -585,12 +613,12 @@ def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
         c = kid.item(clash)
         raise StructureError(
             f"vertex {names[c]!r} has two parents ({names[parent.item(c)]!r} "
-            f"and {names[par.item(clash)]!r})")
+            f"and {names[par.item(clash)]!r})", "edges")
     roots = np.flatnonzero(parent < 0).tolist()
     if len(roots) > 1:
         raise StructureError(
             f"edge list must describe one tree; {names[roots[0]]!r} and "
-            f"{names[roots[1]]!r} both have no parent")
+            f"{names[roots[1]]!r} both have no parent", "edges")
     if len(kid) >= count:  # a repeated edge: keep the first of each
         first = np.sort(np.unique(kid, return_index=True)[1])
         par, kid = par[first], kid[first]
@@ -612,7 +640,7 @@ def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
         while v not in seen:
             seen.add(v)
             v = parent.item(v)
-        raise StructureError(f"cycle through vertex {names[v]!r}")
+        raise StructureError(f"cycle through vertex {names[v]!r}", "edges")
     degrees = degree[canon]
     # the children of generation g make up generation g + 1
     child_starts = np.cumsum(np.append(1, degrees)).tolist()
@@ -624,7 +652,7 @@ def _edge_arrays(edges: Iterable[tuple[str, str]], depth: Optional[int]
     if depth is not None and inferred > depth:
         raise StructureError(
             f"vertex {names[canon[offsets[depth + 1]]]!r} at depth "
-            f"{depth + 1} exceeds requested depth {depth}")
+            f"{depth + 1} exceeds requested depth {depth}", "edges")
     pad = 0 if depth is None else depth - inferred  # empty generations
     return (degrees, np.diff(offsets + [count] * pad),
             list(map(names.__getitem__, canon)))
@@ -641,15 +669,18 @@ class TreeSpec:
       - "quasi_brownian": every vertex has degree 1 or ``valency`` l, and
         each degree-l vertex has exactly one degree-l child; generation n
         has 1 + n(l-1) vertices.
-      - "explicit": ``edges`` is a (parent, child) list over opaque ids.
+      - "explicit": ``edges`` is a list of (parent, child) pairs of id
+        strings (each a tuple or a list), kept as a tuple of its pairs.
       - "generation_rule": ``rule[g][i]`` is the child count of the i-th
-        vertex of generation g (the rule and its rows tuples or lists);
-        generations beyond the rule continue with one child each.
+        vertex of generation g (the rule and its rows tuples or lists;
+        the rule is kept as a tuple of its rows); generations beyond the
+        rule continue with one child each.
 
-    The rule is read once, when the spec is built; do not change its
-    rows afterwards.  A spec parsed from JSON keeps the decoded lists
-    as rows, so it cannot be hashed and compares unequal to the same
-    spec with tuple rows.
+    Each field is checked when the spec is built, and an error about
+    one names it in its ``field``.  The rule is read once, then; do not
+    change its rows afterwards.  A spec parsed from JSON keeps the
+    decoded lists as rule rows and edge pairs, so it cannot be hashed
+    and compares unequal to the same spec with tuples.
     """
 
     kind: str
@@ -674,27 +705,30 @@ class TreeSpec:
         if self.kind not in self.KIND_FIELDS:
             raise ConfigurationError(
                 f"unknown tree kind {self.kind!r}; expected one of "
-                f"{list(self.KIND_FIELDS)}")
+                f"{list(self.KIND_FIELDS)}", "kind")
         # a path is the rule (); spec_vertex_count and materialize read
         # each rule's arrays
         arrays = _PATH_ARRAYS if self.kind == "path" else None
         if self.kind == "t_eta_kappa":
             if self.eta is None or self.eta < 2:
-                raise ConfigurationError("t_eta_kappa requires eta >= 2")
+                raise ConfigurationError("t_eta_kappa requires eta >= 2",
+                                         "eta")
             if self.kappa != 0:
                 raise ConfigurationError(
-                    "only kappa = 0 trees are generated")
+                    "only kappa = 0 trees are generated", "kappa")
         if self.kind == "quasi_brownian":
             if self.valency is None or self.valency < 2:
                 raise ConfigurationError(
-                    "quasi_brownian requires valency >= 2")
-        if self.kind == "explicit" and not self.edges:
-            raise ConfigurationError("explicit tree requires an edge list")
-        if self.kind == "generation_rule":
-            if self.rule is None:
+                    "quasi_brownian requires valency >= 2", "valency")
+        if self.kind == "explicit":
+            edges = _edge_list(self.edges)
+            if not edges:
                 raise ConfigurationError(
-                    "generation_rule requires a rule table")
+                    "explicit tree requires an edge list", "edges")
+            object.__setattr__(self, "edges", edges)
+        if self.kind == "generation_rule":
             arrays = _rule_arrays(self.rule)
+            object.__setattr__(self, "rule", tuple(self.rule))
         object.__setattr__(self, "_rule_arrays", arrays)
 
 
@@ -714,15 +748,15 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The rule's child counts in one array, generation after
     generation, and the generation sizes: 1, then the sum of each row.
-    Raises StructureError when the rule is not a tuple or a list of rows
-    of ints (a bool is not one), or naming the first row that is not one
-    count >= 0 per vertex of its generation.
+    Raises StructureError, its ``field`` ``rule``, when the rule is not
+    a tuple or a list of rows of ints (a bool is not one), or naming the
+    first row that is not one count >= 0 per vertex of its generation.
 
     Rows that are tuples or lists of counts 0..255 are packed into
     bytes in one C pass and widened once; any other rule takes the
     general conversion, which also holds every error."""
     if not isinstance(rule, (tuple, list)):
-        raise StructureError(_RULE_SHAPE)
+        raise StructureError(_RULE_SHAPE, "rule")
     try:
         # bytes() refuses every entry but an int 0..255 (or a bool);
         # bytes(n) of an int row would be n zero bytes
@@ -738,7 +772,7 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
         if bool in set(map(type, chain.from_iterable(
                 row for row, data in zip(rule, packed)
                 if b"\0" in data or b"\1" in data))):
-            raise StructureError(_RULE_SHAPE)
+            raise StructureError(_RULE_SHAPE, "rule")
         flat = np.frombuffer(b"".join(packed), np.uint8).astype(np.int64)
     lengths = np.fromiter(map(len, rule), np.int64, len(rule))
     ends = np.cumsum(lengths)
@@ -753,7 +787,7 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
         raise StructureError(
             f"generation rule row {g} has length {lengths.item(g)}; it "
             f"needs {sizes[g]} child counts >= 0, one per vertex of "
-            f"generation {g}")
+            f"generation {g}", "rule")
     return flat, sizes
 
 
@@ -775,7 +809,7 @@ def _rule_entries(rule: Sequence[Sequence[int]]) -> np.ndarray:
     except OverflowError:
         exact, typed = False, set(map(type, entries)) <= {int}
     if not typed:
-        raise StructureError(_RULE_SHAPE)
+        raise StructureError(_RULE_SHAPE, "rule")
     return flat if exact else np.array(entries, dtype=object)
 
 

@@ -9,12 +9,13 @@ against the Stieltjes test of the dual sequence at every vertex with a
 Hankel block of order 1: a conclusive "subnormal" must have no failing
 vertex."""
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
-from treeshift import (TreeSpec, WeightSpec, build_shift, dual_subnormality,
-                       materialize, moment_sequence, stieltjes_test)
+from treeshift import (TreeSpec, WeightSpec, build_shift, comb_tree_spec,
+                       dual_subnormality, hub_comb_tree_spec, materialize,
+                       moment_sequence, stieltjes_test)
 
 MAX_DEGREE = 5
 NMAX = 12
@@ -87,3 +88,46 @@ def test_no_conclusive_subnormal_tree_has_a_failing_vertex(depth, count):
         failing = _failing_vertices(shift, subtrees, verdicts)
         if report.verdict == "subnormal" and report.conclusive:
             assert failing == [], (rule, report.decision_path)
+
+
+def _sibling_sorted(rule):
+    """``rule`` with the children of every vertex ordered by degree,
+    descending and stable: the order ``_rules`` lists them in."""
+    rows, order = [], [0]  # order: the generation's vertices, sorted
+    for g, row in enumerate(rule):
+        rows.append(tuple(row[v] for v in order))
+        if g + 1 < len(rule):
+            starts, below = list(accumulate(row, initial=0)), rule[g + 1]
+            order = [c for v in order for c in sorted(
+                range(starts[v], starts[v + 1]), key=lambda c: -below[c])]
+    return tuple(rows)
+
+
+@cache
+def _census(depth):
+    return frozenset(_rules(depth))
+
+
+def _decision(spec):
+    shift = build_shift(WeightSpec("adjacency"), materialize(spec))
+    report = dual_subnormality(shift, NMAX)
+    return report.verdict, report.decision_path
+
+
+# combs are constant-t past valency 2, hub combs (przadj's tree is the
+# valency-3 one) decided by the generic moment test
+@pytest.mark.parametrize("build,past_two", [
+    (comb_tree_spec, ("subnormal", "constant-t")),
+    (hub_comb_tree_spec, ("not-subnormal", "generic-moment-test"))])
+@pytest.mark.parametrize("valency", [2, 3, 4, 5])
+@pytest.mark.parametrize("depth", [7, 8, 9])
+def test_the_census_holds_every_comb_and_hub_comb(build, past_two, valency,
+                                                  depth):
+    spec = build(valency, depth)
+    rule = _sibling_sorted(spec.rule)
+    assert rule in _census(depth)
+    decision = _decision(spec)
+    assert decision == _decision(TreeSpec("generation_rule", rule=rule,
+                                          depth=depth))
+    assert decision == (("subnormal", "BrownianG") if valency == 2
+                        else past_two)

@@ -52,7 +52,7 @@ def test_parse_defaults_tree_from_weight_kind():
     ('not json', "$"),
     ('[1,2]', "$"),
     ('{"weights":{"kind":"dirichlet"},"bogus":1}', "$.bogus"),
-    ('{"weights":{"kind":"glowny","y1":1.5}}', "$.weights"),
+    ('{"weights":{"kind":"glowny","y1":1.5}}', "$.weights.y1"),
     ('{"weights":{"kind":"glowny","y1":1.1,"y2":1.3,"y3":1}}',
      "$.weights.y3"),
     ('{"weights":{"kind":"mystery"}}', "$.weights.kind"),
@@ -90,6 +90,51 @@ def test_parse_errors_carry_json_paths(text, path_fragment):
     with pytest.raises(SpecParseError) as err:
         parse_spec(text)
     assert err.value.json_path == path_fragment
+
+
+_EDGES_SHAPE = "edges must be a list of [parent, child] string pairs"
+_T_ETA_2 = {"kind": "t_eta_kappa", "eta": 2, "depth": 3}
+
+
+@pytest.mark.parametrize("section,obj,path,message", [
+    ("tree", {**_T_ETA_2, "eta": 1}, "$.tree.eta",
+     "t_eta_kappa requires eta >= 2"),
+    ("tree", {**_T_ETA_2, "kappa": 1}, "$.tree.kappa",
+     "only kappa = 0 trees are generated"),
+    ("tree", {"kind": "quasi_brownian", "valency": 1, "depth": 3},
+     "$.tree.valency", "quasi_brownian requires valency >= 2"),
+    ("tree", {"kind": "explicit", "edges": []}, "$.tree.edges",
+     "explicit tree requires an edge list"),
+    ("tree", {"kind": "explicit", "edges": [["a", 1]]}, "$.tree.edges",
+     _EDGES_SHAPE),
+    ("tree", {"kind": "explicit", "edges": [["a", "b", "c"]]},
+     "$.tree.edges", _EDGES_SHAPE),
+    ("tree", {"kind": "generation_rule", "rule": None, "depth": 3},
+     "$.tree.rule", "rule must be a list of per-generation child-count lists"),
+    ("weights", {"kind": "kernel_condition", "x": 0.5}, "$.weights.x",
+     "x must be >= 1, got 0.5"),
+    ("weights", {"kind": "glowny", "y1": 1.1}, "$.weights.y2",
+     "glowny requires y2"),
+    ("weights", {"kind": "glowny", "y1": 1.1, "y2": 2}, "$.weights.y2",
+     "y2 must lie in the open interval (1, sqrt(2)), got 2.0"),
+    ("other", {**_T_ETA_2, "eta": 1}, "$.commands[0].other.tree.eta",
+     "t_eta_kappa requires eta >= 2"),
+])
+def test_a_refused_field_value_fails_at_its_field(section, obj, path,
+                                                  message):
+    """The spec class refuses the value and names the field; the parse
+    error lands at that field with the library's message."""
+    doc = {"tree": _T_ETA_2, "weights": {"kind": "adjacency"}}
+    if section == "other":
+        doc["commands"] = [{"name": "equivalent", "other": {
+            "tree": obj, "weights": {"kind": "adjacency"}}}]
+    else:
+        doc[section] = obj
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(json.dumps(doc))
+    assert err.value.json_path == path
+    assert str(err.value) == f"{path}: {message}"
+    assert err.value.__cause__.field == path.rpartition(".")[2]
 
 
 def test_proportions_alone_select_the_proportional_split():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeshift import (DirectedTree, StructureError, TreeSpec, Vertex,
-                       materialize)
+                       materialize, trees)
 
 
 @pytest.mark.parametrize("edges,named", [
@@ -41,6 +41,30 @@ def test_cycle_below_a_root_names_a_vertex_on_the_cycle():
 def test_empty_edge_list_is_rejected():
     with pytest.raises(StructureError, match="empty"):
         DirectedTree.from_edges(())
+
+
+# ids that are not strings, pairs of the wrong length or type, and edge
+# lists that are not lists
+@pytest.mark.parametrize("edges", [
+    [(1, 2)], [("r", 1)], [("a",)], [("a", "b", "c")], [(["a"], "b")],
+    ["ab"], [{"r": "a"}], 5, None,
+])
+def test_malformed_pairs_are_refused_at_the_edges_field(edges):
+    for build in (DirectedTree.from_edges,
+                  lambda edges: TreeSpec("explicit", edges=edges)):
+        with pytest.raises(StructureError) as raised:
+            build(edges)
+        assert str(raised.value) == (
+            "edges must be a list of [parent, child] string pairs")
+        assert raised.value.field == "edges"
+
+
+def test_a_spec_keeps_its_edges_checked():
+    spec = TreeSpec("explicit", edges=[("r", "a"), ("a", "b")])
+    assert spec.edges == (("r", "a"), ("a", "b"))
+    # materialize hands them to from_edges, which does not check again
+    assert trees._edge_list(spec.edges) is spec.edges
+    assert materialize(spec).root == "r"
 
 
 def test_repeated_identical_edge_counts_once():
