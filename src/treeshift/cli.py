@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -179,22 +179,21 @@ def _as_vertex(value: Any, path: str) -> Any:
 
 
 def _as_numbers(value: Any, path: str) -> dict[str, float]:
-    """An object mapping vertex ids to finite numbers.  Values out of
-    the float range fail at ``path``, any other bad value at its key."""
+    """An object mapping vertex ids to finite numbers; a bad value fails
+    at the first key that holds one."""
     if not isinstance(value, dict):
         raise SpecParseError("expected an object mapping vertex ids to "
                              "numbers", json_path=path)
-    # JSON numbers are exactly int and float; bool is neither
-    if not set(map(type, value.values())) <= {int, float}:
-        for vid, number in value.items():
-            _as_number(number, f"{path}.{vid}")
+    # JSON numbers are exactly int and float (bool is neither), and
+    # float() of an int beyond the float range raises OverflowError
     try:
-        numbers = dict(zip(value, map(float, value.values())))
-    except OverflowError as exc:
-        raise SpecParseError("expected numbers within the float range",
-                             json_path=path) from exc
-    if not all(map(math.isfinite, numbers.values())):
-        for vid, number in numbers.items():
+        numbers = (dict(zip(value, map(float, value.values())))
+                   if set(map(type, value.values())) <= {int, float}
+                   else None)
+    except OverflowError:
+        numbers = None
+    if numbers is None or not all(map(math.isfinite, numbers.values())):
+        for vid, number in value.items():
             _as_number(number, f"{path}.{vid}")
     return numbers
 
@@ -281,13 +280,9 @@ def _parse_section(obj: Any, path: str, cls: type) -> Any:
 def _parse_tree(obj: Any, path: str, depth: Optional[int] = None
                 ) -> tuple[TreeSpec, DirectedTree]:
     """A TreeSpec from its JSON object, and its tree at ``depth``
-    (default: the spec's own); an explicit tree without a depth takes
-    that of the built tree."""
+    (default: the spec's own)."""
     spec = _parse_section(obj, path, TreeSpec)
-    built = _spec_call(path, materialize, spec, depth)
-    if spec.depth is None:
-        spec = replace(spec, depth=built.materialized_depth)
-    return spec, built
+    return spec, _spec_call(path, materialize, spec, depth)
 
 
 # the tree section of a spec that has none, by weight kind

@@ -210,7 +210,8 @@ class DirectedTree:
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]],
                    depth: Optional[int] = None) -> "DirectedTree":
-        """Tree from (parent, child) id pairs, in O(E).
+        """Tree from (parent, child) id pairs, in O(E):
+        ``materialize(TreeSpec("explicit", edges=edges), depth)``.
 
         A vertex keeps its children in the order of their first edges; a
         repeated edge counts once.  The tree is materialized to ``depth``,
@@ -218,8 +219,9 @@ class DirectedTree:
         Raises StructureError, its ``field`` ``edges``, unless every
         edge is a tuple or a list of two id strings, and naming the
         vertex at fault for a second parent, a cycle (a self-loop too), a
-        second root and a vertex deeper than ``depth``."""
-        return cls(*_edge_arrays(_edge_list(edges), depth))
+        second root and a vertex deeper than ``depth``; and
+        ResourceLimitError (``edges``) past MAX_VERTICES ids."""
+        return materialize(TreeSpec("explicit", edges=edges), depth)
 
     # -- classes ----------------------------------------------------------
     @property
@@ -568,20 +570,13 @@ def _class_layout(degrees: np.ndarray, offsets: np.ndarray,
 _EDGES_SHAPE = "edges must be a list of [parent, child] string pairs"
 
 
-class _EdgeList(tuple):
-    """(parent, child) string pairs that ``_edge_list`` has checked: a
-    spec keeps its edges as one, and building its tree checks them no
-    second time."""
-
-
-def _edge_list(edges: Iterable[tuple[str, str]]) -> _EdgeList:
-    """``edges`` as checked (parent, child) pairs, each kept as given;
-    StructureError (field ``edges``) unless each is a tuple or a list of
-    two strings."""
-    if type(edges) is _EdgeList:
-        return edges
+def _edge_list(edges: Iterable[tuple[str, str]]
+               ) -> tuple[tuple[str, str], ...]:
+    """``edges`` as a tuple of (parent, child) pairs, each kept as
+    given; StructureError (field ``edges``) unless each is a tuple or a
+    list of two strings."""
     try:
-        pairs = _EdgeList(edges)
+        pairs = tuple(edges)
         typed = (set(map(type, pairs)) <= {tuple, list}
                  and set(map(len, pairs)) <= {2})
         if typed:  # join refuses every id that is not a str
@@ -593,18 +588,26 @@ def _edge_list(edges: Iterable[tuple[str, str]]) -> _EdgeList:
     return pairs
 
 
-def _edge_arrays(edges: _EdgeList, depth: Optional[int]
-                 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Degrees, generation sizes and labels, in canonical order, of the
-    tree with the given edges (see ``DirectedTree.from_edges``)."""
+def _edge_arrays(edges: tuple[tuple[str, str], ...]
+                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[str, ...]]:
+    """The generation rule of the tree with the given checked edges, as
+    ``_rule_arrays`` gives it: every vertex's child count in canonical
+    order and the generation sizes, ending with an empty generation;
+    and the ids in canonical order (see ``DirectedTree.from_edges``).
+    The ids are interned once, and counted against MAX_VERTICES before
+    the tree's arrays are built."""
     ids: dict[str, int] = {}
     intern = ids.setdefault
     par = np.array([intern(p, len(ids)) for p, _ in edges], dtype=np.int64)
     kid = np.array([intern(c, len(ids)) for _, c in edges], dtype=np.int64)
-    names = list(ids)
-    count = len(names)
+    count = len(ids)
     if not count:
         raise StructureError("edge list is empty", "edges")
+    if count > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"tree of kind 'explicit' would have {count} vertices; the "
+            f"limit is {MAX_VERTICES}", "edges")
+    names = list(ids)
     parent = np.full(count, -1, dtype=np.int64)
     parent[kid] = par
     clashes = np.flatnonzero(parent[kid] != par)
@@ -642,20 +645,15 @@ def _edge_arrays(edges: _EdgeList, depth: Optional[int]
             v = parent.item(v)
         raise StructureError(f"cycle through vertex {names[v]!r}", "edges")
     degrees = degree[canon]
-    # the children of generation g make up generation g + 1
+    # the children of generation g make up generation g + 1, and the
+    # last one has none
     child_starts = np.cumsum(np.append(1, degrees)).tolist()
     offsets, end = [0], 0
     while end < count:
         end = child_starts[end]
         offsets.append(end)
-    inferred = len(offsets) - 2
-    if depth is not None and inferred > depth:
-        raise StructureError(
-            f"vertex {names[canon[offsets[depth + 1]]]!r} at depth "
-            f"{depth + 1} exceeds requested depth {depth}", "edges")
-    pad = 0 if depth is None else depth - inferred  # empty generations
-    return (degrees, np.diff(offsets + [count] * pad),
-            list(map(names.__getitem__, canon)))
+    return ((degrees, np.diff(offsets + [count])),
+            tuple(map(names.__getitem__, canon)))
 
 
 @dataclass(frozen=True)
@@ -671,16 +669,20 @@ class TreeSpec:
         has 1 + n(l-1) vertices.
       - "explicit": ``edges`` is a list of (parent, child) pairs of id
         strings (each a tuple or a list), kept as a tuple of its pairs.
+        The spec interns them once, into the tree's generation rule and
+        its ids in canonical order, and takes the depth of the deepest
+        vertex when ``depth`` is None.
       - "generation_rule": ``rule[g][i]`` is the child count of the i-th
         vertex of generation g (the rule and its rows tuples or lists;
         the rule is kept as a tuple of its rows); generations beyond the
         rule continue with one child each.
 
     Each field is checked when the spec is built, and an error about
-    one names it in its ``field``.  The rule is read once, then; do not
-    change its rows afterwards.  A spec parsed from JSON keeps the
-    decoded lists as rule rows and edge pairs, so it cannot be hashed
-    and compares unequal to the same spec with tuples.
+    one names it in its ``field``.  The rule and the edges are read
+    once, then; do not change their rows or pairs afterwards.  A spec
+    parsed from JSON keeps the decoded lists as rule rows and edge
+    pairs, so it cannot be hashed and compares unequal to the same spec
+    with tuples.
     """
 
     kind: str
@@ -706,9 +708,11 @@ class TreeSpec:
             raise ConfigurationError(
                 f"unknown tree kind {self.kind!r}; expected one of "
                 f"{list(self.KIND_FIELDS)}", "kind")
-        # a path is the rule (); spec_vertex_count and materialize read
-        # each rule's arrays
+        # a path is the rule (), and an explicit tree the rule of its
+        # edges; spec_vertex_count and materialize read each rule's
+        # arrays, and the ids of an explicit tree
         arrays = _PATH_ARRAYS if self.kind == "path" else None
+        ids = None
         if self.kind == "t_eta_kappa":
             if self.eta is None or self.eta < 2:
                 raise ConfigurationError("t_eta_kappa requires eta >= 2",
@@ -722,14 +726,15 @@ class TreeSpec:
                     "quasi_brownian requires valency >= 2", "valency")
         if self.kind == "explicit":
             edges = _edge_list(self.edges)
-            if not edges:
-                raise ConfigurationError(
-                    "explicit tree requires an edge list", "edges")
+            arrays, ids = _edge_arrays(edges)
             object.__setattr__(self, "edges", edges)
+            if self.depth is None:
+                object.__setattr__(self, "depth", len(arrays[1]) - 2)
         if self.kind == "generation_rule":
             arrays = _rule_arrays(self.rule)
             object.__setattr__(self, "rule", tuple(self.rule))
         object.__setattr__(self, "_rule_arrays", arrays)
+        object.__setattr__(self, "_ids", ids)
 
 
 #: Largest rule entry kept in int64: sums of fewer than 2**31 such
@@ -823,24 +828,26 @@ def _rule_generations(sizes: np.ndarray, depth: int) -> np.ndarray:
     return generations
 
 
-def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray,
-                    depth: int) -> DirectedTree:
-    """Tree whose generation g < len(sizes) - 1 has the child counts of
-    rule row g (``_rule_arrays``); later generations continue with one
-    child each."""
-    rows = min(depth, len(sizes) - 1)
+def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray, depth: int,
+                    count: int, labels: Optional[list[str]] = None
+                    ) -> DirectedTree:
+    """Tree of ``count`` vertices whose generation g < len(sizes) - 1
+    has the child counts of rule row g (``_rule_arrays``), with the
+    vertex ids ``labels``; later generations continue with one child
+    each."""
     generations = _rule_generations(sizes, depth)
-    count = int(generations.sum())
+    last = count - generations.item(-1)  # the last generation has none
     degrees = np.ones(count, dtype=np.int64)
-    # generations rows..depth all have sizes[rows] vertices
-    ruled = count - (depth + 1 - rows) * generations.item(-1)
+    # the rule gives the child counts of its rows above the last one
+    ruled = min(len(flat), last)
     degrees[:ruled] = flat[:ruled]
-    degrees[count - generations.item(-1):] = 0
-    return DirectedTree(degrees, generations)
+    degrees[last:] = 0
+    return DirectedTree(degrees, generations, labels)
 
 
 def _rule_classes(flat: np.ndarray, sizes: np.ndarray, depth: int,
-                  count: int) -> Optional[DirectedTree]:
+                  count: int, labels: Optional[list[str]] = None
+                  ) -> Optional[DirectedTree]:
     """The tree of ``_tree_from_rule``, of ``count`` vertices, as run
     classes, or None when it has fewer than MIN_VERTICES_PER_CLASS
     vertices per class.
@@ -927,7 +934,8 @@ def _rule_classes(flat: np.ndarray, sizes: np.ndarray, depth: int,
     children = first.searchsorted(
         np.arange(class_degrees.sum())
         + (class_child - edges).repeat(class_degrees), side="right") - 1
-    return DirectedTree(class_degrees, generations, children=children,
+    return DirectedTree(class_degrees, generations, labels,
+                        children=children,
                         multiplicities=np.diff(first, append=count))
 
 
@@ -985,17 +993,16 @@ def two_plus_three_tree_spec(variant: str, depth: int) -> TreeSpec:
 
 def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
     """Exact vertex count of ``materialize(spec, depth)``, computed from
-    the spec alone (explicit trees: the number of distinct ids, which
-    needs no depth)."""
+    the spec alone: a path, an explicit tree and a generation rule from
+    their rule arrays.  Raises StructureError (``edges``), naming the
+    first vertex past ``depth``, when that is shallower than an
+    explicit tree's deepest vertex."""
     if depth is None:
         depth = spec.depth
-    if depth is not None and depth < 0:
-        raise RangeError(f"depth must be >= 0, got {depth}")
-    if spec.kind == "explicit":
-        assert spec.edges is not None
-        return len(set(chain.from_iterable(spec.edges)))
     if depth is None:
         raise ConfigurationError("no materialization depth given")
+    if depth < 0:
+        raise RangeError(f"depth must be >= 0, got {depth}")
     if spec.kind == "t_eta_kappa":
         assert spec.eta is not None
         return 1 + spec.eta * depth
@@ -1004,46 +1011,50 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
         # generation n has 1 + n(valency - 1) vertices
         return depth + 1 + (spec.valency - 1) * depth * (depth + 1) // 2
     sizes = spec._rule_arrays[1]
+    if spec._ids is not None and depth < len(sizes) - 2:
+        raise StructureError(
+            f"vertex {spec._ids[int(sizes[:depth + 1].sum())]!r} at depth "
+            f"{depth + 1} exceeds requested depth {depth}", "edges")
     rows = min(depth, len(sizes) - 1)
     return int(sizes[:rows + 1].sum()) + (depth - rows) * int(sizes[rows])
 
 
 def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
-    """Materialize a tree spec to the given depth (default: spec.depth;
-    an explicit tree without either goes to its deepest vertex).
+    """Materialize a tree spec to the given depth (default: spec.depth,
+    which an explicit tree without one takes from its deepest vertex).
+    A path, an explicit tree and a generation rule are built from their
+    rule arrays by one path: as classes when they compress, else vertex
+    by vertex, an explicit tree with its ids.
 
-    Raises ResourceLimitError, before allocating anything, when the tree
-    would have more than MAX_VERTICES vertices (its ``field`` is the one
-    counted, ``edges`` for an explicit tree and ``depth`` otherwise), or
-    more than MAX_VERTICES generations (``depth``)."""
+    Raises ResourceLimitError (``depth``), before allocating anything,
+    when the tree would have more than MAX_VERTICES vertices or
+    generations; the spec of an explicit tree counted its ids against
+    the limit when it was built."""
     if depth is None:
         depth = spec.depth
     count = spec_vertex_count(spec, depth)
-    at = "" if depth is None else f" at depth {depth}"
+    assert depth is not None
     if count > MAX_VERTICES:
         raise ResourceLimitError(
-            f"tree of kind {spec.kind!r}{at} would have {count} vertices; "
-            f"the limit is {MAX_VERTICES}",
-            "edges" if spec.kind == "explicit" else "depth")
+            f"tree of kind {spec.kind!r} at depth {depth} would have "
+            f"{count} vertices; the limit is {MAX_VERTICES}", "depth")
     # few vertices can still span many generations, empty ones included
     # (an explicit tree or a rule with a 0 row), and each costs an array
     # entry
-    if depth is not None and depth >= MAX_VERTICES:
+    if depth >= MAX_VERTICES:
         raise ResourceLimitError(
-            f"tree of kind {spec.kind!r}{at} would have {depth + 1} "
-            f"generations; the limit is {MAX_VERTICES}", "depth")
-    if spec.kind == "explicit":
-        assert spec.edges is not None
-        return DirectedTree.from_edges(spec.edges, depth)
-    assert depth is not None
+            f"tree of kind {spec.kind!r} at depth {depth} would have "
+            f"{depth + 1} generations; the limit is {MAX_VERTICES}", "depth")
     if spec.kind == "t_eta_kappa":
         return _star_classes(spec.eta, depth)
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         return _quasi_brownian_classes(spec.valency, depth)
-    tree = _rule_classes(*spec._rule_arrays, depth, count)
-    return tree if tree is not None else _tree_from_rule(*spec._rule_arrays,
-                                                         depth)
+    # every tree of an explicit spec gets a list of its ids of its own
+    labels = None if spec._ids is None else list(spec._ids)
+    tree = _rule_classes(*spec._rule_arrays, depth, count, labels)
+    return tree if tree is not None else _tree_from_rule(
+        *spec._rule_arrays, depth, count, labels)
 
 
 def _star_classes(eta: int, depth: int) -> DirectedTree:

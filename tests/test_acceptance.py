@@ -8,7 +8,6 @@ consistency between the recurrence engine and the matrix oracle.
 import math
 
 import numpy as np
-import pytest
 
 from treeshift import (DiscreteMeasure, TreeSpec, WeightSpec,
                        backward_extension, block_shift_from_atoms,

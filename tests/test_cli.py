@@ -81,7 +81,11 @@ def test_parse_defaults_tree_from_weight_kind():
     ('{"weights":{"kind":"kernel_condition","x":1' + '0' * 400 + '}}',
      "$.weights.x"),
     ('{"weights":{"kind":"explicit","values":{"g1:0":1' + '0' * 400
-     + '}},"tree":{"kind":"path","depth":1}}', "$.weights.values"),
+     + '}},"tree":{"kind":"path","depth":1}}', "$.weights.values.g1:0"),
+    ('{"weights":{"kind":"kernel_condition","x":1.2,"proportions":'
+     '{"g1:0":1,"g1:1":1' + '0' * 400 + '}},'
+     '"tree":{"kind":"generation_rule","rule":[[2]],"depth":2}}',
+     "$.weights.proportions.g1:1"),
     ('{"weights":{"kind":"kernel_condition"}}', "$.weights.x"),
     ('{"weights":{"kind":"dirichlet"},"commands":[{"name":"check-2iso"}],'
      '"output":{"json":"r.json"}}', "$.output"),
@@ -104,7 +108,7 @@ _T_ETA_2 = {"kind": "t_eta_kappa", "eta": 2, "depth": 3}
     ("tree", {"kind": "quasi_brownian", "valency": 1, "depth": 3},
      "$.tree.valency", "quasi_brownian requires valency >= 2"),
     ("tree", {"kind": "explicit", "edges": []}, "$.tree.edges",
-     "explicit tree requires an edge list"),
+     "edge list is empty"),
     ("tree", {"kind": "explicit", "edges": [["a", 1]]}, "$.tree.edges",
      _EDGES_SHAPE),
     ("tree", {"kind": "explicit", "edges": [["a", "b", "c"]]},
@@ -721,11 +725,11 @@ def test_parse_spec_finds_a_cycle_under_a_given_depth():
 
 def test_spec_run_sizes_and_builds_each_tree_once(tmp_path, monkeypatch):
     sized, built = [], []
-    count, from_edges = trees.spec_vertex_count, DirectedTree.from_edges
+    count, intern = trees.spec_vertex_count, trees._edge_arrays
     monkeypatch.setattr(trees, "spec_vertex_count",
                         lambda *args: sized.append(args) or count(*args))
-    monkeypatch.setattr(DirectedTree, "from_edges",
-                        lambda *args: built.append(args) or from_edges(*args))
+    monkeypatch.setattr(trees, "_edge_arrays",
+                        lambda *args: built.append(args) or intern(*args))
     spec_file = tmp_path / "run.json"
     spec_file.write_text(json.dumps({
         "tree": {"kind": "explicit", "edges": [["r", "a"], ["a", "b"]]},
@@ -830,13 +834,13 @@ def test_overflowed_witness_values_are_strict_json(tmp_path, tree, big,
 def test_equivalent_builds_an_explicit_other_tree_once(tmp_path,
                                                        monkeypatch):
     built = []
-    from_edges = DirectedTree.from_edges
+    intern = trees._edge_arrays
 
     def counted(*args, **kwargs):
         built.append(args)
-        return from_edges(*args, **kwargs)
+        return intern(*args, **kwargs)
 
-    monkeypatch.setattr(DirectedTree, "from_edges", counted)
+    monkeypatch.setattr(trees, "_edge_arrays", counted)
     spec_file = tmp_path / "run.json"
     spec_file.write_text(json.dumps({
         "tree": {"kind": "path", "depth": 3},

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift import (DirectedTree, DomainError, NotLeftInvertibleError,
-                       TreeSpec, WeightSpec, WeightedShift, cauchy_dual,
-                       materialize, satisfies_kernel_condition)
+from treeshift import (DomainError, NotLeftInvertibleError, TreeSpec,
+                       WeightSpec, WeightedShift, cauchy_dual, materialize,
+                       satisfies_kernel_condition, trees)
 from treeshift.cli import main, parse_spec
 from treeshift.moments import _power_norms
 
@@ -343,13 +343,13 @@ def test_kernel_condition_weights_refuse_an_infinite_ladder():
 def test_depthless_explicit_tree_is_built_once(tmp_path, monkeypatch,
                                                extra, builds):
     calls = []
-    build = DirectedTree.from_edges
+    intern = trees._edge_arrays
 
-    def counted(cls, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return intern(*args, **kwargs)
 
-    monkeypatch.setattr(DirectedTree, "from_edges", classmethod(counted))
+    monkeypatch.setattr(trees, "_edge_arrays", counted)
     edges = [["r", "a"], ["r", "b"], ["a", "a1"], ["b", "b1"],
              ["a1", "a2"], ["b1", "b2"]]
     code, report = _run(tmp_path, {

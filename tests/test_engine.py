@@ -204,7 +204,7 @@ def test_budget_errors_name_the_field_they_counted(monkeypatch):
         assert raised.value.field == field
     monkeypatch.setattr(trees, "MAX_VERTICES", 1)
     with pytest.raises(ResourceLimitError, match="2 vertices") as raised:
-        materialize(explicit)
+        materialize(TreeSpec("explicit", edges=(("r", "a"),)))
     assert raised.value.field == "edges"
 
 

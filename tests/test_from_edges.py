@@ -1,13 +1,16 @@
 """The linear-time edge-list builder DirectedTree.from_edges, and the
 array constructor it calls."""
+import json
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift import (DirectedTree, StructureError, TreeSpec, Vertex,
-                       materialize, trees)
+from treeshift import (DirectedTree, ResourceLimitError, StructureError,
+                       TreeSpec, Vertex, WeightSpec, build_shift,
+                       dual_subnormality, is_two_isometry, materialize, trees)
+from treeshift.cli import main
 
 
 @pytest.mark.parametrize("edges,named", [
@@ -59,12 +62,71 @@ def test_malformed_pairs_are_refused_at_the_edges_field(edges):
         assert raised.value.field == "edges"
 
 
-def test_a_spec_keeps_its_edges_checked():
+def test_a_spec_keeps_its_edges_checked(monkeypatch):
+    calls = []
+    intern = trees._edge_arrays
+    monkeypatch.setattr(trees, "_edge_arrays",
+                        lambda *args: calls.append(args) or intern(*args))
     spec = TreeSpec("explicit", edges=[("r", "a"), ("a", "b")])
     assert spec.edges == (("r", "a"), ("a", "b"))
-    # materialize hands them to from_edges, which does not check again
-    assert trees._edge_list(spec.edges) is spec.edges
+    assert len(calls) == 1  # the spec interns its edges once
+    # and materialize builds the tree from what the spec kept
+    tree = materialize(spec)
+    assert tree.root == "r"
+    assert len(calls) == 1
+    tree.labels[0] = "x"  # each tree holds a list of the ids of its own
     assert materialize(spec).root == "r"
+
+
+def test_from_edges_counts_its_ids_against_the_vertex_budget(monkeypatch):
+    monkeypatch.setattr(trees, "MAX_VERTICES", 3)
+    with pytest.raises(ResourceLimitError, match="5 vertices") as raised:
+        DirectedTree.from_edges([("r", "a"), ("a", "b"), ("b", "c"),
+                                 ("c", "d")])
+    assert raised.value.field == "edges"
+
+
+def test_a_spec_without_a_depth_takes_its_deepest_vertex():
+    spec = TreeSpec("explicit", edges=[("r", "a"), ("r", "b"), ("b", "c")])
+    assert spec.depth == 2
+    assert TreeSpec("explicit", edges=[("r", "a")], depth=4).depth == 4
+
+
+def test_a_depth_override_under_the_deepest_vertex_fails_at_the_edges(
+        tmp_path, capsys):
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(json.dumps({
+        "tree": {"kind": "explicit",
+                 "edges": [["r", "a"], ["a", "b"], ["b", "c"]]},
+        "weights": {"kind": "adjacency"}}))
+    assert main(["--spec", str(spec_file), "--depth", "1", "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.tree.edges: vertex 'b' at depth 2 exceeds requested "
+        "depth 1\n")
+
+
+def _rays(count, length):
+    """A root with ``count`` rays of ``length`` edges, ray by ray."""
+    return [(f"r{i}:{d - 1}" if d else "root", f"r{i}:{d}")
+            for i in range(count) for d in range(length)]
+
+
+@pytest.mark.parametrize("weights", [
+    WeightSpec("adjacency"), WeightSpec("kernel_condition", x=1.3)])
+def test_a_large_regular_explicit_tree_is_held_as_classes(weights):
+    tree = DirectedTree.from_edges(_rays(20_000, 3))
+    assert (tree.vertex_count, tree.class_count) == (60_001, 4)
+    assert tree.children_of("r7:0") == ("r7:1",)
+    full = tree.expanded()
+    assert full.labels is tree.labels and full.class_count == 60_001
+    shift, full_shift = (build_shift(weights, t) for t in (tree, full))
+    for check in (is_two_isometry, dual_subnormality):
+        assert check(shift).to_dict() == check(full_shift).to_dict()
+
+
+def test_a_small_explicit_path_stays_a_full_tree():
+    tree = DirectedTree.from_edges(_rays(1, 64))
+    assert tree.vertex_count == tree.class_count == 65
 
 
 def test_repeated_identical_edge_counts_once():

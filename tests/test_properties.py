@@ -1,6 +1,4 @@
 """Property-based checks of algebraic laws and numeric stability."""
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,6 +1,7 @@
 """The package surface: every exported name exists, no module reaches
-into another's private names, and every function the bench harness
-traces is still there, with one decision-path counter per rule."""
+into another's private names, no module imports a name it never reads,
+and every function the bench harness traces is still there, with one
+decision-path counter per rule."""
 import ast
 import importlib
 import importlib.util
@@ -70,6 +71,43 @@ def test_the_scan_sees_every_kind_of_private_import():
         "full = trees._is_full, trees.__all__\n")
     assert _cross_module_private_names(source) == [
         "1: imports _first", "2: imports _frozen", "5: reads trees._is_full"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads (``from
+    __future__`` and star imports aside)."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in bound
+                  if name not in read]
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    assert sorted(f"{path.relative_to(ROOT)}:{found}" for path in paths
+                  for found in _unused_imports(
+                      path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_unused_import_scan_sees_each_binding():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np, sys\n"
+        "from .trees import *\n"
+        "from math import pi, tau\n"
+        "print(os, tau)\n")
+    assert _unused_imports(source) == ["3: np", "3: sys", "5: pi"]
 
 
 def test_every_traced_function_resolves():

@@ -1,6 +1,4 @@
 """Structural layer: materialization, generations, classification."""
-import math
-
 import numpy as np
 import pytest
 
