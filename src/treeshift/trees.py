@@ -9,7 +9,6 @@ from __future__ import annotations
 import operator
 import re
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from itertools import chain
@@ -44,12 +43,12 @@ __all__ = [
 #: Checked from the spec alone, before anything is allocated.
 MAX_VERTICES = 2_000_000
 
-#: ``materialize`` holds a ``generation_rule`` tree as subtree classes
-#: when it has at least this many vertices per class, and as a full tree
-#: otherwise.  Hashing a rule loops in Python over its runs of equal
-#: child counts and over the classes it finds, and stops as soon as
-#: they pass vertex_count / MIN_VERTICES_PER_CLASS, so the loop stays
-#: short beside the per-vertex cost of reading the rule.
+#: ``materialize`` holds a tree as subtree classes when it has at least
+#: this many vertices per class, and as a full tree otherwise, whatever
+#: its kind.  Hashing reads the rule's runs of equal child counts in
+#: numpy passes over the class starts it finds (marked in a mask of one
+#: byte per vertex once a start falls inside a run), and stops as soon
+#: as they pass vertex_count / MIN_VERTICES_PER_CLASS.
 MIN_VERTICES_PER_CLASS = 64
 
 # a default vertex id: generation and position, decimal without sign,
@@ -589,11 +588,11 @@ def _edge_list(edges: Iterable[tuple[str, str]]
 
 
 def _edge_arrays(edges: tuple[tuple[str, str], ...]
-                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[str, ...]]:
+                 ) -> tuple[tuple[np.ndarray, ...], tuple[str, ...]]:
     """The generation rule of the tree with the given checked edges, as
-    ``_rule_arrays`` gives it: every vertex's child count in canonical
-    order and the generation sizes, ending with an empty generation;
-    and the ids in canonical order (see ``DirectedTree.from_edges``).
+    runs (``_rule_arrays``), one row per generation and ending with an
+    empty generation; and the ids in canonical order (see
+    ``DirectedTree.from_edges``).
     The ids are interned once, and counted against MAX_VERTICES before
     the tree's arrays are built."""
     ids: dict[str, int] = {}
@@ -652,7 +651,9 @@ def _edge_arrays(edges: tuple[tuple[str, str], ...]
     while end < count:
         end = child_starts[end]
         offsets.append(end)
-    return ((degrees, np.diff(offsets + [count])),
+    bounds = _run_bounds(degrees, offsets)
+    return ((degrees[bounds[:-1]], np.diff(bounds),
+             np.diff(offsets + [count])),
             tuple(map(names.__getitem__, canon)))
 
 
@@ -676,6 +677,14 @@ class TreeSpec:
         vertex of generation g (the rule and its rows tuples or lists;
         the rule is kept as a tuple of its rows); generations beyond the
         rule continue with one child each.
+
+    Every kind is a generation rule, held as its runs: each maximal run
+    of equal child counts within a row, as the count and the run's
+    length, and the generation sizes.  A path is the empty rule, a star
+    the rule ``((eta,),)``, a quasi-Brownian tree the rule whose row n
+    is one ``valency``, then n(valency - 1) ones (its runs are built by
+    ``materialize``, since they depend on the depth), and an explicit
+    tree the rule of its edges.
 
     Each field is checked when the spec is built, and an error about
     one names it in its ``field``.  The rule and the edges are read
@@ -708,32 +717,40 @@ class TreeSpec:
             raise ConfigurationError(
                 f"unknown tree kind {self.kind!r}; expected one of "
                 f"{list(self.KIND_FIELDS)}", "kind")
-        # a path is the rule (), and an explicit tree the rule of its
-        # edges; spec_vertex_count and materialize read each rule's
-        # arrays, and the ids of an explicit tree
-        arrays = _PATH_ARRAYS if self.kind == "path" else None
+        # every kind is a generation rule held as runs: a path is the
+        # rule (), a star the rule ((eta,),) and an explicit tree the
+        # rule of its edges; a quasi-Brownian rule depends on the depth,
+        # so materialize builds its runs (None here) after the size check
+        runs = _PATH_RUNS if self.kind == "path" else None
         ids = None
         if self.kind == "t_eta_kappa":
-            if self.eta is None or self.eta < 2:
+            try:
+                eta = operator.index(self.eta)
+            except TypeError:
+                raise ConfigurationError(
+                    f"t_eta_kappa requires an integer eta, got {self.eta!r}",
+                    "eta") from None
+            if eta < 2:
                 raise ConfigurationError("t_eta_kappa requires eta >= 2",
                                          "eta")
             if self.kappa != 0:
                 raise ConfigurationError(
                     "only kappa = 0 trees are generated", "kappa")
+            runs = _rule_arrays(((eta,),))
         if self.kind == "quasi_brownian":
             if self.valency is None or self.valency < 2:
                 raise ConfigurationError(
                     "quasi_brownian requires valency >= 2", "valency")
         if self.kind == "explicit":
             edges = _edge_list(self.edges)
-            arrays, ids = _edge_arrays(edges)
+            runs, ids = _edge_arrays(edges)
             object.__setattr__(self, "edges", edges)
             if self.depth is None:
-                object.__setattr__(self, "depth", len(arrays[1]) - 2)
+                object.__setattr__(self, "depth", len(runs[2]) - 2)
         if self.kind == "generation_rule":
-            arrays = _rule_arrays(self.rule)
+            runs = _rule_arrays(self.rule)
             object.__setattr__(self, "rule", tuple(self.rule))
-        object.__setattr__(self, "_rule_arrays", arrays)
+        object.__setattr__(self, "_runs", runs)
         object.__setattr__(self, "_ids", ids)
 
 
@@ -745,23 +762,34 @@ _RULE_ENTRY_MAX = 2 ** 31
 _RULE_SHAPE = "rule must be a list of per-generation child-count lists"
 
 #: ``_rule_arrays`` of the empty rule: every generation has one vertex
-_PATH_ARRAYS = (_frozen(np.zeros(0, dtype=np.int64)),
-                _frozen(np.ones(1, dtype=np.int64)))
+_PATH_RUNS = (_frozen(np.zeros(0, dtype=np.int64)),
+              _frozen(np.zeros(0, dtype=np.int64)),
+              _frozen(np.ones(1, dtype=np.int64)))
 
 
 def _rule_arrays(rule: Sequence[Sequence[int]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's child counts in one array, generation after
-    generation, and the generation sizes: 1, then the sum of each row.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule as runs: each maximal run of equal child counts within a
+    row, as its count and its length, and the generation sizes: 1, then
+    the sum of each row.
     Raises StructureError, its ``field`` ``rule``, when the rule is not
     a tuple or a list of rows of ints (a bool is not one), or naming the
     first row that is not one count >= 0 per vertex of its generation.
 
     Rows that are tuples or lists of counts 0..255 are packed into
-    bytes in one C pass and widened once; any other rule takes the
-    general conversion, which also holds every error."""
+    bytes in one C pass, and only the run counts are read from them;
+    any other rule takes the general conversion, which also holds every
+    error."""
     if not isinstance(rule, (tuple, list)):
         raise StructureError(_RULE_SHAPE, "rule")
+    if len(rule) == 1 and type(rule[0]) in (tuple, list) \
+            and len(rule[0]) == 1 and type(rule[0][0]) is int \
+            and rule[0][0] >= 0:
+        # a root and its children (a star's rule): one run, built without
+        # the passes below, which cost more than the entry
+        flat = np.array(rule[0], np.int64 if rule[0][0] <= _RULE_ENTRY_MAX
+                        else object)
+        return flat, np.ones(1, dtype=np.int64), np.concatenate(([1], flat))
     try:
         # bytes() refuses every entry but an int 0..255 (or a bool);
         # bytes(n) of an int row would be n zero bytes
@@ -778,22 +806,27 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
                 row for row, data in zip(rule, packed)
                 if b"\0" in data or b"\1" in data))):
             raise StructureError(_RULE_SHAPE, "rule")
-        flat = np.frombuffer(b"".join(packed), np.uint8).astype(np.int64)
+        flat = np.frombuffer(b"".join(packed), np.uint8)
     lengths = np.fromiter(map(len, rule), np.int64, len(rule))
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    summed = np.concatenate([[0], np.cumsum(flat)])
-    sizes = np.concatenate([[1], summed[ends] - summed[starts]])
+    ends = lengths.cumsum()
+    bounds = _run_bounds(flat, ends - lengths)
+    degrees, widths = flat[bounds[:-1]], bounds[1:] - bounds[:-1]
+    # the counts through each run, and so through each row, which ends
+    # where a run does
+    summed = np.concatenate(([0], (degrees * widths).cumsum()))
+    through = summed[bounds.searchsorted(ends)]
+    sizes = np.concatenate(([1], through))
+    sizes[2:] -= through[:-1]
     # the row of the first negative count
-    negative = ends.searchsorted(np.flatnonzero(flat < 0), side="right")
-    bad = np.flatnonzero(lengths != sizes[:-1])
-    g = min(bad[:1].tolist() + negative[:1].tolist(), default=None)
+    negative = ends.searchsorted(bounds[:-1][degrees < 0][:1], side="right")
+    bad = np.flatnonzero(lengths != sizes[:-1])[:1]
+    g = min(bad.tolist() + negative.tolist(), default=None)
     if g is not None:
         raise StructureError(
             f"generation rule row {g} has length {lengths.item(g)}; it "
             f"needs {sizes[g]} child counts >= 0, one per vertex of "
             f"generation {g}", "rule")
-    return flat, sizes
+    return degrees, widths, sizes
 
 
 def _rule_entries(rule: Sequence[Sequence[int]]) -> np.ndarray:
@@ -818,125 +851,148 @@ def _rule_entries(rule: Sequence[Sequence[int]]) -> np.ndarray:
     return flat if exact else np.array(entries, dtype=object)
 
 
-def _rule_generations(sizes: np.ndarray, depth: int) -> np.ndarray:
-    """Generation sizes of the rule tree to ``depth``: the rule's, then
-    that of its last generation, which continues with one child per
-    vertex."""
+def _run_bounds(flat: np.ndarray, starts: Sequence[int]) -> np.ndarray:
+    """Where each maximal run of equal child counts within a row starts
+    in ``flat``, which holds the counts row after row, row g from
+    ``starts[g]`` on; then len(flat)."""
+    new = np.ones(len(flat) + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
+    new[starts] = True
+    return np.flatnonzero(new)
+
+
+def _quasi_brownian_runs(valency: int, depth: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quasi-Brownian tree's rule to ``depth`` as runs: row n is one
+    ``valency`` (the spine vertex), then n(valency - 1) ones (rays)."""
+    spread = valency - 1 if depth else 1  # the vertex budget bounds it then
+    n = np.arange(depth + 1, dtype=np.int64)
+    # the root's run, then a spine run and a ray run per row n >= 1
+    degrees = np.ones(max(2 * depth - 1, 0), dtype=np.int64)
+    degrees[:1] = degrees[1::2] = spread + 1
+    lengths = np.ones_like(degrees)
+    lengths[2::2] = n[1:-1] * spread
+    return degrees, lengths, 1 + n * spread
+
+
+def _tree_runs(run_degrees: np.ndarray, run_lengths: np.ndarray,
+               sizes: np.ndarray, depth: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of the rule tree to ``depth``: the runs of the rule's
+    rows above ``depth``, then one run of ones per later generation and
+    a run of leaves for the last (none when it is empty), as int64
+    child counts and lengths; and the generation sizes, which after the
+    rule's repeat its last one."""
     rows = min(depth, len(sizes) - 1)
-    generations = np.full(depth + 1, sizes[rows], dtype=np.int64)
-    generations[:rows] = sizes[:rows]
-    return generations
+    if depth == len(sizes) - 1:  # the rule ends at depth
+        generations, k = sizes.astype(np.int64, copy=False), len(run_lengths)
+    else:
+        generations = np.full(depth + 1, sizes[rows], dtype=np.int64)
+        generations[:rows] = sizes[:rows]
+        # the runs of the rows above depth end where those rows do
+        k = run_lengths.cumsum().searchsorted(generations[:rows].sum(),
+                                              side="right")
+    tail = depth - rows + 1 if generations.item(-1) else 0
+    degrees = np.ones(k + tail, dtype=np.int64)
+    degrees[:k] = run_degrees[:k]
+    if tail:
+        degrees[-1] = 0
+    lengths = np.concatenate((run_lengths[:k],
+                              generations[depth + 1 - tail:]))
+    return degrees, lengths, generations
 
 
-def _tree_from_rule(flat: np.ndarray, sizes: np.ndarray, depth: int,
-                    count: int, labels: Optional[list[str]] = None
-                    ) -> DirectedTree:
+def _tree_from_rule(degrees: np.ndarray, lengths: np.ndarray,
+                    sizes: np.ndarray, depth: int, count: int,
+                    labels: Optional[list[str]] = None) -> DirectedTree:
     """Tree of ``count`` vertices whose generation g < len(sizes) - 1
-    has the child counts of rule row g (``_rule_arrays``), with the
-    vertex ids ``labels``; later generations continue with one child
-    each."""
-    generations = _rule_generations(sizes, depth)
-    last = count - generations.item(-1)  # the last generation has none
-    degrees = np.ones(count, dtype=np.int64)
-    # the rule gives the child counts of its rows above the last one
-    ruled = min(len(flat), last)
-    degrees[:ruled] = flat[:ruled]
-    degrees[last:] = 0
-    return DirectedTree(degrees, generations, labels)
+    has the child counts of rule row g, given as runs (``_rule_arrays``),
+    with the vertex ids ``labels``; later generations continue with one
+    child each, and the last has none."""
+    degrees, lengths, generations = _tree_runs(degrees, lengths, sizes,
+                                               depth)
+    return DirectedTree(degrees.repeat(lengths), generations, labels)
 
 
-def _rule_classes(flat: np.ndarray, sizes: np.ndarray, depth: int,
-                  count: int, labels: Optional[list[str]] = None
+def _rule_classes(run_degrees: np.ndarray, run_lengths: np.ndarray,
+                  sizes: np.ndarray, depth: int, count: int,
+                  labels: Optional[list[str]] = None
                   ) -> Optional[DirectedTree]:
     """The tree of ``_tree_from_rule``, of ``count`` vertices, as run
     classes, or None when it has fewer than MIN_VERTICES_PER_CLASS
     vertices per class.
 
-    The classes are hashed bottom-up from the rule's runs of equal
-    child counts, without building the tree: a vertex joins the class
-    of the vertex before it in its generation when both have the same
-    child count and all their children lie in one class (leaves
-    included).  So a class of several vertices sends all its edges to
-    one class, which is the layout ``DirectedTree`` checks, and its
-    vertices have one cone type.  A class starts where a run starts,
-    at the parent of the first vertex of a class of the next
-    generation, and after a parent whose children start a class past
-    its first child.  The one-child tail past the rule, and the last
-    generation, are one class each."""
-    rows = min(depth, len(sizes) - 1)
+    The classes are hashed from the tree's runs (``_tree_runs``),
+    without building the tree: a vertex joins the class of the vertex
+    before it in its generation when both have the same child count and
+    all their children lie in one class (leaves included).  So a class
+    of several vertices sends all its edges to one class, which is the
+    layout ``DirectedTree`` checks, and its vertices have one cone type.
+    The class starts are the run starts, closed under one step up: a
+    class start c starts a class at its parent p and, unless c is p's
+    first child, at the vertex after p.  The closure takes one numpy
+    pass per step, over the class starts that are new, and none when
+    every run start is its parent run's first child or a child of a
+    run of one vertex."""
     budget = count // MIN_VERTICES_PER_CLASS
     # each generation up to the first empty one holds a class, and after
     # an empty generation every one is empty
-    if budget <= depth and sizes.item(rows):
+    if budget <= depth and sizes.item(min(depth, len(sizes) - 1)):
         return None
-    generations = _rule_generations(sizes, depth)
-    offsets = np.zeros(depth + 2, dtype=np.int64)
-    np.add.accumulate(generations, out=offsets[1:])
-    tail = depth - rows + 1 if generations.item(-1) else 0
-    ruled = offsets.item(rows)
-    counts = flat[:ruled].astype(np.int64, copy=False)
-    # runs of equal counts within a row
-    new = np.empty(ruled, dtype=bool)
-    new[:1] = True
-    np.not_equal(counts[1:], counts[:-1], out=new[1:])
-    new[offsets[:rows][generations[:rows] > 0]] = True
-    starts = np.flatnonzero(new)
-    if len(starts) + tail > budget:
+    degrees, lengths, generations = _tree_runs(run_degrees, run_lengths,
+                                               sizes, depth)
+    found = len(degrees)
+    if found > budget:
         return None
-    degrees = counts[starts]
-    # the first child of each run's first vertex v: vertex 1 + (the child
-    # counts before v)
-    first_child = np.ones(len(starts), dtype=np.int64)
-    np.add.accumulate((np.diff(starts, append=ruled) * degrees)[:-1],
-                      out=first_child[1:])
-    first_child[1:] += 1
-    run_at = starts.searchsorted(offsets[:rows + 1]).tolist()
-    run_starts, run_degrees = starts.tolist(), degrees.tolist()
-    run_child, off = first_child.tolist(), offsets.tolist()
-    found = tail
-    below: list[int] = []  # class starts of generation g + 1 past its first
-    firsts = []
-    for g in range(rows - 1, -1, -1):
-        a, b = run_at[g], run_at[g + 1]
-        if below:
-            cut = set(run_starts[a:b])
-            end = off[g + 1]
-            for c in below:
-                j = bisect_right(run_child, c, a, b) - 1
-                q, r = divmod(c - run_child[j], run_degrees[j])
-                p = run_starts[j] + q
-                cut.add(p)
-                if r and p + 1 < end:
-                    cut.add(p + 1)
-            cut = sorted(cut)
-        else:
-            cut = run_starts[a:b]
-        found += len(cut)
-        if found > budget:
-            return None
-        firsts.append(cut)
-        below = cut[1:]
-    ruled_firsts = np.fromiter(chain.from_iterable(reversed(firsts)),
-                               np.int64, found - tail)
-    run = starts.searchsorted(ruled_firsts, side="right") - 1
-    run_degree = degrees[run]
-    first = np.concatenate((ruled_firsts, offsets[rows:rows + tail]))
-    class_degrees = np.ones(found, dtype=np.int64)
-    class_degrees[:len(run)] = run_degree
-    if tail:
-        class_degrees[-1] = 0
-    # the first child of each class's first vertex
-    class_child = np.concatenate((
-        first_child[run] + (ruled_firsts - starts[run]) * run_degree,
-        offsets[rows + 1:rows + tail + 1]))
-    edges = np.zeros(found, dtype=np.int64)
-    np.add.accumulate(class_degrees[:-1], out=edges[1:])
-    children = first.searchsorted(
-        np.arange(class_degrees.sum())
-        + (class_child - edges).repeat(class_degrees), side="right") - 1
-    return DirectedTree(class_degrees, generations, labels,
-                        children=children,
-                        multiplicities=np.diff(first, append=count))
+    bounds = np.zeros(found + 1, dtype=np.int64)  # then count
+    lengths.cumsum(out=bounds[1:])
+    starts = bounds[:-1]
+    # the first child of each run's first vertex: 1 + the counts before it
+    span = lengths * degrees
+    first_child = span.cumsum() - span + 1
+    firsts = [starts]
+    # a run start adds class starts only past the first child of its
+    # parent's run, when that run holds more vertices than one: else its
+    # parent starts a run, and so does the vertex after it
+    new = starts[1:]
+    run = first_child.searchsorted(new, side="right") - 1
+    new = new[(new != first_child[run]) & (lengths[run] > 1)]
+    if len(new):
+        cut = np.zeros(count, dtype=bool)
+        cut[starts] = True
+        while True:
+            run = first_child.searchsorted(new, side="right") - 1
+            step, child = np.divmod(new - first_child[run], degrees[run])
+            parent = starts[run] + step
+            new = np.concatenate((parent, parent + (child > 0)))
+            new = new[~cut[new]]
+            if not len(new):
+                break
+            new.sort()
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+            cut[new] = True
+            found += len(new)
+            if found > budget:
+                return None
+            firsts.append(new)
+    if found > len(starts):  # classes that start inside runs
+        first = np.concatenate(firsts)
+        first.sort()
+        run = starts.searchsorted(first, side="right") - 1
+        degrees = degrees[run]
+        first_child = first_child[run] + (first - starts[run]) * degrees
+        bounds = np.concatenate((first, [count]))
+    # the first vertex x of class t >= 1 is child x - first_child[c] of
+    # the first vertex of the class c whose children hold it (any other
+    # vertex of c has all its children in one class), so the edges
+    # before t's are those before c's and that many of c's
+    x = bounds[1:]
+    c = first_child.searchsorted(x, side="right") - 1
+    into = (degrees.cumsum() - degrees - first_child)[c] + x
+    return DirectedTree(degrees, generations, labels,
+                        children=np.arange(1, found).repeat(
+                            into[1:] - into[:-1]),
+                        multiplicities=x - bounds[:-1])
 
 
 def _comb_rule_spec(children: Mapping[str, tuple[str, ...]],
@@ -993,24 +1049,21 @@ def two_plus_three_tree_spec(variant: str, depth: int) -> TreeSpec:
 
 def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
     """Exact vertex count of ``materialize(spec, depth)``, computed from
-    the spec alone: a path, an explicit tree and a generation rule from
-    their rule arrays.  Raises StructureError (``edges``), naming the
-    first vertex past ``depth``, when that is shallower than an
-    explicit tree's deepest vertex."""
+    the spec alone: a quasi-Brownian tree by its formula, every other
+    kind from its rule's generation sizes.  Raises StructureError
+    (``edges``), naming the first vertex past ``depth``, when that is
+    shallower than an explicit tree's deepest vertex."""
     if depth is None:
         depth = spec.depth
     if depth is None:
         raise ConfigurationError("no materialization depth given")
     if depth < 0:
         raise RangeError(f"depth must be >= 0, got {depth}")
-    if spec.kind == "t_eta_kappa":
-        assert spec.eta is not None
-        return 1 + spec.eta * depth
     if spec.kind == "quasi_brownian":
         assert spec.valency is not None
         # generation n has 1 + n(valency - 1) vertices
         return depth + 1 + (spec.valency - 1) * depth * (depth + 1) // 2
-    sizes = spec._rule_arrays[1]
+    sizes = spec._runs[2]
     if spec._ids is not None and depth < len(sizes) - 2:
         raise StructureError(
             f"vertex {spec._ids[int(sizes[:depth + 1].sum())]!r} at depth "
@@ -1022,9 +1075,9 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
 def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     """Materialize a tree spec to the given depth (default: spec.depth,
     which an explicit tree without one takes from its deepest vertex).
-    A path, an explicit tree and a generation rule are built from their
-    rule arrays by one path: as classes when they compress, else vertex
-    by vertex, an explicit tree with its ids.
+    Every kind is built from its rule's runs by one path: as classes
+    when the tree has at least MIN_VERTICES_PER_CLASS vertices per
+    class, else vertex by vertex; an explicit tree keeps its ids.
 
     Raises ResourceLimitError (``depth``), before allocating anything,
     when the tree would have more than MAX_VERTICES vertices or
@@ -1045,55 +1098,14 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
         raise ResourceLimitError(
             f"tree of kind {spec.kind!r} at depth {depth} would have "
             f"{depth + 1} generations; the limit is {MAX_VERTICES}", "depth")
-    if spec.kind == "t_eta_kappa":
-        return _star_classes(spec.eta, depth)
-    if spec.kind == "quasi_brownian":
-        assert spec.valency is not None
-        return _quasi_brownian_classes(spec.valency, depth)
+    runs = spec._runs
+    if runs is None:  # a quasi-Brownian rule depends on the depth
+        runs = _quasi_brownian_runs(spec.valency, depth)
     # every tree of an explicit spec gets a list of its ids of its own
     labels = None if spec._ids is None else list(spec._ids)
-    tree = _rule_classes(*spec._rule_arrays, depth, count, labels)
+    tree = _rule_classes(*runs, depth, count, labels)
     return tree if tree is not None else _tree_from_rule(
-        *spec._rule_arrays, depth, count, labels)
-
-
-def _star_classes(eta: int, depth: int) -> DirectedTree:
-    """The t_eta_kappa tree (kappa = 0) as its root and one ray class per
-    generation: the root's eta edges all lead to the first ray class."""
-    rays = eta if depth else 0  # the vertex budget bounds eta only then
-    mult = np.full(depth + 1, rays, dtype=np.int64)
-    mult[0] = 1
-    degrees = np.ones(depth + 1, dtype=np.int64)
-    degrees[0] = rays
-    degrees[-1] = 0
-    children = np.concatenate([np.ones(rays, dtype=np.int64),
-                               np.arange(2, depth + 1)])
-    # one class per generation: the generation sizes are the multiplicities
-    return DirectedTree(degrees, mult, children=children,
-                        multiplicities=mult)
-
-
-def _quasi_brownian_classes(valency: int, depth: int) -> DirectedTree:
-    """The quasi-Brownian tree as a spine class and a ray class per
-    generation n >= 1 (classes 2n - 1 and 2n; the root is class 0).  The
-    spine vertex, first in its generation, has degree valency: its first
-    child is the next spine vertex and the others start rays; a ray
-    vertex has one child."""
-    n = np.arange(depth, dtype=np.int64)
-    # generation n's edges: the spine's, then the ray's (none at n = 0)
-    edges = np.empty((depth, valency + 1), dtype=np.int64)
-    edges[:, 0] = 2 * n + 1
-    edges[:, 1:] = (2 * n + 2)[:, None]
-    children = np.concatenate((edges[:1, :valency].ravel(),
-                               edges[1:].ravel()))
-    mult = np.ones(2 * depth + 1, dtype=np.int64)
-    mult[2::2] = (n + 1) * (valency - 1)
-    degrees = np.ones(2 * depth + 1, dtype=np.int64)
-    degrees[0] = degrees[1::2] = valency  # the spine classes
-    degrees[-2:] = 0
-    sizes = 1 + np.arange(depth + 1) * (valency - 1)
-    return DirectedTree(degrees, sizes, children=children,
-                        multiplicities=mult)
+        *runs, depth, count, labels)
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:

@@ -146,8 +146,29 @@ def explicit_path() -> dict:
         "weights": ADJACENCY, "commands": [{"name": "materialize"}]})
 
 
+def with_classes(spec: dict) -> dict:
+    """``run_spec``, and the class count of the spec's tree."""
+    from treeshift import TreeSpec, materialize
+
+    observed = run_spec(spec)
+    observed["class_count"] = materialize(TreeSpec(**spec["tree"])).class_count
+    return observed
+
+
+def qb_classes() -> dict:
+    return with_classes(QB_CLASSES)
+
+
 def qb_rule() -> dict:
-    return run_spec(_qb_rule_spec())
+    return with_classes(_qb_rule_spec())
+
+
+def star_classes() -> dict:
+    return with_classes(STAR_CLASSES)
+
+
+def star_rule() -> dict:
+    return with_classes(STAR_RULE)
 
 
 def qb_full() -> dict:
@@ -298,16 +319,18 @@ GATES: tuple[Gate, ...] = (
         "commands": [{"name": "check-2iso"},
                      {"name": "check-kernel", "expect": False},
                      {"name": "dual-subnormality"}]}, OK),
-    # the 1,999,396-vertex quasi-Brownian tree as 2,827 classes, as a
-    # generation rule (2,826 run classes) and as the rule's full tree;
+    # the 1,999,396-vertex quasi-Brownian tree as 2,826 classes, as its
+    # generation rule (the same classes) and as the rule's full tree;
     # then a t_eta_kappa star of 1,999,999 vertices (4 classes), its rule
     # [[666666]] and the rule's full tree: each command's result must be
-    # the same on all three
-    Gate("qb-classes", QB_CLASSES, OK),
-    Gate("qb-rule", qb_rule, {**OK, **QB_SAME}),
+    # the same on all three, and the kind and its rule hash alike
+    Gate("qb-classes", qb_classes, {**OK, "class_count": 2_826}),
+    Gate("qb-rule", qb_rule,
+         {**OK, **QB_SAME, "class_count": Same("qb-classes")}),
     Gate("qb-full", qb_full, {"full": True, **QB_SAME}),
-    Gate("star-classes", STAR_CLASSES, OK),
-    Gate("star-rule", STAR_RULE, {**OK, **STAR_SAME}),
+    Gate("star-classes", star_classes, {**OK, "class_count": 4}),
+    Gate("star-rule", star_rule,
+         {**OK, **STAR_SAME, "class_count": Same("star-classes")}),
     Gate("star-full", star_full, {"full": True, **STAR_SAME}),
     # the path [1, 0, 0] is walked on the class arrays: about 34 MB, and
     # 81 MB when it expanded the tree
@@ -363,18 +386,18 @@ GATES: tuple[Gate, ...] = (
           "results.0.evidence.witnesses_omitted": 2934}),
     # costs on the 1,999,396-vertex quasi-Brownian tree that no command
     # bounds yet: the truncation reads the classes above its cut, and the
-    # Cauchy dual and kernel_condition weights stay on the 2,827 classes,
+    # Cauchy dual and kernel_condition weights stay on the 2,826 classes,
     # one weight per class edge (each peak about 38 MB; 244, 167 and
     # 215 MB when they expanded the tree); classify-tree peaks at 75 MB
     Gate("truncate-at-budget", truncate_at_budget,
          {"shape": [16, 16], "basis": ["g0:0", "g1:0", "g1:1"]},
          bound_mb=60),
     Gate("cauchy-dual-at-budget", cauchy_dual_at_budget,
-         {"vertex_count": 1_999_396, "class_count": 2_827,
+         {"vertex_count": 1_999_396, "class_count": 2_826,
           "expanded": False}, bound_mb=60),
     Gate("kernel-condition-at-budget", kernel_condition_at_budget,
          {"verdict": "subnormal", "decision_path": "cdsubn",
-          "class_count": 2_827, "expanded": False}, bound_mb=60),
+          "class_count": 2_826, "expanded": False}, bound_mb=60),
     Gate("classify-tree-at-budget", classify_tree_at_budget,
          {"quasi_brownian": True, "valency": 3}, bound_mb=90),
 )

@@ -1,12 +1,13 @@
-"""Trees held as subtree classes: ``t_eta_kappa`` and ``quasi_brownian``
-trees are materialized as a few classes per generation, and
-``generation_rule`` trees are hashed into run classes when they have at
-least MIN_VERTICES_PER_CLASS vertices per class; the engine runs on the
-classes, and every command reports on them exactly what it reports on
-the full tree built vertex by vertex."""
+"""Trees held as subtree classes: every tree kind is a generation rule,
+hashed into run classes when it has at least MIN_VERTICES_PER_CLASS
+vertices per class (tests that need a small tree as classes set that
+bound to 1); the engine runs on the classes, and every command reports
+on them exactly what it reports on the full tree built vertex by
+vertex."""
 import dataclasses
 import json
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ from treeshift import (MIN_VERTICES_PER_CLASS, DirectedTree,
                        NotLeftInvertibleError, RangeError, StructureError,
                        TreeSpec, Vertex, WeightSpec, build_shift,
                        cauchy_dual, classify_tree, comb_tree_spec,
-                       generation, hub_comb_tree_spec, materialize,
-                       quasi_brownian, truncate, two_plus_three_tree_spec)
+                       generation, hub_comb_tree_spec, materialize, trees,
+                       truncate, two_plus_three_tree_spec)
 from treeshift.cli import CommandRecord, RunSpec, run_suite
+
+
+@pytest.fixture
+def every_tree_hashed(monkeypatch):
+    """Hash every tree into classes, however few vertices per class."""
+    monkeypatch.setattr(trees, "MIN_VERTICES_PER_CLASS", 1)
 
 
 def _commands(tree, weights):
@@ -142,10 +149,21 @@ def class_tree_runs(draw):
     return spec, draw(st.sampled_from(choices))
 
 
+def _assert_family_classes_report_as_full_tree(spec, weights):
+    """As _assert_classes_report_as_full_tree, with every tree hashed:
+    a star or a quasi-Brownian tree this small is a full tree at the
+    default budget, and is held as fewer classes than vertices here."""
+    with mock.patch.object(trees, "MIN_VERTICES_PER_CLASS", 1):
+        if spec.kind in ("t_eta_kappa", "quasi_brownian"):
+            tree = materialize(spec)
+            assert tree.class_count < tree.vertex_count
+        _assert_classes_report_as_full_tree(spec, weights)
+
+
 @settings(max_examples=120, deadline=None)
 @given(class_tree_runs())
 def test_every_command_reports_on_classes_as_on_the_full_tree(run):
-    _assert_classes_report_as_full_tree(*run)
+    _assert_family_classes_report_as_full_tree(*run)
 
 
 @pytest.mark.parametrize("spec", [
@@ -159,14 +177,14 @@ def test_every_command_reports_on_classes_as_on_the_full_tree(run):
     WeightSpec("adjacency"), WeightSpec("kernel_condition", x=1.3),
     WeightSpec("kernel_condition", x=1.0)], ids=str)
 def test_family_runs_report_on_classes_as_on_the_full_tree(spec, weights):
-    _assert_classes_report_as_full_tree(spec, weights)
+    _assert_family_classes_report_as_full_tree(spec, weights)
 
 
 def test_family_trees_hold_few_classes_and_their_shifts_stay_on_them():
     qb = materialize(TreeSpec("quasi_brownian", valency=3, depth=200))
     assert qb.vertex_count == 40_401
     assert np.diff(qb.class_offsets).max() <= 2
-    assert qb.class_count == 401 and len(qb.class_parents) - 1 == 799
+    assert qb.class_count == 400 and len(qb.class_parents) - 1 == 799
     star = materialize(TreeSpec("t_eta_kappa", eta=20_000, depth=3))
     assert star.vertex_count == 60_001
     assert star.class_count == 4 and len(star.class_parents) - 1 == 20_002
@@ -252,19 +270,91 @@ def test_binary_15_is_one_class_per_generation():
     assert tree._expanded is None
 
 
-def test_the_quasi_brownian_rule_hashes_to_no_more_classes_than_its_family():
-    depth = 1413
-    family = materialize(TreeSpec("quasi_brownian", valency=3, depth=depth))
-    rule = materialize(TreeSpec(
-        "generation_rule", rule=tuple((3,) + (1,) * (2 * n)
-                                      for n in range(depth)), depth=depth))
-    assert rule.vertex_count == family.vertex_count == 1_999_396
-    assert rule.generation_sizes == family.generation_sizes
-    # the family tree splits its last generation into the spine's and
-    # the rays' leaves; every leaf of the rule tree is in one class
-    assert rule.class_count == 2_826 <= family.class_count == 2_827
-    assert quasi_brownian(rule) == quasi_brownian(family)
-    assert rule._expanded is None
+def _class_arrays(tree):
+    return [a.tolist() for a in (tree.class_degrees, tree.children,
+                                 tree.multiplicities, tree.gen_offsets)]
+
+
+@pytest.mark.parametrize("valency", [2, 3, 5])
+def test_a_quasi_brownian_tree_is_its_generation_rule(valency, monkeypatch):
+    def rule(depth):
+        return TreeSpec("generation_rule", depth=depth, rule=tuple(
+            (valency,) + (1,) * (n * (valency - 1)) for n in range(depth)))
+
+    # at the default bound: classes from valency 3 on, else a full tree
+    family = materialize(TreeSpec("quasi_brownian", valency=valency,
+                                  depth=200))
+    assert _class_arrays(family) == _class_arrays(materialize(rule(200)))
+    monkeypatch.setattr(trees, "MIN_VERTICES_PER_CLASS", 1)
+    for depth in range(1, 31):
+        family = materialize(TreeSpec("quasi_brownian", valency=valency,
+                                      depth=depth))
+        # the root, a spine and a ray class per inner generation, and
+        # the leaves
+        assert family.class_count == 2 * depth
+        assert _class_arrays(family) == _class_arrays(materialize(
+            rule(depth)))
+
+
+def _coarsest_classes(degrees, sizes):
+    """The classes of the tree with these child counts (in canonical
+    order) and generation sizes, found vertex by vertex from the last
+    generation up: each generation splits into the fewest runs of equal
+    child count whose vertices' children all lie in one class.  Returns
+    the first vertex of every class, and that of the class of every
+    child edge, class by class."""
+    child = np.cumsum([1] + degrees).tolist()
+    offsets = np.cumsum([0] + sizes).tolist()
+    head = list(range(len(degrees)))  # the first vertex of its class
+    for g in reversed(range(len(sizes))):
+        for v in range(offsets[g], offsets[g + 1]):
+            kids = {head[k] for k in range(child[v], child[v + 1])}
+            if v > offsets[g] and degrees[v] == degrees[v - 1] \
+                    and len(kids | joined) <= 1:
+                head[v], joined = head[v - 1], kids | joined
+            else:
+                joined = kids
+    firsts = sorted(set(head))
+    return firsts, [head[k] for v in firsts
+                    for k in range(child[v], child[v + 1])]
+
+
+@st.composite
+def rules(draw):
+    """A generation rule: a root of 1 to 300 children, then up to six
+    rows of runs of counts 0..3, short or cut anywhere, a row perhaps
+    all 0; and a depth below or above the rule's length."""
+    width = draw(st.integers(min_value=1, max_value=300))
+    rule = [(width,)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        row = []
+        if draw(st.integers(0, 7)) == 0:
+            row = [0] * width
+        while len(row) < width:
+            row += [draw(st.integers(0, 3))] * draw(
+                st.integers(1, 3) | st.integers(1, width))
+        row = tuple(row[:width]) if sum(row[:width]) <= 600 else (1,) * width
+        rule.append(row)
+        width = sum(row)
+    depth = draw(st.integers(min_value=0, max_value=len(rule) + 2))
+    return TreeSpec("generation_rule", rule=tuple(rule), depth=depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules(), st.sampled_from([1, 64]))
+def test_rule_classes_are_the_coarsest_runs_of_the_full_tree(spec, bound):
+    with mock.patch.object(trees, "MIN_VERTICES_PER_CLASS", bound):
+        tree = materialize(spec)
+    degrees = _rule_degrees(spec.rule, spec.depth)
+    firsts, edges = _coarsest_classes(degrees,
+                                      list(tree.generation_sizes))
+    if len(firsts) > len(degrees) // bound:
+        assert tree.class_count == tree.vertex_count
+        return
+    first = (np.cumsum(tree.multiplicities) - tree.multiplicities).tolist()
+    assert first == firsts
+    assert tree.class_degrees.tolist() == [degrees[v] for v in firsts]
+    assert [first[c] for c in tree.children[1:].tolist()] == edges
 
 
 @pytest.mark.parametrize("spec", [
@@ -367,6 +457,7 @@ LOOKUP_TREES = {
 
 
 @pytest.mark.parametrize("spec", LOOKUP_TREES.values(), ids=LOOKUP_TREES)
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_vertex_lookups_on_class_trees_match_an_independent_full_tree(spec):
     tree = materialize(spec)
     assert tree.class_count < tree.vertex_count
@@ -450,6 +541,7 @@ def test_generation_never_builds_the_label_list():
         assert ids == [tuple(tree.labels[a:b]) for a, b in zip(off, off[1:])]
 
 
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_a_default_id_is_read_from_the_generation_offsets():
     tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=5))
     full = tree.expanded()
@@ -513,6 +605,7 @@ def test_the_constructor_takes_and_freezes_int64_arrays():
     assert not np.shares_memory(tree.class_degrees, degrees32)
 
 
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_kernel_condition_on_a_quasi_brownian_tree_stays_on_classes():
     # rays born at the spine get t/3 and continuing rays t/1: the edges
     # into a ray class disagree, and each keeps its own weight
@@ -533,6 +626,7 @@ def test_kernel_condition_on_a_quasi_brownian_tree_stays_on_classes():
     TreeSpec("quasi_brownian", valency=4, depth=20),
     hub_comb_tree_spec(2, 300),
 ], ids=["quasi-brownian-3", "quasi-brownian-4", "hub-comb-2-depth-300"])
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_kernel_condition_with_disagreeing_in_edges_stays_on_classes(spec):
     # a ray class is entered from a branching class and from a ray class
     tree = materialize(spec)
@@ -543,6 +637,7 @@ def test_kernel_condition_with_disagreeing_in_edges_stays_on_classes(spec):
     _assert_classes_report_as_full_tree(spec, weights)
 
 
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_per_vertex_attributes_keep_their_meaning():
     tree = materialize(TreeSpec("quasi_brownian", valency=3, depth=5))
     full = tree.expanded()
@@ -553,11 +648,14 @@ def test_per_vertex_attributes_keep_their_meaning():
     assert tree.generation_sizes == full.generation_sizes == (1, 3, 5, 7,
                                                               9, 11)
     assert tree.vertex_count == full.vertex_count == 36
-    for vid in ("g0:0", "g2:0", "g3:4", "g5:10"):
+    for vid in ("g0:0", "g2:0", "g3:4", "g4:8", "g5:10"):
         assert tree.index(vid) == full.index(vid)
         assert tree.vertex(vid) == full.vertex(vid)
+        # the spine vertex, first in its generation, and the rays are a
+        # class each, and the leaves one class
+        first = vid.endswith(":0") or vid.startswith("g5:")
         assert tree.class_label(tree.class_of(tree.index(vid))) == \
-            f"g{vid[1]}:{0 if vid.endswith(':0') else 1}"
+            f"g{vid[1]}:{0 if first else 1}"
     other = _independent_full_tree(tree)
     assert np.array_equal(tree.adjacency_expansion()[0],
                           other.adjacency_expansion()[0])
@@ -627,6 +725,7 @@ def _assert_per_vertex_arrays_as_full_tree(tree, weights):
     TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(8)),
              depth=10),
 ], ids=["quasi-brownian-3", "quasi-brownian-4", "t-eta-kappa", "binary"])
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_truncate_reads_only_the_cut_of_a_class_tree(spec):
     tree = materialize(spec)
     assert tree.class_count < tree.vertex_count
@@ -659,6 +758,7 @@ def test_per_vertex_arrays_on_hashed_rule_trees_are_the_full_trees(spec, x):
     TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(12)),
              depth=12),
 ], ids=["quasi-brownian", "t-eta-kappa", "binary-12"])
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_per_vertex_reads_stay_on_the_classes(spec):
     tree = materialize(spec)
     assert tree.class_count < tree.vertex_count
@@ -701,6 +801,7 @@ def _assert_vertex_arrays_as_full_tree(tree):
     TreeSpec("quasi_brownian", valency=3, depth=3),
 ], ids=[*LOOKUP_TREES, "star-depth-1", "t-eta-kappa-depth-2",
         "quasi-brownian-depth-3"])
+@pytest.mark.usefixtures("every_tree_hashed")
 def test_parents_child_starts_and_expansion_stay_on_the_classes(spec):
     tree = materialize(spec)
     assert tree.class_count < tree.vertex_count

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import treeshift
-from treeshift import (ConfigurationError, DirectedTree, SpecParseError,
+from treeshift import (ConfigurationError, SpecParseError,
                        TreeSpec, WeightSpec, build_shift, cli, materialize,
                        trees)
 from treeshift.cli import (DEMO_NAMES, _Suite, main, parse_spec, run_demo,
@@ -520,7 +520,9 @@ def test_explicit_edge_list_is_sized_before_it_is_built(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("the edge list was built")
 
-    monkeypatch.setattr(DirectedTree, "from_edges", refuse)
+    # the two builders every tree goes through
+    monkeypatch.setattr(trees, "_rule_classes", refuse)
+    monkeypatch.setattr(trees, "_tree_from_rule", refuse)
     spec_file = tmp_path / "run.json"
     spec_file.write_text(json.dumps({
         "tree": {"kind": "explicit",
@@ -529,6 +531,32 @@ def test_explicit_edge_list_is_sized_before_it_is_built(tmp_path, capsys,
     assert main(["--spec", str(spec_file), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "$.tree.edges" in err and "5 vertices" in err
+
+
+@pytest.mark.parametrize("tree", [
+    {"kind": "quasi_brownian", "valency": 2 ** 63 - 1, "depth": 0},
+    {"kind": "t_eta_kappa", "eta": 2 ** 63 - 1, "depth": 0},
+], ids=["quasi-brownian", "t-eta-kappa"])
+def test_a_tree_of_depth_0_is_one_vertex_whatever_its_branching(tmp_path,
+                                                                 capsys,
+                                                                 tree):
+    spec_file, out = tmp_path / "run.json", tmp_path / "report.json"
+    spec_file.write_text(json.dumps({"tree": tree,
+                                     "weights": {"kind": "adjacency"}}))
+    assert main(["--spec", str(spec_file), "--quiet"]) == 0
+    spec_file.write_text(json.dumps({"tree": tree,
+                                     "weights": {"kind": "adjacency"},
+                                     "commands": [{"name": "materialize"}]}))
+    assert main(["--spec", str(spec_file), "--quiet", "--out",
+                 str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result["vertex_count"] == 1 and result["generation_sizes"] == [1]
+
+
+def test_a_star_beyond_int64_at_depth_0_is_its_root():
+    tree = materialize(TreeSpec("t_eta_kappa", eta=10 ** 30, depth=0))
+    assert tree.vertex_count == 1 and tree.labels == ["g0:0"]
 
 
 def test_size_budget_applies_to_depth_override(tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +157,13 @@ def test_an_infinite_sibling_norm_breaks_constancy():
 def _golden_shifts():
     for path in sorted(SPECS.glob("*.json")):
         yield path.stem, parse_spec(path.read_text()).shift
+    # the golden star and quasi-Brownian trees are full trees at the
+    # default budget; hashed, they are held as classes
+    for stem in ("quasi-brownian-20", "star-50"):
+        with mock.patch.object(trees, "MIN_VERTICES_PER_CLASS", 1):
+            shift = parse_spec((SPECS / f"{stem}.json").read_text()).shift
+        assert shift.tree.class_count < shift.tree.vertex_count
+        yield f"{stem}-classes", shift
 
 
 def _assert_dual_table_matches(shift):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift import (MAX_VERTICES, ResourceLimitError,
+from treeshift import (MAX_VERTICES, ConfigurationError, ResourceLimitError,
                        TreeSpec, WeightSpec,
                        build_shift, comb_tree_spec,
                        dual_matrix, dual_subnormality, is_two_isometry,
@@ -190,6 +190,13 @@ def test_vertex_count_is_exact(spec):
             continue
         assert spec_vertex_count(spec, depth) == \
             materialize(spec, depth).vertex_count
+
+
+@pytest.mark.parametrize("eta", [2.5, None, "3"], ids=repr)
+def test_a_star_without_an_integer_eta_is_refused_at_eta(eta):
+    with pytest.raises(ConfigurationError, match="integer eta") as raised:
+        TreeSpec("t_eta_kappa", eta=eta, depth=3)
+    assert raised.value.field == "eta"
 
 
 def test_budget_errors_name_the_field_they_counted(monkeypatch):

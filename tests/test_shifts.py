@@ -13,7 +13,7 @@ from treeshift import (ClassificationError, ComparisonError,
                        generation, is_two_isometry, materialize,
                        operator_norm, satisfies_kernel_condition,
                        shift_invariants, two_isometry_weight,
-                       two_plus_three_tree_spec, vertex_norm)
+                       trees, two_plus_three_tree_spec, vertex_norm)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -136,7 +136,10 @@ def test_the_constructor_copies_and_freezes_the_weights():
     TreeSpec("generation_rule", rule=tuple((2,) * 2 ** g for g in range(12)),
              depth=12),
 ], ids=["quasi-brownian", "t-eta-kappa", "binary-12"])
-def test_a_bad_edge_weight_on_a_class_tree_names_the_vertex_it_leads_to(spec):
+def test_a_bad_edge_weight_on_a_class_tree_names_the_vertex_it_leads_to(
+        spec, monkeypatch):
+    # small trees, hashed into classes all the same
+    monkeypatch.setattr(trees, "MIN_VERTICES_PER_CLASS", 1)
     tree = materialize(spec)
     assert tree.class_count < tree.vertex_count
     # the first vertex on each edge, read off a full tree built vertex by

@@ -7,9 +7,10 @@ import json
 import tempfile
 import time
 import warnings
+from itertools import product
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeshift.cli import main
 
@@ -24,6 +25,29 @@ EXTREMES = [None, True, False, 0, -1, 1, 2, 2 ** 31, 2 ** 63 - 1, 2 ** 63,
             10 ** 30, -10 ** 30, 0.5, -0.0, 1e-320, 1e308, -1e308,
             float("inf"), float("nan"), "", "g1:0", "path", [], [[]], [0],
             {}, {"kind": "path"}]
+
+
+def _extreme_trees():
+    """Each golden spec with one integer field of its tree set to each
+    int of EXTREMES and, unless that field is the depth, its depth to 0
+    and to 1: pairs of mutations that a random draw rarely makes."""
+    ints = [v for v in EXTREMES if type(v) is int]
+    for doc in DOCS.values():
+        tree = doc.get("tree", {})
+        for key in [k for k, v in tree.items() if type(v) is int]:
+            depths = [None] if key == "depth" else [0, 1]
+            for value, depth in product(ints, depths):
+                mutated = copy.deepcopy(doc)
+                mutated["tree"][key] = value
+                if depth is not None:
+                    mutated["tree"]["depth"] = depth
+                yield mutated
+
+
+def _with_extreme_trees(test):
+    for doc in _extreme_trees():
+        test = example(doc)(test)
+    return test
 
 
 def _slots(value, path=()):
@@ -66,6 +90,7 @@ def mutated_specs(draw):
     return doc
 
 
+@_with_extreme_trees
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(mutated_specs())
 def test_mutated_specs_exit_cleanly(doc):
