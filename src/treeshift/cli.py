@@ -294,14 +294,60 @@ _DEFAULT_TREES: dict[str, dict[str, Any]] = {
 }
 
 
+@functools.cache
+def _orjson_loads() -> Optional[Callable[[str], Any]]:
+    """``orjson.loads``, or None when orjson is not installed.  It is
+    imported on the first decode: its import costs a few milliseconds
+    that ``import treeshift.cli`` and a demo run do not pay."""
+    try:
+        import orjson
+    except ImportError:
+        return None
+    return orjson.loads
+
+
+# digits to "9" and "{" to "[": one pass gives both counts _loads needs
+_SCAN = str.maketrans("012345678{", "999999999[")
+
+
+def _loads(text: str) -> Any:
+    """``json.loads(text)``: the same value, or the same exception.
+    orjson decodes only the documents ``parse_spec`` names."""
+    fast = _orjson_loads()
+    if fast is not None:
+        scan = text.translate(_SCAN)
+        if (scan.count("[") < sys.getrecursionlimit() // 4
+                and "9" * 19 not in scan):
+            try:
+                return fast(text)
+            except ValueError:  # orjson.JSONDecodeError
+                pass
+    return json.loads(text)
+
+
 def parse_spec(text: str, depth: Optional[int] = None) -> RunSpec:
     """Parse and validate a JSON run spec, and build its shifts: the
     main one on its tree at ``depth`` (default: the spec's depth), each
     ``equivalent`` one on its tree at that tree's depth.  Unknown fields
     are rejected and every error carries the JSON path of the offending
-    field."""
+    field.
+
+    The text is decoded by ``_loads``.  With orjson installed, orjson
+    decodes it unless orjson could read it otherwise than
+    ``json.loads``, which decodes the rest and reports every error.
+    ``json.loads`` decodes a document that holds:
+
+    - a run of 19 or more digits: orjson reads an integer of 2**64 or
+      more as a float;
+    - as many ``[`` and ``{`` as a quarter of the recursion limit (250
+      by default: an explicit tree of 250 or more edges, a rule of 250
+      or more rows): nesting that deep can make ``json.loads`` raise
+      RecursionError, and orjson 3.8 nested a million deep exhausts
+      the C stack and kills the process;
+    - what orjson refuses: NaN, Infinity, 1e400, a lone surrogate, or
+      any error."""
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # nesting past the decoder's recursion limit is a RecursionError
         raise SpecParseError(f"invalid JSON: {exc}", json_path="$") from exc

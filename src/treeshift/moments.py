@@ -97,6 +97,7 @@ class DiscreteMeasure:
         return sum(w for _, w in self._atoms)
 
     def mass_at(self, location: float, tol: float = 1e-12) -> float:
+        tol = check_tolerance(tol)
         for t, w in self._atoms:
             if abs(t - location) <= tol * max(1.0, abs(location)):
                 return w
@@ -134,6 +135,7 @@ class DiscreteMeasure:
             merge_tol: float = 1e-12) -> "DiscreteMeasure":
         """Nonnegative combination sum of c_i * mu_i, merging coincident
         atom locations."""
+        merge_tol = check_tolerance(merge_tol, "merge_tol")
         raw: list[tuple[float, float]] = []
         for c, mu in parts:
             if c < 0.0:
@@ -539,6 +541,7 @@ def backward_extension(mu: DiscreteMeasure, tol: float = 1e-12
     makes it infinite).  On success the extended sequence is represented
     by (1/t) mu plus a deficit mass at 0.
     """
+    tol = check_tolerance(tol)
     integral = mu.reciprocal_integral()
     if not integral <= 1.0 + tol:
         return False, integral, None

@@ -49,16 +49,17 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-def check_tolerance(tol: object) -> float:
+def check_tolerance(tol: object, name: str = "tol") -> float:
     """``tol`` as a float when it is finite and > 0, else
-    ConfigurationError.  Every function that takes ``tol`` checks it."""
+    ConfigurationError naming the argument ``name``.  Every function
+    that takes a tolerance checks it."""
     try:
         value = float(tol)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise ConfigurationError(
-            f"tol must be a finite number > 0, got {tol!r}", "tol")
+            f"{name} must be a finite number > 0, got {tol!r}", name)
     return value
 
 
@@ -770,6 +771,7 @@ def are_unitarily_equivalent(a: ShiftInvariants, b: ShiftInvariants,
     agree elementwise, or both root norms are 1 and the branching sums
     agree.
     """
+    tol = check_tolerance(tol)
     if a.verified_depth != b.verified_depth:
         raise ComparisonError(
             f"invariants computed to different depths "

@@ -358,20 +358,36 @@ def _run_cli(spec_bytes: bytes, tmp_path, from_stdin: bool, *flags):
 
 @pytest.mark.parametrize("from_stdin", [False, True],
                          ids=["file", "stdin"])
-@pytest.mark.parametrize("spec_bytes", [
-    b'\xff{"weights": {"kind": "dirichlet"}}',       # not UTF-8
-    b"[" * 100_000,                                  # nested too deep
-    b'{"weights": {"kind": "dirichlet"}, "commands": [{"name": '
-    b'"moments", "nmax": ' + b"9" * 5000 + b"}]}",   # a 5,000-digit int
-], ids=["not-utf8", "deep-nesting", "huge-integer"])
+@pytest.mark.parametrize("spec_bytes, error", [
+    (b'\xff{"weights": {"kind": "dirichlet"}}',      # not UTF-8
+     "error: $: "),
+    (b"[" * 100_000, "error: $: "),                  # nested too deep
+    # valid, and nested deep enough to exhaust the C stack of a
+    # recursive decoder (orjson 3.8.3 segfaults on it)
+    (b"[" * 10 ** 6 + b"]" * 10 ** 6, "error: $: "),
+    (b'{"weights": {"kind": "dirichlet"}, "commands": [{"name": '
+     b'"moments", "nmax": ' + b"9" * 5000 + b"}]}",  # a 5,000-digit int
+     "error: $: "),
+    # 20-digit integers past 2**64, which orjson reads as floats
+    (b'{"weights": {"kind": "dirichlet"}, "commands": [{"name": '
+     b'"moments", "nmax": 99999999999999999999}]}',
+     "error: $.commands[0].nmax: expected an integer <= "
+     "9223372036854775807, got 99999999999999999999\n"),
+    (b'{"tree": {"kind": "generation_rule", "rule": '
+     b'[[99999999999999999999]], "depth": 3}, '
+     b'"weights": {"kind": "dirichlet"}}',
+     "error: $.tree.depth: tree of kind 'generation_rule' at depth 3 would "
+     "have 299999999999999999998 vertices; the limit is 2000000\n"),
+], ids=["not-utf8", "deep-nesting", "valid-deep-nesting", "huge-integer",
+        "20-digit-nmax", "20-digit-rule-entry"])
 def test_malformed_spec_bytes_exit_two_at_the_top(tmp_path, spec_bytes,
-                                                  from_stdin):
+                                                  error, from_stdin):
     out = _run_cli(spec_bytes, tmp_path, from_stdin, "--quiet")
     err = out.stderr.decode()
     assert out.returncode == 2
     assert [line for line in err.splitlines()
             if line.startswith("error:")] == [err.strip()]
-    assert err.startswith("error: $: ")
+    assert err.startswith(error)
     assert "Traceback" not in err
     # the message is treeshift's, not Python's hint to raise the limit
     assert "set_int_max_str_digits" not in err

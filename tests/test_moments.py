@@ -17,7 +17,8 @@ from treeshift import (DEFAULT_TOL, ClassificationError, ConfigurationError,
                        reciprocal_linear_moments, stieltjes_test,
                        vertex_norm, check_tolerance, classify_adjacency,
                        is_two_isometry, satisfies_kernel_condition,
-                       two_isometry_weight, verify_table1)
+                       two_isometry_weight, verify_table1,
+                       are_unitarily_equivalent, shift_invariants)
 from treeshift.cli import parse_spec
 from treeshift.moments import MAX_LISTED_WITNESSES, _THEOREM_RULES
 
@@ -592,6 +593,9 @@ def test_nan_tolerance_no_longer_passes_the_treiso_checks():
 def test_every_tol_parameter_is_checked(tol):
     dirichlet = build_shift(WeightSpec("dirichlet"),
                             materialize(TreeSpec("path", depth=32)))
+    # admissible (integral of 1/t is 0.7), with an atom of mass 0.3 at 0.5
+    mu = DiscreteMeasure([(0.5, 0.3), (2.0, 0.2)])
+    invariants = shift_invariants(dirichlet)
     calls = [
         lambda: is_two_isometry(dirichlet, tol),
         lambda: satisfies_kernel_condition(dirichlet, 0, tol),
@@ -601,10 +605,17 @@ def test_every_tol_parameter_is_checked(tol):
         lambda: dual_subnormality(dirichlet, 8, tol),
         lambda: perturbed_kernel_dual_moment(dirichlet, n=2, tol=tol),
         lambda: verify_table1(dirichlet, "kernel", 4, tol=tol),
+        lambda: backward_extension(mu, tol),
+        lambda: mu.mass_at(0.5, tol),
+        lambda: are_unitarily_equivalent(invariants, invariants, tol),
     ]
     for call in calls:
-        with pytest.raises(ConfigurationError, match="finite number > 0"):
+        with pytest.raises(ConfigurationError,
+                           match="^tol must be a finite number > 0"):
             call()
+    with pytest.raises(ConfigurationError,
+                       match="^merge_tol must be a finite number > 0"):
+        DiscreteMeasure.mix([(1.0, mu), (1.0, mu)], merge_tol=tol)
 
 
 def test_check_tolerance_returns_a_float():
