@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import comb
+from math import comb, inf
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -59,6 +59,11 @@ class TruncatedOperator:
             raise DomainError(f"matrix must be square, got {m.shape}")
         if len(self.basis) != m.shape[0] or len(self.depths) != m.shape[0]:
             raise DomainError("basis/depths length must match matrix size")
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+        if len(bad):
+            raise DomainError(
+                f"matrix entries must be finite; the row of basis vector "
+                f"{self.basis[bad[0]]!r} holds a NaN or infinite entry")
 
     @property
     def dim(self) -> int:
@@ -134,15 +139,19 @@ def defect(op: Union[WeightedShift, TruncatedOperator],
     return out
 
 
-def _row_entries(a: np.ndarray
-                 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """When no row of T has two nonzero entries (the columns have
-    disjoint supports, as for any shift on a tree), T*T is exactly
-    diagonal: return the column and value of each row's entry (value 0
-    in column 0 for an empty row).  Otherwise None."""
+def _row_entries(trunc: TruncatedOperator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The column and value of each row's one entry (value 0 in column 0
+    for an empty row).  No row of a shift on a tree, nor of the built-in
+    constructions, has two nonzero entries (the columns have disjoint
+    supports), so T*T is exactly diagonal; a row with two is refused."""
+    a = trunc.matrix
     nonzero = a != 0
-    if a.size and nonzero.sum(axis=1).max() > 1:
-        return None
+    crowded = np.flatnonzero(nonzero.sum(axis=1) > 1)
+    if len(crowded):
+        raise ClassificationError(
+            f"the matrix oracle needs at most one nonzero entry per row; "
+            f"the row of basis vector {trunc.basis[crowded[0]]!r} has more")
     col = nonzero.argmax(axis=1)
     return col, a[np.arange(len(a)), col]
 
@@ -155,10 +164,10 @@ def _gram_diagonal(col: np.ndarray, val: np.ndarray) -> np.ndarray:
 def _inverse_gram_diagonal(gram: np.ndarray, depths: np.ndarray,
                            interior_depth: int,
                            label: Callable[[int], str]) -> np.ndarray:
-    """Reciprocals of the Gram diagonal, with the eigh path's cutoff;
-    a vanishing entry is tolerated only beyond the interior depth
-    (``depths[j]`` is the depth of basis vector j, ``label(j)`` its
-    name)."""
+    """Reciprocals of the Gram diagonal; an entry at most 1e-12 times
+    the largest (plus 1e-300) counts as vanishing and is tolerated only
+    beyond the interior depth (``depths[j]`` is the depth of basis
+    vector j, ``label(j)`` its name)."""
     cutoff = max(float(gram.max(initial=0.0)), 0.0) * 1e-12 + 1e-300
     small = gram <= cutoff
     inside = np.flatnonzero(small & (depths <= interior_depth))
@@ -171,43 +180,18 @@ def _inverse_gram_diagonal(gram: np.ndarray, depths: np.ndarray,
     return inv
 
 
-def _dense_dual(trunc: TruncatedOperator) -> tuple[np.ndarray, ...]:
-    """T (T*T)^(-1) by one dense eigendecomposition of T*T, inverted on
-    its positive eigenspace, with the eigenvalues and eigenvectors."""
-    a = trunc.matrix
-    eigval, eigvec = np.linalg.eigh(a.T @ a)
-    cutoff = max(float(eigval[-1]), 0.0) * 1e-12 + 1e-300
-    inv = np.zeros_like(eigval)
-    for i, lam in enumerate(eigval):
-        if lam > cutoff:
-            inv[i] = 1.0 / lam
-        else:
-            for j in np.flatnonzero(np.abs(eigvec[:, i]) > 1e-8):
-                if trunc.depths[j] <= trunc.interior_depth:
-                    raise NotLeftInvertibleError(
-                        f"Gram matrix is singular on the interior "
-                        f"(basis vector {trunc.basis[j]!r})")
-    return a @ (eigvec @ np.diag(inv) @ eigvec.T), eigval, eigvec
-
-
 def dual_matrix(trunc: TruncatedOperator) -> TruncatedOperator:
     """Matrix of the Cauchy dual T (T*T)^(-1) of a truncation.
 
-    When T*T is diagonal (disjoint column supports) the dual is T with
-    each column divided by its squared norm.  Otherwise T*T is inverted
-    on its positive eigenspace by a dense eigendecomposition.  Either
-    way, null directions are tolerated only when supported strictly
-    beyond the interior depth (truncation artifacts), otherwise the
-    operator is not left invertible.
+    No row of T may hold two nonzero entries (``ClassificationError``
+    otherwise), so T*T is diagonal and the dual is T with each column
+    divided by its squared norm.  Null columns are tolerated only when
+    they lie strictly beyond the interior depth (truncation artifacts),
+    otherwise the operator is not left invertible.
     """
-    a = trunc.matrix
-    entries = _row_entries(a)
-    if entries is not None:
-        dual = a * _inverse_gram_diagonal(
-            _gram_diagonal(*entries), np.asarray(trunc.depths),
-            trunc.interior_depth, trunc.basis.__getitem__)
-    else:
-        dual = _dense_dual(trunc)[0]
+    dual = trunc.matrix * _inverse_gram_diagonal(
+        _gram_diagonal(*_row_entries(trunc)), np.asarray(trunc.depths),
+        trunc.interior_depth, trunc.basis.__getitem__)
     return TruncatedOperator(dual, trunc.basis, trunc.depths,
                              trunc.interior_depth,
                              name=f"dual({trunc.name or 'truncation'})")
@@ -279,35 +263,15 @@ def _table1_of_gram(row: str, gram: np.ndarray
     return at
 
 
-# Both per-order generators yield (max |lhs - rhs| on the interior
-# block, max |rhs| on it, block size) for n = 0..nmax.
-
-def _table1_orders_dense(trunc: TruncatedOperator, row: str, nmax: int
-                         ) -> Iterator[tuple[float, float, int]]:
-    dual, eigval, eigvec = _dense_dual(trunc)
-    r_n = _table1_of_gram(row, eigval)
-    power = np.eye(trunc.dim)
-    for n in range(nmax + 1):
-        if n > 0:
-            power = dual @ power
-        rhs = eigvec @ np.diag(r_n(n)) @ eigvec.T
-        idx = trunc.interior_indices(n)
-        if not idx:
-            yield 0.0, 0.0, 0
-            continue
-        block = np.ix_(idx, idx)
-        yield (float(np.max(np.abs((power.T @ power)[block] - rhs[block]))),
-               float(np.max(np.abs(rhs[block]))), len(idx))
-
-
 def _table1_orders_diagonal(row: str, nmax: int, col: np.ndarray,
                             val: np.ndarray, depths: np.ndarray,
                             interior_depth: int,
                             label: Callable[[int], str]
                             ) -> Iterator[tuple[float, float, int]]:
-    """Row i of T holds its one entry, val[i], in column col[i] (value 0
-    for an empty row); basis vector i has depth depths[i] and name
-    label(i)."""
+    """Yield (max |lhs - rhs| on the interior block, max |rhs| on it,
+    block size) for n = 0..nmax.  Row i of T holds its one entry,
+    val[i], in column col[i] (value 0 for an empty row); basis vector i
+    has depth depths[i] and name label(i)."""
     dim = len(col)
     gram = _gram_diagonal(col, val)
     dual_val = val * _inverse_gram_diagonal(gram, depths, interior_depth,
@@ -351,19 +315,17 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
     """Check the closed-form identity (T')* ^n (T')^n = r_n(T*T) on the
     interior blocks of a truncation, order by order.
 
-    When no row of T has two nonzero entries (every shift on a tree),
-    T*T is diagonal, the dual is a column scaling of T, each dual power
-    keeps one entry per row and is composed index by index in O(dim),
-    and r_n(T*T) is r_n of the diagonal.  A weighted shift is read this
-    way straight from its parent and weight arrays, in O(V) time and
-    memory, and gives the same report as ``truncate(shift, depth)``
-    apart from ``note``.  Otherwise the left side comes from repeated
-    dense multiplication of the dual matrix and the right side from the
-    spectral decomposition of T*T.  Either way r_n is applied to Gram
-    eigenvalues above 0.5 (truncation artifacts contribute spurious zero
-    eigenvalues; genuine Gram eigenvalues of the covered classes are
-    >= 1).  For weighted shifts the class membership matching the row is
-    verified first.
+    No row of T may hold two nonzero entries (every shift on a tree
+    qualifies; ``ClassificationError`` otherwise), so T*T is diagonal,
+    the dual is a column scaling of T, each dual power keeps one entry
+    per row and is composed index by index in O(dim), and r_n(T*T) is
+    r_n of the diagonal.  A weighted shift is read this way straight
+    from its parent and weight arrays, in O(V) time and memory, and
+    gives the same report as ``truncate(shift, depth)`` apart from
+    ``note``.  r_n is applied to Gram eigenvalues above 0.5 (truncation
+    artifacts contribute spurious zero eigenvalues; genuine Gram
+    eigenvalues of the covered classes are >= 1).  For weighted shifts
+    the class membership matching the row is verified first.
     """
     tol = check_tolerance(tol)
     if row not in TABLE1_ROWS:
@@ -380,11 +342,9 @@ def verify_table1(op: Union[WeightedShift, TruncatedOperator], row: str,
         if nmax > interior:
             raise RangeError(
                 f"nmax {nmax} exceeds interior depth {interior}")
-        entries = _row_entries(op.matrix)
-        orders = (_table1_orders_dense(op, row, nmax) if entries is None
-                  else _table1_orders_diagonal(
-                      row, nmax, *entries, np.asarray(op.depths),
-                      interior, op.basis.__getitem__))
+        orders = _table1_orders_diagonal(
+            row, nmax, *_row_entries(op), np.asarray(op.depths), interior,
+            op.basis.__getitem__)
     max_err = 0.0
     scale = 1.0
     checked = 0
@@ -404,8 +364,8 @@ def build_brownian_shift(sigma: float, size: int) -> TruncatedOperator:
     step per application, plus a fixed direction c with image
     sigma * v_0 + c.  The Gram matrix is diag(1, ..., 1, 1 + sigma^2)
     up to the cut artifact, and the defect T*T - I has rank one."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < inf:  # false for NaN
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     if size < 4:
         raise RangeError(f"size must be >= 4, got {size}")
     basis = tuple(f"v{i}" for i in range(size)) + ("c",)

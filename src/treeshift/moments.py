@@ -269,8 +269,8 @@ def closed_form_table1(row: str, t: float, n: int) -> float:
             f"unknown row {row!r}; expected one of {list(TABLE1_ROWS)}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if t < 1.0:
-        raise DomainError(f"t must be >= 1, got {t}")
+    if not 1.0 <= t < math.inf:  # false for NaN
+        raise DomainError(f"t must be finite and >= 1, got {t}")
     if row == "adjacency_pattern":
         if abs(t - round(t)) > 1e-9 or t < 2.0:
             raise DomainError(
@@ -466,7 +466,7 @@ def hausdorff_test(seq: _SequenceLike,
 
 @dataclass(frozen=True)
 class ReciprocalLinearResult:
-    """Moments gamma_n = 1/(a+bn) with their representing measure.
+    """Moments gamma_n = 1/(a+bn) and a description of their measure.
 
     These are moments of a positive measure exactly when a > 0 and
     b >= 0: a point mass of 1/a at 1 when b = 0, otherwise the density
@@ -478,33 +478,6 @@ class ReciprocalLinearResult:
     b: float
     is_hamburger: bool
     description: str
-    atom_measure: Optional[DiscreteMeasure] = None
-
-    def sampled_measure(self, nodes: int = 64) -> DiscreteMeasure:
-        """Atomic quadrature surrogate of the representing measure: the
-        Gauss-Jacobi rule for (1+x)^beta, beta = a/b - 1, by Golub-Welsch
-        (Math. Comp. 23 (1969)), moved to [0, 1].  Node i's mass is
-        v_0i^2 / a; the total mass 2^(beta+1)/(beta+1) cancels, so no
-        power is formed and nothing overflows."""
-        if not self.is_hamburger:
-            raise DomainError(
-                "no representing measure: the sequence is not a moment "
-                "sequence")
-        if nodes < 1:
-            raise DomainError(f"nodes must be >= 1, got {nodes}")
-        if self.b == 0.0:
-            assert self.atom_measure is not None
-            return self.atom_measure
-        beta = self.a / self.b - 1.0
-        m = np.arange(1.0, nodes)
-        t = 2.0 * m + beta
-        diag = np.concatenate([[beta / (beta + 2.0)],
-                               beta / t * (beta / (t + 2.0))])
-        sub = 2.0 * m * ((m + beta) / t) / np.sqrt(t + 1.0) / np.sqrt(t - 1.0)
-        x, v = np.linalg.eigh(np.diag(diag) + np.diag(sub, -1), UPLO="L")
-        masses = v[0] * v[0] / self.a  # an underflow to 0 is no atom
-        return DiscreteMeasure([(loc, w) for loc, w in zip(
-            ((1.0 + x) / 2.0).tolist(), masses.tolist()) if w > 0.0])
 
 
 def reciprocal_linear_moments(a: float, b: float,
@@ -521,16 +494,13 @@ def reciprocal_linear_moments(a: float, b: float,
     hamburger = a > 0.0 and b >= 0.0
     if not hamburger:
         desc = "not a Hamburger moment sequence (requires a > 0 and b >= 0)"
-        measure = None
     elif b == 0.0:
         desc = f"point mass {1.0 / a:.6g} at 1"
-        measure = DiscreteMeasure([(1.0, 1.0 / a)])
     else:
         desc = f"density t^({a / b - 1.0:.6g})/{b:.6g} on [0, 1]"
-        measure = None
     return ReciprocalLinearResult(
         MomentSequence(tuple(vals), source=f"1/({a} + {b} n)"),
-        a, b, hamburger, desc, measure)
+        a, b, hamburger, desc)
 
 
 def backward_extension(mu: DiscreteMeasure, tol: float = 1e-12

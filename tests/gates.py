@@ -355,12 +355,12 @@ GATES: tuple[Gate, ...] = (
     Gate("vertex-arrays", vertex_arrays, {
         "parent": "g1412:5", "first_child": "g701:5",
         "expansion": [1_993_744, True], "expanded": False}, bound_mb=80),
-    # read from the shift's index arrays: about 1.4 s and 345 MB; a
+    # read from the shift's index arrays: about 0.7 s and 251 MB; a
     # dense truncation would need 29 TiB
     Gate("table1-at-budget", {
         "tree": QB_TREE, "weights": ADJACENCY,
         "commands": [{"name": "verify-table1", "row": "quasi_brownian",
-                      "nmax": 8}]}, OK),
+                      "nmax": 8}]}, OK, bound_mb=300),
     # kernel_condition weights on a binary rule of depth 19 (1,048,575
     # vertices, 20 run classes) and on a Fibonacci rule of depth 27
     # (1,346,267 vertices), whose runs do not compress, so it stays a full

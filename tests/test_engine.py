@@ -1,12 +1,14 @@
 """The array engine against the per-vertex formulas it replaced, and the
-diagonal-Gram matrix oracle against its dense eigh fallback."""
+diagonal-Gram matrix oracle against a dense pseudoinverse."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift import (MAX_VERTICES, ConfigurationError, ResourceLimitError,
+from treeshift import (MAX_VERTICES, ClassificationError,
+                       ConfigurationError, ResourceLimitError,
                        TreeSpec, WeightSpec,
                        build_shift, comb_tree_spec,
                        dual_matrix, dual_subnormality, is_two_isometry,
@@ -231,35 +233,35 @@ def _rotated_within_generation(trunc: TruncatedOperator, g: int):
     q_block, _ = np.linalg.qr(rng.standard_normal((len(idx), len(idx))))
     q = np.eye(trunc.dim)
     q[np.ix_(idx, idx)] = q_block
-    return q, TruncatedOperator(q @ trunc.matrix @ q.T, trunc.basis,
-                                trunc.depths, trunc.interior_depth)
+    return TruncatedOperator(q @ trunc.matrix @ q.T, trunc.basis,
+                             trunc.depths, trunc.interior_depth)
 
 
-def test_eigh_fallback_agrees_with_diagonal_oracle():
-    shift = build_shift(WeightSpec("adjacency"),
-                        materialize(comb_tree_spec(2, 10)))
-    trunc = truncate(shift)
-    q, rotated = _rotated_within_generation(trunc, 4)
+def _comb_2_10_truncation() -> TruncatedOperator:
+    return truncate(build_shift(WeightSpec("adjacency"),
+                                materialize(comb_tree_spec(2, 10))))
+
+
+def test_matrix_oracle_refuses_a_row_with_two_entries():
+    rotated = _rotated_within_generation(_comb_2_10_truncation(), 4)
     gram = rotated.matrix.T @ rotated.matrix
     assert np.abs(gram - np.diag(np.diag(gram))).max() > 0.1
-    assert np.allclose(dual_matrix(rotated).matrix,
-                       q @ dual_matrix(trunc).matrix @ q.T, atol=1e-12)
-    plain = verify_table1(trunc, "quasi_brownian", nmax=6)
-    dense = verify_table1(rotated, "quasi_brownian", nmax=6)
-    assert plain.holds and dense.holds
-    assert plain.max_abs_error < 1e-12 and dense.max_abs_error < 1e-12
-    assert [p[2] for p in plain.per_order] == [p[2] for p in dense.per_order]
+    for check in (lambda: dual_matrix(rotated),
+                  lambda: verify_table1(rotated, "quasi_brownian", nmax=6)):
+        with pytest.raises(ClassificationError,
+                           match="at most one nonzero entry per row") as err:
+            check()
+        label = re.search(r"basis vector '([^']*)'", str(err.value))[1]
+        assert rotated.depths[rotated.index(label)] == 4
 
 
-def test_dense_table1_fallback_decomposes_the_gram_matrix_once(monkeypatch):
-    shift = build_shift(WeightSpec("adjacency"),
-                        materialize(comb_tree_spec(2, 10)))
-    _, rotated = _rotated_within_generation(truncate(shift), 4)
-    sizes, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: sizes.append(len(a)) or eigh(a))
-    assert verify_table1(rotated, "quasi_brownian", nmax=6).holds
-    assert sizes == [rotated.dim]
+def test_dual_matrix_agrees_with_a_dense_pseudoinverse():
+    trunc = _comb_2_10_truncation()
+    a = trunc.matrix
+    assert np.abs(dual_matrix(trunc).matrix
+                  - a @ np.linalg.pinv(a.T @ a)).max() <= 1e-12
+    report = verify_table1(trunc, "quasi_brownian", nmax=6)
+    assert report.holds and report.max_abs_error < 1e-12
 
 
 def test_diagonal_oracle_detects_a_broken_identity():

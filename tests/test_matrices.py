@@ -11,6 +11,7 @@ from treeshift import (ClassificationError, DomainError,
                        comb_tree_spec, defect,
                        dual_matrix, generation, gram_diag,
                        materialize, moment_sequence, truncate, verify_table1)
+from treeshift.matrices import TruncatedOperator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -325,3 +326,26 @@ def test_block_shift_from_atoms():
         block_shift_from_atoms([(1.2, 1), (1.2, 1)], 8)
     with pytest.raises(RangeError):
         block_shift_from_atoms([(1.2, 1)], 1)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_brownian_block_refuses_a_non_finite_sigma(sigma):
+    with pytest.raises(DomainError, match="sigma must be finite and > 0"):
+        build_brownian_shift(sigma, 16)
+
+
+# NaN is taken as an atom location, and for x = 1e200 two_isometry_weight
+# overflows to inf and then NaN: the weights are refused where the matrix
+# is made, naming the row of the first of them
+@pytest.mark.parametrize("x", [math.nan, math.inf, 1e200])
+def test_block_shift_refuses_atoms_with_non_finite_weights(x):
+    with pytest.raises(DomainError, match="must be finite; the row of basis "
+                                          "vector 'a0c0:g1'"):
+        block_shift_from_atoms([(x, 1)], 8)
+
+
+def test_truncated_operator_refuses_non_finite_entries():
+    m = np.zeros((3, 3))
+    m[1, 0], m[2, 1] = 1.0, math.nan
+    with pytest.raises(DomainError, match="basis vector 'v2' holds a NaN"):
+        TruncatedOperator(m, ("v0", "v1", "v2"), (0, 1, 2), 1)
