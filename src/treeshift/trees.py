@@ -681,10 +681,10 @@ class TreeSpec:
     Every kind is a generation rule, held as its runs: each maximal run
     of equal child counts within a row, as the count and the run's
     length, and the generation sizes.  A path is the empty rule, a star
-    the rule ``((eta,),)``, a quasi-Brownian tree the rule whose row n
-    is one ``valency``, then n(valency - 1) ones (its runs are built by
-    ``materialize``, since they depend on the depth), and an explicit
-    tree the rule of its edges.
+    the rule ``((eta,),)`` and a quasi-Brownian tree the rule whose row
+    n is one ``valency``, then n(valency - 1) ones, their runs built in
+    closed form (a quasi-Brownian tree's by ``materialize``, since they
+    depend on the depth); an explicit tree is the rule of its edges.
 
     Each field is checked when the spec is built, and an error about
     one names it in its ``field``.  The rule and the edges are read
@@ -717,10 +717,10 @@ class TreeSpec:
             raise ConfigurationError(
                 f"unknown tree kind {self.kind!r}; expected one of "
                 f"{list(self.KIND_FIELDS)}", "kind")
-        # every kind is a generation rule held as runs: a path is the
-        # rule (), a star the rule ((eta,),) and an explicit tree the
-        # rule of its edges; a quasi-Brownian rule depends on the depth,
-        # so materialize builds its runs (None here) after the size check
+        # every kind is a generation rule held as runs: a path's and a star's
+        # are built in closed form, a written rule's and an explicit tree's
+        # read; a quasi-Brownian tree's depend on the depth, so materialize
+        # builds them (None here) after the size check
         runs = _PATH_RUNS if self.kind == "path" else None
         ids = None
         if self.kind == "t_eta_kappa":
@@ -736,7 +736,10 @@ class TreeSpec:
             if self.kappa != 0:
                 raise ConfigurationError(
                     "only kappa = 0 trees are generated", "kappa")
-            runs = _rule_arrays(((eta,),))
+            # the rule ((eta,),): one run of eta children at the root
+            flat = np.array([eta], np.int64 if eta <= _RULE_ENTRY_MAX
+                            else object)
+            runs = flat, np.ones(1, np.int64), np.concatenate(([1], flat))
         if self.kind == "quasi_brownian":
             if self.valency is None or self.valency < 2:
                 raise ConfigurationError(
@@ -782,14 +785,6 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
     error."""
     if not isinstance(rule, (tuple, list)):
         raise StructureError(_RULE_SHAPE, "rule")
-    if len(rule) == 1 and type(rule[0]) in (tuple, list) \
-            and len(rule[0]) == 1 and type(rule[0][0]) is int \
-            and rule[0][0] >= 0:
-        # a root and its children (a star's rule): one run, built without
-        # the passes below, which cost more than the entry
-        flat = np.array(rule[0], np.int64 if rule[0][0] <= _RULE_ENTRY_MAX
-                        else object)
-        return flat, np.ones(1, dtype=np.int64), np.concatenate(([1], flat))
     try:
         # bytes() refuses every entry but an int 0..255 (or a bool);
         # bytes(n) of an int row would be n zero bytes
@@ -902,45 +897,27 @@ def _tree_runs(run_degrees: np.ndarray, run_lengths: np.ndarray,
     return degrees, lengths, generations
 
 
-def _tree_from_rule(degrees: np.ndarray, lengths: np.ndarray,
-                    sizes: np.ndarray, depth: int, count: int,
-                    labels: Optional[list[str]] = None) -> DirectedTree:
-    """Tree of ``count`` vertices whose generation g < len(sizes) - 1
-    has the child counts of rule row g, given as runs (``_rule_arrays``),
-    with the vertex ids ``labels``; later generations continue with one
-    child each, and the last has none."""
-    degrees, lengths, generations = _tree_runs(degrees, lengths, sizes,
-                                               depth)
-    return DirectedTree(degrees.repeat(lengths), generations, labels)
-
-
-def _rule_classes(run_degrees: np.ndarray, run_lengths: np.ndarray,
-                  sizes: np.ndarray, depth: int, count: int,
+def _rule_classes(degrees: np.ndarray, lengths: np.ndarray,
+                  generations: np.ndarray, count: int,
                   labels: Optional[list[str]] = None
                   ) -> Optional[DirectedTree]:
-    """The tree of ``_tree_from_rule``, of ``count`` vertices, as run
-    classes, or None when it has fewer than MIN_VERTICES_PER_CLASS
-    vertices per class.
+    """The tree of ``count`` vertices with the runs and generation sizes
+    of ``_tree_runs`` and the vertex ids ``labels``, as run classes, or
+    None, with the runs left as they were, when it has fewer than
+    MIN_VERTICES_PER_CLASS vertices per class.
 
-    The classes are hashed from the tree's runs (``_tree_runs``),
-    without building the tree: a vertex joins the class of the vertex
-    before it in its generation when both have the same child count and
-    all their children lie in one class (leaves included).  So a class
-    of several vertices sends all its edges to one class, which is the
-    layout ``DirectedTree`` checks, and its vertices have one cone type.
-    The class starts are the run starts, closed under one step up: a
-    class start c starts a class at its parent p and, unless c is p's
-    first child, at the vertex after p.  The closure takes one numpy
-    pass per step, over the class starts that are new, and none when
-    every run start is its parent run's first child or a child of a
-    run of one vertex."""
+    The classes are hashed from the runs, without building the tree: a
+    vertex joins the class of the vertex before it in its generation
+    when both have the same child count and all their children lie in
+    one class (leaves included).  So a class of several vertices sends
+    all its edges to one class, which is the layout ``DirectedTree``
+    checks, and its vertices have one cone type.  The class starts are
+    the run starts, closed under one step up: a class start c starts a
+    class at its parent p and, unless c is p's first child, at the
+    vertex after p.  The closure takes one numpy pass per step, over the
+    class starts that are new, and none when every run start is its
+    parent run's first child or a child of a run of one vertex."""
     budget = count // MIN_VERTICES_PER_CLASS
-    # each generation up to the first empty one holds a class, and after
-    # an empty generation every one is empty
-    if budget <= depth and sizes.item(min(depth, len(sizes) - 1)):
-        return None
-    degrees, lengths, generations = _tree_runs(run_degrees, run_lengths,
-                                               sizes, depth)
     found = len(degrees)
     if found > budget:
         return None
@@ -1075,9 +1052,10 @@ def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
 def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     """Materialize a tree spec to the given depth (default: spec.depth,
     which an explicit tree without one takes from its deepest vertex).
-    Every kind is built from its rule's runs by one path: as classes
-    when the tree has at least MIN_VERTICES_PER_CLASS vertices per
-    class, else vertex by vertex; an explicit tree keeps its ids.
+    Every kind is built by one path: its rule's runs, extended to the
+    depth once, are hashed into classes, kept when the tree has at least
+    MIN_VERTICES_PER_CLASS vertices per class, else repeated into the
+    full tree; an explicit tree keeps its ids.
 
     Raises ResourceLimitError (``depth``), before allocating anything,
     when the tree would have more than MAX_VERTICES vertices or
@@ -1101,11 +1079,12 @@ def materialize(spec: TreeSpec, depth: Optional[int] = None) -> DirectedTree:
     runs = spec._runs
     if runs is None:  # a quasi-Brownian rule depends on the depth
         runs = _quasi_brownian_runs(spec.valency, depth)
+    degrees, lengths, generations = _tree_runs(*runs, depth)
     # every tree of an explicit spec gets a list of its ids of its own
     labels = None if spec._ids is None else list(spec._ids)
-    tree = _rule_classes(*runs, depth, count, labels)
-    return tree if tree is not None else _tree_from_rule(
-        *runs, depth, count, labels)
+    tree = _rule_classes(degrees, lengths, generations, count, labels)
+    return tree if tree is not None else DirectedTree(
+        degrees.repeat(lengths), generations, labels)
 
 
 def generation(tree: DirectedTree, n: int) -> tuple[str, ...]:

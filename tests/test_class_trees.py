@@ -369,6 +369,22 @@ def test_rule_trees_under_the_hashing_bound_stay_full(spec):
     assert tree.class_count == tree.vertex_count
 
 
+@pytest.mark.parametrize("spec, hashed", [
+    (TreeSpec("generation_rule",
+              rule=tuple((2,) * 2 ** g for g in range(15)), depth=15), True),
+    (comb_tree_spec(2, 40), False),
+    # few generations, but 130 runs against a budget of 4 classes
+    (TreeSpec("generation_rule", rule=((128,), (2, 0) * 64), depth=2),
+     False),
+], ids=["binary-15", "comb-2-depth-40", "runs-past-the-bound"])
+def test_materialize_extends_the_runs_once(spec, hashed):
+    with mock.patch.object(trees, "_tree_runs",
+                           wraps=trees._tree_runs) as extend:
+        tree = materialize(spec)
+    assert extend.call_count == 1
+    assert (tree.class_count < tree.vertex_count) == hashed
+
+
 def test_a_deep_comb_is_a_ray_class_and_a_spine_class_per_generation():
     # a valency-2 comb's generation is its rays, then its spine vertex:
     # two runs, and from depth 300 at least 64 vertices per class

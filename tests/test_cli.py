@@ -538,7 +538,7 @@ def test_explicit_edge_list_is_sized_before_it_is_built(tmp_path, capsys,
 
     # the two builders every tree goes through
     monkeypatch.setattr(trees, "_rule_classes", refuse)
-    monkeypatch.setattr(trees, "_tree_from_rule", refuse)
+    monkeypatch.setattr(trees, "_tree_runs", refuse)
     spec_file = tmp_path / "run.json"
     spec_file.write_text(json.dumps({
         "tree": {"kind": "explicit",
