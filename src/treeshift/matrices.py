@@ -157,8 +157,12 @@ def _row_entries(trunc: TruncatedOperator
 
 
 def _gram_diagonal(col: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """T*T of a matrix whose row i holds val[i] in column col[i]."""
-    return np.bincount(col, weights=val * val, minlength=len(col))
+    """T*T of a matrix whose row i holds val[i] in column col[i]; an
+    entry past the float range is inf, which ``_inverse_gram_diagonal``
+    refuses."""
+    with np.errstate(over="ignore"):
+        squares = val * val
+    return np.bincount(col, weights=squares, minlength=len(col))
 
 
 def _inverse_gram_diagonal(gram: np.ndarray, depths: np.ndarray,
@@ -167,7 +171,14 @@ def _inverse_gram_diagonal(gram: np.ndarray, depths: np.ndarray,
     """Reciprocals of the Gram diagonal; an entry at most 1e-12 times
     the largest (plus 1e-300) counts as vanishing and is tolerated only
     beyond the interior depth (``depths[j]`` is the depth of basis
-    vector j, ``label(j)`` its name)."""
+    vector j, ``label(j)`` its name).  Raises DomainError, naming the
+    first basis vector whose entry overflowed to inf, before that
+    cutoff is taken."""
+    overflow = np.flatnonzero(np.isinf(gram))
+    if len(overflow):
+        raise DomainError(
+            f"Gram matrix entries overflow the float range (basis vector "
+            f"{label(overflow.item(0))!r})")
     cutoff = max(float(gram.max(initial=0.0)), 0.0) * 1e-12 + 1e-300
     small = gram <= cutoff
     inside = np.flatnonzero(small & (depths <= interior_depth))
@@ -187,7 +198,8 @@ def dual_matrix(trunc: TruncatedOperator) -> TruncatedOperator:
     otherwise), so T*T is diagonal and the dual is T with each column
     divided by its squared norm.  Null columns are tolerated only when
     they lie strictly beyond the interior depth (truncation artifacts),
-    otherwise the operator is not left invertible.
+    otherwise the operator is not left invertible.  A squared column
+    norm past the float range raises DomainError.
     """
     dual = trunc.matrix * _inverse_gram_diagonal(
         _gram_diagonal(*_row_entries(trunc)), np.asarray(trunc.depths),

@@ -253,9 +253,10 @@ class WeightSpec:
         if self.kind == "kernel_condition":
             if self.x is None:
                 raise ConfigurationError("kernel_condition requires x", "x")
-            if self.x < 1.0:
+            x = _real(self.x, "x")
+            if x < 1.0:
                 raise DomainError(f"x must be >= 1, got {self.x}", "x")
-            if not math.isfinite(self.x * self.x - 1.0):
+            if not math.isfinite(x * x - 1.0):
                 raise DomainError(f"x * x - 1 must be finite, got x = "
                                   f"{self.x!r}", "x")
         if self.kind == "glowny":
@@ -263,10 +264,24 @@ class WeightSpec:
                 if y is None:
                     raise ConfigurationError(f"glowny requires {label}",
                                              label)
-                if not 1.0 < y < _SQRT2:
+                if not 1.0 < _real(y, label) < _SQRT2:
                     raise DomainError(
                         f"{label} must lie in the open interval "
                         f"(1, sqrt(2)), got {y}", label)
+
+
+def _real(value: object, name: str) -> float:
+    """``value`` as a float; ConfigurationError, its ``field`` ``name``,
+    unless it is an int or a float (a bool is neither), and DomainError
+    for an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(
+            f"{name} must be an int or a float, got {value!r}", name)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must lie within the float range",
+                          name) from None
 
 
 def _first(mask: np.ndarray) -> Optional[int]:

@@ -657,6 +657,17 @@ def _edge_arrays(edges: tuple[tuple[str, str], ...]
             tuple(map(names.__getitem__, canon)))
 
 
+def _integer(value: object, name: str, kind: str) -> int:
+    """``value`` as an int (``operator.index``); ConfigurationError, its
+    ``field`` ``name``, unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{kind} requires an integer {name}, got {value!r}",
+            name) from None
+
+
 @dataclass(frozen=True)
 class TreeSpec:
     """Declarative description of a tree family.
@@ -724,12 +735,7 @@ class TreeSpec:
         runs = _PATH_RUNS if self.kind == "path" else None
         ids = None
         if self.kind == "t_eta_kappa":
-            try:
-                eta = operator.index(self.eta)
-            except TypeError:
-                raise ConfigurationError(
-                    f"t_eta_kappa requires an integer eta, got {self.eta!r}",
-                    "eta") from None
+            eta = _integer(self.eta, "eta", self.kind)
             if eta < 2:
                 raise ConfigurationError("t_eta_kappa requires eta >= 2",
                                          "eta")
@@ -741,9 +747,11 @@ class TreeSpec:
                             else object)
             runs = flat, np.ones(1, np.int64), np.concatenate(([1], flat))
         if self.kind == "quasi_brownian":
-            if self.valency is None or self.valency < 2:
+            valency = _integer(self.valency, "valency", self.kind)
+            if valency < 2:
                 raise ConfigurationError(
                     "quasi_brownian requires valency >= 2", "valency")
+            object.__setattr__(self, "valency", valency)
         if self.kind == "explicit":
             edges = _edge_list(self.edges)
             runs, ids = _edge_arrays(edges)
@@ -774,15 +782,16 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rule as runs: each maximal run of equal child counts within a
     row, as its count and its length, and the generation sizes: 1, then
-    the sum of each row.
+    the sum of each row.  The counts and sizes are int64, or Python ints
+    when a count passes _RULE_ENTRY_MAX.
     Raises StructureError, its ``field`` ``rule``, when the rule is not
     a tuple or a list of rows of ints (a bool is not one), or naming the
     first row that is not one count >= 0 per vertex of its generation.
 
     Rows that are tuples or lists of counts 0..255 are packed into
-    bytes in one C pass, and only the run counts are read from them;
-    any other rule takes the general conversion, which also holds every
-    error."""
+    bytes in one C pass, and only the run counts are read from them and
+    widened; any other rule takes the general conversion, which also
+    holds every error."""
     if not isinstance(rule, (tuple, list)):
         raise StructureError(_RULE_SHAPE, "rule")
     try:
@@ -806,6 +815,8 @@ def _rule_arrays(rule: Sequence[Sequence[int]]
     ends = lengths.cumsum()
     bounds = _run_bounds(flat, ends - lengths)
     degrees, widths = flat[bounds[:-1]], bounds[1:] - bounds[:-1]
+    if packed is not None:  # int64 run counts, as the general conversion's
+        degrees = degrees.astype(np.int64)
     # the counts through each run, and so through each row, which ends
     # where a run does
     summed = np.concatenate(([0], (degrees * widths).cumsum()))
@@ -1027,13 +1038,16 @@ def two_plus_three_tree_spec(variant: str, depth: int) -> TreeSpec:
 def spec_vertex_count(spec: TreeSpec, depth: Optional[int] = None) -> int:
     """Exact vertex count of ``materialize(spec, depth)``, computed from
     the spec alone: a quasi-Brownian tree by its formula, every other
-    kind from its rule's generation sizes.  Raises StructureError
-    (``edges``), naming the first vertex past ``depth``, when that is
-    shallower than an explicit tree's deepest vertex."""
+    kind from its rule's generation sizes.  Raises ConfigurationError
+    (``depth``) unless the depth is an integer, RangeError when it is
+    negative, and StructureError (``edges``), naming the first vertex
+    past ``depth``, when that is shallower than an explicit tree's
+    deepest vertex."""
     if depth is None:
         depth = spec.depth
     if depth is None:
         raise ConfigurationError("no materialization depth given")
+    depth = _integer(depth, "depth", spec.kind)
     if depth < 0:
         raise RangeError(f"depth must be >= 0, got {depth}")
     if spec.kind == "quasi_brownian":

@@ -328,9 +328,14 @@ GATES: tuple[Gate, ...] = (
     Gate("qb-rule", qb_rule,
          {**OK, **QB_SAME, "class_count": Same("qb-classes")}),
     Gate("qb-full", qb_full, {"full": True, **QB_SAME}),
-    Gate("star-classes", star_classes, {**OK, "class_count": 4}),
+    # the star's runs are built in closed form, and star-rule reads
+    # [[666666]] through the rule reader's general conversion
+    # (_rule_entries): each peaks at about 72 MB
+    Gate("star-classes", star_classes, {**OK, "class_count": 4},
+         bound_mb=85),
     Gate("star-rule", star_rule,
-         {**OK, **STAR_SAME, "class_count": Same("star-classes")}),
+         {**OK, **STAR_SAME, "class_count": Same("star-classes")},
+         bound_mb=85),
     Gate("star-full", star_full, {"full": True, **STAR_SAME}),
     # the path [1, 0, 0] is walked on the class arrays: about 34 MB, and
     # 81 MB when it expanded the tree

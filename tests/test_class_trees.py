@@ -369,6 +369,23 @@ def test_rule_trees_under_the_hashing_bound_stay_full(spec):
     assert tree.class_count == tree.vertex_count
 
 
+@pytest.mark.parametrize("eta", [2, 255, 256, 20000, 2 ** 31, 2 ** 31 + 1,
+                                 2 ** 63 - 1, 10 ** 30])
+def test_a_stars_closed_form_runs_are_those_its_rule_reads(eta):
+    star = TreeSpec("t_eta_kappa", eta=eta, depth=0)
+    for built, read in zip(star._runs, trees._rule_arrays(((eta,),))):
+        assert built.dtype == read.dtype
+        assert built.tolist() == read.tolist()
+    rule = TreeSpec("generation_rule", rule=((eta,),), depth=0)
+    for depth in range(4):
+        if trees.spec_vertex_count(star, depth) > trees.MAX_VERTICES:
+            break
+        a, b = materialize(star, depth), materialize(rule, depth)
+        for name in ("class_degrees", "class_offsets", "class_starts",
+                     "children", "multiplicities", "gen_offsets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 @pytest.mark.parametrize("spec, hashed", [
     (TreeSpec("generation_rule",
               rule=tuple((2,) * 2 ** g for g in range(15)), depth=15), True),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeshift import (MAX_VERTICES, ClassificationError,
-                       ConfigurationError, ResourceLimitError,
+                       ConfigurationError, DomainError, ResourceLimitError,
                        TreeSpec, WeightSpec,
                        build_shift, comb_tree_spec,
                        dual_matrix, dual_subnormality, is_two_isometry,
@@ -199,6 +199,54 @@ def test_a_star_without_an_integer_eta_is_refused_at_eta(eta):
     with pytest.raises(ConfigurationError, match="integer eta") as raised:
         TreeSpec("t_eta_kappa", eta=eta, depth=3)
     assert raised.value.field == "eta"
+
+
+@pytest.mark.parametrize("valency", [2.5, None, "3"], ids=repr)
+def test_a_quasi_brownian_tree_without_an_integer_valency_is_refused(valency):
+    with pytest.raises(ConfigurationError,
+                       match="integer valency") as raised:
+        TreeSpec("quasi_brownian", valency=valency, depth=2)
+    assert raised.value.field == "valency"
+
+
+def test_a_numpy_valency_is_counted_in_python_ints():
+    # numpy int64 arithmetic would wrap this count
+    spec = TreeSpec("quasi_brownian", valency=np.int64(2 ** 62), depth=3)
+    assert spec_vertex_count(spec) == 4 + (2 ** 62 - 1) * 6
+
+
+@pytest.mark.parametrize("depth", [3.0, "3"], ids=repr)
+def test_a_depth_that_is_not_an_integer_is_refused_at_depth(depth):
+    for spec, given in ((TreeSpec("path", depth=depth), None),
+                        (TreeSpec("path", depth=2), depth),
+                        (TreeSpec("quasi_brownian", valency=3, depth=2),
+                         depth)):
+        with pytest.raises(ConfigurationError,
+                           match="integer depth") as raised:
+            materialize(spec, given)
+        assert raised.value.field == "depth"
+
+
+@pytest.mark.parametrize("kind, values, field, error, message", [
+    ("kernel_condition", {"x": "1.2"}, "x", ConfigurationError,
+     "must be an int or a float"),
+    ("kernel_condition", {"x": True}, "x", ConfigurationError,
+     "must be an int or a float"),
+    ("glowny", {"y1": "1.1", "y2": 1.2}, "y1", ConfigurationError,
+     "must be an int or a float"),
+    ("glowny", {"y1": 1.1, "y2": [1.2]}, "y2", ConfigurationError,
+     "must be an int or a float"),
+    ("kernel_condition", {"x": 10 ** 400}, "x", DomainError,
+     "must lie within the float range"),
+    ("glowny", {"y1": 1.1, "y2": -10 ** 400}, "y2", DomainError,
+     "must lie within the float range"),
+], ids=["x-str", "x-bool", "y1-str", "y2-list", "x-huge", "y2-huge"])
+def test_weight_parameters_that_are_not_floats_are_refused(kind, values,
+                                                           field, error,
+                                                           message):
+    with pytest.raises(error, match=f"{field} {message}") as raised:
+        WeightSpec(kind, **values)
+    assert raised.value.field == field
 
 
 def test_budget_errors_name_the_field_they_counted(monkeypatch):

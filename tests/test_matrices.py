@@ -1,5 +1,6 @@
 """Matrix oracle: truncations, defects, duals, closed-form row checks."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,3 +350,19 @@ def test_truncated_operator_refuses_non_finite_entries():
     m[1, 0], m[2, 1] = 1.0, math.nan
     with pytest.raises(DomainError, match="basis vector 'v2' holds a NaN"):
         TruncatedOperator(m, ("v0", "v1", "v2"), (0, 1, 2), 1)
+
+
+def test_an_overflowing_gram_matrix_is_refused_by_name():
+    # weights of 1e200 square past the float range: the Gram entry of
+    # v0 is inf, not a vanishing one, and no overflow warning is shown
+    m = np.zeros((8, 8))
+    m[np.arange(1, 8), np.arange(7)] = 1e200
+    op = TruncatedOperator(m, tuple(f"v{i}" for i in range(8)),
+                           tuple(range(8)), 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: verify_table1(op, "kernel", nmax=3),
+                     lambda: dual_matrix(op)):
+            with pytest.raises(DomainError, match="overflow the float range "
+                                                  r"\(basis vector 'v0'\)"):
+                call()
